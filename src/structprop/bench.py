@@ -19,12 +19,10 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .detect import DetectionReport, detect_all
-from .model import MipModel
 from .records import Family
 from .search import SearchConfig, SearchStats, dfs_solve
 
@@ -274,15 +272,14 @@ def run_benchmark(
     directory: str,
     families: Iterable[Family] | None = None,
     configs: tuple[SearchConfig, SearchConfig] | None = None,
-    parallelism: int = 1,
 ) -> BenchReport:
     """Parse, detect, and solve every ``.mps`` file under ``directory``.
 
-    ``configs`` is the (baseline, plugin) search configuration pair; both
-    default to ``SearchConfig()``.  Unparseable or failing instances are
-    skipped with a logged reason and listed in the report, never aborting
-    the batch.  Statuses and node counts are independent of
-    ``parallelism``; only wall times vary.
+    Files run one after another in name order, so wall times are not
+    inflated by contention.  ``configs`` is the (baseline, plugin) search
+    configuration pair; both default to ``SearchConfig()``.  Unparseable or
+    failing instances are skipped with a logged reason and listed in the
+    report, never aborting the batch.
     """
     base_config, plug_config = configs or (SearchConfig(), SearchConfig())
     fam_filter = None if families is None else tuple(families)
@@ -295,21 +292,18 @@ def run_benchmark(
     detections: dict[str, DetectionReport] = {}
     skipped: list[str] = []
 
-    def work(path):
-        return _bench_one(path, fam_filter, base_config, plug_config)
-
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        futures = [pool.submit(work, path) for path in paths]
-        for path, future in zip(paths, futures):
-            try:
-                name, report, instance_runs = future.result()
-            except Exception as exc:
-                reason = f"{os.path.basename(path)}: {exc}"
-                log.warning("skipping %s", reason)
-                skipped.append(reason)
-                continue
-            detections[name] = report
-            runs.extend(instance_runs)
+    for path in paths:
+        try:
+            name, report, instance_runs = _bench_one(
+                path, fam_filter, base_config, plug_config
+            )
+        except Exception as exc:
+            reason = f"{os.path.basename(path)}: {exc}"
+            log.warning("skipping %s", reason)
+            skipped.append(reason)
+            continue
+        detections[name] = report
+        runs.extend(instance_runs)
     report = aggregate(runs, detections)
     return dataclasses.replace(report, skipped=tuple(skipped))
 

@@ -210,7 +210,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         doc["objective"] = None
         doc["incumbent"] = None
     else:
-        doc["objective"] = sum(c * incumbent[v] for v, c in model.objective)
+        stored = sum(c * incumbent[v] for v, c in model.objective)
+        # the model keeps the minimization form; report the declared sense
+        doc["objective"] = -stored if model.objective_sense == "max" else stored
         doc["incumbent"] = {
             model.variables[v].name: value for v, value in sorted(incumbent.items())
         }
@@ -228,9 +230,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             SearchConfig(time_limit=args.time_limit),
             SearchConfig(time_limit=args.time_limit),
         )
-    report = run_benchmark(
-        args.dir, families=args.families, configs=configs, parallelism=args.jobs
-    )
+    report = run_benchmark(args.dir, families=args.families, configs=configs)
     paths = write_report(report, args.dir)
     if args.json:
         _emit({"reports": paths, "skipped": list(report.skipped)}, None)
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--families", type=_family_list, default=None, help="comma-separated filter"
     )
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_bench)
 
     return parser

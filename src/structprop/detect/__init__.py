@@ -1,15 +1,10 @@
 """Structure detection: row views, per-family detectors, arbitration."""
 
 from .engine import (  # noqa: F401
-    DEFAULT_REGISTRY,
     DETECTORS,
     DetectConfig,
     DetectionReport,
-    FamilyDescriptor,
-    NoveltyVerdict,
     detect_all,
     detect_family,
-    novelty_gate,
-    row_fingerprint,
 )
 from .rowview import Facet, ModelView, UnitView, one_sided_facet  # noqa: F401

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
-from ..model import FEAS_TOL, INF, LinearRow, MipModel
+from ..model import FEAS_TOL, MipModel
 from ..records import PRIORITY_ORDER, Confidence, Family, SemanticRecord
 from .cp import (
     detect_alldifferent,
@@ -23,7 +22,7 @@ from .cp import (
     detect_nvalue,
     detect_stretch,
 )
-from .rowview import ModelView, uniform_coefficient
+from .rowview import ModelView
 from .zeroshot import (
     detect_bottleneck_exact_one,
     detect_disj_polyhedral,
@@ -111,98 +110,3 @@ def detect_all(model: MipModel, config: DetectConfig | None = None) -> Detection
         truncated=view.truncated,
     )
 
-
-# ---------------------------------------------------------------------------
-# novelty gate: is a candidate already explained by known row patterns?
-# ---------------------------------------------------------------------------
-
-
-class NoveltyVerdict(Enum):
-    DUPLICATE = "duplicate"
-    EXTENSION = "extension"
-    NOVEL = "novel"
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """A known constraint family summarized by its row fingerprint multiset."""
-
-    name: str
-    patterns: tuple[str, ...]
-    single_row: bool = False
-
-
-def row_fingerprint(model: MipModel, row: LinearRow) -> str:
-    """Coarse shape label for one row, ignoring names and term order."""
-    variables = model.variables
-    support = [(v, c) for v, c in row.terms if c != 0.0]
-    binary = all(
-        variables[v].is_integer
-        and variables[v].lower >= 0.0
-        and variables[v].upper <= 1.0
-        for v, _ in support
-    )
-    is_equality = row.is_equality
-    lower_finite = row.lhs > -INF
-    upper_finite = row.rhs < INF
-    shared = uniform_coefficient(support)
-    if binary and support and shared is not None:
-        lower, upper = row.lhs / shared, row.rhs / shared
-        if shared < 0:
-            lower, upper = upper, lower
-        if is_equality and upper == 1.0:
-            return "exact_one"
-        if not is_equality and upper == 1.0 and lower <= 0.0:
-            return "at_most_one"
-        return "cardinality"
-    if binary and support and lower_finite != upper_finite:
-        oriented = (
-            support if upper_finite else [(v, -c) for v, c in support]
-        )
-        if all(c > 0 for _, c in oriented):
-            return "knapsack"
-    if is_equality:
-        return "mixed_equality"
-    if lower_finite and upper_finite:
-        return "range"
-    return "mixed_inequality"
-
-
-DEFAULT_REGISTRY: tuple[FamilyDescriptor, ...] = (
-    FamilyDescriptor("set-partitioning", ("exact_one",), single_row=True),
-    FamilyDescriptor("set-packing", ("at_most_one",), single_row=True),
-    FamilyDescriptor("knapsack-cover", ("knapsack",), single_row=True),
-    FamilyDescriptor("bound-counting", ("cardinality",), single_row=True),
-)
-
-
-def novelty_gate(
-    candidate: SemanticRecord,
-    registry: Iterable[FamilyDescriptor],
-    model: MipModel,
-) -> NoveltyVerdict:
-    """Compare a record's evidence-row shapes against known descriptors.
-
-    Duplicate: one single-row descriptor explains every evidence row, or a
-    multi-row descriptor matches the shape multiset exactly.  Extension: a
-    multi-row descriptor's shapes form a strict sub-multiset of the
-    candidate's.  Anything else is novel.
-    """
-    descriptors = list(registry)
-    shapes = Counter(
-        row_fingerprint(model, model.rows[rid]) for rid in candidate.evidence
-    )
-    for desc in descriptors:
-        if desc.single_row:
-            pattern = desc.patterns[0]
-            if shapes and set(shapes) == {pattern}:
-                return NoveltyVerdict.DUPLICATE
-        elif Counter(desc.patterns) == shapes:
-            return NoveltyVerdict.DUPLICATE
-    for desc in descriptors:
-        if desc.single_row:
-            continue
-        known = Counter(desc.patterns)
-        if known != shapes and all(shapes[k] >= n for k, n in known.items()):
-            return NoveltyVerdict.EXTENSION
-    return NoveltyVerdict.NOVEL

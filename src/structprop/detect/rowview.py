@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import FEAS_TOL, DomainBox, Integrality, LinearRow, MipModel, compute_activity
+from ..model import FEAS_TOL, DomainBox, LinearRow, MipModel, compute_activity
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,3 @@ def one_sided_facet(row: LinearRow) -> Facet | None:
         return Facet(row.id, tuple((v, -c) for v, c in row.terms), -row.lhs)
     return None
 
-
-def both_facets(row: LinearRow) -> list[Facet]:
-    """Both <=-form facets of a row (one per finite side)."""
-    out = []
-    if row.rhs < float("inf"):
-        out.append(Facet(row.id, row.terms, row.rhs))
-    if row.lhs > -float("inf"):
-        out.append(Facet(row.id, tuple((v, -c) for v, c in row.terms), -row.lhs))
-    return out

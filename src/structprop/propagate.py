@@ -63,25 +63,17 @@ __all__ = [
 class PropagatorConfig:
     """Knobs shared by all propagators.
 
-    ``enabled_families`` of None enables every family.  Row-level
-    propagation (plain ``tighten_row`` over all model rows inside
-    ``run_fixpoint``) emulates what a solver's presolve would do anyway and
-    stays off unless asked for.  The coverage-radius rule for
-    BottleneckExactOne is experimental and off by default.
+    ``max_fixpoint_rounds`` caps every fixpoint loop (a propagator's own and
+    the round-robin over records); ``tolerance`` is the smallest bound
+    change that counts as a tightening.
     """
 
     max_fixpoint_rounds: int = 100
     tolerance: float = FEAS_TOL
-    enabled_families: frozenset[Family] | None = None
-    use_row_propagation: bool = False
-    radius_rule_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.max_fixpoint_rounds < 1:
             raise ValueError("max_fixpoint_rounds must be >= 1")
-
-    def family_enabled(self, family: Family) -> bool:
-        return self.enabled_families is None or family in self.enabled_families
 
 
 def outcome_to_json(outcome: PropagationOutcome) -> dict:
@@ -246,49 +238,6 @@ def propagate_one_hot_resource(
     return _finish(out, started)
 
 
-def _radius_bound(
-    params: BottleneckExactOneParams, box: DomainBox, tol: float
-) -> float | None:
-    """Packing bound: more disjoint reach-sets than open slots forces z up.
-
-    For a candidate radius, each group's reach-set holds the activators of
-    its live selectors with weight strictly below the radius.  Greedily
-    packing pairwise-disjoint reach-sets underestimates the true packing
-    number, so exceeding the activator count is safe to act on: some group
-    must settle for a weight at or above the radius.  Scans distinct weights
-    from the top and returns the first (largest) radius that fires.
-    """
-    activators = params.activators
-    if activators is None:
-        return None
-    to_activator = dict(activators.selector_to_activator)
-    groups = []
-    for group in params.groups:
-        live = [(v, w) for v, w in group if _live(box, v)]
-        if any(w is None or v not in to_activator for v, w in live):
-            # a selector with unknown weight or reach breaks the argument
-            groups.append(None)
-        else:
-            groups.append(live)
-    weights = sorted(
-        {w for g in groups if g is not None for _, w in g}, reverse=True
-    )
-    for radius in weights:
-        used: set[int] = set()
-        packed = 0
-        for live in groups:
-            if live is None:
-                continue
-            reach = {to_activator[v] for v, w in live if w < radius - tol}
-            if reach & used:
-                continue
-            used |= reach
-            packed += 1
-        if packed > activators.count:
-            return radius
-    return None
-
-
 def propagate_bottleneck_exact_one(
     params: BottleneckExactOneParams,
     box: DomainBox,
@@ -371,11 +320,6 @@ def propagate_bottleneck_exact_one(
 
         for group in params.groups:
             cut |= _exact_one_closure(box, out, [v for v, _ in group], tol)
-
-        if config.radius_rule_enabled:
-            radius = _radius_bound(params, box, tol)
-            if radius is not None:
-                cut |= _set_lower(box, out, z, radius, tol)
 
         if box.lower[z] > box.upper[z] + tol:
             cut = True
@@ -804,8 +748,6 @@ def propagate_record(
 ) -> PropagationOutcome:
     """Run the right propagator for one record against the box."""
     config = config or PropagatorConfig()
-    if not config.family_enabled(record.family):
-        return PropagationOutcome()
     family = record.family
     if family is Family.ONE_HOT_RESOURCE:
         return propagate_one_hot_resource(record.params, box, config)
@@ -825,11 +767,11 @@ def run_fixpoint(
     box: DomainBox,
     config: PropagatorConfig | None = None,
 ) -> PropagationOutcome:
-    """Round-robin all records (optionally plus raw rows) until stable.
+    """Round-robin all records until stable.
 
-    ``calls`` counts record-propagator invocations only; the optional
-    row-level pass contributes reductions but no calls, mirroring how the
-    benchmark separates handler work from baseline row reasoning.
+    Only record propagators run here; the model's rows are tightened by
+    ``propagate_block_fixpoint``, which the search alternates with this
+    loop, so the benchmark can tell handler work from row reasoning.
     """
     config = config or PropagatorConfig()
     out = PropagationOutcome()
@@ -840,16 +782,6 @@ def run_fixpoint(
             out.absorb(step)
             if out.cutoff:
                 return out
-        if config.use_row_propagation:
-            for row in model.rows:
-                step = tighten_row(row, box, config.tolerance)
-                out.bound_changes.extend(step.bound_changes)
-                out.domain_reductions += step.domain_reductions
-                out.prop_time += step.prop_time
-                if step.cutoff:
-                    out.cutoff = True
-                    out.cutoffs += 1
-                    return out
         if out.domain_reductions == before:
             break
     else:

@@ -58,17 +58,6 @@ PRIORITY_ORDER: tuple[Family, ...] = (
     Family.CARDINALITY,
 )
 
-CP_FAMILIES: frozenset[Family] = frozenset(
-    {
-        Family.ALL_DIFFERENT,
-        Family.CARDINALITY,
-        Family.CHANNEL,
-        Family.CUMULATIVE,
-        Family.NVALUE,
-        Family.STRETCH,
-    }
-)
-
 
 class Confidence(Enum):
     EXACT = "exact"
@@ -368,19 +357,6 @@ class BottleneckExactOneParams:
         )
 
 
-ROSTERING_ROLES = (
-    "sos",
-    "dem",
-    "workWind",
-    "restWind",
-    "flow",
-    "hlb",
-    "hub",
-    "lba",
-    "other",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class RosteringWindowParams:
     assignment_vars: tuple[int, ...]
@@ -459,9 +435,6 @@ class GeneratorSpec:
             self.ramp_up,
             self.startup_ramp,
         )
-
-
-UC_ROLES = ("Demand", "Reserve", "Link", "Ramp", "MinUp", "Logic")
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,10 +2,13 @@
 
 The tree prunes three ways: row-interval contradiction, a record
 propagator's cutoff, and an objective interval bound that cannot beat the
-incumbent.  There is no LP relaxation.  Statistics count record-propagator
-work only (calls, reductions, cutoffs, time), so a baseline run with no
-records reports zeros there while still doing row-level tightening at
-every node; that separation is what the benchmark tables compare.
+incumbent.  The bound works on the minimization form the model stores, so
+maximization models need no special case.  With no objective every leaf is
+optimal, so once the first leaf is found the bound prunes every open node.
+There is no LP relaxation.  Statistics count record-propagator work only
+(calls, reductions, cutoffs, time), so a baseline run with no records
+reports zeros there while still doing row-level tightening at every node;
+that separation is what the benchmark tables compare.
 
 An incumbent assigns every integer variable.  Continuous variables stay as
 interval-consistent boxes around the integer leaf, the same feasibility
@@ -35,7 +38,6 @@ __all__ = [
 ]
 
 PROPFREQS = ("root_only", "every_node")
-BRANCH_RULES = ("first_unfixed", "most_constrained")
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,10 @@ class SearchConfig:
     propfreq: str = "every_node"
     node_limit: int = 1_000_000
     time_limit: float = 60.0
-    branch_rule: str = "first_unfixed"
 
     def __post_init__(self) -> None:
         if self.propfreq not in PROPFREQS:
             raise ValueError(f"propfreq must be one of {PROPFREQS}")
-        if self.branch_rule not in BRANCH_RULES:
-            raise ValueError(f"branch_rule must be one of {BRANCH_RULES}")
         if self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
         if self.time_limit <= 0:
@@ -77,12 +76,11 @@ def stats_to_json(stats: SearchStats) -> dict:
     }
 
 
-def _objective_bound(objective, box: DomainBox, minimize: bool) -> float:
-    """Best objective value any point of the box could attain."""
+def _objective_bound(objective, box: DomainBox) -> float:
+    """Least objective value (minimization form) any point of the box attains."""
     total = 0.0
     for v, c in objective:
-        low_side = (c > 0) == minimize
-        total += c * (box.lower[v] if low_side else box.upper[v])
+        total += c * (box.lower[v] if c > 0 else box.upper[v])
     return total
 
 
@@ -97,14 +95,9 @@ class _Search:
         self.config = config
         self.prop = PropagatorConfig()
         self.stats = SearchStats()
-        self.minimize = model.objective_sense == "min"
         self.incumbent: dict[int, float] | None = None
         self.incumbent_value = 0.0
         self.int_ids = [v.id for v in model.variables if v.is_integer]
-        self.row_hits = {v.id: 0 for v in model.variables}
-        for row in model.rows:
-            for v, _ in row.terms:
-                self.row_hits[v] += 1
         self.deadline = time.monotonic() + config.time_limit
         self.limit_hit = False
 
@@ -130,29 +123,16 @@ class _Search:
     def unfixed(self, box: DomainBox) -> list[int]:
         return [v for v in self.int_ids if box.upper[v] - box.lower[v] > 0.5]
 
-    def pick_branch_var(self, box: DomainBox, open_vars: list[int]) -> int:
-        if self.config.branch_rule == "first_unfixed":
-            return open_vars[0]
-        return max(open_vars, key=lambda v: (self.row_hits[v], -v))
-
     def bound_prunes(self, box: DomainBox) -> bool:
-        if self.incumbent is None or not self.model.objective:
+        if self.incumbent is None:
             return False
-        bound = _objective_bound(self.model.objective, box, self.minimize)
-        if self.minimize:
-            return bound >= self.incumbent_value - FEAS_TOL
-        return bound <= self.incumbent_value + FEAS_TOL
+        bound = _objective_bound(self.model.objective, box)
+        return bound >= self.incumbent_value - FEAS_TOL
 
     def take_leaf(self, box: DomainBox) -> None:
         values = {v: float(round(box.lower[v])) for v in self.int_ids}
         value = _objective_value(self.model.objective, values)
-        if self.incumbent is None:
-            better = True
-        elif self.minimize:
-            better = value < self.incumbent_value - FEAS_TOL
-        else:
-            better = value > self.incumbent_value + FEAS_TOL
-        if better:
+        if self.incumbent is None or value < self.incumbent_value - FEAS_TOL:
             self.incumbent = values
             self.incumbent_value = value
 
@@ -194,7 +174,7 @@ class _Search:
             return
         if self.bound_prunes(box):
             return
-        var = self.pick_branch_var(box, open_vars)
+        var = open_vars[0]
         mid = (int(round(box.lower[var])) + int(round(box.upper[var]))) // 2
         high = box.copy()
         high.lower[var] = float(mid + 1)
@@ -214,10 +194,11 @@ def dfs_solve(
     Records always propagate at the root; deeper nodes re-run them only
     under ``propfreq="every_node"``.  Row-level tightening runs at every
     node regardless, so ``records=[]`` is the baseline configuration.
-    Branching splits the chosen variable's domain at the floored midpoint,
-    lower half first; ``most_constrained`` prefers the variable on the most
-    rows, ties to the lowest id.  The incumbent maps integer variable ids
-    to values; an objective touching a continuous variable is rejected.
+    Branching splits the lowest-id unfixed integer variable's domain at the
+    floored midpoint, lower half first.  The incumbent maps integer
+    variable ids to values and minimizes the model's stored (minimization
+    form) objective; an objective touching a continuous variable is
+    rejected.
     """
     config = config or SearchConfig()
     for v, _ in model.objective:

@@ -103,7 +103,6 @@ def enumerate_feasible(
     scope: Sequence[int],
     cap: int = ENUMERATION_CAP,
     *,
-    strict: bool = False,
     config: PropagatorConfig | None = None,
 ) -> EnumerationResult:
     """Depth-first enumeration of integer scope assignments.
@@ -112,16 +111,14 @@ def enumerate_feasible(
     model rows; a node whose box empties is pruned with its whole subtree.
     Continuous variables (in or out of scope) are never enumerated, only
     interval-tightened, so a surviving leaf means the integer assignment is
-    interval-consistent with every row.  ``strict=True`` refuses continuous
-    scope variables outright.
+    interval-consistent with every row.  Continuous scope variables are
+    left out of ``scope_vars``.
     """
     config = config or PropagatorConfig()
     ints: list[int] = []
     for v in scope:
         var = model.variables[v]
         if not var.is_integer:
-            if strict:
-                raise ValueError(f"scope variable {v} is continuous")
             continue
         if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
             raise ValueError(f"scope variable {v} has an infinite integer domain")

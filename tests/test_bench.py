@@ -214,10 +214,10 @@ def test_run_benchmark_family_filter(tmp_path):
     assert set(report.coverage) == {"Stretch"}
 
 
-def test_parallelism_changes_only_wall_times(tmp_path):
+def test_repeated_runs_change_only_wall_times(tmp_path):
     seed_directory(tmp_path, [Family.CARDINALITY, Family.NVALUE, Family.STRETCH])
-    serial = run_benchmark(str(tmp_path), parallelism=1)
-    threaded = run_benchmark(str(tmp_path), parallelism=4)
+    first = run_benchmark(str(tmp_path))
+    again = run_benchmark(str(tmp_path))
 
     def digest(report):
         return {
@@ -225,8 +225,8 @@ def test_parallelism_changes_only_wall_times(tmp_path):
             for r in report.runs
         }
 
-    assert digest(serial) == digest(threaded)
-    assert serial.coverage == threaded.coverage
+    assert digest(first) == digest(again)
+    assert first.coverage == again.coverage
 
 
 def test_degenerate_time_limit_yields_no_common(tmp_path):

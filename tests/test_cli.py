@@ -280,6 +280,24 @@ def test_search_propfreq_values_agree(tmp_path, capsys):
     assert root["objective"] == every["objective"]
 
 
+def test_search_reports_objective_in_declared_sense(tmp_path, capsys):
+    # maximize 5x over integer x in [0, 10] with x <= 3
+    model = MipModel(
+        (Variable(0, "x", 0.0, 10.0, Integrality.INTEGER),),
+        (LinearRow(0, "r", ((0, 1.0),), float("-inf"), 3.0),),
+        objective=((0, -5.0),),
+        objective_sense="max",
+    )
+    mps = tmp_path / "mx.mps"
+    mps.write_text(write_mps(model))
+    code, out, _ = run_cli(capsys, "search", str(mps), "--quiet")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "optimal"
+    assert doc["incumbent"] == {"x": 3.0}
+    assert doc["objective"] == 15.0
+
+
 def test_search_infeasible_exits_nonzero(tmp_path, capsys):
     instance = reverse_sample(Family.CARDINALITY, seed=0, make_infeasible=True)
     mps_path, _ = write_instance(instance, str(tmp_path), basename="clash")
@@ -307,7 +325,7 @@ def test_bench_writes_reports(tmp_path, capsys):
     for family, seed in [("cardinality", 0), ("stretch", 1)]:
         synth_file(tmp_path, family, seed)
     capsys.readouterr()
-    code, out, _ = run_cli(capsys, "bench", "--dir", str(tmp_path), "--jobs", "2", "--quiet")
+    code, out, _ = run_cli(capsys, "bench", "--dir", str(tmp_path), "--quiet")
     assert code == 0
     paths = out.splitlines()
     assert len(paths) == 4

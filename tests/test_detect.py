@@ -1,28 +1,19 @@
-"""Detector tests: row views, exact recovery, arbitration, novelty gate."""
+"""Detector tests: row views, exact recovery, arbitration, heuristic records."""
 
 import pytest
 
 from structprop.detect import (
-    DEFAULT_REGISTRY,
     DetectConfig,
-    FamilyDescriptor,
     ModelView,
-    NoveltyVerdict,
     detect_all,
     detect_family,
-    novelty_gate,
     one_sided_facet,
-    row_fingerprint,
 )
-from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
-from structprop.records import (
-    CardinalityParams,
-    Confidence,
-    Family,
-    SemanticRecord,
-    records_equal,
-)
+from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
+from structprop.propagate import propagate_record
+from structprop.records import Confidence, Family, records_equal
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
+from structprop.verify import verify_propagation
 
 ALL_FAMILIES = list(Family)
 RECOVERY_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
@@ -104,94 +95,6 @@ def test_one_sided_facet_orientation():
 
 
 # ---------------------------------------------------------------------------
-# row fingerprints and the novelty gate
-
-FINGERPRINT_VARS = [
-    binary(0, "a"),
-    binary(1, "b"),
-    binary(2, "c"),
-    Variable(3, "x", 0.0, 9.0, Integrality.INTEGER),
-    Variable(4, "y", 0.0, 5.0),
-]
-
-FINGERPRINT_ROWS = [
-    (([(0, 1.0), (1, 1.0), (2, 1.0)], 1.0, 1.0), "exact_one"),
-    (([(0, -1.0), (1, -1.0), (2, -1.0)], -1.0, -1.0), "exact_one"),
-    (([(0, 1.0), (1, 1.0)], -INF, 1.0), "at_most_one"),
-    (([(0, 1.0), (1, 1.0), (2, 1.0)], 1.0, 2.0), "cardinality"),
-    (([(0, 2.0), (1, 3.0), (2, 4.0)], -INF, 5.0), "knapsack"),
-    (([(0, -2.0), (1, -3.0)], -5.0, INF), "knapsack"),
-    (([(0, 2.0), (1, 3.0)], 2.0, INF), "mixed_inequality"),
-    (([(3, 1.0), (4, 1.0)], 3.0, 3.0), "mixed_equality"),
-    (([(3, 1.0), (4, 1.0)], 0.0, 4.0), "range"),
-    (([(3, 1.0), (4, 1.0)], -INF, 4.0), "mixed_inequality"),
-]
-
-FINGERPRINT_MODEL = make_model(
-    FINGERPRINT_VARS, [spec for spec, _ in FINGERPRINT_ROWS]
-)
-
-
-@pytest.mark.parametrize(
-    "rid,expected",
-    [(rid, label) for rid, (_, label) in enumerate(FINGERPRINT_ROWS)],
-    ids=[f"{label}-{rid}" for rid, (_, label) in enumerate(FINGERPRINT_ROWS)],
-)
-def test_row_fingerprint_labels(rid, expected):
-    assert row_fingerprint(FINGERPRINT_MODEL, FINGERPRINT_MODEL.rows[rid]) == expected
-
-
-def gate_candidate(evidence):
-    support = (0, 1, 2)
-    return SemanticRecord(
-        Family.CARDINALITY,
-        support,
-        CardinalityParams(support, 0.0, 2.0),
-        tuple(evidence),
-    )
-
-
-def test_gate_single_knapsack_row_is_duplicate():
-    verdict = novelty_gate(gate_candidate([4]), DEFAULT_REGISTRY, FINGERPRINT_MODEL)
-    assert verdict is NoveltyVerdict.DUPLICATE
-
-
-def test_gate_uniform_shape_multiset_is_duplicate():
-    # two exact-one rows are both explained by set partitioning
-    verdict = novelty_gate(gate_candidate([0, 1]), DEFAULT_REGISTRY, FINGERPRINT_MODEL)
-    assert verdict is NoveltyVerdict.DUPLICATE
-
-
-def test_gate_mixed_shapes_are_novel_against_single_row_registry():
-    verdict = novelty_gate(gate_candidate([0, 4]), DEFAULT_REGISTRY, FINGERPRINT_MODEL)
-    assert verdict is NoveltyVerdict.NOVEL
-
-
-def test_gate_multi_row_descriptor_equal_and_strict_superset():
-    assign_plus_budget = FamilyDescriptor(
-        "assignment-with-budget", ("exact_one", "knapsack")
-    )
-    registry = (assign_plus_budget,)
-
-    same = novelty_gate(gate_candidate([0, 4]), registry, FINGERPRINT_MODEL)
-    assert same is NoveltyVerdict.DUPLICATE
-
-    wider = novelty_gate(gate_candidate([0, 1, 4]), registry, FINGERPRINT_MODEL)
-    assert wider is NoveltyVerdict.EXTENSION
-
-    unrelated = novelty_gate(gate_candidate([8]), registry, FINGERPRINT_MODEL)
-    assert unrelated is NoveltyVerdict.NOVEL
-
-
-def test_gate_flags_composite_detection_as_novel():
-    inst = reverse_sample(Family.ONE_HOT_RESOURCE, seed=5)
-    report = detect_all(inst.model)
-    assert len(report.records) == 1
-    verdict = novelty_gate(report.records[0], DEFAULT_REGISTRY, inst.model)
-    assert verdict is NoveltyVerdict.NOVEL
-
-
-# ---------------------------------------------------------------------------
 # exact recovery on planted instances
 
 
@@ -269,3 +172,65 @@ def test_row_scan_cap_reports_truncation():
     report = detect_all(inst.model, config)
     assert report.truncated
     assert any("capped" in w for w in report.warnings)
+
+
+# ---------------------------------------------------------------------------
+# heuristic bottleneck records (incomplete link coverage)
+
+
+def bottleneck_model(weights):
+    """Two exact-one groups {x0,x1,x2} and {x3,x4,x5} under z in [0, 3].
+
+    ``weights`` maps a selector to the weight of its link row ``w*x - z <= 0``;
+    a selector left out has no link row.
+    """
+    variables = [binary(v, f"x{v}") for v in range(6)]
+    variables.append(Variable(6, "z", 0.0, 3.0, Integrality.CONTINUOUS))
+    specs = [
+        ([(0, 1.0), (1, 1.0), (2, 1.0)], 1.0, 1.0),
+        ([(3, 1.0), (4, 1.0), (5, 1.0)], 1.0, 1.0),
+    ]
+    for x, w in sorted(weights.items()):
+        specs.append(([(x, w), (6, -1.0)], -INF, 0.0))
+    return make_model(variables, specs)
+
+
+PARTIAL_WEIGHTS = {0: 5.0, 1: 7.0, 3: 2.0, 4: 4.0, 5: 6.0}  # x2 has no link
+
+
+def bottleneck_record(report):
+    (record,) = [r for r in report.records if r.family is Family.BOTTLENECK_EXACT_ONE]
+    return record
+
+
+def test_partial_link_coverage_gives_heuristic_record():
+    record = bottleneck_record(detect_all(bottleneck_model(PARTIAL_WEIGHTS)))
+    assert record.confidence is Confidence.HEURISTIC
+    assert record.params.link_coverage == pytest.approx(5 / 6)
+    assert (2, None) in record.params.groups[0]
+
+
+def test_heuristic_record_leaves_its_rows_to_lower_priority_families():
+    partial = detect_all(bottleneck_model(PARTIAL_WEIGHTS))
+    counting = [r for r in partial.records if r.family is Family.CARDINALITY]
+    assert sorted(r.evidence for r in counting) == [(0,), (1,)]
+    assert not partial.dropped
+
+    # with the missing link row the record is exact and claims the group rows
+    full = detect_all(bottleneck_model({**PARTIAL_WEIGHTS, 2: 3.0}))
+    assert bottleneck_record(full).confidence is Confidence.EXACT
+    assert [r.family for r in full.records] == [Family.BOTTLENECK_EXACT_ONE]
+    assert sorted(r.evidence for r in full.dropped) == [(0,), (1,)]
+
+
+def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
+    model = bottleneck_model(PARTIAL_WEIGHTS)
+    record = bottleneck_record(detect_all(model))
+    assert verify_propagation(model, record).passed
+
+    # z <= 3 prices out x0 and x1; only the weightless x2 is left in its group
+    box = DomainBox.from_model(model)
+    out = propagate_record(model, record, box)
+    assert not out.cutoff
+    assert box.lower[2] == box.upper[2] == 1.0
+    assert box.lower[3] == 1.0 and box.lower[6] == 2.0

@@ -207,8 +207,9 @@ def test_bottleneck_activator_implications():
     assert box.lower[5] == 1.0
 
 
-def test_bottleneck_radius_rule_beats_max_min():
-    # one open slot, two groups with disjoint cheap reach: someone pays 9
+def test_bottleneck_max_min_floor_ignores_slot_packing():
+    # one open slot, two groups with disjoint cheap reach: someone must pay
+    # 9, but the max-min floor only proves the cheapest option per group
     params = BottleneckExactOneParams(
         bottleneck_var=4,
         groups=(((0, 2.0), (1, 9.0)), ((2, 2.0), (3, 9.0))),
@@ -221,16 +222,10 @@ def test_bottleneck_radius_rule_beats_max_min():
         ),
     )
 
-    plain = binary_box(4, extra=[(0.0, INF, False)] + [(0.0, 1.0, True)] * 3)
-    propagate_bottleneck_exact_one(params, plain)
-    assert plain.lower[4] == 2.0
-
-    armed = binary_box(4, extra=[(0.0, INF, False)] + [(0.0, 1.0, True)] * 3)
-    out = propagate_bottleneck_exact_one(
-        params, armed, PropagatorConfig(radius_rule_enabled=True)
-    )
+    box = binary_box(4, extra=[(0.0, INF, False)] + [(0.0, 1.0, True)] * 3)
+    out = propagate_bottleneck_exact_one(params, box)
     assert not out.cutoff
-    assert armed.lower[4] == 9.0
+    assert box.lower[4] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +552,6 @@ def test_run_fixpoint_no_records_identity():
     model = toy_model_two_counts()
     box = DomainBox.from_model(model)
     out = run_fixpoint(model, [], box)
-    assert not out.changed and out.calls == 0
-
-
-def test_run_fixpoint_row_pass_optional():
-    model = toy_model_two_counts()
-    box = DomainBox.from_model(model)
-    out = run_fixpoint(
-        model, [], box, PropagatorConfig(use_row_propagation=True)
-    )
-    # raw rows alone force the first three on, then the cap zeroes the rest
-    assert box.lower[0] == 1.0 and box.upper[3] == 0.0
-    assert out.calls == 0 and out.domain_reductions >= 5
-
-
-def test_disabled_family_is_skipped():
-    model = toy_model_two_counts()
-    record = SemanticRecord(
-        Family.CARDINALITY, (0, 1, 2), CardinalityParams((0, 1, 2), 3.0, 3.0), (0,)
-    )
-    box = DomainBox.from_model(model)
-    config = PropagatorConfig(enabled_families=frozenset({Family.CHANNEL}))
-    out = run_fixpoint(model, [record], box, config)
     assert not out.changed and out.calls == 0
 
 

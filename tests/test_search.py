@@ -3,6 +3,7 @@
 import pytest
 
 from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
+from structprop.mps import parse_mps
 from structprop.records import Family
 from structprop.search import SearchConfig, dfs_solve, stats_to_json
 from structprop.synth import reverse_sample, witness_satisfies
@@ -33,7 +34,7 @@ def oracle_optimum(model):
     for point in enum.feasible_points:
         assignment = dict(zip(enum.scope_vars, point))
         values.append(sum(c * assignment[v] for v, c in model.objective))
-    return min(values) if model.objective_sense == "min" else max(values)
+    return min(values)  # the model stores every objective in minimization form
 
 
 def objective_of(model, incumbent):
@@ -146,15 +147,12 @@ def test_deterministic_replay():
     assert stats_a.status == stats_b.status
 
 
-def test_branch_rules_agree_on_value():
+def test_branching_agrees_with_oracle_on_value():
     inst = reverse_sample(Family.CUMULATIVE, seed=3)
     expected = oracle_optimum(inst.model)
-    for rule in ("first_unfixed", "most_constrained"):
-        incumbent, stats = dfs_solve(
-            inst.model, [inst.ground_truth], SearchConfig(branch_rule=rule)
-        )
-        assert stats.status == "optimal"
-        assert objective_of(inst.model, incumbent) == pytest.approx(expected)
+    incumbent, stats = dfs_solve(inst.model, [inst.ground_truth], SearchConfig())
+    assert stats.status == "optimal"
+    assert objective_of(inst.model, incumbent) == pytest.approx(expected)
 
 
 def test_lower_half_explored_first():
@@ -192,8 +190,6 @@ def test_stats_json_shape():
 def test_config_validation():
     with pytest.raises(ValueError, match="propfreq"):
         SearchConfig(propfreq="sometimes")
-    with pytest.raises(ValueError, match="branch_rule"):
-        SearchConfig(branch_rule="random")
     with pytest.raises(ValueError, match="node_limit"):
         SearchConfig(node_limit=0)
     with pytest.raises(ValueError, match="time_limit"):
@@ -216,3 +212,45 @@ def test_unbounded_integer_rejected():
     )
     with pytest.raises(ValueError, match="infinite"):
         dfs_solve(model, [])
+
+
+MAXIMIZE_MPS = """\
+NAME mx
+OBJSENSE
+    MAX
+ROWS
+ N obj
+ L r
+COLUMNS
+    MARK 'MARKER' 'INTORG'
+    x obj 5 r 1
+    MARK 'MARKER' 'INTEND'
+RHS
+    RHS r 3
+BOUNDS
+ UP BND x 10
+ENDATA
+"""
+
+
+def test_maximization_model_is_maximized():
+    model = parse_mps(MAXIMIZE_MPS)
+    assert model.objective_sense == "max"
+    incumbent, stats = dfs_solve(model, [])
+    assert stats.status == "optimal"
+    assert incumbent == {0: 3.0}
+    assert oracle_optimum(model) == objective_of(model, incumbent) == -15.0
+
+
+def test_feasibility_model_stops_pruning_after_first_leaf():
+    # no objective: every feasible point is optimal, so the first leaf
+    # lets the bound prune every open node
+    n = 12
+    model = MipModel(
+        tuple(Variable(v, f"b{v}", 0.0, 1.0, Integrality.BINARY) for v in range(n)),
+        (LinearRow(0, "half", tuple((v, 1.0) for v in range(n)), -INF, 6.0),),
+    )
+    incumbent, stats = dfs_solve(model, [])
+    assert stats.status == "optimal"
+    assert sum(incumbent.values()) <= 6
+    assert stats.nodes == 25
