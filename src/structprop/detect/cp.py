@@ -366,7 +366,7 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         chain_vars = set(levels) | set(starts_seq)
         if poisoned & chain_vars or len(chain_vars) != 2 * len(levels):
             continue
-        if not _stretch_rows_consistent(
+        if not _stretch_chain_consistent(
             levels, starts_seq, opp, same2, windows, used_rows, tol
         ):
             continue
@@ -393,8 +393,8 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     return records
 
 
-def _stretch_rows_consistent(levels, starts_seq, opp, same2, windows,
-                             used_rows: set[int], tol: float) -> bool:
+def _stretch_chain_consistent(levels, starts_seq, opp, same2, windows,
+                              used_rows: set[int], tol: float) -> bool:
     """Verify the full chain is present and collect its row ids."""
     horizon = len(levels)
     chain_vars = set(levels) | set(starts_seq)

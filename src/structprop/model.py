@@ -7,13 +7,13 @@ propagation, search, verification) works on these objects and on
 
 Numeric policy: plain floats with ``math.inf`` sentinels, feasibility and
 integrality tolerance ``1e-6``, coefficients below ``1e-9`` never divided by.
-Integer bounds are always rounded inward when tightened.
+Integer bounds are always rounded inward when tightened.  Bounds and row
+sides may be infinite; coefficients must be finite and NaN is rejected.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -41,6 +41,8 @@ class Variable:
     integrality: Integrality = Integrality.CONTINUOUS
 
     def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"variable {self.name!r} has a NaN bound")
         if self.integrality is Integrality.BINARY:
             if self.lower < -0.0 or self.upper > 1.0:
                 raise ValueError(
@@ -64,6 +66,8 @@ class LinearRow:
     rhs: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.lhs) or math.isnan(self.rhs):
+            raise ValueError(f"row {self.name!r}: NaN side")
         if self.lhs > self.rhs:
             raise ValueError(f"row {self.name!r}: lhs {self.lhs} > rhs {self.rhs}")
         seen = set()
@@ -71,6 +75,8 @@ class LinearRow:
         for var, coeff in self.terms:
             if var in seen:
                 raise ValueError(f"row {self.name!r}: duplicate variable id {var}")
+            if not math.isfinite(coeff):
+                raise ValueError(f"row {self.name!r}: non-finite coefficient {coeff} on {var}")
             seen.add(var)
             if coeff != 0.0:
                 cleaned.append((var, float(coeff)))
@@ -116,9 +122,11 @@ class MipModel:
                     raise ValueError(f"row {row.name!r} references unknown variable {var}")
         if objective_sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {objective_sense!r}")
-        for var, _ in objective:
+        for var, coeff in objective:
             if not 0 <= var < n:
                 raise ValueError(f"objective references unknown variable {var}")
+            if not math.isfinite(coeff):
+                raise ValueError(f"objective coefficient {coeff} on {var} is not finite")
         self.name = name
         self.variables = variables
         self.rows = rows
@@ -187,7 +195,9 @@ class PropagationOutcome:
     Counters follow the benchmark diagnostics: ``calls`` counts propagator
     invocations, ``domain_reductions`` counts recorded bound changes,
     ``cutoffs`` counts invocations that ended in a cutoff, ``prop_time`` is
-    wall time spent inside propagators.
+    wall time spent inside propagators.  A single-row ``tighten_row`` call is
+    not timed (its ``prop_time`` stays 0); the block and record propagators
+    that call it time themselves.
     """
 
     bound_changes: list[BoundChange] = field(default_factory=list)
@@ -375,7 +385,6 @@ def tighten_row(
     activities until the row is stable, so the operation is idempotent.
     Detects empty boxes and violated activities as cutoffs.
     """
-    started = time.perf_counter()
     outcome = PropagationOutcome(calls=1)
     while True:
         sums = _ActivitySums.of(row, box)
@@ -424,8 +433,6 @@ def tighten_row(
                 break
         if outcome.cutoff or len(outcome.bound_changes) == changes_before:
             break
-
-    outcome.prop_time = time.perf_counter() - started
     return outcome
 
 

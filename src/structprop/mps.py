@@ -18,6 +18,8 @@ lower bound to -inf) is deliberately not implemented.
 
 from __future__ import annotations
 
+import math
+
 from .model import INF, Integrality, LinearRow, MipModel, Variable
 
 _BOUND_TYPES = {"UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"}
@@ -75,9 +77,12 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
 
     def parse_number(token: str, line_no: int) -> float:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise err(line_no, f"expected a number, got {token!r}") from None
+        if math.isnan(value):
+            raise err(line_no, f"expected a number, got {token!r}")
+        return value
 
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):

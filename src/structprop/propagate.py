@@ -1,8 +1,17 @@
-"""Per-record bound tightening and the round-robin fixpoint.
+"""Per-record bound tightening: one handler table, one fixpoint driver.
 
-Each propagator takes a record's parameter block plus a mutable DomainBox,
-tightens bounds in place, and reports what it did through a
-PropagationOutcome.  Two properties are load-bearing everywhere:
+``_HANDLERS`` maps each family to what its handler reads off a record (the
+parameters, or the evidence rows) and the propagator run on it;
+``propagate_record`` dispatches through it and ``HANDLED_FAMILIES`` is its
+key set.  Stretch, RosteringWindow and UnitCommitmentRamp run
+``propagate_block_fixpoint`` over their evidence rows.  Each looped
+propagator is a shape check plus one round, which ``_fixpoint`` repeats
+until a round adds no reduction or ``max_fixpoint_rounds`` is spent
+(``budget_hit``).  DisjPolyhedral runs once; ``run_fixpoint`` round-robins
+records.
+
+Propagators tighten a mutable DomainBox in place and report what they did
+through a PropagationOutcome.  Two properties are load-bearing everywhere:
 
 * soundness: a tightening may never exclude a point that satisfies the
   record's encoding rows, and ``cutoff`` is raised only when no feasible
@@ -17,10 +26,11 @@ configured tolerance; integer variables are rounded inward first.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     FEAS_TOL,
@@ -40,7 +50,6 @@ from .records import (
     Family,
     OneHotResourceParams,
     SemanticRecord,
-    StretchParams,
 )
 
 __all__ = [
@@ -51,7 +60,6 @@ __all__ = [
     "outcome_to_json",
     "propagate_block_fixpoint",
     "propagate_bottleneck_exact_one",
-    "propagate_cp_family",
     "propagate_disj_polyhedral",
     "propagate_one_hot_resource",
     "propagate_record",
@@ -96,7 +104,11 @@ def outcome_to_json(outcome: PropagationOutcome) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# small shared pieces
+# the fixpoint driver and small shared pieces
+
+#: One round of a looped propagator: tighten the box once, record every
+#: change into the outcome, and return True on a cutoff.
+Round = Callable[[PropagationOutcome], bool]
 
 
 def _finish(
@@ -107,6 +119,39 @@ def _finish(
         out.cutoffs = 1
     out.prop_time = time.perf_counter() - started
     return out
+
+
+def _fixpoint(prepare: Callable[..., Round | None]):
+    """Turn a shape check plus one round into a propagator.
+
+    ``prepare(subject, box, tol)`` returns None when the subject does not
+    fit the box (the propagator then reports an empty outcome), else the
+    round.  The result is called as ``(subject, box, config=None)`` and
+    repeats the round until it cuts off, adds no reduction, or has run
+    ``config.max_fixpoint_rounds`` times, which sets ``budget_hit``.
+    """
+
+    @functools.wraps(prepare)
+    def propagate(
+        subject, box: DomainBox, config: PropagatorConfig | None = None
+    ) -> PropagationOutcome:
+        config = config or PropagatorConfig()
+        started = time.perf_counter()
+        out = PropagationOutcome(calls=1)
+        one_round = prepare(subject, box, config.tolerance)
+        if one_round is None:
+            return _finish(out, started)
+        for _ in range(config.max_fixpoint_rounds):
+            before = out.domain_reductions
+            if one_round(out):
+                return _finish(out, started, cutoff=True)
+            if out.domain_reductions == before:
+                break
+        else:
+            out.budget_hit = True
+        return _finish(out, started)
+
+    return propagate
 
 
 def _set_lower(
@@ -180,14 +225,31 @@ def _exact_one_closure(
 
 
 # ---------------------------------------------------------------------------
-# composite-family propagators
+# row blocks and composite-family propagators
 
 
+@_fixpoint
+def propagate_block_fixpoint(
+    rows: Sequence[LinearRow], box: DomainBox, tol: float
+) -> Round:
+    """Residual-activity tightening over a row block until stable."""
+
+    def one_round(out: PropagationOutcome) -> bool:
+        for row in rows:
+            step = tighten_row(row, box, tol)
+            out.bound_changes.extend(step.bound_changes)
+            out.domain_reductions += step.domain_reductions
+            if step.cutoff:
+                return True
+        return False
+
+    return one_round
+
+
+@_fixpoint
 def propagate_one_hot_resource(
-    params: OneHotResourceParams,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
+    params: OneHotResourceParams, box: DomainBox, tol: float
+) -> Round | None:
     """Cheapest-basket reasoning over one-hot groups under a budget.
 
     The basket cost is the external floor plus each group's cheapest live
@@ -195,11 +257,6 @@ def propagate_one_hot_resource(
     swap-in cost exceeds the remaining slack is fixed out; groups then close
     under the exactly-one rule.  Repeats until stable.
     """
-    config = config or PropagatorConfig()
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-
     members = [v for group in params.groups for v, _ in group]
     if (
         not params.groups
@@ -207,19 +264,18 @@ def propagate_one_hot_resource(
         or len(set(members)) != len(members)
         or not _all_binary(box, members, tol)
     ):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         mins = []
         for group in params.groups:
             live_costs = [c for v, c in group if _live(box, v)]
             if not live_costs:
-                return _finish(out, started, cutoff=True)
+                return True
             mins.append(min(live_costs))
         basket = params.external_min + sum(mins)
         if basket > params.budget + tol:
-            return _finish(out, started, cutoff=True)
+            return True
 
         cut = False
         for cheapest, group in zip(mins, params.groups):
@@ -229,20 +285,15 @@ def propagate_one_hot_resource(
                     cut |= _set_upper(box, out, v, 0.0, tol)
         for group in params.groups:
             cut |= _exact_one_closure(box, out, [v for v, _ in group], tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
+@_fixpoint
 def propagate_bottleneck_exact_one(
-    params: BottleneckExactOneParams,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
+    params: BottleneckExactOneParams, box: DomainBox, tol: float
+) -> Round | None:
     """Max-min lower bound on the bottleneck plus weight elimination.
 
     Groups whose live selectors all carry known weights push lb(z) up to
@@ -252,11 +303,6 @@ def propagate_bottleneck_exact_one(
     residual cardinality.  Selectors without a known weight are never
     eliminated and their groups never raise the bound.
     """
-    config = config or PropagatorConfig()
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-
     z = params.bottleneck_var
     selectors = [v for group in params.groups for v, _ in group]
     activators = params.activators
@@ -269,18 +315,17 @@ def propagate_bottleneck_exact_one(
         or not _all_binary(box, selectors, tol)
         or not _all_binary(box, activator_vars, tol)
     ):
-        return _finish(out, started)
+        return None
     to_activator = dict(activators.selector_to_activator) if activators else {}
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
 
         floor = -INF
         for group in params.groups:
             live = [(v, w) for v, w in group if _live(box, v)]
             if not live:
-                return _finish(out, started, cutoff=True)
+                return True
             if all(w is not None for _, w in live):
                 floor = max(floor, min(w for _, w in live))
         for group in params.groups:
@@ -321,39 +366,9 @@ def propagate_bottleneck_exact_one(
         for group in params.groups:
             cut |= _exact_one_closure(box, out, [v for v, _ in group], tol)
 
-        if box.lower[z] > box.upper[z] + tol:
-            cut = True
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut or box.lower[z] > box.upper[z] + tol
 
-
-def propagate_block_fixpoint(
-    rows: Sequence[LinearRow],
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
-    """Residual-activity tightening over a row block until stable."""
-    config = config or PropagatorConfig()
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
-        for row in rows:
-            step = tighten_row(row, box, config.tolerance)
-            out.bound_changes.extend(step.bound_changes)
-            out.domain_reductions += step.domain_reductions
-            if step.cutoff:
-                return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+    return one_round
 
 
 def propagate_disj_polyhedral(
@@ -449,10 +464,8 @@ def propagate_disj_polyhedral(
 # table-family propagators
 
 
-def _cp_all_different(params, box: DomainBox, config: PropagatorConfig):
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
+@_fixpoint
+def _all_different(params, box: DomainBox, tol: float) -> Round | None:
     grid = [v for g in params.item_groups for v in g]
     if (
         not params.item_groups
@@ -461,10 +474,9 @@ def _cp_all_different(params, box: DomainBox, config: PropagatorConfig):
         or not _all_binary(box, grid, tol)
         or not _all_binary(box, [v for g in params.value_groups for v in g], tol)
     ):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for group in params.item_groups:
             cut |= _exact_one_closure(box, out, group, tol)
@@ -479,30 +491,23 @@ def _cp_all_different(params, box: DomainBox, config: PropagatorConfig):
                 for v in group:
                     if v != fixed[0] and _live(box, v):
                         cut |= _set_upper(box, out, v, 0.0, tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
-def _cp_cardinality(params, box: DomainBox, config: PropagatorConfig):
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
+@_fixpoint
+def _cardinality(params, box: DomainBox, tol: float) -> Round | None:
     vars_ = params.vars
     if len(set(vars_)) != len(vars_) or not _all_binary(box, vars_, tol):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
         forced = sum(1 for v in vars_ if _fixed_in(box, v))
         live = sum(1 for v in vars_ if _live(box, v))
         if forced > params.upper + tol or live < params.lower - tol:
-            return _finish(out, started, cutoff=True)
+            return True
         if forced >= params.upper - tol:
             for v in vars_:
                 if _live(box, v) and not _fixed_in(box, v):
@@ -511,19 +516,13 @@ def _cp_cardinality(params, box: DomainBox, config: PropagatorConfig):
             for v in vars_:
                 if _live(box, v) and not _fixed_in(box, v):
                     cut |= _set_lower(box, out, v, 1.0, tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
-def _cp_channel(params, box: DomainBox, config: PropagatorConfig):
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
+@_fixpoint
+def _channel(params, box: DomainBox, tol: float) -> Round | None:
     x = params.link_var
     indicators = [v for _, v in params.indicators]
     values = [value for value, _ in params.indicators]
@@ -534,10 +533,9 @@ def _cp_channel(params, box: DomainBox, config: PropagatorConfig):
         or len(set(values)) != len(values)
         or not _all_binary(box, indicators, tol)
     ):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for value, v in params.indicators:
             if _live(box, v) and (
@@ -547,47 +545,39 @@ def _cp_channel(params, box: DomainBox, config: PropagatorConfig):
         cut |= _exact_one_closure(box, out, indicators, tol)
         live_values = [value for value, v in params.indicators if _live(box, v)]
         if not live_values:
-            return _finish(out, started, cutoff=True)
+            return True
         cut |= _set_lower(box, out, x, min(live_values), tol)
         cut |= _set_upper(box, out, x, max(live_values), tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
-def _cp_cumulative(params, box: DomainBox, config: PropagatorConfig):
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
+@_fixpoint
+def _cumulative(params, box: DomainBox, tol: float) -> Round | None:
     demand_of: dict[int, float] = {}
     for task in params.tasks:
         for v in task.starts:
             if v in demand_of:
-                return _finish(out, started)
+                return None
             demand_of[v] = task.demand
-    all_starts = list(demand_of)
     if (
         not params.tasks
-        or not _all_binary(box, all_starts, tol)
+        or not _all_binary(box, list(demand_of), tol)
         or any(v not in demand_of for _, members in params.periods for v in members)
     ):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for task in params.tasks:
             cut |= _exact_one_closure(box, out, task.starts, tol)
         if cut:
-            return _finish(out, started, cutoff=True)
+            return True
         for _, members in params.periods:
             committed = sum(demand_of[v] for v in members if _fixed_in(box, v))
             if committed > params.capacity + tol:
-                return _finish(out, started, cutoff=True)
+                return True
             for v in members:
                 if (
                     _live(box, v)
@@ -595,19 +585,13 @@ def _cp_cumulative(params, box: DomainBox, config: PropagatorConfig):
                     and committed + demand_of[v] > params.capacity + tol
                 ):
                     cut |= _set_upper(box, out, v, 0.0, tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
-def _cp_nvalue(params, box: DomainBox, config: PropagatorConfig):
-    tol = config.tolerance
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
+@_fixpoint
+def _nvalue(params, box: DomainBox, tol: float) -> Round | None:
     count = params.count_var
     indicators = params.value_indicators
     known = set(indicators)
@@ -619,10 +603,9 @@ def _cp_nvalue(params, box: DomainBox, config: PropagatorConfig):
         or not _all_binary(box, pickers, tol)
         or any(z not in known for item in params.items for z, _ in item)
     ):
-        return _finish(out, started)
+        return None
 
-    for _ in range(config.max_fixpoint_rounds):
-        before = out.domain_reductions
+    def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for item in params.items:
             for z, y in item:
@@ -636,8 +619,8 @@ def _cp_nvalue(params, box: DomainBox, config: PropagatorConfig):
         cut |= _set_lower(box, out, count, float(forced), tol)
         cut |= _set_upper(box, out, count, float(live), tol)
         if box.lower[count] > box.upper[count] + tol:
-            cut = True
-        elif not cut:
+            return True
+        if not cut:
             # residual counting on the equality linking indicators to count
             if box.upper[count] <= forced + tol:
                 for z in indicators:
@@ -647,97 +630,41 @@ def _cp_nvalue(params, box: DomainBox, config: PropagatorConfig):
                 for z in indicators:
                     if _live(box, z) and not _fixed_in(box, z):
                         cut |= _set_lower(box, out, z, 1.0, tol)
-        if cut:
-            return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
-            break
-    else:
-        out.budget_hit = True
-    return _finish(out, started)
+        return cut
+
+    return one_round
 
 
-def _stretch_rows(params: StretchParams) -> list[LinearRow]:
-    """Rebuild the run-length linearization the params describe."""
-    on = params.levels
-    start = params.run_starts
-    horizon = len(on)
-    rows: list[tuple[list[tuple[int, float]], float, float]] = []
-    rows.append(([(start[0], 1.0), (on[0], -1.0)], 0.0, INF))
-    for t in range(1, horizon):
-        rows.append(
-            ([(start[t], 1.0), (on[t], -1.0), (on[t - 1], 1.0)], 0.0, INF)
-        )
-    for t in range(horizon):
-        rows.append(([(start[t], 1.0), (on[t], -1.0)], -INF, 0.0))
-    for t in range(1, horizon):
-        rows.append(([(start[t], 1.0), (on[t - 1], 1.0)], -INF, 1.0))
-    for t in range(horizon):
-        for i in range(1, params.min_run):
-            if t + i < horizon:
-                rows.append(([(start[t], 1.0), (on[t + i], -1.0)], -INF, 0.0))
-    for w in range(horizon - params.max_run):
-        window = [(on[w + i], 1.0) for i in range(params.max_run + 1)]
-        rows.append((window, -INF, float(params.max_run)))
-    return [
-        LinearRow(i, "stretch", tuple(terms), lhs, rhs)
-        for i, (terms, lhs, rhs) in enumerate(rows)
-    ]
+# ---------------------------------------------------------------------------
+# the handler table, record dispatch and the global fixpoint
 
 
-def _cp_stretch(params, box: DomainBox, config: PropagatorConfig):
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-    vars_ = list(params.levels) + list(params.run_starts)
-    if (
-        len(params.levels) != len(params.run_starts)
-        or not params.levels
-        or params.min_run < 1
-        or params.max_run < params.min_run
-        or len(set(vars_)) != len(vars_)
-        or not _all_binary(box, vars_, config.tolerance)
-    ):
-        return _finish(out, started)
-    step = propagate_block_fixpoint(_stretch_rows(params), box, config)
-    out.bound_changes = step.bound_changes
-    out.domain_reductions = step.domain_reductions
-    out.budget_hit = step.budget_hit
-    return _finish(out, started, cutoff=step.cutoff)
+def _params(model: MipModel, record: SemanticRecord):
+    return record.params
 
 
-_CP_HANDLERS = {
-    Family.ALL_DIFFERENT: _cp_all_different,
-    Family.CARDINALITY: _cp_cardinality,
-    Family.CHANNEL: _cp_channel,
-    Family.CUMULATIVE: _cp_cumulative,
-    Family.NVALUE: _cp_nvalue,
-    Family.STRETCH: _cp_stretch,
+def _evidence_rows(model: MipModel, record: SemanticRecord) -> list[LinearRow]:
+    return [model.rows[r] for r in record.evidence]
+
+
+# family -> (what the handler reads off the record, the propagator it runs)
+_HANDLERS = {
+    Family.ALL_DIFFERENT: (_params, _all_different),
+    Family.CARDINALITY: (_params, _cardinality),
+    Family.CHANNEL: (_params, _channel),
+    Family.CUMULATIVE: (_params, _cumulative),
+    Family.NVALUE: (_params, _nvalue),
+    Family.STRETCH: (_evidence_rows, propagate_block_fixpoint),
+    Family.ONE_HOT_RESOURCE: (_params, propagate_one_hot_resource),
+    Family.BOTTLENECK_EXACT_ONE: (_params, propagate_bottleneck_exact_one),
+    Family.ROSTERING_WINDOW: (_evidence_rows, propagate_block_fixpoint),
+    Family.UNIT_COMMITMENT_RAMP: (_evidence_rows, propagate_block_fixpoint),
+    Family.DISJ_POLYHEDRAL: (_params, propagate_disj_polyhedral),
 }
 
 # families propagate_record can dispatch; the verification ladder checks
 # registration against this set
-HANDLED_FAMILIES: frozenset[Family] = frozenset(_CP_HANDLERS) | {
-    Family.ONE_HOT_RESOURCE,
-    Family.BOTTLENECK_EXACT_ONE,
-    Family.DISJ_POLYHEDRAL,
-    Family.ROSTERING_WINDOW,
-    Family.UNIT_COMMITMENT_RAMP,
-}
-
-
-def propagate_cp_family(
-    record: SemanticRecord,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
-    """Dispatch one of the six table families to its filtering rule."""
-    handler = _CP_HANDLERS.get(record.family)
-    if handler is None:
-        raise ValueError(f"{record.family.value} is not a table family")
-    return handler(record.params, box, config or PropagatorConfig())
-
-
-# ---------------------------------------------------------------------------
-# record dispatch and the global fixpoint
+HANDLED_FAMILIES: frozenset[Family] = frozenset(_HANDLERS)
 
 
 def propagate_record(
@@ -746,19 +673,12 @@ def propagate_record(
     box: DomainBox,
     config: PropagatorConfig | None = None,
 ) -> PropagationOutcome:
-    """Run the right propagator for one record against the box."""
-    config = config or PropagatorConfig()
-    family = record.family
-    if family is Family.ONE_HOT_RESOURCE:
-        return propagate_one_hot_resource(record.params, box, config)
-    if family is Family.BOTTLENECK_EXACT_ONE:
-        return propagate_bottleneck_exact_one(record.params, box, config)
-    if family is Family.DISJ_POLYHEDRAL:
-        return propagate_disj_polyhedral(record.params, box, config)
-    if family in (Family.ROSTERING_WINDOW, Family.UNIT_COMMITMENT_RAMP):
-        rows = [model.rows[r] for r in record.evidence]
-        return propagate_block_fixpoint(rows, box, config)
-    return propagate_cp_family(record, box, config)
+    """Run the family's handler for one record against the box."""
+    handler = _HANDLERS.get(record.family)
+    if handler is None:
+        raise ValueError(f"no propagator for {record.family.value}")
+    subject, propagate = handler
+    return propagate(subject(model, record), box, config)
 
 
 def run_fixpoint(

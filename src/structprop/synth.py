@@ -1116,13 +1116,9 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
 
 def remap_record(record: SemanticRecord, var_map, row_map) -> SemanticRecord:
     """Rewrite every variable/row id in a record through index maps."""
-    # round-trip the params through their serialized form with numeric "names"
-    payload = record.params.to_jsonable(
-        lambda v: str(var_map[v]), lambda r: str(row_map[r])
-    )
-    params = type(record.params).from_jsonable(
-        payload, lambda s: int(s), lambda s: int(s)
-    )
+    # the serializer maps ids on the way out, so reading back is the identity
+    payload = record.params.to_jsonable(var_map.__getitem__, row_map.__getitem__)
+    params = type(record.params).from_jsonable(payload, lambda v: v, lambda r: r)
     return SemanticRecord(
         family=record.family,
         scope=tuple(var_map[v] for v in record.scope),

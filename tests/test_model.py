@@ -146,6 +146,30 @@ def test_row_rejects_crossed_sides():
         row([(0, 1.0)], lhs=2.0, rhs=1.0)
 
 
+def test_row_rejects_non_finite_coefficients_and_nan_sides():
+    for bad in (INF, -INF, math.nan):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            row([(0, bad)], rhs=1.0)
+    for sides in ({"lhs": math.nan}, {"rhs": math.nan}):
+        with pytest.raises(ValueError, match="NaN side"):
+            row([(0, 1.0)], **sides)
+    assert (row([(0, 1.0)]).lhs, row([(0, 1.0)]).rhs) == (-INF, INF)
+
+
+def test_variable_rejects_nan_bounds():
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN bound"):
+            Variable(0, "x", lower, upper)
+    assert Variable(0, "x", -INF, INF).upper == INF
+
+
+def test_model_rejects_non_finite_objective():
+    v = Variable(0, "x", 0.0, 1.0)
+    for bad in (INF, -INF, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            MipModel([v], [], objective=[(0, bad)])
+
+
 def test_binary_variable_bounds_enforced():
     with pytest.raises(ValueError):
         Variable(0, "b", 0.0, 2.0, Integrality.BINARY)

@@ -167,6 +167,40 @@ def test_parse_errors_carry_line_numbers(snippet, fragment):
     assert excinfo.value.line >= 1
 
 
+NON_FINITE = """\
+NAME nonfinite
+ROWS
+ N OBJ
+ L c1
+COLUMNS
+    x OBJ 1 c1 {coeff}
+RHS
+    RHS c1 {rhs}
+BOUNDS
+ UP BND x 3
+ENDATA
+"""
+
+
+def test_nan_coefficient_is_a_parse_error():
+    with pytest.raises(MpsParseError, match="got 'nan'") as excinfo:
+        parse_mps(NON_FINITE.format(coeff="nan", rhs="2"))
+    assert excinfo.value.line == 6
+
+
+def test_nan_rhs_is_a_parse_error():
+    with pytest.raises(MpsParseError, match="got 'nan'") as excinfo:
+        parse_mps(NON_FINITE.format(coeff="1", rhs="nan"))
+    assert excinfo.value.line == 8
+
+
+def test_infinite_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="non-finite coefficient inf"):
+        parse_mps(NON_FINITE.format(coeff="inf", rhs="2"))
+    # an infinite side is still legal: the L row becomes free
+    assert parse_mps(NON_FINITE.format(coeff="1", rhs="inf")).rows[0].rhs == INF
+
+
 def test_parser_is_total_on_garbage():
     junk = [
         "", "\x00\x01", "ENDATA", "ROWS\n N obj\n L r\nCOLUMNS\n x r 1 2",

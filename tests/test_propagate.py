@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import structprop.propagate as propagate_mod
 from structprop.model import (
     INF,
     DomainBox,
@@ -13,11 +14,11 @@ from structprop.model import (
     Variable,
 )
 from structprop.propagate import (
+    HANDLED_FAMILIES,
     PropagatorConfig,
     outcome_to_json,
     propagate_block_fixpoint,
     propagate_bottleneck_exact_one,
-    propagate_cp_family,
     propagate_disj_polyhedral,
     propagate_one_hot_resource,
     propagate_record,
@@ -37,7 +38,6 @@ from structprop.records import (
     NValueParams,
     OneHotResourceParams,
     SemanticRecord,
-    StretchParams,
     StrippedRow,
 )
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
@@ -50,6 +50,14 @@ def binary_box(n, extra=()):
     upper = [1.0] * n + [up for _, up, _ in extra]
     mask = [True] * n + [isint for _, _, isint in extra]
     return DomainBox(lower, upper, mask)
+
+
+def propagate_on_binaries(record, box):
+    """Dispatch a parameter-block record on an all-binary model as wide as the box."""
+    model = MipModel(
+        [Variable(i, f"b{i}", 0.0, 1.0, Integrality.BINARY) for i in range(len(box))], []
+    )
+    return propagate_record(model, record, box)
 
 
 def changes_of(outcome):
@@ -346,7 +354,7 @@ def test_all_different_value_consumption():
     record = SemanticRecord(Family.ALL_DIFFERENT, (0, 1, 2, 3), params, (0,))
     box = binary_box(4)
     box.lower[0] = 1.0  # item 1 takes value 1
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert box.upper[1] == 0.0  # item 1 done
     assert box.upper[2] == 0.0  # value 1 consumed
@@ -363,7 +371,7 @@ def test_all_different_duplicate_fix_cutoff():
     box = binary_box(4)
     box.lower[0] = 1.0
     box.lower[2] = 1.0  # same value claimed twice
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert out.cutoff
 
 
@@ -372,7 +380,7 @@ def test_cardinality_tight_lower_fixes_rest():
     record = SemanticRecord(Family.CARDINALITY, (0, 1, 2), params, (0,))
     box = binary_box(3)
     box.upper[0] = 0.0
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert box.lower[1] == 1.0 and box.lower[2] == 1.0
 
@@ -383,7 +391,7 @@ def test_cardinality_overcommitment_cutoff():
     box = binary_box(3)
     box.lower[0] = 1.0
     box.lower[1] = 1.0
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert out.cutoff
 
 
@@ -394,7 +402,7 @@ def test_channel_out_of_range_indicators_zeroed():
     )
     record = SemanticRecord(Family.CHANNEL, (5, 0, 1, 2, 3, 4), params, (0,))
     box = binary_box(5, extra=[(2.0, 3.0, True)])
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert box.upper[0] == 0.0 and box.upper[3] == 0.0 and box.upper[4] == 0.0
     assert box.upper[1] == 1.0 and box.upper[2] == 1.0
@@ -405,7 +413,7 @@ def test_channel_indicator_fix_pins_link_var():
     record = SemanticRecord(Family.CHANNEL, (3, 0, 1, 2), params, (0,))
     box = binary_box(3, extra=[(0.0, 9.0, True)])
     box.lower[1] = 1.0
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert (box.lower[3], box.upper[3]) == (4.0, 4.0)
     assert box.upper[0] == 0.0 and box.upper[2] == 0.0
@@ -415,7 +423,7 @@ def test_channel_empty_support_cutoff():
     params = ChannelParams(link_var=2, indicators=((2.0, 0), (4.0, 1)))
     record = SemanticRecord(Family.CHANNEL, (2, 0, 1), params, (0,))
     box = binary_box(2, extra=[(8.0, 9.0, True)])
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert out.cutoff
 
 
@@ -438,7 +446,7 @@ def test_cumulative_timetable_elimination():
     record = SemanticRecord(Family.CUMULATIVE, (0, 1, 2, 3), params, (0,))
     box = binary_box(4)
     box.lower[0] = 1.0  # task 1 starts at period 0, occupies 0-1
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert box.upper[2] == 0.0  # task 2 cannot also start at period 0
     assert box.lower[3] == 1.0  # only start left
@@ -457,7 +465,7 @@ def test_cumulative_overload_cutoff():
     box = binary_box(2)
     box.lower[0] = 1.0
     box.lower[1] = 1.0
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert out.cutoff
 
 
@@ -472,44 +480,41 @@ def test_nvalue_count_bounds():
     box = binary_box(8, extra=[(0.0, 3.0, True), (0.0, 1.0, True)])
     box.lower[0] = 1.0  # item 1 picks value 1
     box.upper[6] = 0.0  # value 3 unavailable
-    out = propagate_cp_family(record, box)
+    out = propagate_on_binaries(record, box)
     assert not out.cutoff
     assert box.lower[4] == 1.0  # value 1 is used
     assert box.upper[7] == 0.0 and box.upper[9] == 0.0  # nobody picks value 3
     assert box.lower[8] == 1.0 and box.upper[8] == 2.0
 
 
+def planted_stretch():
+    # seed 0 plants min_run 2 and max_run 3 over four periods
+    inst = reverse_sample(Family.STRETCH, {"periods": 4}, seed=0)
+    params = inst.ground_truth.params
+    assert (params.min_run, params.max_run) == (2, 3)
+    return inst.model, inst.ground_truth, params
+
+
 def test_stretch_min_run_extension():
-    params = StretchParams(levels=(0, 1, 2, 3), run_starts=(4, 5, 6, 7), min_run=2, max_run=3)
-    record = SemanticRecord(Family.STRETCH, tuple(range(8)), params, (0,))
-    box = binary_box(8)
-    box.lower[5] = 1.0  # a run starts at period 2
-    out = propagate_cp_family(record, box)
+    model, record, params = planted_stretch()
+    on, start = params.levels, params.run_starts
+    box = DomainBox.from_model(model)
+    box.lower[start[1]] = 1.0  # a run starts at period 2
+    out = propagate_record(model, record, box)
     assert not out.cutoff
-    assert box.lower[1] == 1.0 and box.lower[2] == 1.0  # run covers 2 periods
-    assert box.upper[0] == 0.0  # fresh start means previous period off
+    assert box.lower[on[1]] == 1.0 and box.lower[on[2]] == 1.0  # run covers 2 periods
+    assert box.upper[on[0]] == 0.0  # fresh start means previous period off
 
 
 def test_stretch_max_run_break():
-    params = StretchParams(levels=(0, 1, 2, 3), run_starts=(4, 5, 6, 7), min_run=2, max_run=3)
-    record = SemanticRecord(Family.STRETCH, tuple(range(8)), params, (0,))
-    box = binary_box(8)
+    model, record, params = planted_stretch()
+    on = params.levels
+    box = DomainBox.from_model(model)
     for t in (0, 1, 2):
-        box.lower[t] = 1.0
-    out = propagate_cp_family(record, box)
+        box.lower[on[t]] = 1.0
+    out = propagate_record(model, record, box)
     assert not out.cutoff
-    assert box.upper[3] == 0.0  # window of four would overrun max_run=3
-
-
-def test_cp_family_rejects_composite_record():
-    record = SemanticRecord(
-        Family.ONE_HOT_RESOURCE,
-        (0, 1),
-        OneHotResourceParams((((0, 1.0), (1, 2.0)),), 5.0, 0.0),
-        (0,),
-    )
-    with pytest.raises(ValueError):
-        propagate_cp_family(record, binary_box(2))
+    assert box.upper[on[3]] == 0.0  # window of four would overrun max_run=3
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +551,45 @@ def test_run_fixpoint_couples_records():
     solo = DomainBox.from_model(model)
     propagate_record(model, second, solo)
     assert solo.upper[3] == 1.0
+
+
+def test_every_family_has_a_handler():
+    assert HANDLED_FAMILIES == set(Family)
+    for family in Family:
+        inst = reverse_sample(family, SMALL_SIZES[family], seed=0)
+        box = DomainBox.from_model(inst.model)
+        assert propagate_record(inst.model, inst.ground_truth, box).calls == 1
+
+
+def test_propagate_record_rejects_family_without_handler(monkeypatch):
+    model, record, _ = planted_stretch()
+    monkeypatch.delitem(propagate_mod._HANDLERS, Family.STRETCH)
+    with pytest.raises(ValueError, match="no propagator for Stretch"):
+        propagate_record(model, record, DomainBox.from_model(model))
+
+
+ROW_SUBSUMED = [Family.ROSTERING_WINDOW, Family.UNIT_COMMITMENT_RAMP, Family.STRETCH]
+
+
+@pytest.mark.parametrize("family", ROW_SUBSUMED, ids=lambda f: f.value)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evidence_row_handlers_add_nothing_after_row_fixpoint(family, seed):
+    # the handler only re-runs rows the all-rows fixpoint has already closed
+    inst = reverse_sample(family, SMALL_SIZES[family], seed=seed)
+    noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
+    for planted in (inst, noisy):
+        model, record = planted.model, planted.ground_truth
+        binaries = [v for v in record.scope if model.variables[v].is_integer]
+        for fixings in range(len(binaries) + 1):
+            box = DomainBox.from_model(model)
+            for i, v in enumerate(binaries[:fixings]):
+                box.fix(v, float((i + seed) % 2))
+            rows_out = propagate_block_fixpoint(model.rows, box)
+            assert not rows_out.budget_hit
+            if rows_out.cutoff:
+                continue
+            out = propagate_record(model, record, box)
+            assert out.domain_reductions == 0 and not out.cutoff
 
 
 def test_run_fixpoint_no_records_identity():
