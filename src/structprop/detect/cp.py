@@ -145,13 +145,13 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
     for row in view.equalities:
         if abs(row.rhs) > tol:
             continue
-        linked = [(v, c) for v, c in row.terms if not view.is_binary[v]]
+        linked = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
         if len(linked) != 1:
             continue
         link_var, link_coeff = linked[0]
         if not view.model.variables[link_var].is_integer:
             continue
-        bins = [(v, c) for v, c in row.terms if view.is_binary[v]]
+        bins = [(v, c) for v, c in zip(row.vars, row.coeffs) if view.is_binary[v]]
         if len(bins) < 2:
             continue
         values = [(-c / link_coeff, v) for v, c in bins]
@@ -249,16 +249,16 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
     for row in view.equalities:
         if abs(row.rhs) > tol:
             continue
-        counters = [(v, c) for v, c in row.terms if not view.is_binary[v]]
+        counters = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
         if len(counters) != 1:
             continue
         count_var, count_coeff = counters[0]
         if not view.model.variables[count_var].is_integer:
             continue
-        bins = [(v, c) for v, c in row.terms if view.is_binary[v]]
+        bins = [(v, c) for v, c in zip(row.vars, row.coeffs) if view.is_binary[v]]
         if len(bins) < 2:
             continue
-        if uniform_coefficient(bins) != -count_coeff:
+        if uniform_coefficient([c for _, c in bins]) != -count_coeff:
             continue
         zset = {v for v, _ in bins}
         items = []
@@ -318,7 +318,7 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
             if len(pos) == 1 and len({abs(c) for c in coeffs}) == 1:
                 trips.append((facet.row, pos[0], tuple(neg)))
                 continue
-        shared = uniform_coefficient(facet.terms)
+        shared = uniform_coefficient(coeffs)
         if shared is not None and shared > 0 and len(facet.terms) >= 3:
             bound = facet.bound / shared
             if bound >= 2 - tol:

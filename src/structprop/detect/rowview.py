@@ -40,12 +40,12 @@ class UnitView:
     is_equality: bool
 
 
-def uniform_coefficient(terms) -> float | None:
-    """The shared coefficient if all terms carry the same one, else None."""
-    if not terms:
+def uniform_coefficient(coeffs) -> float | None:
+    """The shared coefficient if all coefficients are equal, else None."""
+    if not coeffs:
         return None
-    first = terms[0][1]
-    for _, coeff in terms[1:]:
+    first = coeffs[0]
+    for coeff in coeffs[1:]:
         if coeff != first:
             return None
     return first
@@ -69,7 +69,7 @@ class ModelView:
         self.active_rows: list[LinearRow] = []
         self.vacuous: set[int] = set()
         for row in scan:
-            if not row.terms:
+            if not row.vars:
                 self.vacuous.add(row.id)
                 continue
             activity = compute_activity(row, self.box)
@@ -88,7 +88,7 @@ class ModelView:
 
         self._rows_by_var: dict[int, list[int]] = {}
         for row in self.active_rows:
-            for var, _ in row.terms:
+            for var in row.vars:
                 self._rows_by_var.setdefault(var, []).append(row.id)
 
     def rows_of_var(self, var: int) -> list[int]:
@@ -99,10 +99,10 @@ class ModelView:
 
     def unit_view(self, row: LinearRow) -> UnitView | None:
         """Rescale a uniform-coefficient row to +1 coefficients."""
-        coeff = uniform_coefficient(row.terms)
+        coeff = uniform_coefficient(row.coeffs)
         if coeff is None or coeff == 0.0:
             return None
-        support = tuple(v for v, _ in row.terms)
+        support = row.vars
         if coeff > 0:
             lower, upper = row.lhs / coeff, row.rhs / coeff
         else:
@@ -143,6 +143,6 @@ def one_sided_facet(row: LinearRow) -> Facet | None:
     if rhs_finite:
         return Facet(row.id, row.terms, row.rhs)
     if lhs_finite:
-        return Facet(row.id, tuple((v, -c) for v, c in row.terms), -row.lhs)
+        return Facet(row.id, tuple((v, -c) for v, c in zip(row.vars, row.coeffs)), -row.lhs)
     return None
 

@@ -230,7 +230,7 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
     for row in view.active_rows:
         if row.is_equality:
             continue
-        support = {v for v, _ in row.terms}
+        support = set(row.vars)
         if not support & grid_vars:
             continue
         u = view.unit_view(row)
@@ -456,17 +456,17 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     # logic rows bind two status vars to two transition vars
     transitions: dict[frozenset[int], tuple[int, dict[int, float]]] = {}
     for row in view.equalities:
-        if abs(row.rhs) > tol or len(row.terms) != 4:
+        if abs(row.rhs) > tol or len(row.vars) != 4:
             continue
-        if not view.all_binary([v for v, _ in row.terms]):
+        if not view.all_binary(row.vars):
             continue
-        if len({abs(c) for _, c in row.terms}) != 1:
+        if len({abs(c) for c in row.coeffs}) != 1:
             continue
-        stats = [v for v, _ in row.terms if v in power_of]
-        others = [v for v, _ in row.terms if v not in power_of]
+        stats = [v for v in row.vars if v in power_of]
+        others = [v for v in row.vars if v not in power_of]
         if len(stats) != 2 or len(others) != 2:
             continue
-        signs = dict(row.terms)
+        signs = dict(zip(row.vars, row.coeffs))
         if signs[stats[0]] == signs[stats[1]] or signs[others[0]] == signs[others[1]]:
             continue
         transitions[frozenset(stats)] = (row.id, signs)
@@ -623,7 +623,7 @@ def _period_rows(view: ModelView, var_set: set[int]):
     rows = []
     covered: set[int] = set()
     for row in view.active_rows:
-        support = {v for v, _ in row.terms}
+        support = set(row.vars)
         if not support or not support <= var_set:
             continue
         if row.is_equality:

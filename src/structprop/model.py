@@ -8,7 +8,17 @@ propagation, search, verification) works on these objects and on
 Numeric policy: plain floats with ``math.inf`` sentinels, feasibility and
 integrality tolerance ``1e-6``, coefficients below ``1e-9`` never divided by.
 Integer bounds are always rounded inward when tightened.  Bounds and row
-sides may be infinite; coefficients must be finite and NaN is rejected.
+sides may be infinite on their own side only (no ``lhs`` or lower bound at
+``+inf``, no ``rhs`` or upper bound at ``-inf``); coefficients must be finite
+and NaN is rejected.
+
+Row storage: a :class:`LinearRow` keeps its nonzeros as two flat tuples,
+``vars`` (strictly increasing variable ids) and ``coeffs`` (the matching
+coefficients), so a nonzero costs two pointer slots.  Integer-valued
+coefficients in ``[-256, 256]`` are mapped to one shared float object each,
+which is what models of counts and unit weights mostly carry.  ``row.terms``
+builds the ``(var, coeff)`` pairs on demand; hot loops read
+``zip(row.vars, row.coeffs)`` instead.
 """
 
 from __future__ import annotations
@@ -43,6 +53,11 @@ class Variable:
     def __post_init__(self) -> None:
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValueError(f"variable {self.name!r} has a NaN bound")
+        if self.lower == INF or self.upper == -INF:
+            raise ValueError(
+                f"variable {self.name!r} has a bound at the wrong infinity, "
+                f"[{self.lower}, {self.upper}]"
+            )
         if self.integrality is Integrality.BINARY:
             if self.lower < -0.0 or self.upper > 1.0:
                 raise ValueError(
@@ -55,40 +70,71 @@ class Variable:
         return self.integrality is not Integrality.CONTINUOUS
 
 
-@dataclass(frozen=True, slots=True)
+# one float object per small integer, shared by every row that carries it
+_SHARED_COEFFS = {value: float(value) for value in range(-256, 257)}
+# frozen fields are set once, in __init__; bound here because rows are built by the 100k
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LinearRow:
-    """A two-sided linear row.  Equality rows have ``lhs == rhs``."""
+    """A two-sided linear row.  Equality rows have ``lhs == rhs``.
+
+    Built from ``(var, coeff)`` terms in any order; zero coefficients are
+    dropped and the rest stored sorted by variable id in ``vars``/``coeffs``.
+    """
 
     id: int
     name: str
-    terms: tuple[tuple[int, float], ...]
+    vars: tuple[int, ...]
+    coeffs: tuple[float, ...]
     lhs: float
     rhs: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lhs) or math.isnan(self.rhs):
-            raise ValueError(f"row {self.name!r}: NaN side")
-        if self.lhs > self.rhs:
-            raise ValueError(f"row {self.name!r}: lhs {self.lhs} > rhs {self.rhs}")
+    def __init__(
+        self,
+        id: int,
+        name: str,
+        terms: Iterable[tuple[int, float]],
+        lhs: float,
+        rhs: float,
+    ) -> None:
+        if math.isnan(lhs) or math.isnan(rhs):
+            raise ValueError(f"row {name!r}: NaN side")
+        if lhs > rhs:
+            raise ValueError(f"row {name!r}: lhs {lhs} > rhs {rhs}")
+        if lhs == INF or rhs == -INF:
+            raise ValueError(f"row {name!r}: side at the wrong infinity, [{lhs}, {rhs}]")
         seen = set()
         cleaned = []
-        for var, coeff in self.terms:
+        for var, coeff in terms:
             if var in seen:
-                raise ValueError(f"row {self.name!r}: duplicate variable id {var}")
+                raise ValueError(f"row {name!r}: duplicate variable id {var}")
             if not math.isfinite(coeff):
-                raise ValueError(f"row {self.name!r}: non-finite coefficient {coeff} on {var}")
+                raise ValueError(f"row {name!r}: non-finite coefficient {coeff} on {var}")
             seen.add(var)
             if coeff != 0.0:
-                cleaned.append((var, float(coeff)))
+                cleaned.append((var, _SHARED_COEFFS.get(coeff) or float(coeff)))
         cleaned.sort()  # canonical order, term order carries no meaning
-        object.__setattr__(self, "terms", tuple(cleaned))
+        vars_, coeffs = zip(*cleaned) if cleaned else ((), ())
+        _set_field(self, "id", id)
+        _set_field(self, "name", name)
+        _set_field(self, "vars", vars_)
+        _set_field(self, "coeffs", coeffs)
+        _set_field(self, "lhs", float(lhs))
+        _set_field(self, "rhs", float(rhs))
+
+    @property
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """The ``(var, coeff)`` pairs, built on each access."""
+        return tuple(zip(self.vars, self.coeffs))
 
     @property
     def is_equality(self) -> bool:
         return self.lhs == self.rhs
 
     def support(self) -> tuple[int, ...]:
-        return tuple(var for var, _ in self.terms)
+        return self.vars
 
 
 class MipModel:
@@ -117,9 +163,9 @@ class MipModel:
         for idx, row in enumerate(rows):
             if row.id != idx:
                 raise ValueError(f"row {row.name!r} has id {row.id}, expected {idx}")
-            for var, _ in row.terms:
-                if not 0 <= var < n:
-                    raise ValueError(f"row {row.name!r} references unknown variable {var}")
+            if row.vars and not (0 <= row.vars[0] and row.vars[-1] < n):  # vars are sorted
+                var = next(v for v in row.vars if not 0 <= v < n)
+                raise ValueError(f"row {row.name!r} references unknown variable {var}")
         if objective_sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {objective_sense!r}")
         for var, coeff in objective:
@@ -169,7 +215,7 @@ def models_equal(a: MipModel, b: MipModel) -> bool:
         ):
             return False
     for ra, rb in zip(a.rows, b.rows):
-        if (ra.name, ra.lhs, ra.rhs, ra.terms) != (rb.name, rb.lhs, rb.rhs, rb.terms):
+        if ra != rb:  # row ids equal their positions, so this compares the rest
             return False
     return a.objective == b.objective and a.objective_sense == b.objective_sense
 
@@ -320,7 +366,7 @@ class _ActivitySums:
     @classmethod
     def of(cls, row: LinearRow, box: DomainBox) -> "_ActivitySums":
         sums = cls()
-        for var, coeff in row.terms:
+        for var, coeff in zip(row.vars, row.coeffs):
             lo_c, hi_c = _term_range(coeff, box.lower[var], box.upper[var])
             if lo_c == -INF:
                 sums.min_inf += 1
@@ -393,7 +439,7 @@ def tighten_row(
             outcome.cutoffs = 1
             break
         changes_before = len(outcome.bound_changes)
-        for var, coeff in row.terms:
+        for var, coeff in zip(row.vars, row.coeffs):
             if abs(coeff) < coeff_floor:
                 continue
             lo = box.lower[var]

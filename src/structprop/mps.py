@@ -11,7 +11,8 @@ normalized to minimization at parse time; the declared sense is kept on the
 model so the writer can restore it.
 
 Unsupported features (SOS sections, semicontinuous bounds) and malformed
-input raise :class:`MpsParseError` carrying the offending line number.  The
+input raise :class:`MpsParseError` carrying the offending line number; so
+does an infinite RHS or RANGES value, which no row side can take.  The
 negative-UP-bound legacy wart (treating ``UP v < 0`` as also dropping the
 lower bound to -inf) is deliberately not implemented.
 """
@@ -82,6 +83,12 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
             raise err(line_no, f"expected a number, got {token!r}") from None
         if math.isnan(value):
             raise err(line_no, f"expected a number, got {token!r}")
+        return value
+
+    def parse_finite(token: str, line_no: int) -> float:
+        value = parse_number(token, line_no)
+        if math.isinf(value):
+            raise err(line_no, f"expected a finite number, got {token!r}")
         return value
 
     lines = text.splitlines()
@@ -184,7 +191,7 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise err(line_no, "RHS lines need a set name then row/value pairs")
             for i in range(1, len(tokens), 2):
-                row_name, value = tokens[i], parse_number(tokens[i + 1], line_no)
+                row_name, value = tokens[i], parse_finite(tokens[i + 1], line_no)
                 if row_name == obj_name or row_name in free_rows:
                     continue  # objective constants are not modeled
                 if row_name not in row_sense:
@@ -194,7 +201,7 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise err(line_no, "RANGES lines need a set name then row/value pairs")
             for i in range(1, len(tokens), 2):
-                row_name, value = tokens[i], parse_number(tokens[i + 1], line_no)
+                row_name, value = tokens[i], parse_finite(tokens[i + 1], line_no)
                 if row_name not in row_sense:
                     raise err(line_no, f"unknown row {row_name!r}")
                 range_values[row_name] = value
@@ -285,7 +292,7 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
                 rhs_val = rhs + r
             elif r < 0:
                 lhs_val = rhs + r
-        terms = tuple(
+        terms = (
             (col_ids[col_name], value)
             for col_name, value in coeffs.get(row_name, {}).items()
         )
@@ -363,7 +370,7 @@ def write_mps(model: MipModel) -> str:
         v.id: [] for v in model.variables
     }
     for row, name in zip(model.rows, row_names):
-        for var, coeff in row.terms:
+        for var, coeff in zip(row.vars, row.coeffs):
             entries_by_var[var].append((name, coeff))
 
     lines.append("COLUMNS")

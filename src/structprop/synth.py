@@ -134,9 +134,7 @@ class _Builder:
 
     def row(self, name: str, terms, lhs: float, rhs: float) -> int:
         rid = len(self.rows)
-        self.rows.append(
-            LinearRow(rid, name, tuple((v, float(c)) for v, c in terms), float(lhs), float(rhs))
-        )
+        self.rows.append(LinearRow(rid, name, terms, lhs, rhs))
         return rid
 
     def finish(self, objective, name: str) -> MipModel:
@@ -1078,11 +1076,10 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
 
     new_rows: list[LinearRow | None] = [None] * n_rows
     for old, row in enumerate(rows):
-        terms = tuple((var_map[v], c) for v, c in row.terms)
-        lhs, rhs = row.lhs, row.rhs
+        coeffs, lhs, rhs = row.coeffs, row.lhs, row.rhs
         if rng.random() < config.sign_flip_prob:
-            terms = tuple((v, -c) for v, c in terms)
-            lhs, rhs = (-row.rhs, -row.lhs)
+            coeffs, lhs, rhs = [-c for c in coeffs], -rhs, -lhs
+        terms = zip(map(var_map.__getitem__, row.vars), coeffs)
         new_rows[row_map[old]] = LinearRow(row_map[old], row.name, terms, lhs, rhs)
 
     objective = tuple((var_map[v], c) for v, c in model.objective)
@@ -1139,7 +1136,7 @@ def witness_satisfies(model: MipModel, witness: dict[int, float]) -> bool:
         if var.is_integer and value != int(value):
             return False
     for row in model.rows:
-        activity = sum(c * witness[v] for v, c in row.terms)
+        activity = sum(c * witness[v] for v, c in zip(row.vars, row.coeffs))
         if not row.lhs <= activity <= row.rhs:
             return False
     return True

@@ -1,8 +1,10 @@
 """CLI tests: subcommand wiring, exit codes, JSON payloads."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,10 +383,14 @@ def test_quiet_silences_info(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child must import the same package as this process, installed or not
+    package_root = str(Path(cli_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "structprop.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for name in ("detect", "propagate", "synth", "verify", "search", "bench"):

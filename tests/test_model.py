@@ -1,6 +1,9 @@
 """Core model tests: activities, residual tightening, reduction validity."""
 
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +157,88 @@ def test_row_rejects_non_finite_coefficients_and_nan_sides():
         with pytest.raises(ValueError, match="NaN side"):
             row([(0, 1.0)], **sides)
     assert (row([(0, 1.0)]).lhs, row([(0, 1.0)]).rhs) == (-INF, INF)
+
+
+def test_row_layout_is_canonical_in_any_term_order():
+    terms = [(4, -2.0), (0, 3.0), (7, 0.5), (2, 1.0)]
+    reference = row(terms, lhs=-1.0, rhs=6.0)
+    assert reference.vars == (0, 2, 4, 7)
+    assert reference.coeffs == (3.0, 1.0, -2.0, 0.5)
+    assert reference.support() == reference.vars
+    for order in itertools.permutations(terms + [(1, 0.0), (9, 0)]):
+        again = row(order, lhs=-1.0, rhs=6.0)
+        assert again == reference
+        assert hash(again) == hash(reference)
+        assert again.terms == tuple(zip(again.vars, again.coeffs))
+        assert all(a < b for a, b in zip(again.vars, again.vars[1:]))
+    assert row(terms, lhs=-1.0, rhs=7.0) != reference
+
+
+def test_row_is_immutable_and_terms_are_built_on_demand():
+    r = row([(1, 2.0), (0, 1.0)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.vars = (5,)
+    assert r.terms == ((0, 1.0), (1, 2.0))
+    assert r.terms is not r.terms  # never cached on the row
+    assert [f.name for f in dataclasses.fields(LinearRow)] == [
+        "id", "name", "vars", "coeffs", "lhs", "rhs",
+    ]
+
+
+def test_row_error_messages_are_unchanged():
+    cases = [
+        (dict(terms=[(0, 1.0), (0, 2.0)]), "row 'r': duplicate variable id 0"),
+        (dict(terms=[(3, INF)]), "row 'r': non-finite coefficient inf on 3"),
+        (dict(terms=[(0, 1.0)], lhs=2.0, rhs=1.0), "row 'r': lhs 2.0 > rhs 1.0"),
+        (dict(terms=[(0, 1.0)], lhs=math.nan), "row 'r': NaN side"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            row(**kwargs)
+        assert str(excinfo.value) == message
+
+
+def test_rows_share_small_integer_coefficients():
+    a = row([(0, 3.0), (1, 2.5)])
+    b = row([(5, 3), (6, 2.5)])  # an int coefficient maps to the same float
+    assert a.coeffs[0] is b.coeffs[0]
+    assert type(b.coeffs[0]) is float and b.coeffs == (3.0, 2.5)
+    assert row([(0, 300.0)]).coeffs == (300.0,)  # outside the table: kept as is
+
+
+def test_row_sides_are_stored_as_floats():
+    r = row([(0, 1.0)], lhs=-2, rhs=5)
+    assert (r.lhs, r.rhs) == (-2.0, 5.0)
+    assert type(r.lhs) is float and type(r.rhs) is float
+
+
+def test_row_and_variable_reject_sides_at_the_wrong_infinity():
+    for sides in ({"lhs": INF}, {"rhs": -INF}, {"lhs": INF, "rhs": INF}, {"lhs": -INF, "rhs": -INF}):
+        with pytest.raises(ValueError, match="wrong infinity"):
+            row([(0, 1.0)], **sides)
+    for lower, upper in ((INF, INF), (-INF, -INF), (0.0, -INF)):
+        with pytest.raises(ValueError, match="wrong infinity"):
+            Variable(0, "x", lower, upper)
+    assert Variable(0, "x", -INF, INF).lower == -INF
+
+
+def test_row_storage_per_nonzero_is_two_slots():
+    # 2000 rows of 10 terms with small integer coefficients, names included;
+    # a (var, coeff) pair tuple per nonzero costs about 100 bytes, the
+    # flat vars/coeffs layout with shared floats under 50
+    n_rows, width = 2000, 10
+    inputs = [
+        [(j * 3 + i % 3, (i + j) % 7 - 3 or 5) for j in range(width)] for i in range(n_rows)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [LinearRow(i, f"r{i}", terms, -INF, 10.0) for i, terms in enumerate(inputs)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.terms) for r in rows) == n_rows * width
+    assert used / (n_rows * width) < 64
 
 
 def test_variable_rejects_nan_bounds():

@@ -197,8 +197,58 @@ def test_nan_rhs_is_a_parse_error():
 def test_infinite_coefficient_is_rejected():
     with pytest.raises(ValueError, match="non-finite coefficient inf"):
         parse_mps(NON_FINITE.format(coeff="inf", rhs="2"))
-    # an infinite side is still legal: the L row becomes free
-    assert parse_mps(NON_FINITE.format(coeff="1", rhs="inf")).rows[0].rhs == INF
+    # an infinite RHS would make the L row free, which the writer cannot emit
+    with pytest.raises(MpsParseError, match="finite number, got 'inf'") as excinfo:
+        parse_mps(NON_FINITE.format(coeff="1", rhs="inf"))
+    assert excinfo.value.line == 8
+
+
+ONE_ROW = """\
+NAME onerow
+ROWS
+ N OBJ
+ {sense} c1
+COLUMNS
+    x OBJ 1 c1 1
+RHS
+    RHS c1 {rhs}
+{ranges}BOUNDS
+ {bound}
+ENDATA
+"""
+
+
+def one_row(sense="L", rhs="2", ranges="", bound="UP BND x 3"):
+    return ONE_ROW.format(sense=sense, rhs=rhs, ranges=ranges, bound=bound)
+
+
+@pytest.mark.parametrize(
+    "sense, rhs",
+    [("L", "inf"), ("G", "-inf"), ("E", "inf"), ("G", "inf"), ("L", "-inf"), ("E", "-inf")],
+)
+def test_infinite_rhs_is_a_parse_error(sense, rhs):
+    with pytest.raises(MpsParseError, match=f"finite number, got '{rhs}'") as excinfo:
+        parse_mps(one_row(sense=sense, rhs=rhs))
+    assert excinfo.value.line == 8
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_infinite_range_is_a_parse_error(value):
+    with pytest.raises(MpsParseError, match="finite number") as excinfo:
+        parse_mps(one_row(ranges=f"RANGES\n    RNG c1 {value}\n"))
+    assert excinfo.value.line == 10
+
+
+@pytest.mark.parametrize("bound", ["FX BND x inf", "LO BND x inf", "UP BND x -inf"])
+def test_bound_at_the_wrong_infinity_is_rejected(bound):
+    with pytest.raises(ValueError, match="wrong infinity"):
+        parse_mps(one_row(bound=bound))
+
+
+def test_accepted_infinite_bounds_write_back():
+    for bound in ("UP BND x inf", "LO BND x -inf", "MI BND x", "FR BND x"):
+        model = parse_mps(one_row(bound=bound))
+        assert models_equal(parse_mps(write_mps(model)), model)
 
 
 def test_parser_is_total_on_garbage():

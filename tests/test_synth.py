@@ -123,6 +123,13 @@ def test_noise_rows_are_vacuous_under_bounds():
         assert activity.max_activity <= row.rhs
 
 
+def test_obfuscated_row_sides_are_floats():
+    ob = obfuscate(reverse_sample(Family.CARDINALITY, seed=0), ObfuscationConfig(seed=0))
+    assert ob.noise_row_ids
+    for row in ob.model.rows:
+        assert type(row.lhs) is float and type(row.rhs) is float
+
+
 def test_sign_flip_prob_one_negates_every_row():
     inst = reverse_sample(Family.CARDINALITY, seed=8)
     ob = obfuscate(
