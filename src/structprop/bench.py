@@ -80,9 +80,12 @@ class BenchRun:
     domain_reductions: int
     cutoffs: int
     prop_time: float
+    cpu_time: float = 0.0  # process CPU seconds of the search, next to wall_time
 
     @classmethod
-    def from_search(cls, instance, seed, label, wall_time, stats: SearchStats):
+    def from_search(
+        cls, instance, seed, label, wall_time, stats: SearchStats, cpu_time: float = 0.0
+    ):
         return cls(
             instance=instance,
             seed=seed,
@@ -94,6 +97,7 @@ class BenchRun:
             domain_reductions=stats.domain_reductions,
             cutoffs=stats.cutoffs,
             prop_time=stats.prop_time,
+            cpu_time=cpu_time,
         )
 
     @property
@@ -261,10 +265,11 @@ def _bench_one(path, families, base_config, plug_config):
         ("baseline", base_config, []),
         ("plugin", plug_config, list(report.records)),
     ):
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         _, stats = dfs_solve(model, records, config)
         wall = time.perf_counter() - started
-        runs.append(BenchRun.from_search(name, seed, label, wall, stats))
+        cpu = time.process_time() - cpu_started
+        runs.append(BenchRun.from_search(name, seed, label, wall, stats, cpu))
     return name, report, runs
 
 

@@ -176,8 +176,8 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
     caps = []
     for facet in view.facets:
         sup = facet.support()
-        if (len(facet.terms) >= 2 and view.all_binary(sup)
-                and all(c > 0 for _, c in facet.terms)):
+        if (len(sup) >= 2 and view.all_binary(sup)
+                and all(c > 0 for c in facet.coeffs)):
             caps.append(facet)
     pool = tasks + [(f.row, f.support()) for f in caps]
     n_tasks = len(tasks)
@@ -204,7 +204,7 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
         # per-variable appearance lists decide each task's duration and demand
         hits: dict[int, list[float]] = defaultdict(list)
         for f in cap_part:
-            for v, c in f.terms:
+            for v, c in zip(f.vars, f.coeffs):
                 hits[v].append(c)
         specs = []
         for rid, sup in sorted(task_part):
@@ -236,9 +236,10 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
     tol = view.tolerance
     implications: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for facet in view.facets:
-        if len(facet.terms) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > tol:
             continue
-        (va, ca), (vb, cb) = facet.terms
+        va, vb = facet.vars
+        ca, cb = facet.coeffs
         if ca != -cb or not view.is_binary[va] or not view.is_binary[vb]:
             continue
         pos, neg = (va, vb) if ca > 0 else (vb, va)
@@ -302,9 +303,10 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         sup = facet.support()
         if not view.all_binary(sup):
             continue
-        coeffs = [c for _, c in facet.terms]
-        if len(facet.terms) == 2:
-            (va, ca), (vb, cb) = facet.terms
+        coeffs = facet.coeffs
+        if len(sup) == 2:
+            va, vb = sup
+            ca, cb = coeffs
             if abs(facet.bound) <= tol and ca == -cb:
                 u, w = (va, vb) if ca > 0 else (vb, va)
                 opp[(u, w)].append(facet.row)
@@ -312,14 +314,14 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
             if ca == cb and ca > 0 and abs(facet.bound - ca) <= tol:
                 same2[frozenset(sup)].append(facet.row)
                 continue
-        if len(facet.terms) == 3 and abs(facet.bound) <= tol:
-            pos = [v for v, c in facet.terms if c > 0]
-            neg = [v for v, c in facet.terms if c < 0]
+        if len(sup) == 3 and abs(facet.bound) <= tol:
+            pos = [v for v, c in zip(sup, coeffs) if c > 0]
+            neg = [v for v, c in zip(sup, coeffs) if c < 0]
             if len(pos) == 1 and len({abs(c) for c in coeffs}) == 1:
                 trips.append((facet.row, pos[0], tuple(neg)))
                 continue
         shared = uniform_coefficient(coeffs)
-        if shared is not None and shared > 0 and len(facet.terms) >= 3:
+        if shared is not None and shared > 0 and len(sup) >= 3:
             bound = facet.bound / shared
             if bound >= 2 - tol:
                 windows.append((facet.row, sup, bound))

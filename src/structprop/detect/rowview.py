@@ -14,19 +14,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import FEAS_TOL, DomainBox, LinearRow, MipModel, compute_activity
+from ..model import (
+    FEAS_TOL,
+    DomainBox,
+    LinearRow,
+    MipModel,
+    compute_activity,
+    intern_coeffs,
+    shared_float,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Facet:
-    """A one-sided row in canonical form: sum(terms) <= bound."""
+    """A one-sided row in canonical form: sum(coeffs * vars) <= bound.
+
+    ``vars`` and ``coeffs`` are the row's own tuples for a ``<=`` row and
+    an interned negated pattern for a ``>=`` row, so facets copy no terms.
+    """
 
     row: int
-    terms: tuple[tuple[int, float], ...]
+    vars: tuple[int, ...]
+    coeffs: tuple[float, ...]
     bound: float
 
+    @property
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """The ``(var, coeff)`` pairs, built on each access."""
+        return tuple(zip(self.vars, self.coeffs))
+
     def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.terms)
+        return self.vars
 
 
 @dataclass(frozen=True)
@@ -141,8 +159,9 @@ def one_sided_facet(row: LinearRow) -> Facet | None:
     if lhs_finite and rhs_finite:
         return None
     if rhs_finite:
-        return Facet(row.id, row.terms, row.rhs)
+        return Facet(row.id, row.vars, row.coeffs, row.rhs)
     if lhs_finite:
-        return Facet(row.id, tuple((v, -c) for v, c in zip(row.vars, row.coeffs)), -row.lhs)
+        negated = intern_coeffs(tuple(shared_float(-c) for c in row.coeffs))
+        return Facet(row.id, row.vars, negated, -row.lhs)
     return None
 

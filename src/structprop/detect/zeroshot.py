@@ -62,7 +62,7 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
         inside: dict[int, set[int]] = defaultdict(set)
         cost: dict[int, float] = {}
         external = []
-        for v, c in facet.terms:
+        for v, c in zip(facet.vars, facet.coeffs):
             rid = group_of.get(v)
             if rid is None:
                 external.append((v, c))
@@ -97,9 +97,10 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
     tol = view.tolerance
     links: dict[int, list[tuple[int, int, float]]] = defaultdict(list)
     for facet in view.facets:
-        if len(facet.terms) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > tol:
             continue
-        for (x, cx), (z, cz) in (facet.terms, facet.terms[::-1]):
+        terms = tuple(zip(facet.vars, facet.coeffs))
+        for (x, cx), (z, cz) in (terms, terms[::-1]):
             if (view.is_binary[x] and cx > 0 and cz < 0
                     and view.model.variables[z].integrality is Integrality.CONTINUOUS):
                 links[z].append((facet.row, x, cx / -cz))
@@ -170,9 +171,10 @@ def _find_activators(view: ModelView, selectors: set[int]):
     tol = view.tolerance
     edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for facet in view.facets:
-        if len(facet.terms) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > tol:
             continue
-        (va, ca), (vb, cb) = facet.terms
+        va, vb = facet.vars
+        ca, cb = facet.coeffs
         if ca != -cb or not view.is_binary[va] or not view.is_binary[vb]:
             continue
         pos, neg = (va, vb) if ca > 0 else (vb, va)
@@ -377,9 +379,10 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     linklo_rows: dict[int, int] = {}
     linkup_rows: dict[int, int] = {}
     for facet in view.facets:
-        if len(facet.terms) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > tol:
             continue
-        (va, ca), (vb, cb) = facet.terms
+        va, vb = facet.vars
+        ca, cb = facet.coeffs
         for (u, cu), (p, cp) in (((va, ca), (vb, cb)), ((vb, cb), (va, ca))):
             if view.is_binary[u] and cu > 0 and is_cont(p) and cp < 0:
                 if u in power_of or p in status_of:
@@ -395,10 +398,10 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     reserve_of: dict[int, int] = {}
     p_max: dict[int, float] = {}
     for facet in view.facets:
-        if len(facet.terms) != 3 or abs(facet.bound) > tol:
+        if len(facet.vars) != 3 or abs(facet.bound) > tol:
             continue
-        bins = [(v, c) for v, c in facet.terms if view.is_binary[v]]
-        conts = [(v, c) for v, c in facet.terms if is_cont(v)]
+        bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
+        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if is_cont(v)]
         if len(bins) != 1 or len(conts) != 2:
             continue
         u, cu = bins[0]
@@ -424,10 +427,10 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     # ramp rows: a power difference held down by two binary terms
     ramp_facets = []
     for facet in view.facets:
-        if len(facet.terms) != 4:
+        if len(facet.vars) != 4:
             continue
-        bins = [(v, c) for v, c in facet.terms if view.is_binary[v]]
-        conts = [(v, c) for v, c in facet.terms if is_cont(v)]
+        bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
+        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if is_cont(v)]
         if len(bins) != 2 or len(conts) != 2:
             continue
         if not all(v in power_set for v, _ in conts):
@@ -695,8 +698,8 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
     tol = view.tolerance
     candidates: dict[int, dict[int, list]] = defaultdict(lambda: {1: [], 0: []})
     for facet in view.facets:
-        bins = [(v, c) for v, c in facet.terms if view.is_binary[v]]
-        rest = [(v, c) for v, c in facet.terms if not view.is_binary[v]]
+        bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
+        rest = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if not view.is_binary[v]]
         if len(bins) != 1 or not rest:
             continue
         guard, big_m = bins[0]

@@ -317,7 +317,7 @@ def _checked_name(name: str, fallback: str) -> str:
         return fallback
     if len(name) > MAX_NAME_LEN:
         raise MpsWriteError(f"name longer than {MAX_NAME_LEN} characters: {name[:40]!r}...")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # str.split breaks on exactly what str.isspace accepts
         raise MpsWriteError(f"name contains whitespace: {name!r}")
     return name
 

@@ -17,16 +17,15 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     INF,
-    DomainBox,
     Integrality,
     LinearRow,
     MipModel,
     Variable,
-    compute_activity,
+    shared_float,
 )
 from .records import (
     ActivatorSpec,
@@ -162,6 +161,7 @@ def reverse_sample(
 
     builder = _BUILDERS[family]
     mb, record, witness = builder(rng, sizes)
+    witness = {v: shared_float(value) for v, value in witness.items()}
 
     scope_ints = [
         v for v in record.scope if mb.variables[v].integrality is not Integrality.CONTINUOUS
@@ -1036,7 +1036,6 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     rng = random.Random(config.seed * 64 + 63)  # stream disjoint from the builders'
     model = instance.model
     n_vars = len(model.variables)
-    box = DomainBox.from_model(model)
 
     rows = list(model.rows)
     noise_ids = list(instance.noise_row_ids)
@@ -1048,9 +1047,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
             (v, float(rng.choice((-3, -2, -1, 1, 2, 3)))) for v in sorted(support)
         )
         rid = len(rows)
-        activity = compute_activity(LinearRow(rid, "probe", terms, -INF, INF), box)
-        lo = activity.min_activity
-        hi = activity.max_activity
+        lo, hi = _activity_range(terms, model.variables)
         lhs = -INF if math.isinf(lo) else math.floor(lo) - rng.randint(1, 5)
         rhs = INF if math.isinf(hi) else math.ceil(hi) + rng.randint(1, 5)
         shape = rng.randrange(3)
@@ -1072,7 +1069,8 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
 
     new_vars: list[Variable | None] = [None] * n_vars
     for old, var in enumerate(model.variables):
-        new_vars[var_map[old]] = replace(var, id=var_map[old])
+        new_id = var_map[old]
+        new_vars[new_id] = Variable(new_id, var.name, var.lower, var.upper, var.integrality)
 
     new_rows: list[LinearRow | None] = [None] * n_rows
     for old, row in enumerate(rows):
@@ -1109,6 +1107,18 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
         noise_row_ids=tuple(sorted(row_map[r] for r in noise_ids)),
         feasible=instance.feasible,
     )
+
+
+def _activity_range(terms, variables) -> tuple[float, float]:
+    """Min and max of ``sum(c * x)`` over the variables' bounds, inf when unbounded."""
+    lo = hi = 0.0
+    for var, coeff in terms:
+        low, high = variables[var].lower * coeff, variables[var].upper * coeff
+        if coeff < 0.0:
+            low, high = high, low
+        lo += low
+        hi += high
+    return lo, hi
 
 
 def remap_record(record: SemanticRecord, var_map, row_map) -> SemanticRecord:

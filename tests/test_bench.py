@@ -1,6 +1,7 @@
 """Bench tests: shifted geomeans, coverage tables, paired-run aggregation."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -219,13 +220,19 @@ def test_repeated_runs_change_only_wall_times(tmp_path):
     first = run_benchmark(str(tmp_path))
     again = run_benchmark(str(tmp_path))
 
+    time_fields = {"wall_time", "cpu_time", "prop_time"}
+
     def digest(report):
         return {
-            (r.instance, r.label): (r.status, r.nodes, r.calls, r.domain_reductions)
+            (r.instance, r.label): {
+                key: value for key, value in dataclasses.asdict(r).items()
+                if key not in time_fields
+            }
             for r in report.runs
         }
 
     assert digest(first) == digest(again)
+    assert all(r.cpu_time > 0.0 for r in first.runs + again.runs)
     assert first.coverage == again.coverage
 
 
@@ -269,3 +276,4 @@ def test_write_report_files(tmp_path):
     doc = json.loads((tmp_path / "unit.json").read_text())
     assert set(doc) == {"schema", "coverage", "performance", "diagnostics", "runs", "skipped"}
     assert len(doc["runs"]) == 4
+    assert all(r["cpu_time"] == 0.0 and r["wall_time"] == 1.0 for r in doc["runs"])

@@ -94,6 +94,20 @@ def test_one_sided_facet_orientation():
     assert one_sided_facet(ranged) is None
 
 
+def test_facets_share_row_tuples_and_negated_patterns():
+    upper = LinearRow(0, "u", ((0, 2.0), (1, -1.0)), -INF, 6.0)
+    lower = LinearRow(1, "l", ((2, 2.0), (3, -1.0)), 4.0, INF)
+    other = LinearRow(2, "m", ((5, -1.0), (4, 2.0)), 1.0, INF)
+
+    up = one_sided_facet(upper)
+    assert up.vars is upper.vars and up.coeffs is upper.coeffs
+
+    low, low_other = one_sided_facet(lower), one_sided_facet(other)
+    assert low.vars is lower.vars and low_other.vars is other.vars
+    assert low.coeffs == (-2.0, 1.0) and low.coeffs is low_other.coeffs
+    assert low.terms == ((2, -2.0), (3, 1.0)) and low.support() == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # exact recovery on planted instances
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structprop.model as model_mod
 from structprop.model import (
     INF,
     DomainBox,
@@ -241,6 +242,102 @@ def test_row_storage_per_nonzero_is_two_slots():
     assert used / (n_rows * width) < 64
 
 
+def test_small_integers_zeros_and_infinities_are_shared_objects():
+    inf, ninf = float("inf"), -float("inf")  # fresh objects, not math.inf
+    a = row([(0, 1.0)], lhs=ninf, rhs=3)
+    b = row([(1, 2.0)], lhs=-INF, rhs=3.0)
+    assert a.lhs is b.lhs and a.rhs is b.rhs
+    c = row([(0, 1.0)], lhs=0, rhs=inf)
+    d = row([(1, 1.0)], lhs=0.0, rhs=INF)
+    assert c.lhs is d.lhs and c.rhs is d.rhs
+    x = Variable(0, "x", 0, inf)
+    y = Variable(1, "y", 0.0, float("inf"), Integrality.INTEGER)
+    z = Variable(2, "z", -256, 256.0)
+    w = Variable(3, "w", -256.0, 256)
+    assert x.lower is y.lower and x.upper is y.upper
+    assert z.lower is w.lower and z.upper is w.upper
+    model = MipModel([x, y, z, w], [], [(0, 2), (1, 2.0), (2, -7), (3, -7.0)])
+    (_, c0), (_, c1), (_, c2), (_, c3) = model.objective
+    assert c0 is c1 and c2 is c3 and (c0, c2) == (2.0, -7.0)
+
+
+def test_stored_values_equal_their_inputs_and_keep_the_sign_of_zero():
+    values = [0, 0.0, -0.0, 3, -3.0, 256, -256.0, 257.0, 2.5, -1e300, 1e-12, INF, -INF]
+    for value in values:
+        stored = model_mod.shared_float(value)
+        assert type(stored) is float and stored == value
+        assert math.copysign(1.0, stored) == math.copysign(1.0, value)
+    for value in values:
+        sides = [row([(0, 1.0)], lhs=value).lhs] if value != INF else []
+        sides += [row([(0, 1.0)], rhs=value).rhs] if value != -INF else []
+        bounds = [Variable(0, "x", value, INF).lower] if value != INF else []
+        bounds += [Variable(0, "x", -INF, value).upper] if value != -INF else []
+        for stored in sides + bounds:
+            assert stored == value
+            assert math.copysign(1.0, stored) == math.copysign(1.0, value)
+    flipped = row([(0, -1.0)], lhs=-0.0, rhs=5.0)  # a sign-flipped "x <= 0" row
+    assert math.copysign(1.0, flipped.lhs) == -1.0
+    assert math.copysign(1.0, row([(0, 1.0)], rhs=0.0).rhs) == 1.0
+
+
+def test_rows_with_equal_coefficient_patterns_share_one_tuple():
+    a = row([(0, 1.0), (1, -2.0), (2, 0.5)])
+    b = row([(7, 0.5), (5, -2), (3, 1)])  # same pattern once sorted by variable
+    assert a.coeffs is b.coeffs and a.coeffs == (1.0, -2.0, 0.5)
+    assert row([(1, 1.0), (0, -2.0)]).coeffs == (-2.0, 1.0)  # order is part of the pattern
+    longest = [(j, 1.0) for j in range(model_mod.PATTERN_MAX_LEN)]
+    assert row(longest).coeffs is row(longest).coeffs
+    longer = [(j, 1.0) for j in range(model_mod.PATTERN_MAX_LEN + 1)]
+    assert row(longer).coeffs is not row(longer).coeffs  # too long to intern
+    assert row(longer).coeffs == row(longer).coeffs
+
+
+def test_full_intern_table_admits_no_new_patterns(monkeypatch):
+    monkeypatch.setattr(model_mod, "_PATTERNS", {})
+    limit = model_mod.PATTERN_LIMIT
+    first = [row([(0, k + 0.5)]) for k in range(limit + 10)]
+    assert len(model_mod._PATTERNS) == limit
+    assert all(r.coeffs == (k + 0.5,) for k, r in enumerate(first))
+
+    late_a = row([(0, 0.25), (1, 7.0)], lhs=1, rhs=4, rid=1, name="late_a")
+    late_b = row([(4, 7.0), (2, 0.25)], lhs=-INF, rhs=9.0)
+    assert len(model_mod._PATTERNS) == limit
+    assert late_a.coeffs == late_b.coeffs == (0.25, 7.0)
+    assert late_a.coeffs is not late_b.coeffs  # not admitted, so not shared
+    assert (late_a.id, late_a.name, late_a.vars, late_a.lhs, late_a.rhs) == (
+        1, "late_a", (0, 1), 1.0, 4.0,
+    )
+    assert late_b.vars == (2, 4) and (late_b.lhs, late_b.rhs) == (-INF, 9.0)
+    admitted = row([(3, 0.5)])  # admitted before the table filled up
+    assert admitted.coeffs is first[0].coeffs
+    assert first[-1].coeffs is not row([(0, limit + 9.5)]).coeffs
+
+
+def test_repeated_patterns_and_integer_sides_cost_no_storage_per_row():
+    # 2000 rows of 3 terms over 4 small-integer patterns with integer sides;
+    # a row with its own coeffs tuple and side floats takes about 290 bytes,
+    # one that shares them about 180
+    patterns = [(1, 1, 1), (1, -1, 2), (2, 3, -1), (-1, -1, 1)]
+    n_rows = 2000
+    inputs = [
+        ([(3 * i + j, c) for j, c in enumerate(patterns[i % 4])], i % 3 - 5, i % 4 + 1)
+        for i in range(n_rows)
+    ]
+    names = [f"r{i}" for i in range(n_rows)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [
+            LinearRow(i, names[i], terms, lhs, rhs)
+            for i, (terms, lhs, rhs) in enumerate(inputs)
+        ]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len({id(r.coeffs) for r in rows}) == len(patterns)
+    assert used / n_rows < 230
+
+
 def test_variable_rejects_nan_bounds():
     for lower, upper in ((math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="NaN bound"):
@@ -271,6 +368,17 @@ def test_model_validates_references():
         MipModel([v], [LinearRow(0, "r", ((5, 1.0),), 0.0, 1.0)])
     with pytest.raises(ValueError):
         MipModel([v], [], objective=[(3, 1.0)])
+
+
+def test_model_rejects_duplicate_objective_entries():
+    # search summed the two entries while write_mps kept the last one
+    x = Variable(0, "x", 0.0, 1.0, Integrality.BINARY)
+    r = LinearRow(0, "r", ((0, 1.0),), -INF, 1.0)
+    with pytest.raises(ValueError, match="duplicate objective entry for variable 0"):
+        MipModel([x], [r], [(0, 1.0), (0, 2.0)])
+    with pytest.raises(ValueError, match="duplicate objective entry"):
+        MipModel([x], [r], [(0, 0.0), (0, 2.0)])  # a zero entry counts too
+    assert MipModel([x], [r], [(0, 2.0)]).objective == ((0, 2.0),)
 
 
 coeff_st = st.integers(min_value=-5, max_value=5).filter(lambda c: c != 0)

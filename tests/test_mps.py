@@ -1,5 +1,7 @@
 """MPS reader/writer tests: semantics, diagnostics, round trips."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,6 +315,21 @@ def test_writer_rejects_bad_names():
     v = [Variable(0, "x" * 300, 0.0, 1.0)]
     with pytest.raises(MpsWriteError):
         write_mps(MipModel(v, r))
+
+
+WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+def test_writer_rejects_every_whitespace_character_in_names():
+    assert {"\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"} <= set(WHITESPACE)
+    r = [LinearRow(0, "r", ((0, 1.0),), 0.0, 1.0)]
+    for ch in WHITESPACE:
+        for name in (ch, f"{ch}x", f"x{ch}y", f"x{ch}"):
+            with pytest.raises(MpsWriteError, match="whitespace"):
+                write_mps(MipModel([Variable(0, name, 0.0, 1.0)], r))
+    # characters str.isspace rejects stay legal, the zero-width space among them
+    for name in ("x\u200by", "\x00x", "\ufeff"):
+        assert f" {name} " in write_mps(MipModel([Variable(0, name, 0.0, 1.0)], r))
 
 
 def test_writer_rejects_double_free_row():

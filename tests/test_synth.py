@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -168,6 +169,42 @@ def test_same_seed_gives_byte_identical_mps(family):
     first = obfuscate(reverse_sample(family, seed=42), ObfuscationConfig(seed=43))
     second = obfuscate(reverse_sample(family, seed=42), ObfuscationConfig(seed=43))
     assert write_mps(first.model) == write_mps(second.model)
+
+
+# per family, sha256 prefix of the MPS text of its obfuscated seed-0..2
+# instances; sharing stored values must leave every byte as it was
+PINNED_MPS_SHA256 = {
+    Family.ALL_DIFFERENT: "3cd63190c4219201",
+    Family.CARDINALITY: "b06de4ea04767c9a",
+    Family.CHANNEL: "bc6aeff6da88a0de",
+    Family.CUMULATIVE: "ceb7626aac121e80",
+    Family.NVALUE: "10ab7ecc97d71239",
+    Family.STRETCH: "30b69c5ea3feafaf",
+    Family.ONE_HOT_RESOURCE: "d3cae2e02a94ccd0",
+    Family.BOTTLENECK_EXACT_ONE: "c2e7abaeb5b14b42",
+    Family.ROSTERING_WINDOW: "a022e3f0eb0fa4b8",
+    Family.UNIT_COMMITMENT_RAMP: "90255dc2426e8a79",
+    Family.DISJ_POLYHEDRAL: "79a604e4a3933f8a",
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_obfuscated_mps_matches_pinned_bytes(family):
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        inst = obfuscate(reverse_sample(family, seed=seed), ObfuscationConfig(seed=seed))
+        digest.update(write_mps(inst.model).encode())
+    assert digest.hexdigest()[:16] == PINNED_MPS_SHA256[family]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_witness_values_are_shared_floats(family):
+    inst = reverse_sample(family, seed=3)
+    for witness in (inst.witness, obfuscate(inst, ObfuscationConfig(seed=3)).witness):
+        first_of = {}
+        for value in witness.values():
+            assert type(value) is float
+            assert first_of.setdefault(value, value) is value  # equal values, one object
 
 
 def test_make_infeasible_truly_conflicts():
