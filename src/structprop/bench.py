@@ -242,7 +242,7 @@ def _sidecar_seed(mps_path: str) -> int:
         return 0
 
 
-def _bench_one(path, families, base_config, plug_config):
+def _bench_one(path, families, config):
     from .mps import parse_mps
 
     name = os.path.splitext(os.path.basename(path))[0]
@@ -261,10 +261,7 @@ def _bench_one(path, families, base_config, plug_config):
             },
         )
     runs = []
-    for label, config, records in (
-        ("baseline", base_config, []),
-        ("plugin", plug_config, list(report.records)),
-    ):
+    for label, records in (("baseline", []), ("plugin", list(report.records))):
         started, cpu_started = time.perf_counter(), time.process_time()
         _, stats = dfs_solve(model, records, config)
         wall = time.perf_counter() - started
@@ -276,17 +273,17 @@ def _bench_one(path, families, base_config, plug_config):
 def run_benchmark(
     directory: str,
     families: Iterable[Family] | None = None,
-    configs: tuple[SearchConfig, SearchConfig] | None = None,
+    config: SearchConfig | None = None,
 ) -> BenchReport:
     """Parse, detect, and solve every ``.mps`` file under ``directory``.
 
     Files run one after another in name order, so wall times are not
-    inflated by contention.  ``configs`` is the (baseline, plugin) search
-    configuration pair; both default to ``SearchConfig()``.  Unparseable or
+    inflated by contention.  ``config`` drives both the baseline and the
+    plugin search and defaults to ``SearchConfig()``.  Unparseable or
     failing instances are skipped with a logged reason and listed in the
     report, never aborting the batch.
     """
-    base_config, plug_config = configs or (SearchConfig(), SearchConfig())
+    config = config or SearchConfig()
     fam_filter = None if families is None else tuple(families)
     paths = sorted(
         os.path.join(directory, entry)
@@ -299,9 +296,7 @@ def run_benchmark(
 
     for path in paths:
         try:
-            name, report, instance_runs = _bench_one(
-                path, fam_filter, base_config, plug_config
-            )
+            name, report, instance_runs = _bench_one(path, fam_filter, config)
         except Exception as exc:
             reason = f"{os.path.basename(path)}: {exc}"
             log.warning("skipping %s", reason)

@@ -3,7 +3,8 @@
 Six subcommands: ``synth`` plants instances, ``detect`` mines records from
 an MPS file, ``propagate`` applies them to the root box, ``verify`` runs the
 gate ladder, ``search`` solves with the propagation plugin, and ``bench``
-drives the paired baseline/plugin comparison over a directory.
+drives the paired baseline/plugin comparison over a directory.  The numeric
+policy is fixed (see :mod:`structprop.model`), so no flag sets a tolerance.
 
 Exit codes: 0 on success, 1 on a domain failure (a failed gate, a cutoff or
 empty search where a feasible point was expected), 2 on bad usage.  Logs go
@@ -21,8 +22,8 @@ import sys
 from collections import Counter
 
 from .bench import run_benchmark, write_report
-from .detect import DetectConfig, detect_all, detect_family
-from .model import FEAS_TOL, DomainBox, MipModel
+from .detect import detect_all, detect_family
+from .model import DomainBox, MipModel
 from .mps import MpsParseError, parse_mps
 from .propagate import PropagatorConfig, outcome_to_json, run_fixpoint
 from .records import Family, records_from_json, records_to_json
@@ -100,14 +101,13 @@ def _finite(value: float) -> float | None:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    config = DetectConfig(tolerance=args.tolerance)
     if args.family == "all":
-        report = detect_all(model, config)
+        report = detect_all(model)
         records = list(report.records)
         for warning in report.warnings:
             log.warning("%s", warning)
     else:
-        records = detect_family(model, args.family, config)
+        records = detect_family(model, args.family)
     counts = Counter(rec.family.value for rec in records)
     doc = records_to_json(records, model)
     doc["family_counts"] = dict(sorted(counts.items()))
@@ -122,12 +122,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         with open(args.records, "r", encoding="ascii") as handle:
             records = records_from_json(json.load(handle), model)
     else:
-        records = list(detect_all(model, DetectConfig(tolerance=args.tolerance)).records)
+        records = list(detect_all(model).records)
     box = DomainBox.from_model(model)
     before = box.copy()
-    config = PropagatorConfig(
-        max_fixpoint_rounds=args.fixpoint_rounds, tolerance=args.tolerance
-    )
+    config = PropagatorConfig(max_fixpoint_rounds=args.fixpoint_rounds)
     outcome = run_fixpoint(model, records, box, config)
     changes = []
     for v, variable in enumerate(model.variables):
@@ -198,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    records = list(detect_all(model, DetectConfig(tolerance=args.tolerance)).records)
+    records = list(detect_all(model).records)
     config = SearchConfig(
         propfreq="root_only" if args.propfreq == "root" else "every_node",
         node_limit=args.node_limit,
@@ -224,13 +222,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.dir):
         log.error("not a directory: %s", args.dir)
         return EXIT_USAGE
-    configs = None
-    if args.time_limit is not None:
-        configs = (
-            SearchConfig(time_limit=args.time_limit),
-            SearchConfig(time_limit=args.time_limit),
-        )
-    report = run_benchmark(args.dir, families=args.families, configs=configs)
+    config = None if args.time_limit is None else SearchConfig(time_limit=args.time_limit)
+    report = run_benchmark(args.dir, families=args.families, config=config)
     paths = write_report(report, args.dir)
     if args.json:
         _emit({"reports": paths, "skipped": list(report.skipped)}, None)
@@ -253,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"random seed (default: ${SEED_ENV_VAR} or 0)",
-    )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=FEAS_TOL,
-        help="numeric feasibility tolerance",
     )
     common.add_argument(
         "--json", action="store_true", help="emit JSON even where paths would do"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from ..model import INF
+from ..model import FEAS_TOL, INF
 from ..records import (
     AllDifferentParams,
     CardinalityParams,
@@ -28,15 +28,14 @@ from .rowview import ModelView, uniform_coefficient
 
 def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
     """Two-sided counting rows: L <= sum of >= 3 binaries <= U."""
-    tol = view.tolerance
     records = []
     for row in view.active_rows:
         u = view.unit_view(row)
         if u is None or len(u.support) < 3 or not view.all_binary(u.support):
             continue
         n = len(u.support)
-        lower = 0.0 if u.lower == -INF else max(0.0, float(math.ceil(u.lower - tol)))
-        upper = float(n) if u.upper == INF else min(float(n), float(math.floor(u.upper + tol)))
+        lower = 0.0 if u.lower == -INF else max(0.0, float(math.ceil(u.lower - FEAS_TOL)))
+        upper = float(n) if u.upper == INF else min(float(n), float(math.floor(u.upper + FEAS_TOL)))
         if lower > upper:
             continue
         support = tuple(sorted(u.support))
@@ -137,13 +136,12 @@ def _check_grid(items, values, symmetric) -> SemanticRecord | None:
 
 def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
     """An integer variable equated with a value-weighted one-hot group."""
-    tol = view.tolerance
     one_by_support: dict[frozenset[int], int] = {}
     for u in view.exact_one_rows(min_size=2):
         one_by_support.setdefault(frozenset(u.support), u.row)
     records = []
     for row in view.equalities:
-        if abs(row.rhs) > tol:
+        if abs(row.rhs) > FEAS_TOL:
             continue
         linked = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
         if len(linked) != 1:
@@ -171,7 +169,6 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
     """Start-indicator scheduling grids sharing per-period capacity rows."""
-    tol = view.tolerance
     tasks = [(u.row, u.support) for u in view.exact_one_rows(min_size=3)]
     caps = []
     for facet in view.facets:
@@ -197,7 +194,7 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
         if not clean:
             continue
         capacity = cap_part[0].bound
-        if any(abs(f.bound - capacity) > tol for f in cap_part):
+        if any(abs(f.bound - capacity) > FEAS_TOL for f in cap_part):
             continue
         if any(v not in task_of for f in cap_part for v in f.support()):
             continue
@@ -233,22 +230,10 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
     """A distinct-value counter: count var tied to used-value indicators."""
-    tol = view.tolerance
-    implications: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > tol:
-            continue
-        va, vb = facet.vars
-        ca, cb = facet.coeffs
-        if ca != -cb or not view.is_binary[va] or not view.is_binary[vb]:
-            continue
-        pos, neg = (va, vb) if ca > 0 else (vb, va)
-        implications[pos].append((neg, facet.row))
-
     ones = view.exact_one_rows(min_size=2)
     records = []
     for row in view.equalities:
-        if abs(row.rhs) > tol:
+        if abs(row.rhs) > FEAS_TOL:
             continue
         counters = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
         if len(counters) != 1:
@@ -267,7 +252,7 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
         for u in ones:
             targets = []
             for y in u.support:
-                hits = [(z, rid) for z, rid in implications.get(y, ()) if z in zset]
+                hits = [(z, rid) for z, rid in view.implications.get(y, ()) if z in zset]
                 if len(hits) != 1:
                     targets = None
                     break
@@ -294,8 +279,10 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     """Run-length chains over a binary level sequence with run-start markers."""
-    tol = view.tolerance
     opp: dict[tuple[int, int], list[int]] = defaultdict(list)  # (u, w): u <= w
+    for u, pairs in view.implications.items():
+        for w, rid in pairs:
+            opp[(u, w)].append(rid)
     same2: dict[frozenset[int], list[int]] = defaultdict(list)  # u + w <= 1
     trips = []  # (rid, positive var, (negative, negative))
     windows = []  # (rid, support, scaled bound)
@@ -305,16 +292,11 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
             continue
         coeffs = facet.coeffs
         if len(sup) == 2:
-            va, vb = sup
             ca, cb = coeffs
-            if abs(facet.bound) <= tol and ca == -cb:
-                u, w = (va, vb) if ca > 0 else (vb, va)
-                opp[(u, w)].append(facet.row)
-                continue
-            if ca == cb and ca > 0 and abs(facet.bound - ca) <= tol:
+            if ca == cb and ca > 0 and abs(facet.bound - ca) <= FEAS_TOL:
                 same2[frozenset(sup)].append(facet.row)
                 continue
-        if len(sup) == 3 and abs(facet.bound) <= tol:
+        if len(sup) == 3 and abs(facet.bound) <= FEAS_TOL:
             pos = [v for v, c in zip(sup, coeffs) if c > 0]
             neg = [v for v, c in zip(sup, coeffs) if c < 0]
             if len(pos) == 1 and len({abs(c) for c in coeffs}) == 1:
@@ -323,7 +305,7 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         shared = uniform_coefficient(coeffs)
         if shared is not None and shared > 0 and len(sup) >= 3:
             bound = facet.bound / shared
-            if bound >= 2 - tol:
+            if bound >= 2 - FEAS_TOL:
                 windows.append((facet.row, sup, bound))
 
     # successor edges between level vars, derived from the 3-var rows
@@ -369,7 +351,7 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         if poisoned & chain_vars or len(chain_vars) != 2 * len(levels):
             continue
         if not _stretch_chain_consistent(
-            levels, starts_seq, opp, same2, windows, used_rows, tol
+            levels, starts_seq, opp, same2, windows, used_rows
         ):
             continue
         horizon = len(levels)
@@ -396,7 +378,7 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
 
 
 def _stretch_chain_consistent(levels, starts_seq, opp, same2, windows,
-                              used_rows: set[int], tol: float) -> bool:
+                              used_rows: set[int]) -> bool:
     """Verify the full chain is present and collect its row ids."""
     horizon = len(levels)
     chain_vars = set(levels) | set(starts_seq)
@@ -455,7 +437,7 @@ def _stretch_chain_consistent(levels, starts_seq, opp, same2, windows,
         key = frozenset(sup)
         if key not in expected_windows or key in seen:
             return False
-        if abs(bound - max_run) > tol:
+        if abs(bound - max_run) > FEAS_TOL:
             return False
         seen.add(key)
         used_rows.add(rid)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..model import FEAS_TOL, MipModel
+from ..model import MipModel
 from ..records import PRIORITY_ORDER, Confidence, Family, SemanticRecord
 from .cp import (
     detect_alldifferent,
@@ -36,8 +36,6 @@ DEFAULT_ROW_SCAN_CAP = 200_000
 
 @dataclass(frozen=True)
 class DetectConfig:
-    tolerance: float = FEAS_TOL
-    link_coverage_min: float = 0.8
     row_scan_cap: int = DEFAULT_ROW_SCAN_CAP
 
 
@@ -70,14 +68,14 @@ def detect_family(
 ) -> list[SemanticRecord]:
     """Run a single family detector, without cross-family arbitration."""
     config = config or DetectConfig()
-    view = ModelView(model, tolerance=config.tolerance, row_scan_cap=config.row_scan_cap)
+    view = ModelView(model, row_scan_cap=config.row_scan_cap)
     return DETECTORS[family](view, config)
 
 
 def detect_all(model: MipModel, config: DetectConfig | None = None) -> DetectionReport:
     """Run every detector and keep at most one claimant per evidence row."""
     config = config or DetectConfig()
-    view = ModelView(model, tolerance=config.tolerance, row_scan_cap=config.row_scan_cap)
+    view = ModelView(model, row_scan_cap=config.row_scan_cap)
     kept: list[SemanticRecord] = []
     dropped: list[SemanticRecord] = []
     claimed: set[int] = set()

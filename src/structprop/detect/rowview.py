@@ -1,13 +1,15 @@
 """Shared row classification used by every detector.
 
-Detectors never look at variable or row names.  They work from three
+Detectors never look at variable or row names.  They work from four
 normalized views built here once per model:
 
 * non-binding rows are dropped up front (a row whose activity image already
   sits inside its sides constrains nothing, so it can only be noise),
 * one-sided rows are canonicalized to ``sum(terms) <= bound`` facets, which
   makes detection invariant under row sign inversion,
-* uniform-coefficient rows are rescaled to unit form so bounds read as counts.
+* uniform-coefficient rows are rescaled to unit form so bounds read as counts,
+* two-binary facets ``x - y <= 0`` (any positive scale) are indexed as
+  implications ``x <= y``.
 """
 
 from __future__ import annotations
@@ -72,10 +74,8 @@ def uniform_coefficient(coeffs) -> float | None:
 class ModelView:
     """Precomputed, name-blind classification of a model's rows."""
 
-    def __init__(self, model: MipModel, tolerance: float = FEAS_TOL,
-                 row_scan_cap: int | None = None) -> None:
+    def __init__(self, model: MipModel, row_scan_cap: int | None = None) -> None:
         self.model = model
-        self.tolerance = tolerance
         self.box = DomainBox.from_model(model)
         self.is_binary = [
             v.is_integer and v.lower >= 0.0 and v.upper <= 1.0
@@ -91,8 +91,8 @@ class ModelView:
                 self.vacuous.add(row.id)
                 continue
             activity = compute_activity(row, self.box)
-            if (row.lhs <= activity.min_activity + tolerance
-                    and activity.max_activity <= row.rhs + tolerance):
+            if (row.lhs <= activity.min_activity + FEAS_TOL
+                    and activity.max_activity <= row.rhs + FEAS_TOL):
                 self.vacuous.add(row.id)
             else:
                 self.active_rows.append(row)
@@ -103,6 +103,17 @@ class ModelView:
             facet = one_sided_facet(row)
             if facet is not None:
                 self.facets.append(facet)
+
+        # x -> [(y, facet row)] for every facet reading x <= y over binaries
+        self.implications: dict[int, list[tuple[int, int]]] = {}
+        for facet in self.facets:
+            if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
+                continue
+            va, vb = facet.vars
+            ca, cb = facet.coeffs
+            if ca == -cb and self.is_binary[va] and self.is_binary[vb]:
+                x, y = (va, vb) if ca > 0 else (vb, va)
+                self.implications.setdefault(x, []).append((y, facet.row))
 
         self._rows_by_var: dict[int, list[int]] = {}
         for row in self.active_rows:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..model import INF, Integrality
+from ..model import FEAS_TOL, INF, Integrality
 from ..records import (
     ActivatorSpec,
     BottleneckExactOneParams,
@@ -92,12 +92,16 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
     return records
 
 
+#: Smallest share of a bottleneck's selectors that must carry a link row;
+#: below it no record is emitted, below 1.0 the record is heuristic.
+LINK_COVERAGE_MIN = 0.8
+
+
 def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]:
     """Exact-one selector groups whose weights push a shared max variable."""
-    tol = view.tolerance
     links: dict[int, list[tuple[int, int, float]]] = defaultdict(list)
     for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
             continue
         terms = tuple(zip(facet.vars, facet.coeffs))
         for (x, cx), (z, cz) in (terms, terms[::-1]):
@@ -131,7 +135,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         total = len(selectors)
         found = sum(1 for v in selectors if v in weight)
         coverage = found / total
-        if coverage < config.link_coverage_min:
+        if coverage < LINK_COVERAGE_MIN:
             continue
         groups = tuple(
             tuple((v, weight.get(v)) for v in sorted(group_rows[rid].support))
@@ -168,34 +172,21 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
 
 def _find_activators(view: ModelView, selectors: set[int]):
     """Selector-to-activator implications closed by a counting equality row."""
-    tol = view.tolerance
-    edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > tol:
-            continue
-        va, vb = facet.vars
-        ca, cb = facet.coeffs
-        if ca != -cb or not view.is_binary[va] or not view.is_binary[vb]:
-            continue
-        pos, neg = (va, vb) if ca > 0 else (vb, va)
-        if pos in selectors and neg not in selectors:
-            edges[pos].append((neg, facet.row))
-    if set(edges) != selectors:
-        return None
     mapping = []
     act_rows = []
     activators: set[int] = set()
     for x in sorted(selectors):
-        if len(edges[x]) != 1:
+        edges = [(y, rid) for y, rid in view.implications.get(x, ()) if y not in selectors]
+        if len(edges) != 1:
             return None
-        act, rid = edges[x][0]
+        act, rid = edges[0]
         mapping.append((x, act))
         act_rows.append(rid)
         activators.add(act)
     for row in view.equalities:
         u = view.unit_view(row)
         if (u is not None and set(u.support) == activators
-                and u.lower == u.upper and abs(u.lower - round(u.lower)) <= tol
+                and u.lower == u.upper and abs(u.lower - round(u.lower)) <= FEAS_TOL
                 and 1 <= round(u.lower) <= len(activators)):
             spec = ActivatorSpec(
                 selector_to_activator=tuple(mapping),
@@ -210,12 +201,11 @@ def _find_activators(view: ModelView, selectors: set[int]):
 def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
     """Shift-assignment grids with per-day one-shift rows, coverage
     equalities, and sliding workload windows tied together per nurse."""
-    tol = view.tolerance
     dems = []
     for row in view.equalities:
         u = view.unit_view(row)
         if (u is not None and len(u.support) >= 2 and view.all_binary(u.support)
-                and u.lower >= -tol and abs(u.lower - round(u.lower)) <= tol):
+                and u.lower >= -FEAS_TOL and abs(u.lower - round(u.lower)) <= FEAS_TOL):
             dems.append(u)
     if len(dems) < 2:
         return []
@@ -366,7 +356,6 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]:
     """Commitment chains: status-linked power and reserve with ramp rows."""
-    tol = view.tolerance
     model = view.model
 
     def is_cont(v):
@@ -379,7 +368,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     linklo_rows: dict[int, int] = {}
     linkup_rows: dict[int, int] = {}
     for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > tol:
+        if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
             continue
         va, vb = facet.vars
         ca, cb = facet.coeffs
@@ -398,7 +387,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     reserve_of: dict[int, int] = {}
     p_max: dict[int, float] = {}
     for facet in view.facets:
-        if len(facet.vars) != 3 or abs(facet.bound) > tol:
+        if len(facet.vars) != 3 or abs(facet.bound) > FEAS_TOL:
             continue
         bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
         conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if is_cont(v)]
@@ -459,7 +448,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     # logic rows bind two status vars to two transition vars
     transitions: dict[frozenset[int], tuple[int, dict[int, float]]] = {}
     for row in view.equalities:
-        if abs(row.rhs) > tol or len(row.vars) != 4:
+        if abs(row.rhs) > FEAS_TOL or len(row.vars) != 4:
             continue
         if not view.all_binary(row.vars):
             continue
@@ -695,7 +684,6 @@ def _build_generator(ordered, power_of, reserve_of, p_min, p_max, edges):
 
 def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
     """Big-M guarded row bundles forming an either-or over shared variables."""
-    tol = view.tolerance
     candidates: dict[int, dict[int, list]] = defaultdict(lambda: {1: [], 0: []})
     for facet in view.facets:
         bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
@@ -704,7 +692,7 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
             continue
         guard, big_m = bins[0]
         slack_bound = facet.bound - min(big_m, 0.0)
-        if _max_activity(rest, view.box) > slack_bound + tol:
+        if _max_activity(rest, view.box) > slack_bound + FEAS_TOL:
             continue  # the guard does not fully relax this row
         if big_m > 0:
             candidates[guard][1].append((facet.row, tuple(rest), facet.bound - big_m))

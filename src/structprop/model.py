@@ -5,9 +5,13 @@ A model is a list of bounded variables plus two-sided linear rows
 propagation, search, verification) works on these objects and on
 :class:`DomainBox`, a mutable bounds workspace detached from the model.
 
-Numeric policy: plain floats with ``math.inf`` sentinels, feasibility and
-integrality tolerance ``1e-6``, coefficients below ``1e-9`` never divided by.
-Integer bounds are always rounded inward when tightened.  Bounds and row
+Numeric policy: plain floats with ``math.inf`` sentinels and three fixed
+constants, read where they are used.  ``FEAS_TOL`` (1e-6) is the smallest
+bound change that counts as a tightening and the slack of every feasibility
+and emptiness test; ``INT_TOL`` (1e-6) is the slack of inward integer
+rounding; a coefficient below ``COEFF_FLOOR`` (1e-9) is never divided by.
+No function takes a tolerance.  Integer bounds are always rounded inward
+when tightened.  Bounds and row
 sides may be infinite on their own side only (no ``lhs`` or lower bound at
 ``+inf``, no ``rhs`` or upper bound at ``-inf``); coefficients must be finite
 and NaN is rejected.
@@ -230,6 +234,7 @@ class MipModel:
                 raise ValueError(f"row {row.name!r} references unknown variable {var}")
         if objective_sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {objective_sense!r}")
+        objective = tuple(objective)
         seen = set()
         for var, coeff in objective:
             if not 0 <= var < n:
@@ -252,20 +257,11 @@ class MipModel:
         """True when some variable was declared with crossing bounds."""
         return any(v.lower > v.upper for v in self.variables)
 
-    def variable_by_name(self, name: str) -> Variable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(name)
-
     def row_by_name(self, name: str) -> LinearRow:
         for row in self.rows:
             if row.name == name:
                 return row
         raise KeyError(name)
-
-    def binary_mask(self) -> list[bool]:
-        return [v.integrality is Integrality.BINARY for v in self.variables]
 
 
 def models_equal(a: MipModel, b: MipModel) -> bool:
@@ -378,12 +374,12 @@ class DomainBox:
     def __len__(self) -> int:
         return len(self.lower)
 
-    def is_empty(self, tol: float = FEAS_TOL) -> bool:
-        return any(lo > up + tol for lo, up in zip(self.lower, self.upper))
+    def is_empty(self) -> bool:
+        return any(lo > up + FEAS_TOL for lo, up in zip(self.lower, self.upper))
 
-    def contains(self, point: Mapping[int, float], tol: float = FEAS_TOL) -> bool:
+    def contains(self, point: Mapping[int, float]) -> bool:
         for var, value in point.items():
-            if value < self.lower[var] - tol or value > self.upper[var] + tol:
+            if value < self.lower[var] - FEAS_TOL or value > self.upper[var] + FEAS_TOL:
                 return False
         return True
 
@@ -391,19 +387,16 @@ class DomainBox:
         self.lower[var] = value
         self.upper[var] = value
 
-    def width(self, var: int) -> float:
-        return self.upper[var] - self.lower[var]
 
-
-def round_lower(value: float, is_integer: bool, int_tol: float = INT_TOL) -> float:
+def round_lower(value: float, is_integer: bool) -> float:
     if is_integer and math.isfinite(value):
-        return math.ceil(value - int_tol)
+        return math.ceil(value - INT_TOL)
     return value
 
 
-def round_upper(value: float, is_integer: bool, int_tol: float = INT_TOL) -> float:
+def round_upper(value: float, is_integer: bool) -> float:
     if is_integer and math.isfinite(value):
-        return math.floor(value + int_tol)
+        return math.floor(value + INT_TOL)
     return value
 
 
@@ -479,34 +472,27 @@ def _mul(coeff: float, bound: float) -> float:
     return coeff * bound
 
 
-def tighten_row(
-    row: LinearRow,
-    box: DomainBox,
-    tolerance: float = FEAS_TOL,
-    *,
-    int_tol: float = INT_TOL,
-    coeff_floor: float = COEFF_FLOOR,
-) -> PropagationOutcome:
+def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
     """One residual-activity pass over a single row, mutating ``box``.
 
     For each term the candidate bounds are
     ``x_j <= (rhs - minact_without_j) / a_j`` and
     ``x_j >= (lhs - maxact_without_j) / a_j`` (sides swapped for negative
     coefficients).  A change is recorded only when it beats the old bound by
-    more than ``tolerance`` after integer rounding.  Passes repeat with fresh
+    more than ``FEAS_TOL`` after integer rounding.  Passes repeat with fresh
     activities until the row is stable, so the operation is idempotent.
     Detects empty boxes and violated activities as cutoffs.
     """
     outcome = PropagationOutcome(calls=1)
     while True:
         sums = _ActivitySums.of(row, box)
-        if sums.min_value() > row.rhs + tolerance or sums.max_value() < row.lhs - tolerance:
+        if sums.min_value() > row.rhs + FEAS_TOL or sums.max_value() < row.lhs - FEAS_TOL:
             outcome.cutoff = True
             outcome.cutoffs = 1
             break
         changes_before = len(outcome.bound_changes)
         for var, coeff in zip(row.vars, row.coeffs):
-            if abs(coeff) < coeff_floor:
+            if abs(coeff) < COEFF_FLOOR:
                 continue
             lo = box.lower[var]
             up = box.upper[var]
@@ -515,31 +501,31 @@ def tighten_row(
             res_max = sums.residual_max(coeff, lo, up)
             if coeff > 0.0:
                 if row.rhs != INF and res_min != -INF:
-                    cand = round_upper((row.rhs - res_min) / coeff, is_int, int_tol)
-                    if cand < up - tolerance:
+                    cand = round_upper((row.rhs - res_min) / coeff, is_int)
+                    if cand < up - FEAS_TOL:
                         box.upper[var] = cand
                         outcome.record(var, "ub", up, cand)
                         up = cand
                 if row.lhs != -INF and res_max != INF:
-                    cand = round_lower((row.lhs - res_max) / coeff, is_int, int_tol)
-                    if cand > lo + tolerance:
+                    cand = round_lower((row.lhs - res_max) / coeff, is_int)
+                    if cand > lo + FEAS_TOL:
                         box.lower[var] = cand
                         outcome.record(var, "lb", lo, cand)
                         lo = cand
             else:
                 if row.rhs != INF and res_min != -INF:
-                    cand = round_lower((row.rhs - res_min) / coeff, is_int, int_tol)
-                    if cand > lo + tolerance:
+                    cand = round_lower((row.rhs - res_min) / coeff, is_int)
+                    if cand > lo + FEAS_TOL:
                         box.lower[var] = cand
                         outcome.record(var, "lb", lo, cand)
                         lo = cand
                 if row.lhs != -INF and res_max != INF:
-                    cand = round_upper((row.lhs - res_max) / coeff, is_int, int_tol)
-                    if cand < up - tolerance:
+                    cand = round_upper((row.lhs - res_max) / coeff, is_int)
+                    if cand < up - FEAS_TOL:
                         box.upper[var] = cand
                         outcome.record(var, "ub", up, cand)
                         up = cand
-            if lo > up + tolerance:
+            if lo > up + FEAS_TOL:
                 outcome.cutoff = True
                 outcome.cutoffs = 1
                 break
@@ -552,7 +538,6 @@ def is_valid_reduction(
     original: DomainBox,
     reduced: DomainBox,
     feasible_points: Iterable[Mapping[int, float]],
-    tol: float = FEAS_TOL,
 ) -> bool:
     """Check ``X(c) subseteq reduced subseteq original`` on sampled points.
 
@@ -566,11 +551,11 @@ def is_valid_reduction(
             f"box dimension mismatch: {len(original)} vs {len(reduced)}"
         )
     points = list(feasible_points)
-    if reduced.is_empty(tol):
+    if reduced.is_empty():
         return not points
     for lo_r, up_r, lo_o, up_o in zip(
         reduced.lower, reduced.upper, original.lower, original.upper
     ):
-        if lo_r < lo_o - tol or up_r > up_o + tol:
+        if lo_r < lo_o - FEAS_TOL or up_r > up_o + FEAS_TOL:
             return False
-    return all(reduced.contains(point, tol) for point in points)
+    return all(reduced.contains(point) for point in points)

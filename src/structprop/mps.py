@@ -5,8 +5,7 @@ COLUMNS (with INTORG/INTEND markers), RHS, RANGES, BOUNDS, ENDATA.  Row
 senses map to two-sided rows: L -> (-inf, rhs], G -> [rhs, inf), E ->
 [rhs, rhs], with RANGES widening one side in the standard way.  Default
 bounds are [0, inf) for continuous columns and [0, 1] for INTORG columns
-unless an explicit bound line appears (``int_default_unbounded=True``
-switches the integer default to [0, inf)).  Maximization objectives are
+unless an explicit bound line appears.  Maximization objectives are
 normalized to minimization at parse time; the declared sense is kept on the
 model so the writer can restore it.
 
@@ -52,7 +51,7 @@ class _ColumnState:
         self.binary_tagged = False
 
 
-def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
+def parse_mps(text: str) -> MipModel:
     """Parse free-format MPS text into a :class:`MipModel`."""
     model_name = "model"
     objsense = "min"
@@ -259,11 +258,10 @@ def parse_mps(text: str, int_default_unbounded: bool = False) -> MipModel:
     for idx, col_name in enumerate(col_order):
         state = columns[col_name]
         lower, upper = state.lower, state.upper
-        if state.is_integer and not state.saw_bound and not int_default_unbounded:
+        default_binary = state.is_integer and not state.saw_bound
+        if default_binary:
             upper = 1.0
-        if state.binary_tagged or (
-            state.is_integer and not state.saw_bound and not int_default_unbounded
-        ):
+        if state.binary_tagged or default_binary:
             integrality = Integrality.BINARY if (lower, upper) == (0.0, 1.0) else Integrality.INTEGER
         elif state.is_integer:
             integrality = Integrality.INTEGER

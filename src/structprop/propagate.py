@@ -20,8 +20,8 @@ through a PropagationOutcome.  Two properties are load-bearing everywhere:
   assumptions (a one-hot group member that is not binary, say), the
   propagator returns an empty outcome instead of guessing.
 
-Every bound change strictly improves the old bound by more than the
-configured tolerance; integer variables are rounded inward first.
+Every bound change strictly improves the old bound by more than
+``FEAS_TOL``; integer variables are rounded inward first.
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Knobs shared by all propagators.
+    """The round cap shared by all propagators.
 
     ``max_fixpoint_rounds`` caps every fixpoint loop (a propagator's own and
-    the round-robin over records); ``tolerance`` is the smallest bound
-    change that counts as a tightening.
+    the round-robin over records).
     """
 
     max_fixpoint_rounds: int = 100
-    tolerance: float = FEAS_TOL
 
     def __post_init__(self) -> None:
         if self.max_fixpoint_rounds < 1:
@@ -124,7 +122,7 @@ def _finish(
 def _fixpoint(prepare: Callable[..., Round | None]):
     """Turn a shape check plus one round into a propagator.
 
-    ``prepare(subject, box, tol)`` returns None when the subject does not
+    ``prepare(subject, box)`` returns None when the subject does not
     fit the box (the propagator then reports an empty outcome), else the
     round.  The result is called as ``(subject, box, config=None)`` and
     repeats the round until it cuts off, adds no reduction, or has run
@@ -138,7 +136,7 @@ def _fixpoint(prepare: Callable[..., Round | None]):
         config = config or PropagatorConfig()
         started = time.perf_counter()
         out = PropagationOutcome(calls=1)
-        one_round = prepare(subject, box, config.tolerance)
+        one_round = prepare(subject, box)
         if one_round is None:
             return _finish(out, started)
         for _ in range(config.max_fixpoint_rounds):
@@ -154,42 +152,38 @@ def _fixpoint(prepare: Callable[..., Round | None]):
     return propagate
 
 
-def _set_lower(
-    box: DomainBox, out: PropagationOutcome, var: int, value: float, tol: float
-) -> bool:
+def _set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Raise a lower bound; True means the domain just emptied."""
     value = round_lower(value, box.integer_mask[var])
     old = box.lower[var]
-    if value <= old + tol:
+    if value <= old + FEAS_TOL:
         return False
     box.lower[var] = value
     out.record(var, "lb", old, value)
-    return value > box.upper[var] + tol
+    return value > box.upper[var] + FEAS_TOL
 
 
-def _set_upper(
-    box: DomainBox, out: PropagationOutcome, var: int, value: float, tol: float
-) -> bool:
+def _set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     value = round_upper(value, box.integer_mask[var])
     old = box.upper[var]
-    if value >= old - tol:
+    if value >= old - FEAS_TOL:
         return False
     box.upper[var] = value
     out.record(var, "ub", old, value)
-    return box.lower[var] > value + tol
+    return box.lower[var] > value + FEAS_TOL
 
 
-def _binary_like(box: DomainBox, var: int, tol: float) -> bool:
+def _binary_like(box: DomainBox, var: int) -> bool:
     return (
         0 <= var < len(box)
         and box.integer_mask[var]
-        and box.lower[var] >= -tol
-        and box.upper[var] <= 1.0 + tol
+        and box.lower[var] >= -FEAS_TOL
+        and box.upper[var] <= 1.0 + FEAS_TOL
     )
 
 
-def _all_binary(box: DomainBox, vars_: Sequence[int], tol: float) -> bool:
-    return all(_binary_like(box, v, tol) for v in vars_)
+def _all_binary(box: DomainBox, vars_: Sequence[int]) -> bool:
+    return all(_binary_like(box, v) for v in vars_)
 
 
 def _live(box: DomainBox, var: int) -> bool:
@@ -201,10 +195,7 @@ def _fixed_in(box: DomainBox, var: int) -> bool:
 
 
 def _exact_one_closure(
-    box: DomainBox,
-    out: PropagationOutcome,
-    members: Sequence[int],
-    tol: float,
+    box: DomainBox, out: PropagationOutcome, members: Sequence[int]
 ) -> bool:
     """Close one exactly-one group; True means contradiction."""
     fixed = [v for v in members if _fixed_in(box, v)]
@@ -214,13 +205,13 @@ def _exact_one_closure(
         cut = False
         for v in members:
             if v != fixed[0] and _live(box, v):
-                cut |= _set_upper(box, out, v, 0.0, tol)
+                cut |= _set_upper(box, out, v, 0.0)
         return cut
     live = [v for v in members if _live(box, v)]
     if not live:
         return True
     if len(live) == 1:
-        return _set_lower(box, out, live[0], 1.0, tol)
+        return _set_lower(box, out, live[0], 1.0)
     return False
 
 
@@ -229,14 +220,12 @@ def _exact_one_closure(
 
 
 @_fixpoint
-def propagate_block_fixpoint(
-    rows: Sequence[LinearRow], box: DomainBox, tol: float
-) -> Round:
+def propagate_block_fixpoint(rows: Sequence[LinearRow], box: DomainBox) -> Round:
     """Residual-activity tightening over a row block until stable."""
 
     def one_round(out: PropagationOutcome) -> bool:
         for row in rows:
-            step = tighten_row(row, box, tol)
+            step = tighten_row(row, box)
             out.bound_changes.extend(step.bound_changes)
             out.domain_reductions += step.domain_reductions
             if step.cutoff:
@@ -248,7 +237,7 @@ def propagate_block_fixpoint(
 
 @_fixpoint
 def propagate_one_hot_resource(
-    params: OneHotResourceParams, box: DomainBox, tol: float
+    params: OneHotResourceParams, box: DomainBox
 ) -> Round | None:
     """Cheapest-basket reasoning over one-hot groups under a budget.
 
@@ -262,7 +251,7 @@ def propagate_one_hot_resource(
         not params.groups
         or any(not group for group in params.groups)
         or len(set(members)) != len(members)
-        or not _all_binary(box, members, tol)
+        or not _all_binary(box, members)
     ):
         return None
 
@@ -274,17 +263,17 @@ def propagate_one_hot_resource(
                 return True
             mins.append(min(live_costs))
         basket = params.external_min + sum(mins)
-        if basket > params.budget + tol:
+        if basket > params.budget + FEAS_TOL:
             return True
 
         cut = False
         for cheapest, group in zip(mins, params.groups):
             slack = params.budget - (basket - cheapest)
             for v, cost in group:
-                if _live(box, v) and cost > slack + tol:
-                    cut |= _set_upper(box, out, v, 0.0, tol)
+                if _live(box, v) and cost > slack + FEAS_TOL:
+                    cut |= _set_upper(box, out, v, 0.0)
         for group in params.groups:
-            cut |= _exact_one_closure(box, out, [v for v, _ in group], tol)
+            cut |= _exact_one_closure(box, out, [v for v, _ in group])
         return cut
 
     return one_round
@@ -292,7 +281,7 @@ def propagate_one_hot_resource(
 
 @_fixpoint
 def propagate_bottleneck_exact_one(
-    params: BottleneckExactOneParams, box: DomainBox, tol: float
+    params: BottleneckExactOneParams, box: DomainBox
 ) -> Round | None:
     """Max-min lower bound on the bottleneck plus weight elimination.
 
@@ -312,8 +301,8 @@ def propagate_bottleneck_exact_one(
         or not params.groups
         or any(not group for group in params.groups)
         or len(set(selectors)) != len(selectors)
-        or not _all_binary(box, selectors, tol)
-        or not _all_binary(box, activator_vars, tol)
+        or not _all_binary(box, selectors)
+        or not _all_binary(box, activator_vars)
     ):
         return None
     to_activator = dict(activators.selector_to_activator) if activators else {}
@@ -333,13 +322,13 @@ def propagate_bottleneck_exact_one(
                 if w is not None and _fixed_in(box, v):
                     floor = max(floor, w)
         if floor > -INF:
-            cut |= _set_lower(box, out, z, floor, tol)
+            cut |= _set_lower(box, out, z, floor)
 
         ceiling = box.upper[z]
         for group in params.groups:
             for v, w in group:
-                if w is not None and _live(box, v) and w > ceiling + tol:
-                    cut |= _set_upper(box, out, v, 0.0, tol)
+                if w is not None and _live(box, v) and w > ceiling + FEAS_TOL:
+                    cut |= _set_upper(box, out, v, 0.0)
 
         if activators is not None:
             for v in selectors:
@@ -347,9 +336,9 @@ def propagate_bottleneck_exact_one(
                 if y is None:
                     continue
                 if _fixed_in(box, v):
-                    cut |= _set_lower(box, out, y, 1.0, tol)
+                    cut |= _set_lower(box, out, y, 1.0)
                 if not _live(box, y) and _live(box, v):
-                    cut |= _set_upper(box, out, v, 0.0, tol)
+                    cut |= _set_upper(box, out, v, 0.0)
             forced = sum(1 for y in activator_vars if _fixed_in(box, y))
             open_slots = sum(1 for y in activator_vars if _live(box, y))
             if forced > activators.count or open_slots < activators.count:
@@ -357,16 +346,16 @@ def propagate_bottleneck_exact_one(
             elif forced == activators.count:
                 for y in activator_vars:
                     if _live(box, y) and not _fixed_in(box, y):
-                        cut |= _set_upper(box, out, y, 0.0, tol)
+                        cut |= _set_upper(box, out, y, 0.0)
             elif open_slots == activators.count:
                 for y in activator_vars:
                     if _live(box, y) and not _fixed_in(box, y):
-                        cut |= _set_lower(box, out, y, 1.0, tol)
+                        cut |= _set_lower(box, out, y, 1.0)
 
         for group in params.groups:
-            cut |= _exact_one_closure(box, out, [v for v, _ in group], tol)
+            cut |= _exact_one_closure(box, out, [v for v, _ in group])
 
-        return cut or box.lower[z] > box.upper[z] + tol
+        return cut or box.lower[z] > box.upper[z] + FEAS_TOL
 
     return one_round
 
@@ -387,7 +376,6 @@ def propagate_disj_polyhedral(
     envelope cannot overtighten them).
     """
     config = config or PropagatorConfig()
-    tol = config.tolerance
     started = time.perf_counter()
     out = PropagationOutcome(calls=1)
 
@@ -395,7 +383,7 @@ def propagate_disj_polyhedral(
     selectors = [b.selector_var for b in branches]
     shape_ok = (
         2 <= len(branches) <= 6
-        and _all_binary(box, set(selectors), tol)
+        and _all_binary(box, set(selectors))
         and all(0 <= v < len(box) for v in params.touched)
     )
     if shape_ok and params.variant == "binary_selector":
@@ -420,8 +408,8 @@ def propagate_disj_polyhedral(
 
     def forbid(branch) -> bool:
         if branch.selector_value == 1:
-            return _set_upper(box, out, branch.selector_var, 0.0, tol)
-        return _set_lower(box, out, branch.selector_var, 1.0, tol)
+            return _set_upper(box, out, branch.selector_var, 0.0)
+        return _set_lower(box, out, branch.selector_var, 1.0)
 
     cut = False
     viable: list[int] = []
@@ -446,17 +434,13 @@ def propagate_disj_polyhedral(
     if len(viable) == 1:
         survivor = branches[viable[0]]
         if survivor.selector_value == 1:
-            cut |= _set_lower(box, out, survivor.selector_var, 1.0, tol)
+            cut |= _set_lower(box, out, survivor.selector_var, 1.0)
         else:
-            cut |= _set_upper(box, out, survivor.selector_var, 0.0, tol)
+            cut |= _set_upper(box, out, survivor.selector_var, 0.0)
 
     for var in params.touched:
-        cut |= _set_lower(
-            box, out, var, min(local_boxes[i].lower[var] for i in viable), tol
-        )
-        cut |= _set_upper(
-            box, out, var, max(local_boxes[i].upper[var] for i in viable), tol
-        )
+        cut |= _set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
+        cut |= _set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
     return _finish(out, started, cutoff=cut)
 
 
@@ -465,24 +449,24 @@ def propagate_disj_polyhedral(
 
 
 @_fixpoint
-def _all_different(params, box: DomainBox, tol: float) -> Round | None:
+def _all_different(params, box: DomainBox) -> Round | None:
     grid = [v for g in params.item_groups for v in g]
     if (
         not params.item_groups
         or not params.value_groups
         or len(set(grid)) != len(grid)
-        or not _all_binary(box, grid, tol)
-        or not _all_binary(box, [v for g in params.value_groups for v in g], tol)
+        or not _all_binary(box, grid)
+        or not _all_binary(box, [v for g in params.value_groups for v in g])
     ):
         return None
 
     def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for group in params.item_groups:
-            cut |= _exact_one_closure(box, out, group, tol)
+            cut |= _exact_one_closure(box, out, group)
         for group in params.value_groups:
             if params.symmetric:
-                cut |= _exact_one_closure(box, out, group, tol)
+                cut |= _exact_one_closure(box, out, group)
                 continue
             fixed = [v for v in group if _fixed_in(box, v)]
             if len(fixed) > 1:
@@ -490,39 +474,39 @@ def _all_different(params, box: DomainBox, tol: float) -> Round | None:
             elif len(fixed) == 1:
                 for v in group:
                     if v != fixed[0] and _live(box, v):
-                        cut |= _set_upper(box, out, v, 0.0, tol)
+                        cut |= _set_upper(box, out, v, 0.0)
         return cut
 
     return one_round
 
 
 @_fixpoint
-def _cardinality(params, box: DomainBox, tol: float) -> Round | None:
+def _cardinality(params, box: DomainBox) -> Round | None:
     vars_ = params.vars
-    if len(set(vars_)) != len(vars_) or not _all_binary(box, vars_, tol):
+    if len(set(vars_)) != len(vars_) or not _all_binary(box, vars_):
         return None
 
     def one_round(out: PropagationOutcome) -> bool:
         cut = False
         forced = sum(1 for v in vars_ if _fixed_in(box, v))
         live = sum(1 for v in vars_ if _live(box, v))
-        if forced > params.upper + tol or live < params.lower - tol:
+        if forced > params.upper + FEAS_TOL or live < params.lower - FEAS_TOL:
             return True
-        if forced >= params.upper - tol:
+        if forced >= params.upper - FEAS_TOL:
             for v in vars_:
                 if _live(box, v) and not _fixed_in(box, v):
-                    cut |= _set_upper(box, out, v, 0.0, tol)
-        if live <= params.lower + tol:
+                    cut |= _set_upper(box, out, v, 0.0)
+        if live <= params.lower + FEAS_TOL:
             for v in vars_:
                 if _live(box, v) and not _fixed_in(box, v):
-                    cut |= _set_lower(box, out, v, 1.0, tol)
+                    cut |= _set_lower(box, out, v, 1.0)
         return cut
 
     return one_round
 
 
 @_fixpoint
-def _channel(params, box: DomainBox, tol: float) -> Round | None:
+def _channel(params, box: DomainBox) -> Round | None:
     x = params.link_var
     indicators = [v for _, v in params.indicators]
     values = [value for value, _ in params.indicators]
@@ -531,7 +515,7 @@ def _channel(params, box: DomainBox, tol: float) -> Round | None:
         or len(params.indicators) < 2
         or len(set(indicators)) != len(indicators)
         or len(set(values)) != len(values)
-        or not _all_binary(box, indicators, tol)
+        or not _all_binary(box, indicators)
     ):
         return None
 
@@ -539,22 +523,22 @@ def _channel(params, box: DomainBox, tol: float) -> Round | None:
         cut = False
         for value, v in params.indicators:
             if _live(box, v) and (
-                value < box.lower[x] - tol or value > box.upper[x] + tol
+                value < box.lower[x] - FEAS_TOL or value > box.upper[x] + FEAS_TOL
             ):
-                cut |= _set_upper(box, out, v, 0.0, tol)
-        cut |= _exact_one_closure(box, out, indicators, tol)
+                cut |= _set_upper(box, out, v, 0.0)
+        cut |= _exact_one_closure(box, out, indicators)
         live_values = [value for value, v in params.indicators if _live(box, v)]
         if not live_values:
             return True
-        cut |= _set_lower(box, out, x, min(live_values), tol)
-        cut |= _set_upper(box, out, x, max(live_values), tol)
+        cut |= _set_lower(box, out, x, min(live_values))
+        cut |= _set_upper(box, out, x, max(live_values))
         return cut
 
     return one_round
 
 
 @_fixpoint
-def _cumulative(params, box: DomainBox, tol: float) -> Round | None:
+def _cumulative(params, box: DomainBox) -> Round | None:
     demand_of: dict[int, float] = {}
     for task in params.tasks:
         for v in task.starts:
@@ -563,7 +547,7 @@ def _cumulative(params, box: DomainBox, tol: float) -> Round | None:
             demand_of[v] = task.demand
     if (
         not params.tasks
-        or not _all_binary(box, list(demand_of), tol)
+        or not _all_binary(box, list(demand_of))
         or any(v not in demand_of for _, members in params.periods for v in members)
     ):
         return None
@@ -571,27 +555,27 @@ def _cumulative(params, box: DomainBox, tol: float) -> Round | None:
     def one_round(out: PropagationOutcome) -> bool:
         cut = False
         for task in params.tasks:
-            cut |= _exact_one_closure(box, out, task.starts, tol)
+            cut |= _exact_one_closure(box, out, task.starts)
         if cut:
             return True
         for _, members in params.periods:
             committed = sum(demand_of[v] for v in members if _fixed_in(box, v))
-            if committed > params.capacity + tol:
+            if committed > params.capacity + FEAS_TOL:
                 return True
             for v in members:
                 if (
                     _live(box, v)
                     and not _fixed_in(box, v)
-                    and committed + demand_of[v] > params.capacity + tol
+                    and committed + demand_of[v] > params.capacity + FEAS_TOL
                 ):
-                    cut |= _set_upper(box, out, v, 0.0, tol)
+                    cut |= _set_upper(box, out, v, 0.0)
         return cut
 
     return one_round
 
 
 @_fixpoint
-def _nvalue(params, box: DomainBox, tol: float) -> Round | None:
+def _nvalue(params, box: DomainBox) -> Round | None:
     count = params.count_var
     indicators = params.value_indicators
     known = set(indicators)
@@ -599,8 +583,8 @@ def _nvalue(params, box: DomainBox, tol: float) -> Round | None:
     if (
         not 0 <= count < len(box)
         or len(set(pickers)) != len(pickers)
-        or not _all_binary(box, indicators, tol)
-        or not _all_binary(box, pickers, tol)
+        or not _all_binary(box, indicators)
+        or not _all_binary(box, pickers)
         or any(z not in known for item in params.items for z, _ in item)
     ):
         return None
@@ -610,26 +594,26 @@ def _nvalue(params, box: DomainBox, tol: float) -> Round | None:
         for item in params.items:
             for z, y in item:
                 if _fixed_in(box, y):
-                    cut |= _set_lower(box, out, z, 1.0, tol)
+                    cut |= _set_lower(box, out, z, 1.0)
                 if not _live(box, z) and _live(box, y):
-                    cut |= _set_upper(box, out, y, 0.0, tol)
-            cut |= _exact_one_closure(box, out, [y for _, y in item], tol)
+                    cut |= _set_upper(box, out, y, 0.0)
+            cut |= _exact_one_closure(box, out, [y for _, y in item])
         forced = sum(1 for z in indicators if _fixed_in(box, z))
         live = sum(1 for z in indicators if _live(box, z))
-        cut |= _set_lower(box, out, count, float(forced), tol)
-        cut |= _set_upper(box, out, count, float(live), tol)
-        if box.lower[count] > box.upper[count] + tol:
+        cut |= _set_lower(box, out, count, float(forced))
+        cut |= _set_upper(box, out, count, float(live))
+        if box.lower[count] > box.upper[count] + FEAS_TOL:
             return True
         if not cut:
             # residual counting on the equality linking indicators to count
-            if box.upper[count] <= forced + tol:
+            if box.upper[count] <= forced + FEAS_TOL:
                 for z in indicators:
                     if _live(box, z) and not _fixed_in(box, z):
-                        cut |= _set_upper(box, out, z, 0.0, tol)
-            if box.lower[count] >= live - tol:
+                        cut |= _set_upper(box, out, z, 0.0)
+            if box.lower[count] >= live - FEAS_TOL:
                 for z in indicators:
                     if _live(box, z) and not _fixed_in(box, z):
-                        cut |= _set_lower(box, out, z, 1.0, tol)
+                        cut |= _set_lower(box, out, z, 1.0)
         return cut
 
     return one_round

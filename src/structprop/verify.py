@@ -221,7 +221,7 @@ def verify_propagation(
     points = enum.mappings()
     if outcome.cutoff and points:
         return done(False, f"cutoff despite {len(points)} feasible assignments")
-    if not is_valid_reduction(original, reduced, points, config.tolerance):
+    if not is_valid_reduction(original, reduced, points):
         return done(False, "reduced box excluded a feasible point")
     return done(
         True,

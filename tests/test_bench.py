@@ -239,7 +239,7 @@ def test_repeated_runs_change_only_wall_times(tmp_path):
 def test_degenerate_time_limit_yields_no_common(tmp_path):
     seed_directory(tmp_path, [Family.ROSTERING_WINDOW], seeds=(0,))
     squeeze = SearchConfig(time_limit=1e-9)
-    report = run_benchmark(str(tmp_path), configs=(squeeze, squeeze))
+    report = run_benchmark(str(tmp_path), config=squeeze)
     assert all(r.status == "limit" for r in report.runs)
     assert report.coverage["RosteringWindow"]["Common"] == 0
     assert report.performance["RosteringWindow"]["T_base"] is None

@@ -373,6 +373,14 @@ def test_missing_subcommand_is_usage_error():
     assert excinfo.value.code == 2
 
 
+def test_tolerance_is_not_an_option(capsys):
+    # the numeric policy is fixed, so no subcommand accepts a tolerance
+    with pytest.raises(SystemExit) as excinfo:
+        main(["detect", "m.mps", "--tolerance", "1e-3"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
 def test_quiet_silences_info(tmp_path, capsys):
     _, _, noisy = run_cli(capsys, "synth", "--family", "nvalue", "--out", str(tmp_path))
     _, _, quiet = run_cli(

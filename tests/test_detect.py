@@ -80,6 +80,20 @@ def test_exact_one_and_at_most_one_helpers():
     assert [u.row for u in view.at_most_one_facets()] == [1]
 
 
+def test_implications_read_two_binary_facets_as_x_le_y():
+    model = make_model(
+        [binary(0, "a"), binary(1, "b"), binary(2, "c"),
+         Variable(3, "z", 0.0, 1.0, Integrality.CONTINUOUS)],
+        [
+            ([(0, 2.0), (1, -2.0)], -INF, 0.0),  # a <= b
+            ([(1, 3.0), (2, -3.0)], 0.0, INF),  # c <= b, sign inverted
+            ([(0, 1.0), (2, -2.0)], -INF, 0.0),  # unequal weights
+            ([(0, 1.0), (3, -1.0)], -INF, 0.0),  # z is not binary
+        ],
+    )
+    assert ModelView(model).implications == {0: [(1, 0)], 2: [(1, 1)]}
+
+
 def test_one_sided_facet_orientation():
     upper = LinearRow(0, "u", ((0, 2.0),), -INF, 6.0)
     lower = LinearRow(1, "l", ((0, 2.0),), 4.0, INF)
@@ -222,6 +236,13 @@ def test_partial_link_coverage_gives_heuristic_record():
     assert record.confidence is Confidence.HEURISTIC
     assert record.params.link_coverage == pytest.approx(5 / 6)
     assert (2, None) in record.params.groups[0]
+
+
+def test_link_coverage_below_the_minimum_gives_no_record():
+    # 4 of 6 selectors carry a link row: coverage 0.67 is below 0.8
+    weights = {0: 5.0, 1: 7.0, 3: 2.0, 4: 4.0}
+    report = detect_all(bottleneck_model(weights))
+    assert not [r for r in report.records if r.family is Family.BOTTLENECK_EXACT_ONE]
 
 
 def test_heuristic_record_leaves_its_rows_to_lower_priority_families():

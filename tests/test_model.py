@@ -117,6 +117,14 @@ def test_tighten_idempotent_on_frozen_example():
     assert not second.bound_changes and not second.cutoff
 
 
+def test_tighten_never_divides_by_a_coefficient_below_the_floor():
+    # dividing by 1e-12 would raise x0 to 5e11; COEFF_FLOOR skips that term
+    box = make_box([(0, 1e13), (0, 0.5)])
+    out = tighten_row(row([(0, 1e-12), (1, 1.0)], lhs=1.0, rhs=INF), box)
+    assert not out.cutoff
+    assert box.lower[0] == 0.0
+
+
 def test_valid_reduction_checks_containment():
     original = make_box([(0, 10), (0, 10)])
     reduced = make_box([(0, 3), (0, 10)])
@@ -379,6 +387,13 @@ def test_model_rejects_duplicate_objective_entries():
     with pytest.raises(ValueError, match="duplicate objective entry"):
         MipModel([x], [r], [(0, 0.0), (0, 2.0)])  # a zero entry counts too
     assert MipModel([x], [r], [(0, 2.0)]).objective == ((0, 2.0),)
+
+
+def test_model_keeps_a_generator_objective():
+    # validation must not consume a one-shot iterable before it is stored
+    x = Variable(0, "x", 0.0, 1.0)
+    objective = ((v, c) for v, c in [(0, 3.0)])
+    assert MipModel([x], [], objective).objective == ((0, 3.0),)
 
 
 coeff_st = st.integers(min_value=-5, max_value=5).filter(lambda c: c != 0)

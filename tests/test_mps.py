@@ -122,8 +122,6 @@ ENDATA
 """
     k = parse_mps(text).variables[0]
     assert (k.lower, k.upper, k.integrality) == (0.0, 1.0, Integrality.BINARY)
-    k2 = parse_mps(text, int_default_unbounded=True).variables[0]
-    assert (k2.lower, k2.upper, k2.integrality) == (0.0, INF, Integrality.INTEGER)
 
 
 def test_objsense_max_normalized():

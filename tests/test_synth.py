@@ -247,7 +247,8 @@ def test_sidecar_round_trip(tmp_path):
         ObfuscationConfig(seed=18),
     )
     mps_path, json_path = write_instance(inst, str(tmp_path))
-    reread = parse_mps(open(mps_path).read())
+    with open(mps_path) as handle:
+        reread = parse_mps(handle.read())
     assert models_equal(inst.model, reread)
     truth = load_ground_truth(json_path, reread)
     assert records_equal(truth, inst.ground_truth)
