@@ -40,7 +40,7 @@ from .bench import (  # noqa: F401
     shifted_geometric_mean,
     write_report,
 )
-from .search import SearchConfig, SearchStats, dfs_solve  # noqa: F401
+from .search import SearchConfig, SearchStats, dfs_solve, propagate_node  # noqa: F401
 from .verify import (  # noqa: F401
     GateResult,
     enumerate_feasible,

@@ -1,10 +1,12 @@
 """Command-line front end tying the pipeline together.
 
 Six subcommands: ``synth`` plants instances, ``detect`` mines records from
-an MPS file, ``propagate`` applies them to the root box, ``verify`` runs the
+an MPS file, ``propagate`` tightens the root box with the model's rows and
+those records (the root propagation of ``search``), ``verify`` runs the
 gate ladder, ``search`` solves with the propagation plugin, and ``bench``
 drives the paired baseline/plugin comparison over a directory.  The numeric
-policy is fixed (see :mod:`structprop.model`), so no flag sets a tolerance.
+policy is fixed (see :mod:`structprop.model`), and so is the fixpoint round
+cap, so no flag sets a tolerance or a round cap.
 
 Exit codes: 0 on success, 1 on a domain failure (a failed gate, a cutoff or
 empty search where a feasible point was expected), 2 on bad usage.  Logs go
@@ -25,9 +27,9 @@ from .bench import run_benchmark, write_report
 from .detect import detect_all, detect_family
 from .model import DomainBox, MipModel
 from .mps import MpsParseError, parse_mps
-from .propagate import PropagatorConfig, outcome_to_json, run_fixpoint
+from .propagate import outcome_to_json
 from .records import Family, records_from_json, records_to_json
-from .search import SearchConfig, dfs_solve, stats_to_json
+from .search import SearchConfig, dfs_solve, propagate_node, stats_to_json
 from .synth import ObfuscationConfig, obfuscate, reverse_sample, write_instance
 from .verify import ladder_to_json, run_gate_ladder
 
@@ -125,8 +127,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         records = list(detect_all(model).records)
     box = DomainBox.from_model(model)
     before = box.copy()
-    config = PropagatorConfig(max_fixpoint_rounds=args.fixpoint_rounds)
-    outcome = run_fixpoint(model, records, box, config)
+    outcome, by_records = propagate_node(model, records, box)
+    outcome.absorb(by_records)
     changes = []
     for v, variable in enumerate(model.variables):
         if box.lower[v] != before.lower[v] or box.upper[v] != before.upper[v]:
@@ -267,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_detect)
 
     p = sub.add_parser(
-        "propagate", parents=[common], help="tighten the root box with mined records"
+        "propagate",
+        parents=[common],
+        help="tighten the root box with the rows and mined records",
     )
     p.add_argument("file")
     source = p.add_mutually_exclusive_group(required=True)
@@ -275,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--detect", action="store_true", help="mine records from the model first"
     )
-    p.add_argument("--fixpoint-rounds", type=int, default=100)
     p.set_defaults(handler=cmd_propagate)
 
     p = sub.add_parser("synth", parents=[common], help="plant a synthetic instance")

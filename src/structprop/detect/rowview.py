@@ -115,14 +115,6 @@ class ModelView:
                 x, y = (va, vb) if ca > 0 else (vb, va)
                 self.implications.setdefault(x, []).append((y, facet.row))
 
-        self._rows_by_var: dict[int, list[int]] = {}
-        for row in self.active_rows:
-            for var in row.vars:
-                self._rows_by_var.setdefault(var, []).append(row.id)
-
-    def rows_of_var(self, var: int) -> list[int]:
-        return self._rows_by_var.get(var, [])
-
     def all_binary(self, support) -> bool:
         return all(self.is_binary[v] for v in support)
 

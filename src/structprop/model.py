@@ -329,10 +329,6 @@ class PropagationOutcome:
         self.prop_time += other.prop_time
         self.budget_hit = self.budget_hit or other.budget_hit
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.bound_changes) or self.cutoff
-
 
 class DomainBox:
     """Mutable per-variable bounds, the workspace propagation acts on.

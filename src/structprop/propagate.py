@@ -1,14 +1,17 @@
 """Per-record bound tightening: one handler table, one fixpoint driver.
 
-``_HANDLERS`` maps each family to what its handler reads off a record (the
-parameters, or the evidence rows) and the propagator run on it;
-``propagate_record`` dispatches through it and ``HANDLED_FAMILIES`` is its
-key set.  Stretch, RosteringWindow and UnitCommitmentRamp run
-``propagate_block_fixpoint`` over their evidence rows.  Each looped
-propagator is a shape check plus one round, which ``_fixpoint`` repeats
-until a round adds no reduction or ``max_fixpoint_rounds`` is spent
-(``budget_hit``).  DisjPolyhedral runs once; ``run_fixpoint`` round-robins
-records.
+``_HANDLERS`` maps a family to its propagator, which reads the record's
+parameters; ``propagate_record`` dispatches through it and
+``HANDLED_FAMILIES`` is its key set.  Only Channel, OneHotResource,
+BottleneckExactOne and DisjPolyhedral have one, because only their rules
+prune values that the rows the record came from cannot.  The other seven
+families are ``DETECT_ONLY``: their records are mined and serialized, and
+propagating them is a no-op, since residual-activity tightening of their
+evidence rows (``propagate_block_fixpoint``) already does all their rules
+could.  Each looped propagator is a shape check plus one round, which
+``_fixpoint`` repeats until a round adds no reduction or
+``max_fixpoint_rounds`` is spent (``budget_hit``).  DisjPolyhedral runs
+once; ``run_fixpoint`` round-robins records.
 
 Propagators tighten a mutable DomainBox in place and report what they did
 through a PropagationOutcome.  Two properties are load-bearing everywhere:
@@ -54,6 +57,7 @@ from .records import (
 
 __all__ = [
     "BoundChange",
+    "DETECT_ONLY",
     "HANDLED_FAMILIES",
     "PropagationOutcome",
     "PropagatorConfig",
@@ -449,63 +453,6 @@ def propagate_disj_polyhedral(
 
 
 @_fixpoint
-def _all_different(params, box: DomainBox) -> Round | None:
-    grid = [v for g in params.item_groups for v in g]
-    if (
-        not params.item_groups
-        or not params.value_groups
-        or len(set(grid)) != len(grid)
-        or not _all_binary(box, grid)
-        or not _all_binary(box, [v for g in params.value_groups for v in g])
-    ):
-        return None
-
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
-        for group in params.item_groups:
-            cut |= _exact_one_closure(box, out, group)
-        for group in params.value_groups:
-            if params.symmetric:
-                cut |= _exact_one_closure(box, out, group)
-                continue
-            fixed = [v for v in group if _fixed_in(box, v)]
-            if len(fixed) > 1:
-                cut = True
-            elif len(fixed) == 1:
-                for v in group:
-                    if v != fixed[0] and _live(box, v):
-                        cut |= _set_upper(box, out, v, 0.0)
-        return cut
-
-    return one_round
-
-
-@_fixpoint
-def _cardinality(params, box: DomainBox) -> Round | None:
-    vars_ = params.vars
-    if len(set(vars_)) != len(vars_) or not _all_binary(box, vars_):
-        return None
-
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
-        forced = sum(1 for v in vars_ if _fixed_in(box, v))
-        live = sum(1 for v in vars_ if _live(box, v))
-        if forced > params.upper + FEAS_TOL or live < params.lower - FEAS_TOL:
-            return True
-        if forced >= params.upper - FEAS_TOL:
-            for v in vars_:
-                if _live(box, v) and not _fixed_in(box, v):
-                    cut |= _set_upper(box, out, v, 0.0)
-        if live <= params.lower + FEAS_TOL:
-            for v in vars_:
-                if _live(box, v) and not _fixed_in(box, v):
-                    cut |= _set_lower(box, out, v, 1.0)
-        return cut
-
-    return one_round
-
-
-@_fixpoint
 def _channel(params, box: DomainBox) -> Round | None:
     x = params.link_var
     indicators = [v for _, v in params.indicators]
@@ -537,118 +484,38 @@ def _channel(params, box: DomainBox) -> Round | None:
     return one_round
 
 
-@_fixpoint
-def _cumulative(params, box: DomainBox) -> Round | None:
-    demand_of: dict[int, float] = {}
-    for task in params.tasks:
-        for v in task.starts:
-            if v in demand_of:
-                return None
-            demand_of[v] = task.demand
-    if (
-        not params.tasks
-        or not _all_binary(box, list(demand_of))
-        or any(v not in demand_of for _, members in params.periods for v in members)
-    ):
-        return None
-
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
-        for task in params.tasks:
-            cut |= _exact_one_closure(box, out, task.starts)
-        if cut:
-            return True
-        for _, members in params.periods:
-            committed = sum(demand_of[v] for v in members if _fixed_in(box, v))
-            if committed > params.capacity + FEAS_TOL:
-                return True
-            for v in members:
-                if (
-                    _live(box, v)
-                    and not _fixed_in(box, v)
-                    and committed + demand_of[v] > params.capacity + FEAS_TOL
-                ):
-                    cut |= _set_upper(box, out, v, 0.0)
-        return cut
-
-    return one_round
-
-
-@_fixpoint
-def _nvalue(params, box: DomainBox) -> Round | None:
-    count = params.count_var
-    indicators = params.value_indicators
-    known = set(indicators)
-    pickers = [y for item in params.items for _, y in item]
-    if (
-        not 0 <= count < len(box)
-        or len(set(pickers)) != len(pickers)
-        or not _all_binary(box, indicators)
-        or not _all_binary(box, pickers)
-        or any(z not in known for item in params.items for z, _ in item)
-    ):
-        return None
-
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
-        for item in params.items:
-            for z, y in item:
-                if _fixed_in(box, y):
-                    cut |= _set_lower(box, out, z, 1.0)
-                if not _live(box, z) and _live(box, y):
-                    cut |= _set_upper(box, out, y, 0.0)
-            cut |= _exact_one_closure(box, out, [y for _, y in item])
-        forced = sum(1 for z in indicators if _fixed_in(box, z))
-        live = sum(1 for z in indicators if _live(box, z))
-        cut |= _set_lower(box, out, count, float(forced))
-        cut |= _set_upper(box, out, count, float(live))
-        if box.lower[count] > box.upper[count] + FEAS_TOL:
-            return True
-        if not cut:
-            # residual counting on the equality linking indicators to count
-            if box.upper[count] <= forced + FEAS_TOL:
-                for z in indicators:
-                    if _live(box, z) and not _fixed_in(box, z):
-                        cut |= _set_upper(box, out, z, 0.0)
-            if box.lower[count] >= live - FEAS_TOL:
-                for z in indicators:
-                    if _live(box, z) and not _fixed_in(box, z):
-                        cut |= _set_lower(box, out, z, 1.0)
-        return cut
-
-    return one_round
-
-
 # ---------------------------------------------------------------------------
 # the handler table, record dispatch and the global fixpoint
 
 
-def _params(model: MipModel, record: SemanticRecord):
-    return record.params
-
-
-def _evidence_rows(model: MipModel, record: SemanticRecord) -> list[LinearRow]:
-    return [model.rows[r] for r in record.evidence]
-
-
-# family -> (what the handler reads off the record, the propagator it runs)
+# family -> its propagator, called as (record.params, box, config); only
+# families whose rule prunes beyond the rows the record came from
 _HANDLERS = {
-    Family.ALL_DIFFERENT: (_params, _all_different),
-    Family.CARDINALITY: (_params, _cardinality),
-    Family.CHANNEL: (_params, _channel),
-    Family.CUMULATIVE: (_params, _cumulative),
-    Family.NVALUE: (_params, _nvalue),
-    Family.STRETCH: (_evidence_rows, propagate_block_fixpoint),
-    Family.ONE_HOT_RESOURCE: (_params, propagate_one_hot_resource),
-    Family.BOTTLENECK_EXACT_ONE: (_params, propagate_bottleneck_exact_one),
-    Family.ROSTERING_WINDOW: (_evidence_rows, propagate_block_fixpoint),
-    Family.UNIT_COMMITMENT_RAMP: (_evidence_rows, propagate_block_fixpoint),
-    Family.DISJ_POLYHEDRAL: (_params, propagate_disj_polyhedral),
+    Family.CHANNEL: _channel,
+    Family.ONE_HOT_RESOURCE: propagate_one_hot_resource,
+    Family.BOTTLENECK_EXACT_ONE: propagate_bottleneck_exact_one,
+    Family.DISJ_POLYHEDRAL: propagate_disj_polyhedral,
 }
 
 # families propagate_record can dispatch; the verification ladder checks
-# registration against this set
+# registration against this set and DETECT_ONLY
 HANDLED_FAMILIES: frozenset[Family] = frozenset(_HANDLERS)
+
+# families that are detected and serialized but have no propagator: their
+# rules (exact-one, counting, capacity, run-length and window rows) are
+# residual-activity tightening of their own evidence rows, which the
+# all-rows fixpoint already runs
+DETECT_ONLY: frozenset[Family] = frozenset(
+    {
+        Family.ALL_DIFFERENT,
+        Family.CARDINALITY,
+        Family.CUMULATIVE,
+        Family.NVALUE,
+        Family.STRETCH,
+        Family.ROSTERING_WINDOW,
+        Family.UNIT_COMMITMENT_RAMP,
+    }
+)
 
 
 def propagate_record(
@@ -657,12 +524,17 @@ def propagate_record(
     box: DomainBox,
     config: PropagatorConfig | None = None,
 ) -> PropagationOutcome:
-    """Run the family's handler for one record against the box."""
-    handler = _HANDLERS.get(record.family)
-    if handler is None:
-        raise ValueError(f"no propagator for {record.family.value}")
-    subject, propagate = handler
-    return propagate(subject(model, record), box, config)
+    """Run the family's propagator for one record against the box.
+
+    A detect-only record leaves the box alone and reports no call.  No
+    propagator reads ``model``; it stays so every record call has one shape.
+    """
+    propagate = _HANDLERS.get(record.family)
+    if propagate is not None:
+        return propagate(record.params, box, config)
+    if record.family in DETECT_ONLY:
+        return PropagationOutcome()
+    raise ValueError(f"no propagator for {record.family.value}")
 
 
 def run_fixpoint(
@@ -674,8 +546,9 @@ def run_fixpoint(
     """Round-robin all records until stable.
 
     Only record propagators run here; the model's rows are tightened by
-    ``propagate_block_fixpoint``, which the search alternates with this
-    loop, so the benchmark can tell handler work from row reasoning.
+    ``propagate_block_fixpoint``, which ``search.propagate_node`` alternates
+    with this loop, so the benchmark can tell handler work from row
+    reasoning.
     """
     config = config or PropagatorConfig()
     out = PropagationOutcome()

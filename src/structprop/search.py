@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
-from .model import FEAS_TOL, DomainBox, MipModel
+from .model import FEAS_TOL, DomainBox, MipModel, PropagationOutcome
 from .propagate import (
     PropagatorConfig,
     propagate_block_fixpoint,
@@ -34,6 +35,7 @@ __all__ = [
     "SearchConfig",
     "SearchStats",
     "dfs_solve",
+    "propagate_node",
     "stats_to_json",
 ]
 
@@ -76,6 +78,33 @@ def stats_to_json(stats: SearchStats) -> dict:
     }
 
 
+def propagate_node(
+    model: MipModel,
+    records: Sequence[SemanticRecord],
+    box: DomainBox,
+    config: PropagatorConfig | None = None,
+) -> tuple[PropagationOutcome, PropagationOutcome]:
+    """Tighten one box with the model's rows and the records until stable.
+
+    Each round runs ``propagate_block_fixpoint`` over all rows, then, when
+    there are records, ``run_fixpoint`` over them; rounds repeat while the
+    records still change the box.  Returns what the rows and what the
+    records did, each summed over the rounds; either one's ``cutoff``
+    means the box holds no feasible point.
+    """
+    config = config or PropagatorConfig()
+    rows, by_records = PropagationOutcome(), PropagationOutcome()
+    for _ in range(config.max_fixpoint_rounds):
+        rows.absorb(propagate_block_fixpoint(model.rows, box, config))
+        if rows.cutoff or not records:
+            break
+        step = run_fixpoint(model, records, box, config)
+        by_records.absorb(step)
+        if step.cutoff or not step.bound_changes:
+            break
+    return rows, by_records
+
+
 def _objective_bound(objective, box: DomainBox) -> float:
     """Least objective value (minimization form) any point of the box attains."""
     total = 0.0
@@ -103,22 +132,13 @@ class _Search:
 
     def propagate(self, box: DomainBox, with_records: bool) -> bool:
         """Tighten the node's box; True means the node is pruned."""
-        for _ in range(self.prop.max_fixpoint_rounds):
-            rows_out = propagate_block_fixpoint(self.model.rows, box, self.prop)
-            if rows_out.cutoff:
-                return True
-            if not (with_records and self.records):
-                return False
-            rec_out = run_fixpoint(self.model, self.records, box, self.prop)
-            self.stats.handler_calls += rec_out.calls
-            self.stats.domain_reductions += rec_out.domain_reductions
-            self.stats.prop_time += rec_out.prop_time
-            if rec_out.cutoff:
-                self.stats.cutoffs += rec_out.cutoffs
-                return True
-            if not rec_out.bound_changes:
-                return False
-        return False
+        records = self.records if with_records else []
+        rows, by_records = propagate_node(self.model, records, box, self.prop)
+        self.stats.handler_calls += by_records.calls
+        self.stats.domain_reductions += by_records.domain_reductions
+        self.stats.cutoffs += by_records.cutoffs
+        self.stats.prop_time += by_records.prop_time
+        return rows.cutoff or by_records.cutoff
 
     def unfixed(self, box: DomainBox) -> list[int]:
         return [v for v in self.int_ids if box.upper[v] - box.lower[v] > 0.5]

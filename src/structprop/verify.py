@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 from .detect import DETECTORS, detect_all
 from .model import DomainBox, MipModel, is_valid_reduction
 from .propagate import (
+    DETECT_ONLY,
     HANDLED_FAMILIES,
     PropagatorConfig,
     propagate_block_fixpoint,
@@ -249,11 +250,15 @@ def _artifact_completeness(family: Family) -> tuple[bool, str]:
         and callable(getattr(params_class, "from_jsonable", None))
     ):
         missing.append("serializer")
-    if family not in HANDLED_FAMILIES:
+    if family in DETECT_ONLY:
+        propagator = "detect-only"
+    elif family in HANDLED_FAMILIES:
+        propagator = "propagator"
+    else:
         missing.append("propagator")
     if missing:
         return False, "missing: " + ", ".join(missing)
-    return True, "detector, record schema, propagator, serializer registered"
+    return True, f"detector, record schema, {propagator}, serializer registered"
 
 
 def run_gate_ladder(

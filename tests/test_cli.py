@@ -132,6 +132,28 @@ def test_propagate_cutoff_exits_nonzero(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_propagate_tightens_with_rows_as_search_does_at_root(tmp_path, capsys):
+    # Cardinality is detect-only: its exactly-two row does the tightening
+    variables = (
+        Variable(0, "x0", 0.0, 0.0, Integrality.BINARY),
+        Variable(1, "x1", 0.0, 1.0, Integrality.BINARY),
+        Variable(2, "x2", 0.0, 1.0, Integrality.BINARY),
+    )
+    row = LinearRow(0, "pick2", ((0, 1.0), (1, 1.0), (2, 1.0)), 2.0, 2.0)
+    model = MipModel(variables, (row,))
+    mps_path = tmp_path / "pick2.mps"
+    mps_path.write_text(write_mps(model))
+    code, out, _ = run_cli(capsys, "propagate", str(mps_path), "--detect", "--quiet")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["records_applied"] == 1
+    assert doc["outcome"]["cutoff"] is False
+    assert doc["changes"] == [
+        {"variable": name, "before": [0.0, 1.0], "after": [1.0, 1.0]}
+        for name in ("x1", "x2")
+    ]
+
+
 def test_propagate_requires_a_record_source(tmp_path):
     mps_path = tmp_path / "x.mps"
     with pytest.raises(SystemExit) as excinfo:
@@ -379,6 +401,14 @@ def test_tolerance_is_not_an_option(capsys):
         main(["detect", "m.mps", "--tolerance", "1e-3"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def test_fixpoint_rounds_is_not_an_option(capsys):
+    # the round cap is fixed, so propagate no longer accepts one
+    with pytest.raises(SystemExit) as excinfo:
+        main(["propagate", "m.mps", "--detect", "--fixpoint-rounds", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --fixpoint-rounds" in capsys.readouterr().err
 
 
 def test_quiet_silences_info(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Propagator tests: family rules, fixpoints, soundness against enumeration."""
 
 import itertools
+import random
 
 import pytest
 
 import structprop.propagate as propagate_mod
+import structprop.verify as verify_mod
 from structprop.model import (
     INF,
     DomainBox,
@@ -14,6 +16,7 @@ from structprop.model import (
     Variable,
 )
 from structprop.propagate import (
+    DETECT_ONLY,
     HANDLED_FAMILIES,
     PropagatorConfig,
     outcome_to_json,
@@ -26,20 +29,16 @@ from structprop.propagate import (
 )
 from structprop.records import (
     ActivatorSpec,
-    AllDifferentParams,
     BottleneckExactOneParams,
     BranchSpec,
-    CardinalityParams,
     ChannelParams,
-    CumulativeParams,
-    CumulativeTask,
     DisjPolyhedralParams,
     Family,
-    NValueParams,
     OneHotResourceParams,
     SemanticRecord,
     StrippedRow,
 )
+from structprop.search import SearchConfig, dfs_solve
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 
 ALL_FAMILIES = list(Family)
@@ -96,7 +95,7 @@ def test_one_hot_budget_cutoff():
 def test_one_hot_slack_budget_is_silent():
     box = binary_box(4)
     out = propagate_one_hot_resource(onehot_params(budget=100.0), box)
-    assert not out.changed
+    assert not out.bound_changes and not out.cutoff
     assert box.lower == [0.0] * 4 and box.upper == [1.0] * 4
 
 
@@ -124,14 +123,14 @@ def test_one_hot_rejects_non_binary_member():
         external_min=0.0,
     )
     out = propagate_one_hot_resource(params, box)
-    assert not out.changed and not out.bound_changes
+    assert not out.bound_changes and not out.cutoff
 
 
 def test_one_hot_idempotent():
     box = binary_box(4)
     propagate_one_hot_resource(onehot_params(), box)
     again = propagate_one_hot_resource(onehot_params(), box)
-    assert not again.changed
+    assert not again.bound_changes and not again.cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def test_block_fixpoint_slack_rows_do_nothing():
     rows = [LinearRow(0, "r", ((0, 1.0),), -INF, 99.0)]
     box = DomainBox([0.0], [5.0], [True])
     out = propagate_block_fixpoint(rows, box)
-    assert not out.changed
+    assert not out.bound_changes and not out.cutoff
 
 
 def test_block_fixpoint_contradiction_cutoff():
@@ -337,62 +336,11 @@ def test_disjunction_rejects_malformed_variant():
     )
     box = DomainBox([0.0, 0.0, 0.0], [10.0, 1.0, 1.0], [True, True, True])
     out = propagate_disj_polyhedral(params, box)
-    assert not out.changed
+    assert not out.bound_changes and not out.cutoff
 
 
 # ---------------------------------------------------------------------------
-# table families
-
-
-def test_all_different_value_consumption():
-    # 2x2 grid, item rows exact-one, value columns at-most-one
-    params = AllDifferentParams(
-        item_groups=((0, 1), (2, 3)),
-        value_groups=((0, 2), (1, 3)),
-        symmetric=False,
-    )
-    record = SemanticRecord(Family.ALL_DIFFERENT, (0, 1, 2, 3), params, (0,))
-    box = binary_box(4)
-    box.lower[0] = 1.0  # item 1 takes value 1
-    out = propagate_on_binaries(record, box)
-    assert not out.cutoff
-    assert box.upper[1] == 0.0  # item 1 done
-    assert box.upper[2] == 0.0  # value 1 consumed
-    assert box.lower[3] == 1.0  # forced completion
-
-
-def test_all_different_duplicate_fix_cutoff():
-    params = AllDifferentParams(
-        item_groups=((0, 1), (2, 3)),
-        value_groups=((0, 2), (1, 3)),
-        symmetric=False,
-    )
-    record = SemanticRecord(Family.ALL_DIFFERENT, (0, 1, 2, 3), params, (0,))
-    box = binary_box(4)
-    box.lower[0] = 1.0
-    box.lower[2] = 1.0  # same value claimed twice
-    out = propagate_on_binaries(record, box)
-    assert out.cutoff
-
-
-def test_cardinality_tight_lower_fixes_rest():
-    params = CardinalityParams((0, 1, 2), 2.0, 2.0)
-    record = SemanticRecord(Family.CARDINALITY, (0, 1, 2), params, (0,))
-    box = binary_box(3)
-    box.upper[0] = 0.0
-    out = propagate_on_binaries(record, box)
-    assert not out.cutoff
-    assert box.lower[1] == 1.0 and box.lower[2] == 1.0
-
-
-def test_cardinality_overcommitment_cutoff():
-    params = CardinalityParams((0, 1, 2), 0.0, 1.0)
-    record = SemanticRecord(Family.CARDINALITY, (0, 1, 2), params, (0,))
-    box = binary_box(3)
-    box.lower[0] = 1.0
-    box.lower[1] = 1.0
-    out = propagate_on_binaries(record, box)
-    assert out.cutoff
+# channel
 
 
 def test_channel_out_of_range_indicators_zeroed():
@@ -427,60 +375,102 @@ def test_channel_empty_support_cutoff():
     assert out.cutoff
 
 
+# ---------------------------------------------------------------------------
+# detect-only families: the evidence rows alone apply the family rule
+
+
+def rows_of(*specs):
+    """Rows from (terms, lhs, rhs) triples, numbered in order."""
+    return [
+        LinearRow(i, f"r{i}", terms, lhs, rhs) for i, (terms, lhs, rhs) in enumerate(specs)
+    ]
+
+
+def all_different_rows():
+    # 2x2 grid, item rows exact-one, value columns at-most-one
+    return rows_of(
+        (((0, 1.0), (1, 1.0)), 1.0, 1.0),
+        (((2, 1.0), (3, 1.0)), 1.0, 1.0),
+        (((0, 1.0), (2, 1.0)), -INF, 1.0),
+        (((1, 1.0), (3, 1.0)), -INF, 1.0),
+    )
+
+
+def test_all_different_value_consumption():
+    box = binary_box(4)
+    box.lower[0] = 1.0  # item 1 takes value 1
+    out = propagate_block_fixpoint(all_different_rows(), box)
+    assert not out.cutoff
+    assert box.upper[1] == 0.0  # item 1 done
+    assert box.upper[2] == 0.0  # value 1 consumed
+    assert box.lower[3] == 1.0  # forced completion
+
+
+def test_all_different_duplicate_fix_cutoff():
+    box = binary_box(4)
+    box.lower[0] = 1.0
+    box.lower[2] = 1.0  # same value claimed twice
+    out = propagate_block_fixpoint(all_different_rows(), box)
+    assert out.cutoff
+
+
+def test_cardinality_tight_lower_fixes_rest():
+    rows = rows_of((((0, 1.0), (1, 1.0), (2, 1.0)), 2.0, 2.0))
+    box = binary_box(3)
+    box.upper[0] = 0.0
+    out = propagate_block_fixpoint(rows, box)
+    assert not out.cutoff
+    assert box.lower[1] == 1.0 and box.lower[2] == 1.0
+
+
+def test_cardinality_overcommitment_cutoff():
+    rows = rows_of((((0, 1.0), (1, 1.0), (2, 1.0)), 0.0, 1.0))
+    box = binary_box(3)
+    box.lower[0] = 1.0
+    box.lower[1] = 1.0
+    out = propagate_block_fixpoint(rows, box)
+    assert out.cutoff
+
+
 def test_cumulative_timetable_elimination():
     # two unit-demand tasks of length 2 on 4 periods, capacity 1: each task
     # starts at period 0 or period 2, so the feasible schedules are disjoint
-    params = CumulativeParams(
-        tasks=(
-            CumulativeTask(starts=(0, 1), duration=2, demand=1.0),
-            CumulativeTask(starts=(2, 3), duration=2, demand=1.0),
-        ),
-        capacity=1.0,
-        periods=(
-            (0, (0, 2)),
-            (1, (0, 2)),
-            (2, (1, 3)),
-            (3, (1, 3)),
-        ),
+    rows = rows_of(
+        (((0, 1.0), (1, 1.0)), 1.0, 1.0),  # task starts, exactly one each
+        (((2, 1.0), (3, 1.0)), 1.0, 1.0),
+        (((0, 1.0), (2, 1.0)), -INF, 1.0),  # periods 0-1
+        (((1, 1.0), (3, 1.0)), -INF, 1.0),  # periods 2-3
     )
-    record = SemanticRecord(Family.CUMULATIVE, (0, 1, 2, 3), params, (0,))
     box = binary_box(4)
     box.lower[0] = 1.0  # task 1 starts at period 0, occupies 0-1
-    out = propagate_on_binaries(record, box)
+    out = propagate_block_fixpoint(rows, box)
     assert not out.cutoff
     assert box.upper[2] == 0.0  # task 2 cannot also start at period 0
     assert box.lower[3] == 1.0  # only start left
 
 
 def test_cumulative_overload_cutoff():
-    params = CumulativeParams(
-        tasks=(
-            CumulativeTask(starts=(0,), duration=1, demand=2.0),
-            CumulativeTask(starts=(1,), duration=1, demand=2.0),
-        ),
-        capacity=3.0,
-        periods=((0, (0, 1)),),
-    )
-    record = SemanticRecord(Family.CUMULATIVE, (0, 1), params, (0,))
+    rows = rows_of((((0, 2.0), (1, 2.0)), -INF, 3.0))
     box = binary_box(2)
     box.lower[0] = 1.0
     box.lower[1] = 1.0
-    out = propagate_on_binaries(record, box)
+    out = propagate_block_fixpoint(rows, box)
     assert out.cutoff
 
 
 def test_nvalue_count_bounds():
-    params = NValueParams(
-        count_var=8,
-        value_indicators=(4, 5, 6),
-        items=(((4, 0), (5, 1), (6, 7)), ((4, 2), (5, 3), (6, 9))),
+    # vars 0..3 pickers for values 1,2; 7 and 9 pickers for value 3;
+    # 4, 5, 6 say a value is used and 8 counts them
+    items = (((4, 0), (5, 1), (6, 7)), ((4, 2), (5, 3), (6, 9)))
+    rows = rows_of(
+        *[(tuple((y, 1.0) for _, y in item), 1.0, 1.0) for item in items],
+        *[(((z, 1.0), (y, -1.0)), 0.0, INF) for item in items for z, y in item],
+        (((4, 1.0), (5, 1.0), (6, 1.0), (8, -1.0)), 0.0, 0.0),
     )
-    # vars 0..3 pickers for values 1,2; 7 and 9 pickers for value 3
-    record = SemanticRecord(Family.NVALUE, (8, 4, 5, 6), params, (0,))
     box = binary_box(8, extra=[(0.0, 3.0, True), (0.0, 1.0, True)])
     box.lower[0] = 1.0  # item 1 picks value 1
     box.upper[6] = 0.0  # value 3 unavailable
-    out = propagate_on_binaries(record, box)
+    out = propagate_block_fixpoint(rows, box)
     assert not out.cutoff
     assert box.lower[4] == 1.0  # value 1 is used
     assert box.upper[7] == 0.0 and box.upper[9] == 0.0  # nobody picks value 3
@@ -492,27 +482,27 @@ def planted_stretch():
     inst = reverse_sample(Family.STRETCH, {"periods": 4}, seed=0)
     params = inst.ground_truth.params
     assert (params.min_run, params.max_run) == (2, 3)
-    return inst.model, inst.ground_truth, params
+    return inst.model, params
 
 
 def test_stretch_min_run_extension():
-    model, record, params = planted_stretch()
+    model, params = planted_stretch()
     on, start = params.levels, params.run_starts
     box = DomainBox.from_model(model)
     box.lower[start[1]] = 1.0  # a run starts at period 2
-    out = propagate_record(model, record, box)
+    out = propagate_block_fixpoint(model.rows, box)
     assert not out.cutoff
     assert box.lower[on[1]] == 1.0 and box.lower[on[2]] == 1.0  # run covers 2 periods
     assert box.upper[on[0]] == 0.0  # fresh start means previous period off
 
 
 def test_stretch_max_run_break():
-    model, record, params = planted_stretch()
+    model, params = planted_stretch()
     on = params.levels
     box = DomainBox.from_model(model)
     for t in (0, 1, 2):
         box.lower[on[t]] = 1.0
-    out = propagate_record(model, record, box)
+    out = propagate_block_fixpoint(model.rows, box)
     assert not out.cutoff
     assert box.upper[on[3]] == 0.0  # window of four would overrun max_run=3
 
@@ -532,71 +522,122 @@ def toy_model_two_counts():
     return MipModel(variables, rows)
 
 
-def test_run_fixpoint_couples_records():
-    model = toy_model_two_counts()
-    first = SemanticRecord(
-        Family.CARDINALITY, (0, 1, 2), CardinalityParams((0, 1, 2), 3.0, 3.0), (0,)
+def channel_and_budget():
+    # x in [1, 2] channelled to b0 (x = 1) and b1 (x = 2); b0 costs 5, b1
+    # costs 1, one of them is picked, and the budget is 3
+    variables = [
+        Variable(0, "b0", 0.0, 1.0, Integrality.BINARY),
+        Variable(1, "b1", 0.0, 1.0, Integrality.BINARY),
+        Variable(2, "x", 1.0, 2.0, Integrality.INTEGER),
+    ]
+    model = MipModel(variables, [])
+    channel = SemanticRecord(
+        Family.CHANNEL, (2, 0, 1), ChannelParams(2, ((1.0, 0), (2.0, 1))), (0,)
     )
-    second = SemanticRecord(
-        Family.CARDINALITY, (2, 3, 4), CardinalityParams((2, 3, 4), 0.0, 1.0), (1,)
+    budget = SemanticRecord(
+        Family.ONE_HOT_RESOURCE,
+        (0, 1),
+        OneHotResourceParams(groups=(((0, 5.0), (1, 1.0)),), budget=3.0, external_min=0.0),
+        (1,),
     )
-    box = DomainBox.from_model(model)
-    out = run_fixpoint(model, [first, second], box)
-    assert not out.cutoff
-    assert box.lower[0] == box.lower[1] == box.lower[2] == 1.0
-    assert box.upper[3] == 0.0 and box.upper[4] == 0.0
-    assert out.calls >= 2
+    return model, channel, budget
 
-    # neither record alone reaches the coupled fixpoint
+
+def test_run_fixpoint_couples_records():
+    model, channel, budget = channel_and_budget()
+    box = DomainBox.from_model(model)
+    out = run_fixpoint(model, [channel, budget], box)
+    assert not out.cutoff
+    assert box.upper[0] == 0.0 and box.lower[1] == 1.0
+    assert box.lower[2] == box.upper[2] == 2.0
+    assert out.calls >= 3  # the channel runs again after the budget acts
+
+    # the channel alone cannot pin x
     solo = DomainBox.from_model(model)
-    propagate_record(model, second, solo)
-    assert solo.upper[3] == 1.0
+    propagate_record(model, channel, solo)
+    assert (solo.lower[2], solo.upper[2]) == (1.0, 2.0)
 
 
 def test_every_family_has_a_handler():
-    assert HANDLED_FAMILIES == set(Family)
+    # each family either has a propagator or is explicitly detect-only
+    assert HANDLED_FAMILIES | DETECT_ONLY == set(Family)
+    assert not HANDLED_FAMILIES & DETECT_ONLY
+    assert HANDLED_FAMILIES == {
+        Family.CHANNEL,
+        Family.ONE_HOT_RESOURCE,
+        Family.BOTTLENECK_EXACT_ONE,
+        Family.DISJ_POLYHEDRAL,
+    }
     for family in Family:
         inst = reverse_sample(family, SMALL_SIZES[family], seed=0)
         box = DomainBox.from_model(inst.model)
-        assert propagate_record(inst.model, inst.ground_truth, box).calls == 1
+        out = propagate_record(inst.model, inst.ground_truth, box)
+        assert out.calls == (family in HANDLED_FAMILIES)
+        ok, detail = verify_mod._artifact_completeness(family)
+        assert ok
+        assert ("detect-only" in detail) == (family in DETECT_ONLY)
 
 
 def test_propagate_record_rejects_family_without_handler(monkeypatch):
-    model, record, _ = planted_stretch()
-    monkeypatch.delitem(propagate_mod._HANDLERS, Family.STRETCH)
-    with pytest.raises(ValueError, match="no propagator for Stretch"):
+    inst = reverse_sample(Family.CHANNEL, SMALL_SIZES[Family.CHANNEL], seed=0)
+    model, record = inst.model, inst.ground_truth
+    monkeypatch.delitem(propagate_mod._HANDLERS, Family.CHANNEL)
+    with pytest.raises(ValueError, match="no propagator for Channel"):
         propagate_record(model, record, DomainBox.from_model(model))
 
 
-ROW_SUBSUMED = [Family.ROSTERING_WINDOW, Family.UNIT_COMMITMENT_RAMP, Family.STRETCH]
+KEPT = [f for f in Family if f in HANDLED_FAMILIES]
+RETIRED = [f for f in Family if f in DETECT_ONLY]
 
 
-@pytest.mark.parametrize("family", ROW_SUBSUMED, ids=lambda f: f.value)
+def seeded_fixings(model, record, seed, trials):
+    """Boxes with a random third of the record's integer scope fixed."""
+    ints = [v for v in record.scope if model.variables[v].is_integer]
+    for trial in range(trials):
+        rng = random.Random(seed * 1000 + trial)
+        box = DomainBox.from_model(model)
+        for v in rng.sample(ints, rng.randint(1, max(1, len(ints) // 3))):
+            box.fix(v, float(rng.randint(int(box.lower[v]), int(box.upper[v]))))
+        yield box
+
+
+@pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
+def test_kept_handlers_prune_beyond_rows(family):
+    # a family keeps its propagator only while the propagator removes
+    # something the all-rows fixpoint leaves
+    for seed in range(6):
+        inst = reverse_sample(family, seed=seed)
+        for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
+            model, record = planted.model, planted.ground_truth
+            for box in seeded_fixings(model, record, seed, 25):
+                if propagate_block_fixpoint(model.rows, box).cutoff:
+                    continue
+                out = propagate_record(model, record, box)
+                if out.domain_reductions or out.cutoff:
+                    return
+    pytest.fail(f"{family.value} never pruned beyond its rows")
+
+
+@pytest.mark.parametrize("family", RETIRED, ids=lambda f: f.value)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_evidence_row_handlers_add_nothing_after_row_fixpoint(family, seed):
-    # the handler only re-runs rows the all-rows fixpoint has already closed
+def test_detect_only_records_leave_search_unchanged(family, seed):
     inst = reverse_sample(family, SMALL_SIZES[family], seed=seed)
     noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
+    config = SearchConfig(node_limit=2000)
     for planted in (inst, noisy):
-        model, record = planted.model, planted.ground_truth
-        binaries = [v for v in record.scope if model.variables[v].is_integer]
-        for fixings in range(len(binaries) + 1):
-            box = DomainBox.from_model(model)
-            for i, v in enumerate(binaries[:fixings]):
-                box.fix(v, float((i + seed) % 2))
-            rows_out = propagate_block_fixpoint(model.rows, box)
-            assert not rows_out.budget_hit
-            if rows_out.cutoff:
-                continue
-            out = propagate_record(model, record, box)
-            assert out.domain_reductions == 0 and not out.cutoff
+        model = planted.model
+        incumbent, stats = dfs_solve(model, [planted.ground_truth], config)
+        base_incumbent, base = dfs_solve(model, [], config)
+        assert (stats.status, stats.nodes) == (base.status, base.nodes)
+        assert incumbent == base_incumbent
+        assert stats.handler_calls == 0
 
 
 def test_run_fixpoint_no_records_identity():
     model = toy_model_two_counts()
     box = DomainBox.from_model(model)
     out = run_fixpoint(model, [], box)
-    assert not out.changed and out.calls == 0
+    assert not out.bound_changes and not out.cutoff and out.calls == 0
 
 
 def test_outcome_serialization_shape():

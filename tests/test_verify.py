@@ -393,6 +393,19 @@ def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
     assert "missing: detector" in results[0].detail
 
 
+def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
+    results = run_gate_ladder(Family.CARDINALITY, detector_suite=1, soundness_suite=1)
+    assert results[0].passed
+    assert results[0].detail == "detector, record schema, detect-only, serializer registered"
+    assert results[-1].passed
+
+    # a family with neither a propagator nor a detect-only entry is incomplete
+    monkeypatch.setattr(verify_mod, "DETECT_ONLY", frozenset())
+    results = run_gate_ladder(Family.CARDINALITY, detector_suite=1, soundness_suite=1)
+    assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
+    assert results[0].detail == "missing: propagator"
+
+
 def test_benchmark_ready_implies_all_prior(monkeypatch):
     scenarios = [
         run_gate_ladder(Family.CHANNEL, detector_suite=2, soundness_suite=2),
