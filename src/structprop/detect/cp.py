@@ -17,6 +17,7 @@ from ..records import (
     CardinalityParams,
     ChannelParams,
     CumulativeParams,
+    CumulativePeriod,
     CumulativeTask,
     Family,
     NValueParams,
@@ -219,7 +220,8 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
         if not clean:
             continue
         periods = tuple(
-            (f.row, tuple(sorted(f.support()))) for f in sorted(cap_part, key=lambda f: f.row)
+            CumulativePeriod(f.row, tuple(sorted(f.support())))
+            for f in sorted(cap_part, key=lambda f: f.row)
         )
         params = CumulativeParams(tuple(specs), capacity, periods)
         scope = tuple(sorted(task_of))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..model import FEAS_TOL, INF, Integrality
+from ..model import FEAS_TOL, INF, Integrality, activity_range
 from ..records import (
     ActivatorSpec,
     BottleneckExactOneParams,
@@ -26,20 +26,6 @@ from ..records import (
     UnitCommitmentRampParams,
 )
 from .rowview import ModelView
-
-
-def _min_activity(terms, box) -> float:
-    total = 0.0
-    for var, coeff in terms:
-        total += coeff * (box.lower[var] if coeff > 0 else box.upper[var])
-    return total
-
-
-def _max_activity(terms, box) -> float:
-    total = 0.0
-    for var, coeff in terms:
-        total += coeff * (box.upper[var] if coeff > 0 else box.lower[var])
-    return total
 
 
 def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
@@ -75,7 +61,7 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
             continue  # a partially covered group is not a capacity row
         if used_groups & set(inside):
             continue
-        external_min = _min_activity(external, view.box)
+        external_min, _ = activity_range(external, view.box)
         if external_min == -INF:
             continue
         groups = tuple(
@@ -692,7 +678,7 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
             continue
         guard, big_m = bins[0]
         slack_bound = facet.bound - min(big_m, 0.0)
-        if _max_activity(rest, view.box) > slack_bound + FEAS_TOL:
+        if activity_range(rest, view.box)[1] > slack_bound + FEAS_TOL:
             continue  # the guard does not fully relax this row
         if big_m > 0:
             candidates[guard][1].append((facet.row, tuple(rest), facet.bound - big_m))

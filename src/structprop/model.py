@@ -402,6 +402,25 @@ def compute_activity(row: LinearRow, box: DomainBox) -> RowActivity:
     return RowActivity(sums.min_value(), sums.max_value())
 
 
+def activity_range(
+    terms: Iterable[tuple[int, float]], box: DomainBox
+) -> tuple[float, float]:
+    """Min and max of ``sum(c * x)`` over the box, infinite when unbounded.
+
+    Each side only gathers terms of one sign of infinity, so no inf - inf
+    arises.
+    """
+    lo = hi = 0.0
+    for var, coeff in terms:
+        if coeff > 0:
+            lo += coeff * box.lower[var]
+            hi += coeff * box.upper[var]
+        else:
+            lo += coeff * box.upper[var]
+            hi += coeff * box.lower[var]
+    return lo, hi
+
+
 class _ActivitySums:
     """Finite partial sums plus infinity counters for both activity sides.
 

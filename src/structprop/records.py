@@ -5,6 +5,14 @@ scope, family-specific parameters, and the evidence rows that justify it.
 Parameters hold dense variable/row ids; serialization swaps them for names so
 record documents survive alongside MPS files.
 
+The params dataclasses are their own schema.  A field typed :data:`Var` or
+:data:`Row` holds a variable or row id, and :data:`RoleRows` marks
+``(role, row ids)`` pairs that serialize as one JSON object keyed by role.
+One codec walks a params class's field types (tuples become lists, ``X |
+None`` passes None through, nested dataclasses become objects keyed by field
+name, ids become names) and builds its encoder and decoder once per type.  A
+new family therefore needs a dataclass with marked fields and no serializer.
+
 Each params class exposes ``canonical_key()``: a hashable normalization used
 for order-insensitive structural equality.  Labels that carry no meaning
 (which group came first, which nurse is "nurse 0") are erased by frozensets;
@@ -14,9 +22,11 @@ run-length chain) stay ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import types
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Annotated, Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .model import MipModel
 
@@ -64,33 +74,31 @@ class Confidence(Enum):
     HEURISTIC = "heuristic"
 
 
+#: A variable id; serialized as the variable's name.
+Var = Annotated[int, "var"]
+#: A row id; serialized as the row's name.
+Row = Annotated[int, "row"]
+#: ``(role, row ids)`` pairs, serialized as ``{role: [row names]}`` and read
+#: back in role order.
+RoleRows = Annotated[tuple[tuple[str, tuple[Row, ...]], ...], "object"]
+
+
 @dataclass(frozen=True, slots=True)
 class CardinalityParams:
-    vars: tuple[int, ...]
+    vars: tuple[Var, ...]
     lower: float
     upper: float
 
     def canonical_key(self):
         return ("Cardinality", frozenset(self.vars), self.lower, self.upper)
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "vars": [vn(v) for v in self.vars],
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(tuple(vid(n) for n in obj["vars"]), obj["lower"], obj["upper"])
-
 
 @dataclass(frozen=True, slots=True)
 class AllDifferentParams:
     """Assignment grid: item groups are exact-one rows, value groups consume."""
 
-    item_groups: tuple[tuple[int, ...], ...]
-    value_groups: tuple[tuple[int, ...], ...]
+    item_groups: tuple[tuple[Var, ...], ...]
+    value_groups: tuple[tuple[Var, ...], ...]
     symmetric: bool  # both partitions came from equality rows
 
     def canonical_key(self):
@@ -100,105 +108,50 @@ class AllDifferentParams:
             return ("AllDifferent", frozenset({items, values}))
         return ("AllDifferent", items, values)
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "item_groups": [[vn(v) for v in g] for g in self.item_groups],
-            "value_groups": [[vn(v) for v in g] for g in self.value_groups],
-            "symmetric": self.symmetric,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            tuple(tuple(vid(n) for n in g) for g in obj["item_groups"]),
-            tuple(tuple(vid(n) for n in g) for g in obj["value_groups"]),
-            obj["symmetric"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ChannelParams:
     """One linked pair: an integer view variable and its indicator encoding."""
 
-    link_var: int
-    indicators: tuple[tuple[float, int], ...]  # (value, indicator var)
+    link_var: Var
+    indicators: tuple[tuple[float, Var], ...]  # (value, indicator var)
 
     def canonical_key(self):
         return ("Channel", self.link_var, frozenset(self.indicators))
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "link_var": vn(self.link_var),
-            "indicators": [[value, vn(v)] for value, v in self.indicators],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            vid(obj["link_var"]),
-            tuple((value, vid(name)) for value, name in obj["indicators"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CumulativeTask:
-    starts: tuple[int, ...]  # start indicator vars
+    starts: tuple[Var, ...]  # start indicator vars
     duration: int
     demand: float
+
+
+@dataclass(frozen=True, slots=True)
+class CumulativePeriod:
+    row: Row  # capacity row of one period
+    starts: tuple[Var, ...]  # start vars whose task runs in it
 
 
 @dataclass(frozen=True, slots=True)
 class CumulativeParams:
     tasks: tuple[CumulativeTask, ...]
     capacity: float
-    periods: tuple[tuple[int, tuple[int, ...]], ...]  # (row id, start vars in it)
+    periods: tuple[CumulativePeriod, ...]
 
     def canonical_key(self):
         tasks = frozenset(
             (frozenset(t.starts), t.duration, t.demand) for t in self.tasks
         )
-        periods = frozenset((row, frozenset(vars_)) for row, vars_ in self.periods)
+        periods = frozenset((p.row, frozenset(p.starts)) for p in self.periods)
         return ("Cumulative", tasks, self.capacity, periods)
-
-    def to_jsonable(self, vn, rn):
-        return {
-            "tasks": [
-                {
-                    "starts": [vn(v) for v in t.starts],
-                    "duration": t.duration,
-                    "demand": t.demand,
-                }
-                for t in self.tasks
-            ],
-            "capacity": self.capacity,
-            "periods": [
-                {"row": rn(row), "starts": [vn(v) for v in vars_]}
-                for row, vars_ in self.periods
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            tuple(
-                CumulativeTask(
-                    tuple(vid(n) for n in t["starts"]), t["duration"], t["demand"]
-                )
-                for t in obj["tasks"]
-            ),
-            obj["capacity"],
-            tuple(
-                (rid(p["row"]), tuple(vid(n) for n in p["starts"]))
-                for p in obj["periods"]
-            ),
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class NValueParams:
-    count_var: int
-    value_indicators: tuple[int, ...]
-    items: tuple[tuple[tuple[int, int], ...], ...]  # per item: (indicator, y) pairs
+    count_var: Var
+    value_indicators: tuple[Var, ...]
+    items: tuple[tuple[tuple[Var, Var], ...], ...]  # per item: (indicator, y) pairs
 
     def canonical_key(self):
         return (
@@ -208,57 +161,23 @@ class NValueParams:
             frozenset(frozenset(pairs) for pairs in self.items),
         )
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "count_var": vn(self.count_var),
-            "value_indicators": [vn(v) for v in self.value_indicators],
-            "items": [[[vn(z), vn(y)] for z, y in pairs] for pairs in self.items],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            vid(obj["count_var"]),
-            tuple(vid(n) for n in obj["value_indicators"]),
-            tuple(
-                tuple((vid(z), vid(y)) for z, y in pairs) for pairs in obj["items"]
-            ),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class StretchParams:
     """Run-length chain: level vars in sequence order plus run-start vars."""
 
-    levels: tuple[int, ...]
-    run_starts: tuple[int, ...]
+    levels: tuple[Var, ...]
+    run_starts: tuple[Var, ...]
     min_run: int
     max_run: int
 
     def canonical_key(self):
         return ("Stretch", self.levels, self.run_starts, self.min_run, self.max_run)
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "levels": [vn(v) for v in self.levels],
-            "run_starts": [vn(v) for v in self.run_starts],
-            "min_run": self.min_run,
-            "max_run": self.max_run,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            tuple(vid(n) for n in obj["levels"]),
-            tuple(vid(n) for n in obj["run_starts"]),
-            obj["min_run"],
-            obj["max_run"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class OneHotResourceParams:
-    groups: tuple[tuple[tuple[int, float], ...], ...]  # per group: (var, cost)
+    groups: tuple[tuple[tuple[Var, float], ...], ...]  # per group: (var, cost)
     budget: float
     external_min: float
 
@@ -270,30 +189,13 @@ class OneHotResourceParams:
             self.external_min,
         )
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "groups": [[[vn(v), cost] for v, cost in g] for g in self.groups],
-            "budget": self.budget,
-            "external_min": self.external_min,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            tuple(
-                tuple((vid(n), cost) for n, cost in g) for g in obj["groups"]
-            ),
-            obj["budget"],
-            obj["external_min"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ActivatorSpec:
-    selector_to_activator: tuple[tuple[int, int], ...]
-    activator_vars: tuple[int, ...]
+    selector_to_activator: tuple[tuple[Var, Var], ...]
+    activator_vars: tuple[Var, ...]
     count: int
-    count_row: int
+    count_row: Row
 
     def canonical_key(self):
         return (
@@ -306,8 +208,8 @@ class ActivatorSpec:
 
 @dataclass(frozen=True, slots=True)
 class BottleneckExactOneParams:
-    bottleneck_var: int
-    groups: tuple[tuple[tuple[int, float], ...], ...]  # per group: (selector, weight)
+    bottleneck_var: Var
+    groups: tuple[tuple[tuple[Var, float], ...], ...]  # per group: (selector, weight)
     link_coverage: float
     activators: ActivatorSpec | None
 
@@ -320,51 +222,15 @@ class BottleneckExactOneParams:
             self.activators.canonical_key() if self.activators else None,
         )
 
-    def to_jsonable(self, vn, rn):
-        activators = None
-        if self.activators is not None:
-            activators = {
-                "selector_to_activator": [
-                    [vn(s), vn(a)] for s, a in self.activators.selector_to_activator
-                ],
-                "activator_vars": [vn(v) for v in self.activators.activator_vars],
-                "count": self.activators.count,
-                "count_row": rn(self.activators.count_row),
-            }
-        return {
-            "bottleneck_var": vn(self.bottleneck_var),
-            "groups": [[[vn(v), w] for v, w in g] for g in self.groups],
-            "link_coverage": self.link_coverage,
-            "activators": activators,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        activators = None
-        if obj.get("activators") is not None:
-            raw = obj["activators"]
-            activators = ActivatorSpec(
-                tuple((vid(s), vid(a)) for s, a in raw["selector_to_activator"]),
-                tuple(vid(n) for n in raw["activator_vars"]),
-                raw["count"],
-                rid(raw["count_row"]),
-            )
-        return cls(
-            vid(obj["bottleneck_var"]),
-            tuple(tuple((vid(n), w) for n, w in g) for g in obj["groups"]),
-            obj["link_coverage"],
-            activators,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RosteringWindowParams:
-    assignment_vars: tuple[int, ...]
-    sos_rows: tuple[int, ...]
-    coverage: tuple[tuple[int, float], ...]  # (coverage row id, requirement)
-    role_rows: tuple[tuple[str, tuple[int, ...]], ...]
-    nurse_groups: tuple[tuple[int, ...], ...]  # assignment vars per nurse
-    day_groups: tuple[tuple[int, ...], ...]  # coverage row ids per day
+    assignment_vars: tuple[Var, ...]
+    sos_rows: tuple[Row, ...]
+    coverage: tuple[tuple[Row, float], ...]  # (coverage row id, requirement)
+    role_rows: RoleRows
+    nurse_groups: tuple[tuple[Var, ...], ...]  # assignment vars per nurse
+    day_groups: tuple[tuple[Row, ...], ...]  # coverage row ids per day
 
     def canonical_key(self):
         return (
@@ -377,30 +243,6 @@ class RosteringWindowParams:
             frozenset(frozenset(g) for g in self.day_groups),
         )
 
-    def to_jsonable(self, vn, rn):
-        return {
-            "assignment_vars": [vn(v) for v in self.assignment_vars],
-            "sos_rows": [rn(r) for r in self.sos_rows],
-            "coverage": [[rn(r), req] for r, req in self.coverage],
-            "role_rows": {role: [rn(r) for r in rows] for role, rows in self.role_rows},
-            "nurse_groups": [[vn(v) for v in g] for g in self.nurse_groups],
-            "day_groups": [[rn(r) for r in g] for g in self.day_groups],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            tuple(vid(n) for n in obj["assignment_vars"]),
-            tuple(rid(n) for n in obj["sos_rows"]),
-            tuple((rid(n), req) for n, req in obj["coverage"]),
-            tuple(
-                (role, tuple(rid(n) for n in rows))
-                for role, rows in sorted(obj["role_rows"].items())
-            ),
-            tuple(tuple(vid(n) for n in g) for g in obj["nurse_groups"]),
-            tuple(tuple(rid(n) for n in g) for g in obj["day_groups"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class GeneratorSpec:
@@ -410,11 +252,11 @@ class GeneratorSpec:
     transition row exists there).
     """
 
-    status: tuple[int, ...]
-    startup: tuple[int | None, ...]
-    shutdown: tuple[int | None, ...]
-    power: tuple[int, ...]
-    reserve: tuple[int, ...]
+    status: tuple[Var, ...]
+    startup: tuple[Var | None, ...]
+    shutdown: tuple[Var | None, ...]
+    power: tuple[Var, ...]
+    reserve: tuple[Var, ...]
     p_min: float
     p_max: float
     ramp_up: float
@@ -442,7 +284,7 @@ class UnitCommitmentRampParams:
     generators: tuple[GeneratorSpec, ...]
     demands: tuple[float, ...]  # per period, chain order
     reserves: tuple[float, ...]
-    role_rows: tuple[tuple[str, tuple[int, ...]], ...]
+    role_rows: RoleRows
 
     def _oriented(self, reverse: bool):
         # With shared up/down limits, reading every chain backwards (startup
@@ -482,64 +324,12 @@ class UnitCommitmentRampParams:
             frozenset((role, frozenset(rows)) for role, rows in self.role_rows),
         )
 
-    def to_jsonable(self, vn, rn):
-        def names(seq):
-            return [None if v is None else vn(v) for v in seq]
-
-        return {
-            "generators": [
-                {
-                    "status": names(g.status),
-                    "startup": names(g.startup),
-                    "shutdown": names(g.shutdown),
-                    "power": names(g.power),
-                    "reserve": names(g.reserve),
-                    "p_min": g.p_min,
-                    "p_max": g.p_max,
-                    "ramp_up": g.ramp_up,
-                    "startup_ramp": g.startup_ramp,
-                }
-                for g in self.generators
-            ],
-            "demands": list(self.demands),
-            "reserves": list(self.reserves),
-            "role_rows": {role: [rn(r) for r in rows] for role, rows in self.role_rows},
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        def ids(seq):
-            return tuple(None if n is None else vid(n) for n in seq)
-
-        return cls(
-            tuple(
-                GeneratorSpec(
-                    ids(g["status"]),
-                    ids(g["startup"]),
-                    ids(g["shutdown"]),
-                    ids(g["power"]),
-                    ids(g["reserve"]),
-                    g["p_min"],
-                    g["p_max"],
-                    g["ramp_up"],
-                    g["startup_ramp"],
-                )
-                for g in obj["generators"]
-            ),
-            tuple(obj["demands"]),
-            tuple(obj["reserves"]),
-            tuple(
-                (role, tuple(rid(n) for n in rows))
-                for role, rows in sorted(obj["role_rows"].items())
-            ),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class StrippedRow:
     """A branch row with its guard term removed: sum(terms) <= bound."""
 
-    terms: tuple[tuple[int, float], ...]
+    terms: tuple[tuple[Var, float], ...]
     bound: float
 
     def canonical_key(self):
@@ -548,7 +338,7 @@ class StrippedRow:
 
 @dataclass(frozen=True, slots=True)
 class BranchSpec:
-    selector_var: int
+    selector_var: Var
     selector_value: int
     rows: tuple[StrippedRow, ...]
 
@@ -564,8 +354,8 @@ class BranchSpec:
 class DisjPolyhedralParams:
     variant: str  # "binary_selector" | "exact_one_mode"
     branches: tuple[BranchSpec, ...]
-    selector_row: int | None  # exact-one row id, mode variant only
-    touched: tuple[int, ...]
+    selector_row: Row | None  # exact-one row id, mode variant only
+    touched: tuple[Var, ...]
 
     def canonical_key(self):
         return (
@@ -574,45 +364,6 @@ class DisjPolyhedralParams:
             frozenset(b.canonical_key() for b in self.branches),
             self.selector_row,
             frozenset(self.touched),
-        )
-
-    def to_jsonable(self, vn, rn):
-        return {
-            "variant": self.variant,
-            "branches": [
-                {
-                    "selector_var": vn(b.selector_var),
-                    "selector_value": b.selector_value,
-                    "rows": [
-                        {"terms": [[vn(v), c] for v, c in r.terms], "bound": r.bound}
-                        for r in b.rows
-                    ],
-                }
-                for b in self.branches
-            ],
-            "selector_row": None if self.selector_row is None else rn(self.selector_row),
-            "touched": [vn(v) for v in self.touched],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj, vid, rid):
-        return cls(
-            obj["variant"],
-            tuple(
-                BranchSpec(
-                    vid(b["selector_var"]),
-                    b["selector_value"],
-                    tuple(
-                        StrippedRow(
-                            tuple((vid(n), c) for n, c in r["terms"]), r["bound"]
-                        )
-                        for r in b["rows"]
-                    ),
-                )
-                for b in obj["branches"]
-            ),
-            None if obj["selector_row"] is None else rid(obj["selector_row"]),
-            tuple(vid(n) for n in obj["touched"]),
         )
 
 
@@ -634,9 +385,9 @@ PARAMS_CLASSES: dict[Family, type] = {
 @dataclass(frozen=True, slots=True)
 class SemanticRecord:
     family: Family
-    scope: tuple[int, ...]
+    scope: tuple[Var, ...]
     params: Any
-    evidence: tuple[int, ...]
+    evidence: tuple[Row, ...]
     confidence: Confidence = Confidence.EXACT
 
     def __post_init__(self) -> None:
@@ -667,15 +418,15 @@ RECORDS_SCHEMA_VERSION = 1
 
 def records_to_json(records: list[SemanticRecord], model: MipModel) -> dict:
     """Serialize records against a model; names replace dense ids."""
-    vn = _namer([v.name for v in model.variables], "C")
-    rn = _namer([r.name for r in model.rows], "R")
+    vn = _names(model.variables, "C", "variable").__getitem__
+    rn = _names(model.rows, "R", "row").__getitem__
     return {
         "schema": RECORDS_SCHEMA_VERSION,
         "records": [
             {
                 "family": rec.family.value,
                 "scope": [vn(v) for v in rec.scope],
-                "params": rec.params.to_jsonable(vn, rn),
+                "params": _codec(type(rec.params))[0](rec.params, vn, rn),
                 "evidence": [rn(r) for r in rec.evidence],
                 "confidence": rec.confidence.value,
             }
@@ -687,12 +438,12 @@ def records_to_json(records: list[SemanticRecord], model: MipModel) -> dict:
 def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     if doc.get("schema") != RECORDS_SCHEMA_VERSION:
         raise ValueError(f"unsupported records schema {doc.get('schema')!r}")
-    vid = _resolver([v.name for v in model.variables], "C", "variable")
-    rid = _resolver([r.name for r in model.rows], "R", "row")
+    vid = _resolver(_names(model.variables, "C", "variable"), "variable")
+    rid = _resolver(_names(model.rows, "R", "row"), "row")
     records = []
     for raw in doc["records"]:
         family = Family.from_string(raw["family"])
-        params = PARAMS_CLASSES[family].from_jsonable(raw["params"], vid, rid)
+        params = _codec(PARAMS_CLASSES[family])[1](raw["params"], vid, rid)
         records.append(
             SemanticRecord(
                 family,
@@ -705,22 +456,117 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     return records
 
 
-def _namer(names: list[str], prefix: str) -> Callable[[int], str]:
-    def name_of(idx: int) -> str:
-        name = names[idx]
-        return name if name else f"{prefix}{idx + 1:04d}"
+def _names(items, prefix: str, what: str) -> list[str]:
+    """Each item's name, ``{prefix}0001``-style when blank; all must differ."""
+    names = [item.name or f"{prefix}{idx + 1:04d}" for idx, item in enumerate(items)]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{what} name {name!r} is not unique in the model")
+        seen.add(name)
+    return names
 
-    return name_of
 
+def _resolver(names: list[str], what: str):
+    table = {name: idx for idx, name in enumerate(names)}
 
-def _resolver(names: list[str], prefix: str, what: str) -> Callable[[str], int]:
-    table = {
-        (name if name else f"{prefix}{idx + 1:04d}"): idx
-        for idx, name in enumerate(names)
-    }
     def id_of(name: str) -> int:
         if name not in table:
             raise KeyError(f"unknown {what} name {name!r}")
         return table[name]
 
     return id_of
+
+
+def _same(value, var, row):
+    return value
+
+
+def _as_list(items, var, row):
+    return list(items)
+
+
+def _as_tuple(items, var, row):
+    return tuple(items)
+
+
+def _var(value, var, row):
+    return var(value)
+
+
+def _row(value, var, row):
+    return row(value)
+
+
+@functools.cache
+def _codec(tp):
+    """``(encode, decode)`` for one field type, built once per type.
+
+    Both are called as ``f(value, var, row)``.  Encoding maps ids to names
+    through ``var``/``row`` and yields JSON values; decoding maps names back
+    through them and rebuilds tuples and dataclasses.  The codec walks the
+    id markers, ``X | None``, ``tuple[X, ...]``, pairs ``tuple[X, Y]``,
+    dataclasses and plain bool/int/float/str; any other type raises
+    TypeError.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        marker = tp.__metadata__[0]
+        if marker == "var":
+            return _var, _var
+        if marker == "row":
+            return _row, _row
+        if marker == "object":
+            pair_type = get_args(args[0])[0]
+            enc, dec = _codec(get_args(pair_type)[1])
+            return (
+                lambda pairs, var, row: {k: enc(v, var, row) for k, v in pairs},
+                lambda obj, var, row: tuple(
+                    (k, dec(obj[k], var, row)) for k in sorted(obj)
+                ),
+            )
+    elif origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        enc, dec = _codec(args[0] if args[1] is type(None) else args[1])
+        return (
+            lambda value, var, row: None if value is None else enc(value, var, row),
+            lambda value, var, row: None if value is None else dec(value, var, row),
+        )
+    elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        # id and plain items skip the per-item call: they dominate record size
+        if enc is _same:
+            return _as_list, _as_tuple
+        if enc is _var:
+            return (
+                lambda items, var, row: list(map(var, items)),
+                lambda items, var, row: tuple(map(var, items)),
+            )
+        if enc is _row:
+            return (
+                lambda items, var, row: list(map(row, items)),
+                lambda items, var, row: tuple(map(row, items)),
+            )
+        return (
+            lambda items, var, row: [enc(x, var, row) for x in items],
+            lambda items, var, row: tuple([dec(x, var, row) for x in items]),
+        )
+    elif origin is tuple and len(args) == 2:
+        (enc0, dec0), (enc1, dec1) = _codec(args[0]), _codec(args[1])
+        return (
+            lambda pair, var, row: [enc0(pair[0], var, row), enc1(pair[1], var, row)],
+            lambda pair, var, row: (dec0(pair[0], var, row), dec1(pair[1], var, row)),
+        )
+    elif is_dataclass(tp):
+        hints = get_type_hints(tp, include_extras=True)
+        walk = [(f.name, *_codec(hints[f.name])) for f in fields(tp)]
+        return (
+            lambda value, var, row: {
+                name: enc(getattr(value, name), var, row) for name, enc, _ in walk
+            },
+            lambda obj, var, row: tp(
+                *[dec(obj[name], var, row) for name, _, dec in walk]
+            ),
+        )
+    elif tp in (bool, int, float, str):
+        return _same, _same
+    raise TypeError(f"records cannot serialize a field of type {tp!r}")

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import FEAS_TOL, DomainBox, MipModel, PropagationOutcome
+from .model import FEAS_TOL, DomainBox, MipModel, PropagationOutcome, activity_range
 from .propagate import (
     PropagatorConfig,
     propagate_block_fixpoint,
@@ -105,14 +105,6 @@ def propagate_node(
     return rows, by_records
 
 
-def _objective_bound(objective, box: DomainBox) -> float:
-    """Least objective value (minimization form) any point of the box attains."""
-    total = 0.0
-    for v, c in objective:
-        total += c * (box.lower[v] if c > 0 else box.upper[v])
-    return total
-
-
 def _objective_value(objective, values: dict[int, float]) -> float:
     return sum(c * values[v] for v, c in objective)
 
@@ -146,7 +138,8 @@ class _Search:
     def bound_prunes(self, box: DomainBox) -> bool:
         if self.incumbent is None:
             return False
-        bound = _objective_bound(self.model.objective, box)
+        # least objective value (minimization form) any point of the box attains
+        bound, _ = activity_range(self.model.objective, box)
         return bound >= self.incumbent_value - FEAS_TOL
 
     def take_leaf(self, box: DomainBox) -> None:

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
 
 from .model import (
     INF,
+    DomainBox,
     Integrality,
     LinearRow,
     MipModel,
     Variable,
+    activity_range,
     shared_float,
 )
 from .records import (
@@ -35,6 +38,7 @@ from .records import (
     CardinalityParams,
     ChannelParams,
     CumulativeParams,
+    CumulativePeriod,
     CumulativeTask,
     DisjPolyhedralParams,
     Family,
@@ -46,6 +50,7 @@ from .records import (
     StretchParams,
     StrippedRow,
     UnitCommitmentRampParams,
+    _codec,
     records_from_json,
     records_to_json,
 )
@@ -328,7 +333,7 @@ def _plant_cumulative(rng, sizes):
                     members.append(v)
         rid = mb.row(f"cap_p{t}", terms, -INF, capacity)
         evidence.append(rid)
-        periods.append((rid, tuple(members)))
+        periods.append(CumulativePeriod(rid, tuple(members)))
 
     witness = {}
     offset = 1
@@ -911,6 +916,10 @@ def _plant_disj_polyhedral(rng, sizes):
     point = {v: float(rng.randint(0, int(mb.variables[v].upper) - 1)) for v in xs}
     variant = "binary_selector" if n_branches == 2 else "exact_one_mode"
 
+    x_box = DomainBox(
+        [v.lower for v in mb.variables], [v.upper for v in mb.variables]
+    )
+
     def draw_branch_rows(holds_witness: bool):
         rows = []
         n_rows = rng.randint(1, 2)
@@ -924,14 +933,7 @@ def _plant_disj_polyhedral(rng, sizes):
                 if any(c > 0 for c in coeffs):
                     break
             terms = sorted(zip(support, coeffs))
-            max_act = sum(
-                c * (mb.variables[v].upper if c > 0 else mb.variables[v].lower)
-                for v, c in terms
-            )
-            min_act = sum(
-                c * (mb.variables[v].lower if c > 0 else mb.variables[v].upper)
-                for v, c in terms
-            )
+            min_act, max_act = activity_range(terms, x_box)
             if holds_witness:
                 at_point = sum(c * point[v] for v, c in terms)
                 bound = rng.randint(int(at_point), int(max_act) - 1)
@@ -1037,6 +1039,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     model = instance.model
     n_vars = len(model.variables)
 
+    box = DomainBox.from_model(model)
     rows = list(model.rows)
     noise_ids = list(instance.noise_row_ids)
     existing_noise = len(noise_ids)
@@ -1047,7 +1050,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
             (v, float(rng.choice((-3, -2, -1, 1, 2, 3)))) for v in sorted(support)
         )
         rid = len(rows)
-        lo, hi = _activity_range(terms, model.variables)
+        lo, hi = activity_range(terms, box)
         lhs = -INF if math.isinf(lo) else math.floor(lo) - rng.randint(1, 5)
         rhs = INF if math.isinf(hi) else math.ceil(hi) + rng.randint(1, 5)
         shape = rng.randrange(3)
@@ -1109,23 +1112,12 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     )
 
 
-def _activity_range(terms, variables) -> tuple[float, float]:
-    """Min and max of ``sum(c * x)`` over the variables' bounds, inf when unbounded."""
-    lo = hi = 0.0
-    for var, coeff in terms:
-        low, high = variables[var].lower * coeff, variables[var].upper * coeff
-        if coeff < 0.0:
-            low, high = high, low
-        lo += low
-        hi += high
-    return lo, hi
-
-
 def remap_record(record: SemanticRecord, var_map, row_map) -> SemanticRecord:
     """Rewrite every variable/row id in a record through index maps."""
-    # the serializer maps ids on the way out, so reading back is the identity
-    payload = record.params.to_jsonable(var_map.__getitem__, row_map.__getitem__)
-    params = type(record.params).from_jsonable(payload, lambda v: v, lambda r: r)
+    # the encoder maps ids on the way out, so decoding keeps ids as they are
+    encode, decode = _codec(type(record.params))
+    payload = encode(record.params, var_map.__getitem__, row_map.__getitem__)
+    params = decode(payload, operator.index, operator.index)
     return SemanticRecord(
         family=record.family,
         scope=tuple(var_map[v] for v in record.scope),

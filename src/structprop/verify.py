@@ -21,12 +21,11 @@ from .model import DomainBox, MipModel, is_valid_reduction
 from .propagate import (
     DETECT_ONLY,
     HANDLED_FAMILIES,
-    PropagatorConfig,
     propagate_block_fixpoint,
     propagate_record,
     run_fixpoint,
 )
-from .records import PARAMS_CLASSES, Family, SemanticRecord
+from .records import PARAMS_CLASSES, Family, SemanticRecord, _codec
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
 
 __all__ = [
@@ -103,8 +102,6 @@ def enumerate_feasible(
     model: MipModel,
     scope: Sequence[int],
     cap: int = ENUMERATION_CAP,
-    *,
-    config: PropagatorConfig | None = None,
 ) -> EnumerationResult:
     """Depth-first enumeration of integer scope assignments.
 
@@ -115,7 +112,6 @@ def enumerate_feasible(
     interval-consistent with every row.  Continuous scope variables are
     left out of ``scope_vars``.
     """
-    config = config or PropagatorConfig()
     ints: list[int] = []
     for v in scope:
         var = model.variables[v]
@@ -131,7 +127,7 @@ def enumerate_feasible(
     feasible: set[tuple[int, ...]] = set()
 
     def consistent(box: DomainBox) -> bool:
-        return not propagate_block_fixpoint(rows, box, config).cutoff
+        return not propagate_block_fixpoint(rows, box).cutoff
 
     stack: list[tuple[int, DomainBox]] = []
     root = DomainBox.from_model(model)
@@ -195,7 +191,6 @@ def verify_propagation(
     model: MipModel,
     record: SemanticRecord,
     cap: int = ENUMERATION_CAP,
-    config: PropagatorConfig | None = None,
 ) -> GateResult:
     """Check the record's propagator against the enumerated feasible set.
 
@@ -204,8 +199,7 @@ def verify_propagation(
     feasible set.  A truncated enumeration is inconclusive and never passes.
     """
     started = time.perf_counter()
-    config = config or PropagatorConfig()
-    enum = enumerate_feasible(model, record.scope, cap, config=config)
+    enum = enumerate_feasible(model, record.scope, cap)
 
     def done(passed: bool, detail: str) -> GateResult:
         return GateResult(
@@ -218,7 +212,7 @@ def verify_propagation(
         )
     original = DomainBox.from_model(model)
     reduced = original.copy()
-    outcome = propagate_record(model, record, reduced, config)
+    outcome = propagate_record(model, record, reduced)
     points = enum.mappings()
     if outcome.cutoff and points:
         return done(False, f"cutoff despite {len(points)} feasible assignments")
@@ -245,11 +239,11 @@ def _artifact_completeness(family: Family) -> tuple[bool, str]:
     params_class = PARAMS_CLASSES.get(family)
     if params_class is None:
         missing.append("record schema")
-    elif not (
-        callable(getattr(params_class, "to_jsonable", None))
-        and callable(getattr(params_class, "from_jsonable", None))
-    ):
-        missing.append("serializer")
+    else:
+        try:
+            _codec(params_class)
+        except TypeError:
+            missing.append("serializer")
     if family in DETECT_ONLY:
         propagator = "detect-only"
     elif family in HANDLED_FAMILIES:
@@ -269,7 +263,6 @@ def run_gate_ladder(
     soundness_suite: int = SOUNDNESS_SUITE_SIZE,
     detector: Detector | None = None,
     time_caps: dict[str, float] | None = None,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> list[GateResult]:
     """Run the per-family CI ladder; a failing gate skips the rest.
 
@@ -340,9 +333,7 @@ def run_gate_ladder(
     for i in range(soundness_suite):
         seed = suite_seed + i
         instance = reverse_sample(family, seed=seed)
-        step = verify_propagation(
-            instance.model, instance.ground_truth, enumeration_cap
-        )
+        step = verify_propagation(instance.model, instance.ground_truth)
         if not step.passed:
             ok = False
             detail = f"seed {seed}: {step.detail}"

@@ -1,12 +1,29 @@
 import hashlib
 import itertools
+import json
 import math
 
 import pytest
 
-from structprop.model import DomainBox, compute_activity, models_equal
+from structprop.detect import detect_all
+from structprop.model import (
+    DomainBox,
+    Integrality,
+    LinearRow,
+    MipModel,
+    Variable,
+    compute_activity,
+    models_equal,
+)
 from structprop.mps import parse_mps, write_mps
-from structprop.records import Family, records_equal
+from structprop.records import (
+    CardinalityParams,
+    Family,
+    SemanticRecord,
+    records_equal,
+    records_from_json,
+    records_to_json,
+)
 from structprop.synth import (
     ObfuscationConfig,
     default_size_params,
@@ -195,6 +212,93 @@ def test_obfuscated_mps_matches_pinned_bytes(family):
         inst = obfuscate(reverse_sample(family, seed=seed), ObfuscationConfig(seed=seed))
         digest.update(write_mps(inst.model).encode())
     assert digest.hexdigest()[:16] == PINNED_MPS_SHA256[family]
+
+
+# per family and variant, sha256 prefix of the records JSON (ground truth
+# plus detect_all output) of its seed-0..2 instances; the serializer must
+# leave every byte as it was
+PINNED_RECORDS_SHA256 = {
+    ("clean", Family.ALL_DIFFERENT): "12f3d622426f5fc0",
+    ("clean", Family.CARDINALITY): "e345c79100b276c9",
+    ("clean", Family.CHANNEL): "20a3c0734476159e",
+    ("clean", Family.CUMULATIVE): "b8fdc3b7fb4bda9b",
+    ("clean", Family.NVALUE): "df3f2c4b7c0cab70",
+    ("clean", Family.STRETCH): "f24814ed9e521a22",
+    ("clean", Family.ONE_HOT_RESOURCE): "5599510da24048ca",
+    ("clean", Family.BOTTLENECK_EXACT_ONE): "9906b3733a71278a",
+    ("clean", Family.ROSTERING_WINDOW): "5ca629dfad36e52d",
+    ("clean", Family.UNIT_COMMITMENT_RAMP): "41a010e0f57131be",
+    ("clean", Family.DISJ_POLYHEDRAL): "acc43446671d737b",
+    ("obfuscated", Family.ALL_DIFFERENT): "47dc7bf91a216e72",
+    ("obfuscated", Family.CARDINALITY): "32c8af83cac7298e",
+    ("obfuscated", Family.CHANNEL): "8fa55395a3aecb87",
+    ("obfuscated", Family.CUMULATIVE): "a3b1e6fee8d1dfcc",
+    ("obfuscated", Family.NVALUE): "f57c05f077841957",
+    ("obfuscated", Family.STRETCH): "d0557014f80d3caf",
+    ("obfuscated", Family.ONE_HOT_RESOURCE): "49a791df7c587e8f",
+    ("obfuscated", Family.BOTTLENECK_EXACT_ONE): "f5cc820320f69d73",
+    ("obfuscated", Family.ROSTERING_WINDOW): "dcef0f3c7bffa4d8",
+    ("obfuscated", Family.UNIT_COMMITMENT_RAMP): "e7496e3e1390c0d9",
+    # names, not ids, are written, and no noise row is referenced
+    ("obfuscated", Family.DISJ_POLYHEDRAL): "acc43446671d737b",
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("variant", ["clean", "obfuscated"])
+def test_records_json_matches_pinned_bytes(family, variant):
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        inst = reverse_sample(family, seed=seed)
+        if variant == "obfuscated":
+            inst = obfuscate(inst, ObfuscationConfig(seed=seed))
+        records = [inst.ground_truth, *detect_all(inst.model).records]
+        doc = records_to_json(records, inst.model)
+        digest.update(json.dumps(doc, indent=1, sort_keys=True).encode())
+        back = records_from_json(json.loads(json.dumps(doc)), inst.model)
+        assert back == records
+    assert digest.hexdigest()[:16] == PINNED_RECORDS_SHA256[variant, family]
+
+
+def test_records_json_refuses_ambiguous_names():
+    # "" falls back to C0003, which the fourth variable already uses
+    variables = tuple(
+        Variable(i, name, 0.0, 1.0, Integrality.BINARY)
+        for i, name in enumerate(["x", "x", "", "C0003"])
+    )
+    row = LinearRow(0, "pick", ((0, 1.0), (1, 1.0)), 1.0, 1.0)
+    model = MipModel(variables, (row,))
+    record = SemanticRecord(
+        Family.CARDINALITY, (0, 1, 2), CardinalityParams((0, 1, 2), 1.0, 1.0), (0,)
+    )
+    with pytest.raises(ValueError, match="variable name"):
+        records_to_json([record], model)
+    doc = {
+        "schema": 1,
+        "records": [
+            {
+                "family": "Cardinality",
+                "scope": ["x", "C0003"],
+                "params": {"vars": ["x", "C0003"], "lower": 1.0, "upper": 1.0},
+                "evidence": ["pick"],
+            }
+        ],
+    }
+    with pytest.raises(ValueError, match="variable name"):
+        records_from_json(doc, model)
+    # likewise an unnamed row falls back to R0001, which the second row uses
+    rows = (
+        LinearRow(0, "", ((0, 1.0),), 1.0, 1.0),
+        LinearRow(1, "R0001", ((1, 1.0),), 1.0, 1.0),
+    )
+    unique = tuple(
+        Variable(i, f"y{i}", 0.0, 1.0, Integrality.BINARY) for i in range(2)
+    )
+    single = SemanticRecord(
+        Family.CARDINALITY, (0,), CardinalityParams((0,), 1.0, 1.0), (0,)
+    )
+    with pytest.raises(ValueError, match="row name"):
+        records_to_json([single], MipModel(unique, rows))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)

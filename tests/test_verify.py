@@ -18,7 +18,12 @@ from structprop.model import (
     Variable,
 )
 from structprop.propagate import propagate_block_fixpoint, propagate_one_hot_resource
-from structprop.records import Family, OneHotResourceParams, SemanticRecord
+from structprop.records import (
+    PARAMS_CLASSES,
+    Family,
+    OneHotResourceParams,
+    SemanticRecord,
+)
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import (
     GATES,
@@ -391,6 +396,18 @@ def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert not results[0].passed
     assert "missing: detector" in results[0].detail
+
+
+@dataclasses.dataclass(frozen=True)
+class _ListParams:
+    vars: list  # the codec walks tuples only
+
+
+def test_ladder_flags_params_the_codec_cannot_walk(monkeypatch):
+    monkeypatch.setitem(PARAMS_CLASSES, Family.STRETCH, _ListParams)
+    results = run_gate_ladder(Family.STRETCH, detector_suite=1, soundness_suite=1)
+    assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
+    assert results[0].detail == "missing: serializer"
 
 
 def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
