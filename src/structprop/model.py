@@ -396,6 +396,33 @@ def round_upper(value: float, is_integer: bool) -> float:
     return value
 
 
+def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
+    """Raise ``var``'s lower bound to ``value``; True means the domain emptied.
+
+    An integer bound is rounded inward first.  The box is written, and the
+    change recorded in ``out``, only when the new bound beats the old one by
+    more than ``FEAS_TOL``; otherwise nothing happens and False comes back.
+    """
+    value = round_lower(value, box.integer_mask[var])
+    old = box.lower[var]
+    if value <= old + FEAS_TOL:
+        return False
+    box.lower[var] = value
+    out.record(var, "lb", old, value)
+    return value > box.upper[var] + FEAS_TOL
+
+
+def set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
+    """Lower ``var``'s upper bound to ``value``; the mirror of :func:`set_lower`."""
+    value = round_upper(value, box.integer_mask[var])
+    old = box.upper[var]
+    if value >= old - FEAS_TOL:
+        return False
+    box.upper[var] = value
+    out.record(var, "ub", old, value)
+    return box.lower[var] > value + FEAS_TOL
+
+
 def compute_activity(row: LinearRow, box: DomainBox) -> RowActivity:
     """Interval image of the row's sum over the box, with inf sentinels."""
     sums = _ActivitySums.of(row, box)
@@ -493,9 +520,9 @@ def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
     For each term the candidate bounds are
     ``x_j <= (rhs - minact_without_j) / a_j`` and
     ``x_j >= (lhs - maxact_without_j) / a_j`` (sides swapped for negative
-    coefficients).  A change is recorded only when it beats the old bound by
-    more than ``FEAS_TOL`` after integer rounding.  Passes repeat with fresh
-    activities until the row is stable, so the operation is idempotent.
+    coefficients), written through :func:`set_lower`/:func:`set_upper`.
+    Passes repeat with fresh activities until the row is stable, so the
+    operation is idempotent.
     Detects empty boxes and violated activities as cutoffs.
     """
     outcome = PropagationOutcome(calls=1)
@@ -511,36 +538,17 @@ def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
                 continue
             lo = box.lower[var]
             up = box.upper[var]
-            is_int = box.integer_mask[var]
             res_min = sums.residual_min(coeff, lo, up)
             res_max = sums.residual_max(coeff, lo, up)
             if coeff > 0.0:
-                if row.rhs != INF and res_min != -INF:
-                    cand = round_upper((row.rhs - res_min) / coeff, is_int)
-                    if cand < up - FEAS_TOL:
-                        box.upper[var] = cand
-                        outcome.record(var, "ub", up, cand)
-                        up = cand
-                if row.lhs != -INF and res_max != INF:
-                    cand = round_lower((row.lhs - res_max) / coeff, is_int)
-                    if cand > lo + FEAS_TOL:
-                        box.lower[var] = cand
-                        outcome.record(var, "lb", lo, cand)
-                        lo = cand
+                from_rhs, from_lhs = set_upper, set_lower
             else:
-                if row.rhs != INF and res_min != -INF:
-                    cand = round_lower((row.rhs - res_min) / coeff, is_int)
-                    if cand > lo + FEAS_TOL:
-                        box.lower[var] = cand
-                        outcome.record(var, "lb", lo, cand)
-                        lo = cand
-                if row.lhs != -INF and res_max != INF:
-                    cand = round_upper((row.lhs - res_max) / coeff, is_int)
-                    if cand < up - FEAS_TOL:
-                        box.upper[var] = cand
-                        outcome.record(var, "ub", up, cand)
-                        up = cand
-            if lo > up + FEAS_TOL:
+                from_rhs, from_lhs = set_lower, set_upper
+            if row.rhs != INF and res_min != -INF:
+                from_rhs(box, outcome, var, (row.rhs - res_min) / coeff)
+            if row.lhs != -INF and res_max != INF:
+                from_lhs(box, outcome, var, (row.lhs - res_max) / coeff)
+            if box.lower[var] > box.upper[var] + FEAS_TOL:
                 outcome.cutoff = True
                 outcome.cutoffs = 1
                 break

@@ -1,4 +1,4 @@
-"""Per-record bound tightening: one handler table, one fixpoint driver.
+"""Per-record bound tightening: one handler table, one loop over records.
 
 ``_HANDLERS`` maps a family to its propagator, which reads the record's
 parameters; ``propagate_record`` dispatches through it and
@@ -8,10 +8,13 @@ prune values that the rows the record came from cannot.  The other seven
 families are ``DETECT_ONLY``: their records are mined and serialized, and
 propagating them is a no-op, since residual-activity tightening of their
 evidence rows (``propagate_block_fixpoint``) already does all their rules
-could.  Each looped propagator is a shape check plus one round, which
-``_fixpoint`` repeats until a round adds no reduction or
-``max_fixpoint_rounds`` is spent (``budget_hit``).  DisjPolyhedral runs
-once; ``run_fixpoint`` round-robins records.
+could.
+
+Each record propagator makes one pass over its record and returns; none
+repeats itself.  Two drivers repeat work until nothing changes:
+``run_fixpoint`` round-robins the records and ``propagate_block_fixpoint``
+sweeps a row block.  Each stops after ``max_fixpoint_rounds`` rounds and
+then sets ``budget_hit``.
 
 Propagators tighten a mutable DomainBox in place and report what they did
 through a PropagationOutcome.  Two properties are load-bearing everywhere:
@@ -23,17 +26,17 @@ through a PropagationOutcome.  Two properties are load-bearing everywhere:
   assumptions (a one-hot group member that is not binary, say), the
   propagator returns an empty outcome instead of guessing.
 
-Every bound change strictly improves the old bound by more than
-``FEAS_TOL``; integer variables are rounded inward first.
+Every bound is written through ``model.set_lower``/``set_upper``, the one
+write rule rows use too: integer bounds round inward, and a change counts
+only when it beats the old bound by more than ``FEAS_TOL``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import (
     FEAS_TOL,
@@ -43,8 +46,8 @@ from .model import (
     LinearRow,
     MipModel,
     PropagationOutcome,
-    round_lower,
-    round_upper,
+    set_lower,
+    set_upper,
     tighten_row,
 )
 from .records import (
@@ -73,10 +76,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """The round cap shared by all propagators.
+    """The round cap shared by the propagation loops.
 
-    ``max_fixpoint_rounds`` caps every fixpoint loop (a propagator's own and
-    the round-robin over records).
+    ``max_fixpoint_rounds`` caps each loop that repeats work until stable:
+    ``run_fixpoint``'s round-robin over records, ``propagate_block_fixpoint``'s
+    sweeps over rows and ``search.propagate_node``'s alternation of the two.
+    A record propagator makes one pass; DisjPolyhedral hands the cap on to
+    the block fixpoint of each branch.
     """
 
     max_fixpoint_rounds: int = 100
@@ -97,6 +103,7 @@ def outcome_to_json(outcome: PropagationOutcome) -> dict:
         "domain_reductions": outcome.domain_reductions,
         "cutoffs": outcome.cutoffs,
         "cutoff": outcome.cutoff,
+        "budget_hit": outcome.budget_hit,
         "prop_time_ms": outcome.prop_time * 1000.0,
         "bound_changes": [
             {"var": c.var, "side": c.which, "old": num(c.old), "new": num(c.new)}
@@ -106,11 +113,7 @@ def outcome_to_json(outcome: PropagationOutcome) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the fixpoint driver and small shared pieces
-
-#: One round of a looped propagator: tighten the box once, record every
-#: change into the outcome, and return True on a cutoff.
-Round = Callable[[PropagationOutcome], bool]
+# small shared pieces
 
 
 def _finish(
@@ -121,60 +124,6 @@ def _finish(
         out.cutoffs = 1
     out.prop_time = time.perf_counter() - started
     return out
-
-
-def _fixpoint(prepare: Callable[..., Round | None]):
-    """Turn a shape check plus one round into a propagator.
-
-    ``prepare(subject, box)`` returns None when the subject does not
-    fit the box (the propagator then reports an empty outcome), else the
-    round.  The result is called as ``(subject, box, config=None)`` and
-    repeats the round until it cuts off, adds no reduction, or has run
-    ``config.max_fixpoint_rounds`` times, which sets ``budget_hit``.
-    """
-
-    @functools.wraps(prepare)
-    def propagate(
-        subject, box: DomainBox, config: PropagatorConfig | None = None
-    ) -> PropagationOutcome:
-        config = config or PropagatorConfig()
-        started = time.perf_counter()
-        out = PropagationOutcome(calls=1)
-        one_round = prepare(subject, box)
-        if one_round is None:
-            return _finish(out, started)
-        for _ in range(config.max_fixpoint_rounds):
-            before = out.domain_reductions
-            if one_round(out):
-                return _finish(out, started, cutoff=True)
-            if out.domain_reductions == before:
-                break
-        else:
-            out.budget_hit = True
-        return _finish(out, started)
-
-    return propagate
-
-
-def _set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
-    """Raise a lower bound; True means the domain just emptied."""
-    value = round_lower(value, box.integer_mask[var])
-    old = box.lower[var]
-    if value <= old + FEAS_TOL:
-        return False
-    box.lower[var] = value
-    out.record(var, "lb", old, value)
-    return value > box.upper[var] + FEAS_TOL
-
-
-def _set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
-    value = round_upper(value, box.integer_mask[var])
-    old = box.upper[var]
-    if value >= old - FEAS_TOL:
-        return False
-    box.upper[var] = value
-    out.record(var, "ub", old, value)
-    return box.lower[var] > value + FEAS_TOL
 
 
 def _binary_like(box: DomainBox, var: int) -> bool:
@@ -209,13 +158,13 @@ def _exact_one_closure(
         cut = False
         for v in members:
             if v != fixed[0] and _live(box, v):
-                cut |= _set_upper(box, out, v, 0.0)
+                cut |= set_upper(box, out, v, 0.0)
         return cut
     live = [v for v in members if _live(box, v)]
     if not live:
         return True
     if len(live) == 1:
-        return _set_lower(box, out, live[0], 1.0)
+        return set_lower(box, out, live[0], 1.0)
     return False
 
 
@@ -223,33 +172,49 @@ def _exact_one_closure(
 # row blocks and composite-family propagators
 
 
-@_fixpoint
-def propagate_block_fixpoint(rows: Sequence[LinearRow], box: DomainBox) -> Round:
-    """Residual-activity tightening over a row block until stable."""
+def propagate_block_fixpoint(
+    rows: Sequence[LinearRow],
+    box: DomainBox,
+    config: PropagatorConfig | None = None,
+) -> PropagationOutcome:
+    """Residual-activity tightening over a row block until stable.
 
-    def one_round(out: PropagationOutcome) -> bool:
+    Sweeps ``tighten_row`` over the rows until a row cuts off, a sweep adds
+    no reduction, or ``config.max_fixpoint_rounds`` sweeps have run, which
+    sets ``budget_hit``.  Counts as one call.
+    """
+    config = config or PropagatorConfig()
+    started = time.perf_counter()
+    out = PropagationOutcome(calls=1)
+    for _ in range(config.max_fixpoint_rounds):
+        before = out.domain_reductions
         for row in rows:
             step = tighten_row(row, box)
             out.bound_changes.extend(step.bound_changes)
             out.domain_reductions += step.domain_reductions
             if step.cutoff:
-                return True
-        return False
+                return _finish(out, started, cutoff=True)
+        if out.domain_reductions == before:
+            break
+    else:
+        out.budget_hit = True
+    return _finish(out, started)
 
-    return one_round
 
-
-@_fixpoint
 def propagate_one_hot_resource(
-    params: OneHotResourceParams, box: DomainBox
-) -> Round | None:
+    params: OneHotResourceParams,
+    box: DomainBox,
+    config: PropagatorConfig | None = None,
+) -> PropagationOutcome:
     """Cheapest-basket reasoning over one-hot groups under a budget.
 
     The basket cost is the external floor plus each group's cheapest live
     option.  The basket exceeding the budget is a cutoff; an option whose
     swap-in cost exceeds the remaining slack is fixed out; groups then close
-    under the exactly-one rule.  Repeats until stable.
+    under the exactly-one rule.  One pass; ``run_fixpoint`` repeats it.
     """
+    started = time.perf_counter()
+    out = PropagationOutcome(calls=1)
     members = [v for group in params.groups for v, _ in group]
     if (
         not params.groups
@@ -257,36 +222,33 @@ def propagate_one_hot_resource(
         or len(set(members)) != len(members)
         or not _all_binary(box, members)
     ):
-        return None
+        return _finish(out, started)
+    mins = []
+    for group in params.groups:
+        live_costs = [c for v, c in group if _live(box, v)]
+        if not live_costs:
+            return _finish(out, started, cutoff=True)
+        mins.append(min(live_costs))
+    basket = params.external_min + sum(mins)
+    if basket > params.budget + FEAS_TOL:
+        return _finish(out, started, cutoff=True)
 
-    def one_round(out: PropagationOutcome) -> bool:
-        mins = []
-        for group in params.groups:
-            live_costs = [c for v, c in group if _live(box, v)]
-            if not live_costs:
-                return True
-            mins.append(min(live_costs))
-        basket = params.external_min + sum(mins)
-        if basket > params.budget + FEAS_TOL:
-            return True
-
-        cut = False
-        for cheapest, group in zip(mins, params.groups):
-            slack = params.budget - (basket - cheapest)
-            for v, cost in group:
-                if _live(box, v) and cost > slack + FEAS_TOL:
-                    cut |= _set_upper(box, out, v, 0.0)
-        for group in params.groups:
-            cut |= _exact_one_closure(box, out, [v for v, _ in group])
-        return cut
-
-    return one_round
+    cut = False
+    for cheapest, group in zip(mins, params.groups):
+        slack = params.budget - (basket - cheapest)
+        for v, cost in group:
+            if _live(box, v) and cost > slack + FEAS_TOL:
+                cut |= set_upper(box, out, v, 0.0)
+    for group in params.groups:
+        cut |= _exact_one_closure(box, out, [v for v, _ in group])
+    return _finish(out, started, cutoff=cut)
 
 
-@_fixpoint
 def propagate_bottleneck_exact_one(
-    params: BottleneckExactOneParams, box: DomainBox
-) -> Round | None:
+    params: BottleneckExactOneParams,
+    box: DomainBox,
+    config: PropagatorConfig | None = None,
+) -> PropagationOutcome:
     """Max-min lower bound on the bottleneck plus weight elimination.
 
     Groups whose live selectors all carry known weights push lb(z) up to
@@ -294,8 +256,10 @@ def propagate_bottleneck_exact_one(
     selector groups close under exactly-one.  With activators present the
     link implications run both ways and the open count propagates as a
     residual cardinality.  Selectors without a known weight are never
-    eliminated and their groups never raise the bound.
+    eliminated and their groups never raise the bound.  One pass.
     """
+    started = time.perf_counter()
+    out = PropagationOutcome(calls=1)
     z = params.bottleneck_var
     selectors = [v for group in params.groups for v, _ in group]
     activators = params.activators
@@ -308,60 +272,56 @@ def propagate_bottleneck_exact_one(
         or not _all_binary(box, selectors)
         or not _all_binary(box, activator_vars)
     ):
-        return None
+        return _finish(out, started)
     to_activator = dict(activators.selector_to_activator) if activators else {}
+    cut = False
 
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
+    floor = -INF
+    for group in params.groups:
+        live = [(v, w) for v, w in group if _live(box, v)]
+        if not live:
+            return _finish(out, started, cutoff=True)
+        if all(w is not None for _, w in live):
+            floor = max(floor, min(w for _, w in live))
+    for group in params.groups:
+        for v, w in group:
+            if w is not None and _fixed_in(box, v):
+                floor = max(floor, w)
+    if floor > -INF:
+        cut |= set_lower(box, out, z, floor)
 
-        floor = -INF
-        for group in params.groups:
-            live = [(v, w) for v, w in group if _live(box, v)]
-            if not live:
-                return True
-            if all(w is not None for _, w in live):
-                floor = max(floor, min(w for _, w in live))
-        for group in params.groups:
-            for v, w in group:
-                if w is not None and _fixed_in(box, v):
-                    floor = max(floor, w)
-        if floor > -INF:
-            cut |= _set_lower(box, out, z, floor)
+    ceiling = box.upper[z]
+    for group in params.groups:
+        for v, w in group:
+            if w is not None and _live(box, v) and w > ceiling + FEAS_TOL:
+                cut |= set_upper(box, out, v, 0.0)
 
-        ceiling = box.upper[z]
-        for group in params.groups:
-            for v, w in group:
-                if w is not None and _live(box, v) and w > ceiling + FEAS_TOL:
-                    cut |= _set_upper(box, out, v, 0.0)
+    if activators is not None:
+        for v in selectors:
+            y = to_activator.get(v)
+            if y is None:
+                continue
+            if _fixed_in(box, v):
+                cut |= set_lower(box, out, y, 1.0)
+            if not _live(box, y) and _live(box, v):
+                cut |= set_upper(box, out, v, 0.0)
+        forced = sum(1 for y in activator_vars if _fixed_in(box, y))
+        open_slots = sum(1 for y in activator_vars if _live(box, y))
+        if forced > activators.count or open_slots < activators.count:
+            cut = True
+        elif forced == activators.count:
+            for y in activator_vars:
+                if _live(box, y) and not _fixed_in(box, y):
+                    cut |= set_upper(box, out, y, 0.0)
+        elif open_slots == activators.count:
+            for y in activator_vars:
+                if _live(box, y) and not _fixed_in(box, y):
+                    cut |= set_lower(box, out, y, 1.0)
 
-        if activators is not None:
-            for v in selectors:
-                y = to_activator.get(v)
-                if y is None:
-                    continue
-                if _fixed_in(box, v):
-                    cut |= _set_lower(box, out, y, 1.0)
-                if not _live(box, y) and _live(box, v):
-                    cut |= _set_upper(box, out, v, 0.0)
-            forced = sum(1 for y in activator_vars if _fixed_in(box, y))
-            open_slots = sum(1 for y in activator_vars if _live(box, y))
-            if forced > activators.count or open_slots < activators.count:
-                cut = True
-            elif forced == activators.count:
-                for y in activator_vars:
-                    if _live(box, y) and not _fixed_in(box, y):
-                        cut |= _set_upper(box, out, y, 0.0)
-            elif open_slots == activators.count:
-                for y in activator_vars:
-                    if _live(box, y) and not _fixed_in(box, y):
-                        cut |= _set_lower(box, out, y, 1.0)
+    for group in params.groups:
+        cut |= _exact_one_closure(box, out, [v for v, _ in group])
 
-        for group in params.groups:
-            cut |= _exact_one_closure(box, out, [v for v, _ in group])
-
-        return cut or box.lower[z] > box.upper[z] + FEAS_TOL
-
-    return one_round
+    return _finish(out, started, cutoff=cut or box.lower[z] > box.upper[z] + FEAS_TOL)
 
 
 def propagate_disj_polyhedral(
@@ -412,8 +372,8 @@ def propagate_disj_polyhedral(
 
     def forbid(branch) -> bool:
         if branch.selector_value == 1:
-            return _set_upper(box, out, branch.selector_var, 0.0)
-        return _set_lower(box, out, branch.selector_var, 1.0)
+            return set_upper(box, out, branch.selector_var, 0.0)
+        return set_lower(box, out, branch.selector_var, 1.0)
 
     cut = False
     viable: list[int] = []
@@ -438,13 +398,13 @@ def propagate_disj_polyhedral(
     if len(viable) == 1:
         survivor = branches[viable[0]]
         if survivor.selector_value == 1:
-            cut |= _set_lower(box, out, survivor.selector_var, 1.0)
+            cut |= set_lower(box, out, survivor.selector_var, 1.0)
         else:
-            cut |= _set_upper(box, out, survivor.selector_var, 0.0)
+            cut |= set_upper(box, out, survivor.selector_var, 0.0)
 
     for var in params.touched:
-        cut |= _set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
-        cut |= _set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
+        cut |= set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
+        cut |= set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
     return _finish(out, started, cutoff=cut)
 
 
@@ -452,8 +412,17 @@ def propagate_disj_polyhedral(
 # table-family propagators
 
 
-@_fixpoint
-def _channel(params, box: DomainBox) -> Round | None:
+def _channel(
+    params, box: DomainBox, config: PropagatorConfig | None = None
+) -> PropagationOutcome:
+    """Indicators one-hot over the values of the link variable ``x``.
+
+    An indicator whose value lies outside x's bounds is fixed out; the
+    indicators close under exactly-one; x then tightens to the range of the
+    values still live.  One pass.
+    """
+    started = time.perf_counter()
+    out = PropagationOutcome(calls=1)
     x = params.link_var
     indicators = [v for _, v in params.indicators]
     values = [value for value, _ in params.indicators]
@@ -464,24 +433,20 @@ def _channel(params, box: DomainBox) -> Round | None:
         or len(set(values)) != len(values)
         or not _all_binary(box, indicators)
     ):
-        return None
-
-    def one_round(out: PropagationOutcome) -> bool:
-        cut = False
-        for value, v in params.indicators:
-            if _live(box, v) and (
-                value < box.lower[x] - FEAS_TOL or value > box.upper[x] + FEAS_TOL
-            ):
-                cut |= _set_upper(box, out, v, 0.0)
-        cut |= _exact_one_closure(box, out, indicators)
-        live_values = [value for value, v in params.indicators if _live(box, v)]
-        if not live_values:
-            return True
-        cut |= _set_lower(box, out, x, min(live_values))
-        cut |= _set_upper(box, out, x, max(live_values))
-        return cut
-
-    return one_round
+        return _finish(out, started)
+    cut = False
+    for value, v in params.indicators:
+        if _live(box, v) and (
+            value < box.lower[x] - FEAS_TOL or value > box.upper[x] + FEAS_TOL
+        ):
+            cut |= set_upper(box, out, v, 0.0)
+    cut |= _exact_one_closure(box, out, indicators)
+    live_values = [value for value, v in params.indicators if _live(box, v)]
+    if not live_values:
+        return _finish(out, started, cutoff=True)
+    cut |= set_lower(box, out, x, min(live_values))
+    cut |= set_upper(box, out, x, max(live_values))
+    return _finish(out, started, cutoff=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +508,13 @@ def run_fixpoint(
     box: DomainBox,
     config: PropagatorConfig | None = None,
 ) -> PropagationOutcome:
-    """Round-robin all records until stable.
+    """Call the records round-robin until stable.
+
+    This is the only loop that repeats record propagators, each of which
+    makes one pass per call.  A round calls every record once; rounds repeat
+    until one adds no reduction or a record cuts off.  After
+    ``config.max_fixpoint_rounds`` rounds the loop stops with ``budget_hit``
+    set, and the box may not be stable.
 
     Only record propagators run here; the model's rows are tightened by
     ``propagate_block_fixpoint``, which ``search.propagate_node`` alternates

@@ -148,6 +148,7 @@ def test_propagate_tightens_with_rows_as_search_does_at_root(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["records_applied"] == 1
     assert doc["outcome"]["cutoff"] is False
+    assert doc["outcome"]["budget_hit"] is False
     assert doc["changes"] == [
         {"variable": name, "before": [0.0, 1.0], "after": [1.0, 1.0]}
         for name in ("x1", "x2")

@@ -558,6 +558,17 @@ def test_run_fixpoint_couples_records():
     assert (solo.lower[2], solo.upper[2]) == (1.0, 2.0)
 
 
+def test_run_fixpoint_round_budget_reported():
+    # the budget record fixes b0 out in round 1, so one round cannot
+    # confirm the box is stable
+    model, channel, budget = channel_and_budget()
+    box = DomainBox.from_model(model)
+    one_round = PropagatorConfig(max_fixpoint_rounds=1)
+    capped = run_fixpoint(model, [channel, budget], box, one_round)
+    assert capped.domain_reductions and capped.budget_hit
+    assert not run_fixpoint(model, [channel, budget], box).budget_hit
+
+
 def test_every_family_has_a_handler():
     # each family either has a propagator or is explicitly detect-only
     assert HANDLED_FAMILIES | DETECT_ONLY == set(Family)
@@ -618,6 +629,25 @@ def test_kept_handlers_prune_beyond_rows(family):
     pytest.fail(f"{family.value} never pruned beyond its rows")
 
 
+@pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
+def test_kept_handlers_reach_fixpoint_under_run_fixpoint(family):
+    # each handler makes one pass per call, so run_fixpoint's rounds alone
+    # must leave a box on which one more call changes nothing
+    for seed in range(6):
+        inst = reverse_sample(family, seed=seed)
+        for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
+            model, record = planted.model, planted.ground_truth
+            for box in seeded_fixings(model, record, seed, 25):
+                if propagate_block_fixpoint(model.rows, box).cutoff:
+                    continue
+                closed = run_fixpoint(model, [record], box)
+                assert not closed.budget_hit
+                if closed.cutoff:
+                    continue
+                again = propagate_record(model, record, box)
+                assert again.domain_reductions == 0 and not again.cutoff
+
+
 @pytest.mark.parametrize("family", RETIRED, ids=lambda f: f.value)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_detect_only_records_leave_search_unchanged(family, seed):
@@ -647,6 +677,7 @@ def test_outcome_serialization_shape():
     assert blob["calls"] == 1
     assert blob["domain_reductions"] == 4
     assert blob["cutoffs"] == 0
+    assert blob["budget_hit"] is False
     assert blob["prop_time_ms"] >= 0.0
     assert {c["side"] for c in blob["bound_changes"]} == {"lb", "ub"}
 
