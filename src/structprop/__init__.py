@@ -9,7 +9,6 @@ from .model import (  # noqa: F401
     MipModel,
     PropagationOutcome,
     Variable,
-    compute_activity,
     is_valid_reduction,
     tighten_row,
 )

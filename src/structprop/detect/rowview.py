@@ -21,7 +21,7 @@ from ..model import (
     DomainBox,
     LinearRow,
     MipModel,
-    compute_activity,
+    activity_range,
     intern_coeffs,
     shared_float,
 )
@@ -90,9 +90,8 @@ class ModelView:
             if not row.vars:
                 self.vacuous.add(row.id)
                 continue
-            activity = compute_activity(row, self.box)
-            if (row.lhs <= activity.min_activity + FEAS_TOL
-                    and activity.max_activity <= row.rhs + FEAS_TOL):
+            min_act, max_act = activity_range(zip(row.vars, row.coeffs), self.box)
+            if row.lhs <= min_act + FEAS_TOL and max_act <= row.rhs + FEAS_TOL:
                 self.vacuous.add(row.id)
             else:
                 self.active_rows.append(row)

@@ -5,16 +5,22 @@ A model is a list of bounded variables plus two-sided linear rows
 propagation, search, verification) works on these objects and on
 :class:`DomainBox`, a mutable bounds workspace detached from the model.
 
+Interval reasoning is two functions.  :func:`activity_range` is the
+activity image of any term list over a box; :func:`tighten_row` is one
+residual-activity pass over one row.  Neither repeats itself:
+``propagate.propagate_block_fixpoint`` sweeps rows until stable.  Every
+bound write, by rows and records alike, goes through
+:func:`set_lower`/:func:`set_upper`.
+
 Numeric policy: plain floats with ``math.inf`` sentinels and three fixed
 constants, read where they are used.  ``FEAS_TOL`` (1e-6) is the smallest
 bound change that counts as a tightening and the slack of every feasibility
 and emptiness test; ``INT_TOL`` (1e-6) is the slack of inward integer
 rounding; a coefficient below ``COEFF_FLOOR`` (1e-9) is never divided by.
 No function takes a tolerance.  Integer bounds are always rounded inward
-when tightened.  Bounds and row
-sides may be infinite on their own side only (no ``lhs`` or lower bound at
-``+inf``, no ``rhs`` or upper bound at ``-inf``); coefficients must be finite
-and NaN is rejected.
+when tightened.  Bounds and row sides may be infinite on their own side
+only (no ``lhs`` or lower bound at ``+inf``, no ``rhs`` or upper bound at
+``-inf``); coefficients must be finite and NaN is rejected.
 
 Row storage: a :class:`LinearRow` keeps its nonzeros as two flat tuples,
 ``vars`` (strictly increasing variable ids) and ``coeffs`` (the matching
@@ -40,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 INF = math.inf
 FEAS_TOL = 1e-6
@@ -282,11 +288,6 @@ def models_equal(a: MipModel, b: MipModel) -> bool:
     return a.objective == b.objective and a.objective_sense == b.objective_sense
 
 
-class RowActivity(NamedTuple):
-    min_activity: float
-    max_activity: float
-
-
 @dataclass(frozen=True, slots=True)
 class BoundChange:
     var: int
@@ -303,9 +304,9 @@ class PropagationOutcome:
     Counters follow the benchmark diagnostics: ``calls`` counts propagator
     invocations, ``domain_reductions`` counts recorded bound changes,
     ``cutoffs`` counts invocations that ended in a cutoff, ``prop_time`` is
-    wall time spent inside propagators.  A single-row ``tighten_row`` call is
-    not timed (its ``prop_time`` stays 0); the block and record propagators
-    that call it time themselves.
+    wall time spent inside propagators.  A ``tighten_row`` call is one pass
+    over one row and is not timed (its ``prop_time`` stays 0);
+    ``propagate_block_fixpoint``, which repeats it, times itself.
     """
 
     bound_changes: list[BoundChange] = field(default_factory=list)
@@ -384,18 +385,6 @@ class DomainBox:
         self.upper[var] = value
 
 
-def round_lower(value: float, is_integer: bool) -> float:
-    if is_integer and math.isfinite(value):
-        return math.ceil(value - INT_TOL)
-    return value
-
-
-def round_upper(value: float, is_integer: bool) -> float:
-    if is_integer and math.isfinite(value):
-        return math.floor(value + INT_TOL)
-    return value
-
-
 def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Raise ``var``'s lower bound to ``value``; True means the domain emptied.
 
@@ -403,7 +392,8 @@ def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -
     change recorded in ``out``, only when the new bound beats the old one by
     more than ``FEAS_TOL``; otherwise nothing happens and False comes back.
     """
-    value = round_lower(value, box.integer_mask[var])
+    if box.integer_mask[var] and math.isfinite(value):
+        value = math.ceil(value - INT_TOL)
     old = box.lower[var]
     if value <= old + FEAS_TOL:
         return False
@@ -414,19 +404,14 @@ def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -
 
 def set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Lower ``var``'s upper bound to ``value``; the mirror of :func:`set_lower`."""
-    value = round_upper(value, box.integer_mask[var])
+    if box.integer_mask[var] and math.isfinite(value):
+        value = math.floor(value + INT_TOL)
     old = box.upper[var]
     if value >= old - FEAS_TOL:
         return False
     box.upper[var] = value
     out.record(var, "ub", old, value)
     return box.lower[var] > value + FEAS_TOL
-
-
-def compute_activity(row: LinearRow, box: DomainBox) -> RowActivity:
-    """Interval image of the row's sum over the box, with inf sentinels."""
-    sums = _ActivitySums.of(row, box)
-    return RowActivity(sums.min_value(), sums.max_value())
 
 
 def activity_range(
@@ -448,111 +433,70 @@ def activity_range(
     return lo, hi
 
 
-class _ActivitySums:
-    """Finite partial sums plus infinity counters for both activity sides.
-
-    Residual activities (the sum with one term removed) come out of this
-    without ever forming inf - inf: if the removed term is the only infinite
-    contributor the residual is the finite part, otherwise it stays infinite.
-    """
-
-    __slots__ = ("min_finite", "min_inf", "max_finite", "max_inf")
-
-    def __init__(self) -> None:
-        self.min_finite = 0.0
-        self.min_inf = 0
-        self.max_finite = 0.0
-        self.max_inf = 0
-
-    @classmethod
-    def of(cls, row: LinearRow, box: DomainBox) -> "_ActivitySums":
-        sums = cls()
-        for var, coeff in zip(row.vars, row.coeffs):
-            lo_c, hi_c = _term_range(coeff, box.lower[var], box.upper[var])
-            if lo_c == -INF:
-                sums.min_inf += 1
-            else:
-                sums.min_finite += lo_c
-            if hi_c == INF:
-                sums.max_inf += 1
-            else:
-                sums.max_finite += hi_c
-        return sums
-
-    def min_value(self) -> float:
-        return -INF if self.min_inf else self.min_finite
-
-    def max_value(self) -> float:
-        return INF if self.max_inf else self.max_finite
-
-    def residual_min(self, coeff: float, lo: float, up: float) -> float:
-        """Min activity with the term (coeff, [lo, up]) removed."""
-        lo_c, _ = _term_range(coeff, lo, up)
-        if lo_c == -INF:
-            return -INF if self.min_inf > 1 else self.min_finite
-        return -INF if self.min_inf else self.min_finite - lo_c
-
-    def residual_max(self, coeff: float, lo: float, up: float) -> float:
-        _, hi_c = _term_range(coeff, lo, up)
-        if hi_c == INF:
-            return INF if self.max_inf > 1 else self.max_finite
-        return INF if self.max_inf else self.max_finite - hi_c
-
-
-def _term_range(coeff: float, lo: float, up: float) -> tuple[float, float]:
-    """Contribution interval of one term; handles 0 * inf as 0."""
-    if coeff > 0.0:
-        return _mul(coeff, lo), _mul(coeff, up)
-    return _mul(coeff, up), _mul(coeff, lo)
-
-
-def _mul(coeff: float, bound: float) -> float:
-    if bound == INF:
-        return INF if coeff > 0 else -INF
-    if bound == -INF:
-        return -INF if coeff > 0 else INF
-    return coeff * bound
-
-
 def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
     """One residual-activity pass over a single row, mutating ``box``.
 
-    For each term the candidate bounds are
-    ``x_j <= (rhs - minact_without_j) / a_j`` and
+    The pass reads each term's contribution range once, at the start, and
+    sums the finite parts of both activity sides while counting the
+    infinite ones.  An activity outside ``[lhs, rhs]`` is a cutoff.
+    Otherwise each term's residual activity (the row without that term)
+    comes from those sums without ever forming inf - inf, and the candidate
+    bounds ``x_j <= (rhs - minact_without_j) / a_j`` and
     ``x_j >= (lhs - maxact_without_j) / a_j`` (sides swapped for negative
-    coefficients), written through :func:`set_lower`/:func:`set_upper`.
-    Passes repeat with fresh activities until the row is stable, so the
-    operation is idempotent.
-    Detects empty boxes and violated activities as cutoffs.
+    coefficients) are written through :func:`set_lower`/:func:`set_upper`.
+    A term whose domain empties is a cutoff.  Bounds written in the pass do
+    not feed back into it; ``propagate_block_fixpoint`` repeats the rows.
     """
     outcome = PropagationOutcome(calls=1)
-    while True:
-        sums = _ActivitySums.of(row, box)
-        if sums.min_value() > row.rhs + FEAS_TOL or sums.max_value() < row.lhs - FEAS_TOL:
+    lower, upper = box.lower, box.upper
+    ranges = []
+    min_finite = max_finite = 0.0
+    min_inf = max_inf = 0
+    for var, coeff in zip(row.vars, row.coeffs):
+        # LinearRow drops zero coefficients, so no 0 * inf arises here
+        if coeff > 0.0:
+            lo_c, hi_c = coeff * lower[var], coeff * upper[var]
+        else:
+            lo_c, hi_c = coeff * upper[var], coeff * lower[var]
+        ranges.append((lo_c, hi_c))
+        if lo_c == -INF:
+            min_inf += 1
+        else:
+            min_finite += lo_c
+        if hi_c == INF:
+            max_inf += 1
+        else:
+            max_finite += hi_c
+    lhs, rhs = row.lhs, row.rhs
+    if (not min_inf and min_finite > rhs + FEAS_TOL) or (
+        not max_inf and max_finite < lhs - FEAS_TOL
+    ):
+        outcome.cutoff = True
+        outcome.cutoffs = 1
+        return outcome
+    for var, coeff, (lo_c, hi_c) in zip(row.vars, row.coeffs, ranges):
+        if abs(coeff) < COEFF_FLOOR:
+            continue
+        # residual activities: the term's own infinite side drops out of the count
+        if lo_c == -INF:
+            res_min = -INF if min_inf > 1 else min_finite
+        else:
+            res_min = -INF if min_inf else min_finite - lo_c
+        if hi_c == INF:
+            res_max = INF if max_inf > 1 else max_finite
+        else:
+            res_max = INF if max_inf else max_finite - hi_c
+        if coeff > 0.0:
+            from_rhs, from_lhs = set_upper, set_lower
+        else:
+            from_rhs, from_lhs = set_lower, set_upper
+        if rhs != INF and res_min != -INF:
+            from_rhs(box, outcome, var, (rhs - res_min) / coeff)
+        if lhs != -INF and res_max != INF:
+            from_lhs(box, outcome, var, (lhs - res_max) / coeff)
+        if lower[var] > upper[var] + FEAS_TOL:
             outcome.cutoff = True
             outcome.cutoffs = 1
-            break
-        changes_before = len(outcome.bound_changes)
-        for var, coeff in zip(row.vars, row.coeffs):
-            if abs(coeff) < COEFF_FLOOR:
-                continue
-            lo = box.lower[var]
-            up = box.upper[var]
-            res_min = sums.residual_min(coeff, lo, up)
-            res_max = sums.residual_max(coeff, lo, up)
-            if coeff > 0.0:
-                from_rhs, from_lhs = set_upper, set_lower
-            else:
-                from_rhs, from_lhs = set_lower, set_upper
-            if row.rhs != INF and res_min != -INF:
-                from_rhs(box, outcome, var, (row.rhs - res_min) / coeff)
-            if row.lhs != -INF and res_max != INF:
-                from_lhs(box, outcome, var, (row.lhs - res_max) / coeff)
-            if box.lower[var] > box.upper[var] + FEAS_TOL:
-                outcome.cutoff = True
-                outcome.cutoffs = 1
-                break
-        if outcome.cutoff or len(outcome.bound_changes) == changes_before:
             break
     return outcome
 

@@ -10,11 +10,12 @@ propagating them is a no-op, since residual-activity tightening of their
 evidence rows (``propagate_block_fixpoint``) already does all their rules
 could.
 
-Each record propagator makes one pass over its record and returns; none
-repeats itself.  Two drivers repeat work until nothing changes:
-``run_fixpoint`` round-robins the records and ``propagate_block_fixpoint``
-sweeps a row block.  Each stops after ``max_fixpoint_rounds`` rounds and
-then sets ``budget_hit``.
+Each record propagator makes one pass over its record and returns, and so
+does the row kernel ``model.tighten_row``.  Only drivers repeat work until
+nothing changes: here ``run_fixpoint`` round-robins the records and
+``propagate_block_fixpoint`` sweeps a row block, each for at most
+``max_fixpoint_rounds`` rounds before it sets ``budget_hit``; the one
+other repeat loop, ``search.propagate_node``, alternates the two.
 
 Propagators tighten a mutable DomainBox in place and report what they did
 through a PropagationOutcome.  Two properties are load-bearing everywhere:

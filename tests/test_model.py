@@ -17,10 +17,11 @@ from structprop.model import (
     LinearRow,
     MipModel,
     Variable,
-    compute_activity,
+    activity_range,
     is_valid_reduction,
     tighten_row,
 )
+from structprop.propagate import propagate_block_fixpoint
 
 
 def make_box(bounds, integer=()):
@@ -36,26 +37,26 @@ def row(terms, lhs=-INF, rhs=INF, rid=0, name="r"):
 
 def test_activity_simple_sum():
     box = make_box([(0, 10), (2, 4)])
-    act = compute_activity(row([(0, 1.0), (1, 1.0)]), box)
+    act = activity_range(row([(0, 1.0), (1, 1.0)]).terms, box)
     assert act == (2.0, 14.0)
 
 
 def test_activity_mixed_signs():
     box = make_box([(0, 3), (1, 5)])
-    act = compute_activity(row([(0, 2.0), (1, -1.0)]), box)
+    act = activity_range(row([(0, 2.0), (1, -1.0)]).terms, box)
     assert act == (-5.0, 5.0)
 
 
 def test_activity_empty_row():
     box = make_box([(0, 1)])
-    assert compute_activity(row([]), box) == (0.0, 0.0)
+    assert activity_range(row([]).terms, box) == (0.0, 0.0)
 
 
 def test_activity_infinite_bounds():
     box = make_box([(0, INF), (-INF, 4)])
-    act = compute_activity(row([(0, 1.0), (1, 1.0)]), box)
+    act = activity_range(row([(0, 1.0), (1, 1.0)]).terms, box)
     assert act == (-INF, INF)
-    act = compute_activity(row([(0, -2.0), (1, 1.0)]), box)
+    act = activity_range(row([(0, -2.0), (1, 1.0)]).terms, box)
     assert act == (-INF, 4.0)
 
 
@@ -110,11 +111,26 @@ def test_tighten_two_sided_row_both_directions():
 
 
 def test_tighten_idempotent_on_frozen_example():
+    # one tighten_row pass need not be stable; the block fixpoint repeats it
     box = make_box([(0, 10), (2, 4)])
     r = row([(0, 1.0), (1, 1.0)], lhs=0.0, rhs=5.0)
-    tighten_row(r, box)
-    second = tighten_row(r, box)
+    propagate_block_fixpoint([r], box)
+    second = propagate_block_fixpoint([r], box)
     assert not second.bound_changes and not second.cutoff
+
+
+def test_tighten_makes_one_pass_and_the_block_fixpoint_repeats_it():
+    # 2x0 + 2x1 = 13 has no integer point.  One pass reads the activity
+    # [8, 32] once: x0 <= (13 - 2) / 2 = 5.5 -> 5 and x1 <= (13 - 6) / 2 = 3.5
+    # -> 3, with no cutoff.  Later passes round inward until the activity
+    # is [12, 12], which misses 13: only the block fixpoint gets there.
+    r = row([(0, 2.0), (1, 2.0)], lhs=13.0, rhs=13.0)
+    box = make_box([(3, 9), (1, 7)], integer={0, 1})
+    out = tighten_row(r, box)
+    assert not out.cutoff
+    assert (box.lower, box.upper) == ([3, 1], [5, 3])
+    box = make_box([(3, 9), (1, 7)], integer={0, 1})
+    assert propagate_block_fixpoint([r], box).cutoff
 
 
 def test_tighten_never_divides_by_a_coefficient_below_the_floor():
@@ -411,14 +427,13 @@ bound_pair_st = st.tuples(
     ),
 )
 def test_tighten_never_cuts_feasible_corner(coeffs, bounds, side):
-    """Any integer point satisfying the row survives the tightening pass."""
+    """Any integer point satisfying the row survives one tightening pass and
+    the one-row block fixpoint."""
     n = len(coeffs)
     bounds = bounds[:n]
     lhs, rhs = float(side[0]), float(side[0] + side[1])
-    box = make_box(bounds, integer=set(range(n)))
+    original = make_box(bounds, integer=set(range(n)))
     r = row([(i, float(c)) for i, c in enumerate(coeffs)], lhs=lhs, rhs=rhs)
-
-    import itertools
 
     feasible = []
     for point in itertools.product(*[range(lo, up + 1) for lo, up in bounds]):
@@ -426,12 +441,13 @@ def test_tighten_never_cuts_feasible_corner(coeffs, bounds, side):
         if lhs <= value <= rhs:
             feasible.append(dict(enumerate(map(float, point))))
 
-    original = box.copy()
-    out = tighten_row(r, box)
-    if out.cutoff:
-        assert not feasible
-    else:
-        assert is_valid_reduction(original, box, feasible)
+    for tighten in (tighten_row, lambda r, box: propagate_block_fixpoint([r], box)):
+        box = original.copy()
+        out = tighten(r, box)
+        if out.cutoff:
+            assert not feasible
+        else:
+            assert is_valid_reduction(original, box, feasible)
 
 
 @settings(max_examples=80, deadline=None)
@@ -443,6 +459,7 @@ def test_tighten_never_cuts_feasible_corner(coeffs, bounds, side):
     ),
 )
 def test_tighten_is_idempotent(coeffs, bounds, side):
+    """The one-row block fixpoint is stable; a single pass need not be."""
     n = len(coeffs)
     bounds = bounds[:n]
     box = make_box(bounds, integer=set(range(n)))
@@ -451,9 +468,9 @@ def test_tighten_is_idempotent(coeffs, bounds, side):
         lhs=float(side[0]),
         rhs=float(side[0] + side[1]),
     )
-    first = tighten_row(r, box)
+    first = propagate_block_fixpoint([r], box)
     if first.cutoff:
         return
-    second = tighten_row(r, box)
+    second = propagate_block_fixpoint([r], box)
     assert not second.bound_changes
     assert not second.cutoff

@@ -1,12 +1,21 @@
 """Search tests: oracle optimality, propfreq invariance, stats accounting."""
 
+import hashlib
+import json
+
 import pytest
 
+from structprop.detect import detect_all
 from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
 from structprop.mps import parse_mps
 from structprop.records import Family
 from structprop.search import SearchConfig, dfs_solve, stats_to_json
-from structprop.synth import reverse_sample, witness_satisfies
+from structprop.synth import (
+    ObfuscationConfig,
+    obfuscate,
+    reverse_sample,
+    witness_satisfies,
+)
 from structprop.verify import enumerate_feasible
 
 SWEEP = [
@@ -254,3 +263,36 @@ def test_feasibility_model_stops_pruning_after_first_leaf():
     assert stats.status == "optimal"
     assert sum(incumbent.values()) <= 6
     assert stats.nodes == 25
+
+
+# sha256 prefix of the JSON trace of plugin (detected records) and baseline
+# dfs_solve plus enumerate_feasible on every family's obfuscated seed-0..2
+# instances; a refactor of the propagation engine must leave every status,
+# node count, record statistic, incumbent and oracle count as it was
+PINNED_TRACE_SHA256 = "46103d58fcea873d"
+TRACE_NODE_LIMIT = 1000
+
+
+def test_search_and_oracle_trace_matches_pinned_hash():
+    config = SearchConfig(node_limit=TRACE_NODE_LIMIT)
+    trace = []
+    for family in Family:
+        for seed in (0, 1, 2):
+            inst = obfuscate(reverse_sample(family, seed=seed), ObfuscationConfig(seed=seed))
+            model = inst.model
+            plugin = list(detect_all(model).records)
+            for records in (plugin, []):
+                incumbent, stats = dfs_solve(model, records, config)
+                trace.append([
+                    stats.status,
+                    stats.nodes,
+                    stats.handler_calls,
+                    stats.domain_reductions,
+                    stats.cutoffs,
+                    sorted(incumbent.items()) if incumbent else None,
+                ])
+            scope = [v.id for v in model.variables if v.is_integer]
+            enum = enumerate_feasible(model, scope, cap=TRACE_NODE_LIMIT)
+            trace.append([enum.nodes_visited, enum.truncated, len(enum.feasible_points)])
+    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+    assert digest[:16] == PINNED_TRACE_SHA256
