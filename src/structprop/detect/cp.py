@@ -30,9 +30,8 @@ from .rowview import ModelView, uniform_coefficient
 def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
     """Two-sided counting rows: L <= sum of >= 3 binaries <= U."""
     records = []
-    for row in view.active_rows:
-        u = view.unit_view(row)
-        if u is None or len(u.support) < 3 or not view.all_binary(u.support):
+    for u in view.units.values():
+        if len(u.support) < 3 or not u.binary:
             continue
         n = len(u.support)
         lower = 0.0 if u.lower == -INF else max(0.0, float(math.ceil(u.lower - FEAS_TOL)))
@@ -45,7 +44,7 @@ def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
                 Family.CARDINALITY,
                 support,
                 CardinalityParams(support, lower, upper),
-                (row.id,),
+                (u.row,),
             )
         )
     return records
@@ -76,8 +75,8 @@ def _components(rows: list[tuple[int, tuple[int, ...]]]) -> list[list[int]]:
 
 def detect_alldifferent(view: ModelView, config) -> list[SemanticRecord]:
     """Square assignment grids: n exact-one rows crossed by n value rows."""
-    eq = [(u.row, u.support) for u in view.exact_one_rows(min_size=3)]
-    am = [(u.row, u.support) for u in view.at_most_one_facets(min_size=3)]
+    eq = [(u.row, u.support) for u in view.exact_ones if len(u.support) >= 3]
+    am = [(u.row, u.support) for u in view.at_most_ones if len(u.support) >= 3]
     pool = eq + am
     n_eq = len(eq)
     records = []
@@ -138,7 +137,7 @@ def _check_grid(items, values, symmetric) -> SemanticRecord | None:
 def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
     """An integer variable equated with a value-weighted one-hot group."""
     one_by_support: dict[frozenset[int], int] = {}
-    for u in view.exact_one_rows(min_size=2):
+    for u in view.exact_ones:
         one_by_support.setdefault(frozenset(u.support), u.row)
     records = []
     for row in view.equalities:
@@ -170,7 +169,7 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
     """Start-indicator scheduling grids sharing per-period capacity rows."""
-    tasks = [(u.row, u.support) for u in view.exact_one_rows(min_size=3)]
+    tasks = [(u.row, u.support) for u in view.exact_ones if len(u.support) >= 3]
     caps = []
     for facet in view.facets:
         sup = facet.support()
@@ -232,7 +231,6 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
     """A distinct-value counter: count var tied to used-value indicators."""
-    ones = view.exact_one_rows(min_size=2)
     records = []
     for row in view.equalities:
         if abs(row.rhs) > FEAS_TOL:
@@ -251,7 +249,7 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
         zset = {v for v, _ in bins}
         items = []
         evidence = [row.id]
-        for u in ones:
+        for u in view.exact_ones:
             targets = []
             for y in u.support:
                 hits = [(z, rid) for z, rid in view.implications.get(y, ()) if z in zset]

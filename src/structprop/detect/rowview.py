@@ -1,15 +1,23 @@
 """Shared row classification used by every detector.
 
-Detectors never look at variable or row names.  They work from four
-normalized views built here once per model:
+Detectors never look at variable or row names.  ``ModelView`` classifies
+each row once, when it is built, and detectors only read the result:
 
 * non-binding rows are dropped up front (a row whose activity image already
-  sits inside its sides constrains nothing, so it can only be noise),
+  sits inside its sides constrains nothing, so it can only be noise); the
+  rest are ``active_rows``, with the equalities among them in ``equalities``,
 * one-sided rows are canonicalized to ``sum(terms) <= bound`` facets, which
   makes detection invariant under row sign inversion,
-* uniform-coefficient rows are rescaled to unit form so bounds read as counts,
+* uniform-coefficient rows are rescaled to unit form, so bounds read as
+  counts, and kept in ``units`` by row id, each flagged when its support is
+  all binary,
+* the unit rows over two or more binaries that read ``sum == 1`` are listed
+  in ``exact_ones``, and the one-sided ones that read ``sum <= 1`` in
+  ``at_most_ones``,
 * two-binary facets ``x - y <= 0`` (any positive scale) are indexed as
   implications ``x <= y``.
+
+Every list is in row order.
 """
 
 from __future__ import annotations
@@ -49,15 +57,19 @@ class Facet:
         return self.vars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitView:
-    """A uniform-coefficient row rescaled to coefficient +1 on every term."""
+    """A uniform-coefficient row rescaled to coefficient +1 on every term.
+
+    ``binary`` says every variable of the support is binary.
+    """
 
     row: int
     support: tuple[int, ...]
     lower: float
     upper: float
     is_equality: bool
+    binary: bool
 
 
 def uniform_coefficient(coeffs) -> float | None:
@@ -98,10 +110,24 @@ class ModelView:
 
         self.equalities: list[LinearRow] = [r for r in self.active_rows if r.is_equality]
         self.facets: list[Facet] = []
+        self.units: dict[int, UnitView] = {}
+        self.exact_ones: list[UnitView] = []
+        self.at_most_ones: list[UnitView] = []
         for row in self.active_rows:
             facet = one_sided_facet(row)
             if facet is not None:
                 self.facets.append(facet)
+            unit = self._unit(row)
+            if unit is None:
+                continue
+            self.units[row.id] = unit
+            if not unit.binary or len(unit.support) < 2:
+                continue
+            if row.is_equality:
+                if unit.lower == 1.0 and unit.upper == 1.0:
+                    self.exact_ones.append(unit)
+            elif facet is not None and unit.upper == 1.0 and unit.lower <= 0.0:
+                self.at_most_ones.append(unit)
 
         # x -> [(y, facet row)] for every facet reading x <= y over binaries
         self.implications: dict[int, list[tuple[int, int]]] = {}
@@ -117,41 +143,18 @@ class ModelView:
     def all_binary(self, support) -> bool:
         return all(self.is_binary[v] for v in support)
 
-    def unit_view(self, row: LinearRow) -> UnitView | None:
+    def _unit(self, row: LinearRow) -> UnitView | None:
         """Rescale a uniform-coefficient row to +1 coefficients."""
         coeff = uniform_coefficient(row.coeffs)
         if coeff is None or coeff == 0.0:
             return None
-        support = row.vars
         if coeff > 0:
             lower, upper = row.lhs / coeff, row.rhs / coeff
         else:
             lower, upper = row.rhs / coeff, row.lhs / coeff
-        return UnitView(row.id, support, lower, upper, row.is_equality)
-
-    def exact_one_rows(self, min_size: int = 2) -> list[UnitView]:
-        """Equality rows reading sum(binaries) == 1 after rescaling."""
-        found = []
-        for row in self.equalities:
-            view = self.unit_view(row)
-            if (view is not None and len(view.support) >= min_size
-                    and view.lower == 1.0 and view.upper == 1.0
-                    and self.all_binary(view.support)):
-                found.append(view)
-        return found
-
-    def at_most_one_facets(self, min_size: int = 2) -> list[UnitView]:
-        """One-sided rows reading sum(binaries) <= 1 after rescaling."""
-        found = []
-        for row in self.active_rows:
-            if row.is_equality or (row.lhs > -float("inf") and row.rhs < float("inf")):
-                continue
-            view = self.unit_view(row)
-            if (view is not None and len(view.support) >= min_size
-                    and view.upper == 1.0 and view.lower <= 0.0
-                    and self.all_binary(view.support)):
-                found.append(view)
-        return found
+        return UnitView(
+            row.id, row.vars, lower, upper, row.is_equality, self.all_binary(row.vars)
+        )
 
 
 def one_sided_facet(row: LinearRow) -> Facet | None:

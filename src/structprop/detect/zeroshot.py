@@ -30,11 +30,10 @@ from .rowview import ModelView
 
 def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
     """Disjoint one-hot groups coupled through a shared capacity row."""
-    group_rows = view.exact_one_rows(min_size=2)
     group_of: dict[int, int] = {}
     members: dict[int, tuple[int, ...]] = {}
     conflicted: set[int] = set()
-    for u in group_rows:
+    for u in view.exact_ones:
         members[u.row] = u.support
         for v in u.support:
             if v in group_of:
@@ -42,7 +41,7 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
             group_of[v] = u.row
     records = []
     used_groups: set[int] = set()
-    for facet in sorted(view.facets, key=lambda f: f.row):
+    for facet in view.facets:
         if any(v in conflicted for v in facet.support()):
             continue
         inside: dict[int, set[int]] = defaultdict(set)
@@ -96,7 +95,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
                 links[z].append((facet.row, x, cx / -cz))
                 break
 
-    group_rows = {u.row: u for u in view.exact_one_rows(min_size=2)}
+    group_rows = {u.row: u for u in view.exact_ones}
     group_of: dict[int, int] = {}
     for rid, u in group_rows.items():
         for v in u.support:
@@ -169,30 +168,28 @@ def _find_activators(view: ModelView, selectors: set[int]):
         mapping.append((x, act))
         act_rows.append(rid)
         activators.add(act)
-    for row in view.equalities:
-        u = view.unit_view(row)
-        if (u is not None and set(u.support) == activators
+    for u in view.units.values():
+        if (u.is_equality and set(u.support) == activators
                 and u.lower == u.upper and abs(u.lower - round(u.lower)) <= FEAS_TOL
                 and 1 <= round(u.lower) <= len(activators)):
             spec = ActivatorSpec(
                 selector_to_activator=tuple(mapping),
                 activator_vars=tuple(sorted(activators)),
                 count=int(round(u.lower)),
-                count_row=row.id,
+                count_row=u.row,
             )
-            return spec, act_rows + [row.id]
+            return spec, act_rows + [u.row]
     return None
 
 
 def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
     """Shift-assignment grids with per-day one-shift rows, coverage
     equalities, and sliding workload windows tied together per nurse."""
-    dems = []
-    for row in view.equalities:
-        u = view.unit_view(row)
-        if (u is not None and len(u.support) >= 2 and view.all_binary(u.support)
-                and u.lower >= -FEAS_TOL and abs(u.lower - round(u.lower)) <= FEAS_TOL):
-            dems.append(u)
+    dems = [
+        u for u in view.units.values()
+        if u.is_equality and len(u.support) >= 2 and u.binary
+        and u.lower >= -FEAS_TOL and abs(u.lower - round(u.lower)) <= FEAS_TOL
+    ]
     if len(dems) < 2:
         return []
     dem_of: dict[int, int] = {}
@@ -211,7 +208,7 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
         support = set(row.vars)
         if not support & grid_vars:
             continue
-        u = view.unit_view(row)
+        u = view.units.get(row.id)
         if u is None or not support <= grid_vars:
             return []
         if row.lhs > -INF and row.rhs < INF:
@@ -221,14 +218,18 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
         else:
             lowers.append(u)
 
-    # one-shift rows are the minimal upper rows; windows stack above them
+    # one-shift rows are the minimal upper rows; windows stack above them.
+    # A strict subset of a row's support holds its own smallest variable, so
+    # indexing the rows by that variable finds every candidate.
     supports = {u.row: frozenset(u.support) for u in uppers}
+    by_smallest: dict[int, list[frozenset[int]]] = defaultdict(list)
+    for u in uppers:
+        by_smallest[min(u.support)].append(supports[u.row])
     sos = []
     composite = []
     for u in uppers:
-        if any(
-            supports[o.row] < supports[u.row] for o in uppers if o.row != u.row
-        ):
+        support = supports[u.row]
+        if any(o < support for v in support for o in by_smallest.get(v, ())):
             composite.append(u)
         elif u.upper == 1.0:
             sos.append(u)
@@ -606,7 +607,7 @@ def _period_rows(view: ModelView, var_set: set[int]):
             continue
         if row.is_equality:
             return None
-        u = view.unit_view(row)
+        u = view.units.get(row.id)
         if u is None or u.lower == -INF or u.upper < INF:
             return None
         if support & covered:
@@ -685,15 +686,10 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
         else:
             candidates[guard][0].append((facet.row, tuple(rest), facet.bound))
 
-    selector_membership: dict[int, list] = defaultdict(list)
-    exact_ones = view.exact_one_rows(min_size=2)
-    for u in exact_ones:
-        for v in u.support:
-            selector_membership[v].append(u)
-
+    grouped = {v for u in view.exact_ones for v in u.support}
     records = []
     used: set[int] = set()
-    for u in sorted(exact_ones, key=lambda u: u.row):
+    for u in view.exact_ones:
         selectors = u.support
         if not 2 <= len(selectors) <= 6 or used & set(selectors):
             continue
@@ -725,7 +721,7 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
         used.update(selectors)
 
     for guard in sorted(candidates):
-        if guard in used or selector_membership.get(guard):
+        if guard in used or guard in grouped:
             continue
         on_rows = candidates[guard][1]
         off_rows = candidates[guard][0]

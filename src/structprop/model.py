@@ -304,9 +304,9 @@ class PropagationOutcome:
     Counters follow the benchmark diagnostics: ``calls`` counts propagator
     invocations, ``domain_reductions`` counts recorded bound changes,
     ``cutoffs`` counts invocations that ended in a cutoff, ``prop_time`` is
-    wall time spent inside propagators.  A ``tighten_row`` call is one pass
-    over one row and is not timed (its ``prop_time`` stays 0);
-    ``propagate_block_fixpoint``, which repeats it, times itself.
+    wall time spent inside propagators.  ``tighten_row`` only records bound
+    changes into its caller's outcome; ``propagate_block_fixpoint``, which
+    repeats it, counts and times itself as one call.
     """
 
     bound_changes: list[BoundChange] = field(default_factory=list)
@@ -388,12 +388,13 @@ class DomainBox:
 def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Raise ``var``'s lower bound to ``value``; True means the domain emptied.
 
-    An integer bound is rounded inward first.  The box is written, and the
-    change recorded in ``out``, only when the new bound beats the old one by
-    more than ``FEAS_TOL``; otherwise nothing happens and False comes back.
+    An integer bound is rounded inward first, and stays a float.  The box
+    is written, and the change recorded in ``out``, only when the new bound
+    beats the old one by more than ``FEAS_TOL``; otherwise nothing happens
+    and False comes back.
     """
     if box.integer_mask[var] and math.isfinite(value):
-        value = math.ceil(value - INT_TOL)
+        value = float(math.ceil(value - INT_TOL))
     old = box.lower[var]
     if value <= old + FEAS_TOL:
         return False
@@ -405,7 +406,7 @@ def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -
 def set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Lower ``var``'s upper bound to ``value``; the mirror of :func:`set_lower`."""
     if box.integer_mask[var] and math.isfinite(value):
-        value = math.floor(value + INT_TOL)
+        value = float(math.floor(value + INT_TOL))
     old = box.upper[var]
     if value >= old - FEAS_TOL:
         return False
@@ -433,8 +434,8 @@ def activity_range(
     return lo, hi
 
 
-def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
-    """One residual-activity pass over a single row, mutating ``box``.
+def tighten_row(row: LinearRow, box: DomainBox, out: PropagationOutcome) -> bool:
+    """One residual-activity pass over a single row; True means a cutoff.
 
     The pass reads each term's contribution range once, at the start, and
     sums the finite parts of both activity sides while counting the
@@ -443,11 +444,11 @@ def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
     comes from those sums without ever forming inf - inf, and the candidate
     bounds ``x_j <= (rhs - minact_without_j) / a_j`` and
     ``x_j >= (lhs - maxact_without_j) / a_j`` (sides swapped for negative
-    coefficients) are written through :func:`set_lower`/:func:`set_upper`.
-    A term whose domain empties is a cutoff.  Bounds written in the pass do
+    coefficients) are written into ``box`` through
+    :func:`set_lower`/:func:`set_upper`, which record them in ``out``.  A
+    term whose domain empties is a cutoff.  Bounds written in the pass do
     not feed back into it; ``propagate_block_fixpoint`` repeats the rows.
     """
-    outcome = PropagationOutcome(calls=1)
     lower, upper = box.lower, box.upper
     ranges = []
     min_finite = max_finite = 0.0
@@ -471,9 +472,7 @@ def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
     if (not min_inf and min_finite > rhs + FEAS_TOL) or (
         not max_inf and max_finite < lhs - FEAS_TOL
     ):
-        outcome.cutoff = True
-        outcome.cutoffs = 1
-        return outcome
+        return True
     for var, coeff, (lo_c, hi_c) in zip(row.vars, row.coeffs, ranges):
         if abs(coeff) < COEFF_FLOOR:
             continue
@@ -491,14 +490,12 @@ def tighten_row(row: LinearRow, box: DomainBox) -> PropagationOutcome:
         else:
             from_rhs, from_lhs = set_lower, set_upper
         if rhs != INF and res_min != -INF:
-            from_rhs(box, outcome, var, (rhs - res_min) / coeff)
+            from_rhs(box, out, var, (rhs - res_min) / coeff)
         if lhs != -INF and res_max != INF:
-            from_lhs(box, outcome, var, (lhs - res_max) / coeff)
+            from_lhs(box, out, var, (lhs - res_max) / coeff)
         if lower[var] > upper[var] + FEAS_TOL:
-            outcome.cutoff = True
-            outcome.cutoffs = 1
-            break
-    return outcome
+            return True
+    return False
 
 
 def is_valid_reduction(

@@ -190,10 +190,7 @@ def propagate_block_fixpoint(
     for _ in range(config.max_fixpoint_rounds):
         before = out.domain_reductions
         for row in rows:
-            step = tighten_row(row, box)
-            out.bound_changes.extend(step.bound_changes)
-            out.domain_reductions += step.domain_reductions
-            if step.cutoff:
+            if tighten_row(row, box, out):
                 return _finish(out, started, cutoff=True)
         if out.domain_reductions == before:
             break

@@ -1,5 +1,8 @@
 """Detector tests: row views, exact recovery, arbitration, heuristic records."""
 
+import hashlib
+import json
+
 import pytest
 
 from structprop.detect import (
@@ -11,8 +14,8 @@ from structprop.detect import (
 )
 from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
 from structprop.propagate import propagate_record
-from structprop.records import Confidence, Family, records_equal
-from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
+from structprop.records import Confidence, Family, records_equal, records_to_json
+from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
 from structprop.verify import verify_propagation
 
 ALL_FAMILIES = list(Family)
@@ -57,13 +60,29 @@ def test_unit_view_rescales_and_swaps_bounds():
         ],
     )
     view = ModelView(model)
-    scaled = view.unit_view(model.rows[0])
-    assert scaled.support == (0, 1)
+    scaled = view.units[0]
+    assert scaled.support == (0, 1) and scaled.binary
     assert (scaled.lower, scaled.upper) == (1.0, 2.0)
 
-    flipped = view.unit_view(model.rows[1])
+    flipped = view.units[1]
     assert (flipped.lower, flipped.upper) == (-INF, 1.0)
     assert not flipped.is_equality
+
+
+def test_units_hold_only_uniform_rows_and_flag_binary_support():
+    model = make_model(
+        [binary(0, "a"), binary(1, "b"),
+         Variable(2, "n", 0.0, 3.0, Integrality.INTEGER)],
+        [
+            ([(0, 1.0), (2, 1.0)], 1.0, 2.0),  # uniform, but n is not binary
+            ([(0, 1.0), (1, 2.0)], 1.0, 2.0),  # not uniform
+            ([(0, 1.0), (1, 1.0), (2, 1.0)], 1.0, 1.0),  # exact-one, not binary
+        ],
+    )
+    view = ModelView(model)
+    assert sorted(view.units) == [0, 2]
+    assert not view.units[0].binary and not view.units[2].binary
+    assert view.exact_ones == [] and view.at_most_ones == []
 
 
 def test_exact_one_and_at_most_one_helpers():
@@ -76,8 +95,8 @@ def test_exact_one_and_at_most_one_helpers():
         ],
     )
     view = ModelView(model)
-    assert [u.row for u in view.exact_one_rows()] == [0]
-    assert [u.row for u in view.at_most_one_facets()] == [1]
+    assert [u.row for u in view.exact_ones] == [0]
+    assert [u.row for u in view.at_most_ones] == [1]
 
 
 def test_implications_read_two_binary_facets_as_x_le_y():
@@ -269,3 +288,74 @@ def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
     assert not out.cutoff
     assert box.lower[2] == box.upper[2] == 1.0
     assert box.lower[3] == 1.0 and box.lower[6] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# pinned detection output on larger and multi-block models
+
+
+def records_digest(model, report) -> str:
+    doc = records_to_json([*report.records, *report.dropped], model)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def disjoint_union(blocks):
+    """One model holding every block, ids offset, names prefixed per block."""
+    variables, rows, objective, truths = [], [], [], []
+    for idx, block in enumerate(blocks):
+        var_map = [len(variables) + v for v in range(len(block.model.variables))]
+        row_map = [len(rows) + r for r in range(len(block.model.rows))]
+        variables.extend(
+            Variable(var_map[v.id], f"b{idx}_{v.name}", v.lower, v.upper, v.integrality)
+            for v in block.model.variables
+        )
+        rows.extend(
+            LinearRow(
+                row_map[r.id],
+                f"b{idx}_{r.name}",
+                tuple((var_map[v], c) for v, c in r.terms),
+                r.lhs,
+                r.rhs,
+            )
+            for r in block.model.rows
+        )
+        objective.extend((var_map[v], c) for v, c in block.model.objective)
+        truths.append(remap_record(block.ground_truth, var_map, row_map))
+    return MipModel(variables, rows, objective), truths
+
+
+# sha256 prefix of the records JSON (kept plus dropped) of detect_all
+MULTI_BLOCK_RECORDS_SHA256 = "98882b588539ed27"
+LARGE_ROSTERING_RECORDS_SHA256 = "2e7f731132e43546"
+
+
+def test_multi_block_detection_matches_pinned_output():
+    blocks = [
+        obfuscate(reverse_sample(family, seed=0), ObfuscationConfig(seed=0))
+        for family in ALL_FAMILIES
+    ]
+    model, truths = disjoint_union(blocks)
+    report = detect_all(model)
+    assert records_digest(model, report) == MULTI_BLOCK_RECORDS_SHA256
+    assert report.warnings == ()
+    assert report.family_counts == {
+        "AllDifferent": 1, "BottleneckExactOne": 1, "Cardinality": 13, "Channel": 1,
+        "Cumulative": 1, "DisjPolyhedral": 1, "NValue": 1, "OneHotResource": 1,
+        "Stretch": 1,
+    }
+    # the whole-model block detectors see foreign rows and find nothing
+    found = {t.family for t in truths if any(records_equal(r, t) for r in report.records)}
+    assert found == set(ALL_FAMILIES) - {
+        Family.ROSTERING_WINDOW, Family.UNIT_COMMITMENT_RAMP
+    }
+
+
+def test_large_rostering_detection_matches_pinned_output():
+    sizes = {"nurses": 6, "days": 14, "shifts": 3, "allow_large": 1}
+    inst = obfuscate(
+        reverse_sample(Family.ROSTERING_WINDOW, sizes, seed=0), ObfuscationConfig(seed=0)
+    )
+    report = detect_all(inst.model)
+    assert [r.family for r in report.records] == [Family.ROSTERING_WINDOW]
+    assert records_equal(report.records[0], inst.ground_truth)
+    assert records_digest(inst.model, report) == LARGE_ROSTERING_RECORDS_SHA256

@@ -16,6 +16,7 @@ from structprop.model import (
     Integrality,
     LinearRow,
     MipModel,
+    PropagationOutcome,
     Variable,
     activity_range,
     is_valid_reduction,
@@ -62,8 +63,8 @@ def test_activity_infinite_bounds():
 
 def test_tighten_upper_bound():
     box = make_box([(0, 10), (2, 4)])
-    out = tighten_row(row([(0, 1.0), (1, 1.0)], lhs=0.0, rhs=5.0), box)
-    assert not out.cutoff
+    out = PropagationOutcome()
+    assert not tighten_row(row([(0, 1.0), (1, 1.0)], lhs=0.0, rhs=5.0), box, out)
     assert box.upper[0] == 3.0
     assert box.lower == [0.0, 2.0]
     changed = {(c.var, c.which) for c in out.bound_changes}
@@ -72,25 +73,25 @@ def test_tighten_upper_bound():
 
 def test_tighten_detects_cutoff():
     box = make_box([(0, 3)])
-    out = tighten_row(row([(0, 1.0)], lhs=4.0, rhs=INF), box)
-    assert out.cutoff
-    assert out.cutoffs == 1
+    out = PropagationOutcome()
+    assert tighten_row(row([(0, 1.0)], lhs=4.0, rhs=INF), box, out)
+    # the caller owns the counters; the kernel only records bound changes
+    assert not out.cutoff and out.cutoffs == 0 and out.calls == 0
 
 
 def test_tighten_negative_coefficient():
     # -2x <= -6 forces x >= 3
     box = make_box([(0, 10)])
-    out = tighten_row(row([(0, -2.0)], lhs=-INF, rhs=-6.0), box)
-    assert not out.cutoff
+    assert not tighten_row(row([(0, -2.0)], lhs=-INF, rhs=-6.0), box, PropagationOutcome())
     assert box.lower[0] == 3.0
 
 
 def test_tighten_rounds_integer_bounds_inward():
     box = make_box([(0, 10)], integer={0})
-    tighten_row(row([(0, 2.0)], lhs=-INF, rhs=5.0), box)
+    tighten_row(row([(0, 2.0)], lhs=-INF, rhs=5.0), box, PropagationOutcome())
     assert box.upper[0] == 2.0  # 2.5 rounded down
     box = make_box([(0, 10)], integer={0})
-    tighten_row(row([(0, 2.0)], lhs=3.0, rhs=INF), box)
+    tighten_row(row([(0, 2.0)], lhs=3.0, rhs=INF), box, PropagationOutcome())
     assert box.lower[0] == 2.0  # 1.5 rounded up
 
 
@@ -98,15 +99,16 @@ def test_tighten_skips_infinite_residual():
     # y unbounded below, so no finite bound for x can be derived from x+y <= 5,
     # but y's own bound follows from x's finite part.
     box = make_box([(0, 10), (-INF, INF)])
-    out = tighten_row(row([(0, 1.0), (1, 1.0)], lhs=-INF, rhs=5.0), box)
-    assert not out.cutoff
+    assert not tighten_row(
+        row([(0, 1.0), (1, 1.0)], lhs=-INF, rhs=5.0), box, PropagationOutcome()
+    )
     assert box.upper[0] == 10.0
     assert box.upper[1] == 5.0
 
 
 def test_tighten_two_sided_row_both_directions():
     box = make_box([(0, 10), (0, 10)])
-    tighten_row(row([(0, 1.0), (1, 1.0)], lhs=15.0, rhs=18.0), box)
+    tighten_row(row([(0, 1.0), (1, 1.0)], lhs=15.0, rhs=18.0), box, PropagationOutcome())
     assert box.lower == [5.0, 5.0]
 
 
@@ -126,8 +128,7 @@ def test_tighten_makes_one_pass_and_the_block_fixpoint_repeats_it():
     # is [12, 12], which misses 13: only the block fixpoint gets there.
     r = row([(0, 2.0), (1, 2.0)], lhs=13.0, rhs=13.0)
     box = make_box([(3, 9), (1, 7)], integer={0, 1})
-    out = tighten_row(r, box)
-    assert not out.cutoff
+    assert not tighten_row(r, box, PropagationOutcome())
     assert (box.lower, box.upper) == ([3, 1], [5, 3])
     box = make_box([(3, 9), (1, 7)], integer={0, 1})
     assert propagate_block_fixpoint([r], box).cutoff
@@ -136,8 +137,9 @@ def test_tighten_makes_one_pass_and_the_block_fixpoint_repeats_it():
 def test_tighten_never_divides_by_a_coefficient_below_the_floor():
     # dividing by 1e-12 would raise x0 to 5e11; COEFF_FLOOR skips that term
     box = make_box([(0, 1e13), (0, 0.5)])
-    out = tighten_row(row([(0, 1e-12), (1, 1.0)], lhs=1.0, rhs=INF), box)
-    assert not out.cutoff
+    assert not tighten_row(
+        row([(0, 1e-12), (1, 1.0)], lhs=1.0, rhs=INF), box, PropagationOutcome()
+    )
     assert box.lower[0] == 0.0
 
 
@@ -441,10 +443,15 @@ def test_tighten_never_cuts_feasible_corner(coeffs, bounds, side):
         if lhs <= value <= rhs:
             feasible.append(dict(enumerate(map(float, point))))
 
-    for tighten in (tighten_row, lambda r, box: propagate_block_fixpoint([r], box)):
+    def one_pass(r, box):
+        return tighten_row(r, box, PropagationOutcome())
+
+    def block(r, box):
+        return propagate_block_fixpoint([r], box).cutoff
+
+    for tighten in (one_pass, block):
         box = original.copy()
-        out = tighten(r, box)
-        if out.cutoff:
+        if tighten(r, box):
             assert not feasible
         else:
             assert is_valid_reduction(original, box, feasible)

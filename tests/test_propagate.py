@@ -1,6 +1,7 @@
 """Propagator tests: family rules, fixpoints, soundness against enumeration."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -680,6 +681,18 @@ def test_outcome_serialization_shape():
     assert blob["budget_hit"] is False
     assert blob["prop_time_ms"] >= 0.0
     assert {c["side"] for c in blob["bound_changes"]} == {"lb", "ub"}
+
+
+def test_integer_rounded_bounds_stay_floats():
+    # fixing the channel's integer variable makes the rows round binaries to 0 and 1
+    inst = reverse_sample(Family.CHANNEL, seed=0)
+    box = DomainBox.from_model(inst.model)
+    box.upper[0] = box.lower[0]
+    out = propagate_block_fixpoint(inst.model.rows, box)
+    assert out.bound_changes and not out.cutoff
+    assert all(type(c.new) is float for c in out.bound_changes)
+    text = json.dumps(outcome_to_json(out))
+    assert '"new": 0.0' in text and '"new": 0,' not in text and '"new": 0}' not in text
 
 
 # ---------------------------------------------------------------------------
