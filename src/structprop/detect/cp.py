@@ -170,13 +170,12 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
 def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
     """Start-indicator scheduling grids sharing per-period capacity rows."""
     tasks = [(u.row, u.support) for u in view.exact_ones if len(u.support) >= 3]
-    caps = []
-    for facet in view.facets:
-        sup = facet.support()
-        if (len(sup) >= 2 and view.all_binary(sup)
-                and all(c > 0 for c in facet.coeffs)):
-            caps.append(facet)
-    pool = tasks + [(f.row, f.support()) for f in caps]
+    caps = [
+        f
+        for f in view.facets
+        if len(f.vars) >= 2 and f.binary and all(c > 0 for c in f.coeffs)
+    ]
+    pool = tasks + [(f.row, f.vars) for f in caps]
     n_tasks = len(tasks)
     records = []
     for comp in _components(pool):
@@ -196,7 +195,7 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
         capacity = cap_part[0].bound
         if any(abs(f.bound - capacity) > FEAS_TOL for f in cap_part):
             continue
-        if any(v not in task_of for f in cap_part for v in f.support()):
+        if any(v not in task_of for f in cap_part for v in f.vars):
             continue
         # per-variable appearance lists decide each task's duration and demand
         hits: dict[int, list[float]] = defaultdict(list)
@@ -219,7 +218,7 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
         if not clean:
             continue
         periods = tuple(
-            CumulativePeriod(f.row, tuple(sorted(f.support())))
+            CumulativePeriod(f.row, tuple(sorted(f.vars)))
             for f in sorted(cap_part, key=lambda f: f.row)
         )
         params = CumulativeParams(tuple(specs), capacity, periods)
@@ -231,6 +230,12 @@ def detect_cumulative(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
     """A distinct-value counter: count var tied to used-value indicators."""
+    # z -> positions in view.exact_ones of the rows with a variable implying z
+    feeds: dict[int, set[int]] = defaultdict(set)
+    for pos, u in enumerate(view.exact_ones):
+        for y in u.support:
+            for z, _ in view.implications.get(y, ()):
+                feeds[z].add(pos)
     records = []
     for row in view.equalities:
         if abs(row.rhs) > FEAS_TOL:
@@ -249,7 +254,9 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
         zset = {v for v, _ in bins}
         items = []
         evidence = [row.id]
-        for u in view.exact_ones:
+        # a matching row has every variable implying into zset, so it feeds it
+        for pos in sorted({pos for z in zset for pos in feeds.get(z, ())}):
+            u = view.exact_ones[pos]
             targets = []
             for y in u.support:
                 hits = [(z, rid) for z, rid in view.implications.get(y, ()) if z in zset]
@@ -287,9 +294,9 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     trips = []  # (rid, positive var, (negative, negative))
     windows = []  # (rid, support, scaled bound)
     for facet in view.facets:
-        sup = facet.support()
-        if not view.all_binary(sup):
+        if not facet.binary:
             continue
+        sup = facet.vars
         coeffs = facet.coeffs
         if len(sup) == 2:
             ca, cb = coeffs

@@ -7,7 +7,8 @@ each row once, when it is built, and detectors only read the result:
   sits inside its sides constrains nothing, so it can only be noise); the
   rest are ``active_rows``, with the equalities among them in ``equalities``,
 * one-sided rows are canonicalized to ``sum(terms) <= bound`` facets, which
-  makes detection invariant under row sign inversion,
+  makes detection invariant under row sign inversion, each flagged when its
+  support is all binary,
 * uniform-coefficient rows are rescaled to unit form, so bounds read as
   counts, and kept in ``units`` by row id, each flagged when its support is
   all binary,
@@ -41,20 +42,14 @@ class Facet:
 
     ``vars`` and ``coeffs`` are the row's own tuples for a ``<=`` row and
     an interned negated pattern for a ``>=`` row, so facets copy no terms.
+    ``binary`` says every variable of ``vars`` is binary.
     """
 
     row: int
     vars: tuple[int, ...]
     coeffs: tuple[float, ...]
     bound: float
-
-    @property
-    def terms(self) -> tuple[tuple[int, float], ...]:
-        """The ``(var, coeff)`` pairs, built on each access."""
-        return tuple(zip(self.vars, self.coeffs))
-
-    def support(self) -> tuple[int, ...]:
-        return self.vars
+    binary: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +109,11 @@ class ModelView:
         self.exact_ones: list[UnitView] = []
         self.at_most_ones: list[UnitView] = []
         for row in self.active_rows:
-            facet = one_sided_facet(row)
+            binary = self.all_binary(row.vars)
+            facet = one_sided_facet(row, binary)
             if facet is not None:
                 self.facets.append(facet)
-            unit = self._unit(row)
+            unit = _unit(row, binary)
             if unit is None:
                 continue
             self.units[row.id] = unit
@@ -136,37 +132,40 @@ class ModelView:
                 continue
             va, vb = facet.vars
             ca, cb = facet.coeffs
-            if ca == -cb and self.is_binary[va] and self.is_binary[vb]:
+            if ca == -cb and facet.binary:
                 x, y = (va, vb) if ca > 0 else (vb, va)
                 self.implications.setdefault(x, []).append((y, facet.row))
 
     def all_binary(self, support) -> bool:
         return all(self.is_binary[v] for v in support)
 
-    def _unit(self, row: LinearRow) -> UnitView | None:
-        """Rescale a uniform-coefficient row to +1 coefficients."""
-        coeff = uniform_coefficient(row.coeffs)
-        if coeff is None or coeff == 0.0:
-            return None
-        if coeff > 0:
-            lower, upper = row.lhs / coeff, row.rhs / coeff
-        else:
-            lower, upper = row.rhs / coeff, row.lhs / coeff
-        return UnitView(
-            row.id, row.vars, lower, upper, row.is_equality, self.all_binary(row.vars)
-        )
+
+def _unit(row: LinearRow, binary: bool) -> UnitView | None:
+    """Rescale a uniform-coefficient row to +1 coefficients."""
+    coeff = uniform_coefficient(row.coeffs)
+    if coeff is None or coeff == 0.0:
+        return None
+    if coeff > 0:
+        lower, upper = row.lhs / coeff, row.rhs / coeff
+    else:
+        lower, upper = row.rhs / coeff, row.lhs / coeff
+    return UnitView(row.id, row.vars, lower, upper, row.is_equality, binary)
 
 
-def one_sided_facet(row: LinearRow) -> Facet | None:
-    """Canonical <= form of a strictly one-sided row, None otherwise."""
+def one_sided_facet(row: LinearRow, binary: bool) -> Facet | None:
+    """Canonical <= form of a strictly one-sided row, None otherwise.
+
+    ``binary`` is the caller's answer to whether the row's support is all
+    binary; the facet carries it.
+    """
     lhs_finite = row.lhs > -float("inf")
     rhs_finite = row.rhs < float("inf")
     if lhs_finite and rhs_finite:
         return None
     if rhs_finite:
-        return Facet(row.id, row.vars, row.coeffs, row.rhs)
+        return Facet(row.id, row.vars, row.coeffs, row.rhs, binary)
     if lhs_finite:
         negated = intern_coeffs(tuple(shared_float(-c) for c in row.coeffs))
-        return Facet(row.id, row.vars, negated, -row.lhs)
+        return Facet(row.id, row.vars, negated, -row.lhs, binary)
     return None
 

@@ -42,7 +42,7 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
     records = []
     used_groups: set[int] = set()
     for facet in view.facets:
-        if any(v in conflicted for v in facet.support()):
+        if any(v in conflicted for v in facet.vars):
             continue
         inside: dict[int, set[int]] = defaultdict(set)
         cost: dict[int, float] = {}

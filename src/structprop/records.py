@@ -5,28 +5,40 @@ scope, family-specific parameters, and the evidence rows that justify it.
 Parameters hold dense variable/row ids; serialization swaps them for names so
 record documents survive alongside MPS files.
 
-The params dataclasses are their own schema.  A field typed :data:`Var` or
-:data:`Row` holds a variable or row id, and :data:`RoleRows` marks
-``(role, row ids)`` pairs that serialize as one JSON object keyed by role.
-One codec walks a params class's field types (tuples become lists, ``X |
-None`` passes None through, nested dataclasses become objects keyed by field
-name, ids become names) and builds its encoder and decoder once per type.  A
-new family therefore needs a dataclass with marked fields and no serializer.
+The params dataclasses are their own schema, and a new family needs one
+marked dataclass with no serializer and no key.  A field typed :data:`Var`
+or :data:`Row` holds a variable or row id, :data:`Unordered` marks a tuple
+whose order carries no meaning, and :data:`RoleRows` marks ``(role, row
+ids)`` pairs that serialize as one JSON object keyed by role.  One walk over
+a params class's field types builds its encoder, decoder and identity key
+once per type: tuples become lists, ``X | None`` passes None through,
+nested dataclasses become objects keyed by field name, and ids become names.
 
-Each params class exposes ``canonical_key()``: a hashable normalization used
-for order-insensitive structural equality.  Labels that carry no meaning
-(which group came first, which nurse is "nurse 0") are erased by frozensets;
-labels that do carry meaning (period order in a ramp chain, position in a
-run-length chain) stay ordered.
+The key decides structural equality (:func:`records_equal`, and exact
+recovery in ``verify``).  Labels that carry no meaning (which group came
+first, which nurse is "nurse 0") are erased: ``Unordered`` tuples and role
+objects compare as sets.  Labels that do carry meaning (period order in a
+ramp chain, position in a run-length chain) stay ordered.  A symmetry that
+is not field-wise goes in a ``canonical_key(self, key)`` method on top of
+the field-wise ``key``; AllDifferent and UnitCommitmentRamp have one.
 """
 
 from __future__ import annotations
 
 import functools
 import types
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Annotated, Any, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Annotated,
+    Any,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .model import MipModel
 
@@ -78,35 +90,38 @@ class Confidence(Enum):
 Var = Annotated[int, "var"]
 #: A row id; serialized as the row's name.
 Row = Annotated[int, "row"]
+_T = TypeVar("_T")
+#: A tuple whose order carries no meaning: serialized like ``tuple[X, ...]``
+#: and compared as a set.
+Unordered = Annotated[tuple[_T, ...], "unordered"]
 #: ``(role, row ids)`` pairs, serialized as ``{role: [row names]}`` and read
 #: back in role order.
-RoleRows = Annotated[tuple[tuple[str, tuple[Row, ...]], ...], "object"]
+RoleRows = Annotated[tuple[tuple[str, Unordered[Row]], ...], "object"]
 
 
 @dataclass(frozen=True, slots=True)
 class CardinalityParams:
-    vars: tuple[Var, ...]
+    vars: Unordered[Var]
     lower: float
     upper: float
-
-    def canonical_key(self):
-        return ("Cardinality", frozenset(self.vars), self.lower, self.upper)
 
 
 @dataclass(frozen=True, slots=True)
 class AllDifferentParams:
     """Assignment grid: item groups are exact-one rows, value groups consume."""
 
-    item_groups: tuple[tuple[Var, ...], ...]
-    value_groups: tuple[tuple[Var, ...], ...]
+    item_groups: Unordered[Unordered[Var]]
+    value_groups: Unordered[Unordered[Var]]
     symmetric: bool  # both partitions came from equality rows
 
-    def canonical_key(self):
-        items = frozenset(frozenset(g) for g in self.item_groups)
-        values = frozenset(frozenset(g) for g in self.value_groups)
-        if self.symmetric:
-            return ("AllDifferent", frozenset({items, values}))
-        return ("AllDifferent", items, values)
+    def canonical_key(self, key):
+        # when both partitions are equality rows, either one may be the items
+        if not self.symmetric:
+            return key(self)
+        swapped = replace(
+            self, item_groups=self.value_groups, value_groups=self.item_groups
+        )
+        return frozenset({key(self), key(swapped)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,15 +129,12 @@ class ChannelParams:
     """One linked pair: an integer view variable and its indicator encoding."""
 
     link_var: Var
-    indicators: tuple[tuple[float, Var], ...]  # (value, indicator var)
-
-    def canonical_key(self):
-        return ("Channel", self.link_var, frozenset(self.indicators))
+    indicators: Unordered[tuple[float, Var]]  # (value, indicator var)
 
 
 @dataclass(frozen=True, slots=True)
 class CumulativeTask:
-    starts: tuple[Var, ...]  # start indicator vars
+    starts: Unordered[Var]  # start indicator vars
     duration: int
     demand: float
 
@@ -130,36 +142,21 @@ class CumulativeTask:
 @dataclass(frozen=True, slots=True)
 class CumulativePeriod:
     row: Row  # capacity row of one period
-    starts: tuple[Var, ...]  # start vars whose task runs in it
+    starts: Unordered[Var]  # start vars whose task runs in it
 
 
 @dataclass(frozen=True, slots=True)
 class CumulativeParams:
-    tasks: tuple[CumulativeTask, ...]
+    tasks: Unordered[CumulativeTask]
     capacity: float
-    periods: tuple[CumulativePeriod, ...]
-
-    def canonical_key(self):
-        tasks = frozenset(
-            (frozenset(t.starts), t.duration, t.demand) for t in self.tasks
-        )
-        periods = frozenset((p.row, frozenset(p.starts)) for p in self.periods)
-        return ("Cumulative", tasks, self.capacity, periods)
+    periods: Unordered[CumulativePeriod]
 
 
 @dataclass(frozen=True, slots=True)
 class NValueParams:
     count_var: Var
-    value_indicators: tuple[Var, ...]
-    items: tuple[tuple[tuple[Var, Var], ...], ...]  # per item: (indicator, y) pairs
-
-    def canonical_key(self):
-        return (
-            "NValue",
-            self.count_var,
-            frozenset(self.value_indicators),
-            frozenset(frozenset(pairs) for pairs in self.items),
-        )
+    value_indicators: Unordered[Var]
+    items: Unordered[Unordered[tuple[Var, Var]]]  # per item: (indicator, y) pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,77 +168,38 @@ class StretchParams:
     min_run: int
     max_run: int
 
-    def canonical_key(self):
-        return ("Stretch", self.levels, self.run_starts, self.min_run, self.max_run)
-
 
 @dataclass(frozen=True, slots=True)
 class OneHotResourceParams:
-    groups: tuple[tuple[tuple[Var, float], ...], ...]  # per group: (var, cost)
+    groups: Unordered[Unordered[tuple[Var, float]]]  # per group: (var, cost)
     budget: float
     external_min: float
-
-    def canonical_key(self):
-        return (
-            "OneHotResource",
-            frozenset(frozenset(g) for g in self.groups),
-            self.budget,
-            self.external_min,
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class ActivatorSpec:
-    selector_to_activator: tuple[tuple[Var, Var], ...]
-    activator_vars: tuple[Var, ...]
+    selector_to_activator: Unordered[tuple[Var, Var]]
+    activator_vars: Unordered[Var]
     count: int
     count_row: Row
-
-    def canonical_key(self):
-        return (
-            frozenset(self.selector_to_activator),
-            frozenset(self.activator_vars),
-            self.count,
-            self.count_row,
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class BottleneckExactOneParams:
     bottleneck_var: Var
-    groups: tuple[tuple[tuple[Var, float], ...], ...]  # per group: (selector, weight)
+    groups: Unordered[Unordered[tuple[Var, float]]]  # per group: (selector, weight)
     link_coverage: float
     activators: ActivatorSpec | None
-
-    def canonical_key(self):
-        return (
-            "BottleneckExactOne",
-            self.bottleneck_var,
-            frozenset(frozenset(g) for g in self.groups),
-            self.link_coverage,
-            self.activators.canonical_key() if self.activators else None,
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class RosteringWindowParams:
-    assignment_vars: tuple[Var, ...]
-    sos_rows: tuple[Row, ...]
-    coverage: tuple[tuple[Row, float], ...]  # (coverage row id, requirement)
+    assignment_vars: Unordered[Var]
+    sos_rows: Unordered[Row]
+    coverage: Unordered[tuple[Row, float]]  # (coverage row id, requirement)
     role_rows: RoleRows
-    nurse_groups: tuple[tuple[Var, ...], ...]  # assignment vars per nurse
-    day_groups: tuple[tuple[Row, ...], ...]  # coverage row ids per day
-
-    def canonical_key(self):
-        return (
-            "RosteringWindow",
-            frozenset(self.assignment_vars),
-            frozenset(self.sos_rows),
-            frozenset(self.coverage),
-            frozenset((role, frozenset(rows)) for role, rows in self.role_rows),
-            frozenset(frozenset(g) for g in self.nurse_groups),
-            frozenset(frozenset(g) for g in self.day_groups),
-        )
+    nurse_groups: Unordered[Unordered[Var]]  # assignment vars per nurse
+    day_groups: Unordered[Unordered[Row]]  # coverage row ids per day
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,109 +220,58 @@ class GeneratorSpec:
     ramp_up: float
     startup_ramp: float
 
-    def canonical_key(self):
-        def opt(seq):
-            return tuple(-1 if v is None else v for v in seq)
-
-        return (
-            self.status,
-            opt(self.startup),
-            opt(self.shutdown),
-            self.power,
-            self.reserve,
-            self.p_min,
-            self.p_max,
-            self.ramp_up,
-            self.startup_ramp,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class UnitCommitmentRampParams:
-    generators: tuple[GeneratorSpec, ...]
+    generators: Unordered[GeneratorSpec]
     demands: tuple[float, ...]  # per period, chain order
     reserves: tuple[float, ...]
     role_rows: RoleRows
 
-    def _oriented(self, reverse: bool):
+    def canonical_key(self, key):
         # With shared up/down limits, reading every chain backwards (startup
         # and shutdown swap roles, periods reverse) satisfies the same rows,
-        # so the canonical key admits both readings.
-        def opt(seq):
-            return tuple(-1 if v is None else v for v in seq)
-
-        def gen_key(g: GeneratorSpec):
-            if not reverse:
-                return g.canonical_key()
-            startup = (None,) + tuple(reversed(g.shutdown[1:]))
-            shutdown = (None,) + tuple(reversed(g.startup[1:]))
-            return (
-                tuple(reversed(g.status)),
-                opt(startup),
-                opt(shutdown),
-                tuple(reversed(g.power)),
-                tuple(reversed(g.reserve)),
-                g.p_min,
-                g.p_max,
-                g.ramp_up,
-                g.startup_ramp,
-            )
-
-        order = reversed if reverse else tuple
-        return (
-            frozenset(gen_key(g) for g in self.generators),
-            tuple(order(self.demands)),
-            tuple(order(self.reserves)),
+        # so both readings are one record.
+        backwards = replace(
+            self,
+            generators=tuple(
+                replace(
+                    g,
+                    status=g.status[::-1],
+                    startup=(None,) + g.shutdown[:0:-1],
+                    shutdown=(None,) + g.startup[:0:-1],
+                    power=g.power[::-1],
+                    reserve=g.reserve[::-1],
+                )
+                for g in self.generators
+            ),
+            demands=self.demands[::-1],
+            reserves=self.reserves[::-1],
         )
-
-    def canonical_key(self):
-        return (
-            "UnitCommitmentRamp",
-            frozenset({self._oriented(False), self._oriented(True)}),
-            frozenset((role, frozenset(rows)) for role, rows in self.role_rows),
-        )
+        return frozenset({key(self), key(backwards)})
 
 
 @dataclass(frozen=True, slots=True)
 class StrippedRow:
     """A branch row with its guard term removed: sum(terms) <= bound."""
 
-    terms: tuple[tuple[Var, float], ...]
+    terms: Unordered[tuple[Var, float]]
     bound: float
-
-    def canonical_key(self):
-        return (frozenset(self.terms), self.bound)
 
 
 @dataclass(frozen=True, slots=True)
 class BranchSpec:
     selector_var: Var
     selector_value: int
-    rows: tuple[StrippedRow, ...]
-
-    def canonical_key(self):
-        return (
-            self.selector_var,
-            self.selector_value,
-            frozenset(r.canonical_key() for r in self.rows),
-        )
+    rows: Unordered[StrippedRow]
 
 
 @dataclass(frozen=True, slots=True)
 class DisjPolyhedralParams:
     variant: str  # "binary_selector" | "exact_one_mode"
-    branches: tuple[BranchSpec, ...]
+    branches: Unordered[BranchSpec]
     selector_row: Row | None  # exact-one row id, mode variant only
-    touched: tuple[Var, ...]
-
-    def canonical_key(self):
-        return (
-            "DisjPolyhedral",
-            self.variant,
-            frozenset(b.canonical_key() for b in self.branches),
-            self.selector_row,
-            frozenset(self.touched),
-        )
+    touched: Unordered[Var]
 
 
 PARAMS_CLASSES: dict[Family, type] = {
@@ -400,17 +307,24 @@ class SemanticRecord:
                 f"got {type(self.params).__name__}"
             )
 
-    def canonical_key(self):
+    def key(self):
+        """Identity up to order: scope and evidence compare as sets, params
+        by :func:`params_key`; confidence is not part of it."""
         return (
-            self.family.value,
+            self.family,
             frozenset(self.scope),
-            self.params.canonical_key(),
+            params_key(self.params),
             frozenset(self.evidence),
         )
 
 
+def params_key(params) -> Any:
+    """Hashable identity of a params value, read off its field types."""
+    return _codec(type(params))[2](params)
+
+
 def records_equal(a: SemanticRecord, b: SemanticRecord) -> bool:
-    return a.canonical_key() == b.canonical_key()
+    return a.key() == b.key()
 
 
 RECORDS_SCHEMA_VERSION = 1
@@ -482,6 +396,10 @@ def _same(value, var, row):
     return value
 
 
+def _itself(value):
+    return value
+
+
 def _as_list(items, var, row):
     return list(items)
 
@@ -500,73 +418,100 @@ def _row(value, var, row):
 
 @functools.cache
 def _codec(tp):
-    """``(encode, decode)`` for one field type, built once per type.
+    """``(encode, decode, key)`` for one field type, built once per type.
 
-    Both are called as ``f(value, var, row)``.  Encoding maps ids to names
-    through ``var``/``row`` and yields JSON values; decoding maps names back
-    through them and rebuilds tuples and dataclasses.  The codec walks the
-    id markers, ``X | None``, ``tuple[X, ...]``, pairs ``tuple[X, Y]``,
-    dataclasses and plain bool/int/float/str; any other type raises
-    TypeError.
+    ``encode`` and ``decode`` are called as ``f(value, var, row)``.  Encoding
+    maps ids to names through ``var``/``row`` and yields JSON values;
+    decoding maps names back through them and rebuilds tuples and
+    dataclasses.  ``key(value)`` is the hashable identity: ``Unordered``
+    tuples and role objects become frozensets, everything else keeps its
+    order, and a dataclass that defines ``canonical_key(self, key)`` gets
+    the field-wise key as ``key`` and may add a symmetry on top.  The walk
+    covers the id markers, ``Unordered[X]``, ``X | None``, ``tuple[X,
+    ...]``, pairs ``tuple[X, Y]``, dataclasses and plain bool/int/float/str;
+    any other type raises TypeError.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin is Annotated:
         marker = tp.__metadata__[0]
         if marker == "var":
-            return _var, _var
+            return _var, _var, _itself
         if marker == "row":
-            return _row, _row
+            return _row, _row, _itself
+        if marker == "unordered":
+            enc, dec, _ = _codec(args[0])
+            item_key = _codec(get_args(args[0])[0])[2]
+            if item_key is _itself:
+                return enc, dec, frozenset
+            return enc, dec, lambda items: frozenset(map(item_key, items))
         if marker == "object":
             pair_type = get_args(args[0])[0]
-            enc, dec = _codec(get_args(pair_type)[1])
+            enc, dec, key = _codec(get_args(pair_type)[1])
             return (
                 lambda pairs, var, row: {k: enc(v, var, row) for k, v in pairs},
                 lambda obj, var, row: tuple(
                     (k, dec(obj[k], var, row)) for k in sorted(obj)
                 ),
+                lambda pairs: frozenset((k, key(v)) for k, v in pairs),
             )
     elif origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        enc, dec = _codec(args[0] if args[1] is type(None) else args[1])
+        enc, dec, key = _codec(args[0] if args[1] is type(None) else args[1])
         return (
             lambda value, var, row: None if value is None else enc(value, var, row),
             lambda value, var, row: None if value is None else dec(value, var, row),
+            key
+            if key is _itself
+            else lambda value: None if value is None else key(value),
         )
     elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        enc, dec = _codec(args[0])
+        enc, dec, key = _codec(args[0])
+        seq_key = _itself if key is _itself else lambda items: tuple(map(key, items))
         # id and plain items skip the per-item call: they dominate record size
         if enc is _same:
-            return _as_list, _as_tuple
+            return _as_list, _as_tuple, seq_key
         if enc is _var:
             return (
                 lambda items, var, row: list(map(var, items)),
                 lambda items, var, row: tuple(map(var, items)),
+                seq_key,
             )
         if enc is _row:
             return (
                 lambda items, var, row: list(map(row, items)),
                 lambda items, var, row: tuple(map(row, items)),
+                seq_key,
             )
         return (
             lambda items, var, row: [enc(x, var, row) for x in items],
             lambda items, var, row: tuple([dec(x, var, row) for x in items]),
+            seq_key,
         )
     elif origin is tuple and len(args) == 2:
-        (enc0, dec0), (enc1, dec1) = _codec(args[0]), _codec(args[1])
+        (enc0, dec0, key0), (enc1, dec1, key1) = _codec(args[0]), _codec(args[1])
         return (
             lambda pair, var, row: [enc0(pair[0], var, row), enc1(pair[1], var, row)],
             lambda pair, var, row: (dec0(pair[0], var, row), dec1(pair[1], var, row)),
+            _itself
+            if key0 is key1 is _itself
+            else lambda pair: (key0(pair[0]), key1(pair[1])),
         )
     elif is_dataclass(tp):
         hints = get_type_hints(tp, include_extras=True)
         walk = [(f.name, *_codec(hints[f.name])) for f in fields(tp)]
+
+        def key(value):
+            return tuple([k(getattr(value, name)) for name, _, _, k in walk])
+
+        symmetry = getattr(tp, "canonical_key", None)
         return (
             lambda value, var, row: {
-                name: enc(getattr(value, name), var, row) for name, enc, _ in walk
+                name: enc(getattr(value, name), var, row) for name, enc, _, _ in walk
             },
             lambda obj, var, row: tp(
-                *[dec(obj[name], var, row) for name, _, dec in walk]
+                *[dec(obj[name], var, row) for name, _, dec, _ in walk]
             ),
+            key if symmetry is None else lambda value: symmetry(value, key),
         )
     elif tp in (bool, int, float, str):
-        return _same, _same
+        return _same, _same, _itself
     raise TypeError(f"records cannot serialize a field of type {tp!r}")

@@ -1115,7 +1115,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
 def remap_record(record: SemanticRecord, var_map, row_map) -> SemanticRecord:
     """Rewrite every variable/row id in a record through index maps."""
     # the encoder maps ids on the way out, so decoding keeps ids as they are
-    encode, decode = _codec(type(record.params))
+    encode, decode, _ = _codec(type(record.params))
     payload = encode(record.params, var_map.__getitem__, row_map.__getitem__)
     params = decode(payload, operator.index, operator.index)
     return SemanticRecord(

@@ -25,7 +25,7 @@ from .propagate import (
     propagate_record,
     run_fixpoint,
 )
-from .records import PARAMS_CLASSES, Family, SemanticRecord, _codec
+from .records import PARAMS_CLASSES, Family, SemanticRecord, _codec, params_key
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
 
 __all__ = [
@@ -182,7 +182,7 @@ def verify_detector(
     found = same[0]
     if set(found.scope) != set(truth.scope):
         return done(False, "scope mismatch")
-    if found.params.canonical_key() != truth.params.canonical_key():
+    if params_key(found.params) != params_key(truth.params):
         return done(False, "params mismatch")
     return done(True, "exact recovery")
 
@@ -262,24 +262,21 @@ def run_gate_ladder(
     detector_suite: int = DETECTOR_SUITE_SIZE,
     soundness_suite: int = SOUNDNESS_SUITE_SIZE,
     detector: Detector | None = None,
-    time_caps: dict[str, float] | None = None,
 ) -> list[GateResult]:
     """Run the per-family CI ladder; a failing gate skips the rest.
 
     The returned list holds one result per executed gate plus a final
     ``benchmark_ready`` conjunction, so ``results[-1].passed`` is the single
     go/no-go flag.  ``detector`` substitutes the detection entry point (the
-    ladder's own regression tests stub it); ``time_caps`` overrides the
-    per-gate wall-clock budgets.
+    ladder's own regression tests stub it).  Each gate is held to its
+    ``GATE_TIME_CAPS`` budget.
     """
-    caps = dict(GATE_TIME_CAPS)
-    caps.update(time_caps or {})
     detect_fn = detector or _default_detector
     results: list[GateResult] = []
 
     def finish(gate: str, passed: bool, detail: str, started: float) -> bool:
         elapsed = time.perf_counter() - started
-        limit = caps.get(gate)
+        limit = GATE_TIME_CAPS.get(gate)
         if passed and limit is not None and elapsed > limit:
             passed = False
             detail = f"timeout: {elapsed:.1f}s over the {limit:.0f}s cap ({detail})"

@@ -85,6 +85,19 @@ def test_units_hold_only_uniform_rows_and_flag_binary_support():
     assert view.exact_ones == [] and view.at_most_ones == []
 
 
+def test_facets_flag_binary_support():
+    model = make_model(
+        [binary(0, "a"), binary(1, "b"),
+         Variable(2, "n", 0.0, 3.0, Integrality.INTEGER)],
+        [
+            ([(0, 1.0), (1, 2.0)], -INF, 2.0),
+            ([(0, 1.0), (2, 1.0)], 1.0, INF),  # n is not binary
+        ],
+    )
+    view = ModelView(model)
+    assert [(f.row, f.binary) for f in view.facets] == [(0, True), (1, False)]
+
+
 def test_exact_one_and_at_most_one_helpers():
     model = make_model(
         [binary(0, "a"), binary(1, "b"), binary(2, "c")],
@@ -118,13 +131,13 @@ def test_one_sided_facet_orientation():
     lower = LinearRow(1, "l", ((0, 2.0),), 4.0, INF)
     ranged = LinearRow(2, "r", ((0, 2.0),), 0.0, 6.0)
 
-    up = one_sided_facet(upper)
-    assert up.terms == ((0, 2.0),) and up.bound == 6.0
+    up = one_sided_facet(upper, False)
+    assert (up.vars, up.coeffs, up.bound, up.binary) == ((0,), (2.0,), 6.0, False)
 
-    low = one_sided_facet(lower)
-    assert low.terms == ((0, -2.0),) and low.bound == -4.0
+    low = one_sided_facet(lower, True)
+    assert (low.vars, low.coeffs, low.bound, low.binary) == ((0,), (-2.0,), -4.0, True)
 
-    assert one_sided_facet(ranged) is None
+    assert one_sided_facet(ranged, False) is None
 
 
 def test_facets_share_row_tuples_and_negated_patterns():
@@ -132,13 +145,13 @@ def test_facets_share_row_tuples_and_negated_patterns():
     lower = LinearRow(1, "l", ((2, 2.0), (3, -1.0)), 4.0, INF)
     other = LinearRow(2, "m", ((5, -1.0), (4, 2.0)), 1.0, INF)
 
-    up = one_sided_facet(upper)
+    up = one_sided_facet(upper, False)
     assert up.vars is upper.vars and up.coeffs is upper.coeffs
 
-    low, low_other = one_sided_facet(lower), one_sided_facet(other)
+    low, low_other = one_sided_facet(lower, False), one_sided_facet(other, False)
     assert low.vars is lower.vars and low_other.vars is other.vars
     assert low.coeffs == (-2.0, 1.0) and low.coeffs is low_other.coeffs
-    assert low.terms == ((2, -2.0), (3, 1.0)) and low.support() == (2, 3)
+    assert low.vars == (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,225 @@
+"""Record identity: the key read off the params field types."""
+
+import dataclasses
+import functools
+import random
+import types
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
+
+import pytest
+
+from structprop.detect import detect_all
+from structprop.records import (
+    PARAMS_CLASSES,
+    Family,
+    SemanticRecord,
+    UnitCommitmentRampParams,
+    params_key,
+    records_equal,
+)
+from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
+
+SEEDS = range(6)
+
+
+@functools.cache
+def _records(family: Family) -> tuple[SemanticRecord, ...]:
+    """Ground truths and detected records, clean and obfuscated, seeds 0-5."""
+    found = []
+    for seed in SEEDS:
+        inst = reverse_sample(family, seed=seed)
+        noisy = obfuscate(
+            inst, ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=seed)
+        )
+        for planted in (inst, noisy):
+            report = detect_all(planted.model)
+            found += [planted.ground_truth, *report.records, *report.dropped]
+    return tuple(found)
+
+
+def _shuffled(value, tp, rng):
+    """A copy with every ``Unordered`` tuple shuffled, at every depth."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        marker = tp.__metadata__[0]
+        if marker in ("unordered", "object"):
+            items = [_shuffled(x, get_args(args[0])[0], rng) for x in value]
+            if marker == "unordered":
+                rng.shuffle(items)
+            return tuple(items)
+        return value
+    if origin in (Union, types.UnionType):
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else _shuffled(value, inner, rng)
+    if origin is tuple and args[-1] is Ellipsis:
+        return tuple(_shuffled(x, args[0], rng) for x in value)
+    if origin is tuple:
+        return tuple(_shuffled(x, a, rng) for x, a in zip(value, args))
+    if dataclasses.is_dataclass(tp):
+        hints = get_type_hints(tp, include_extras=True)
+        return tp(
+            *[_shuffled(getattr(value, f.name), hints[f.name], rng)
+              for f in dataclasses.fields(tp)]
+        )
+    return value
+
+
+def _one_reversed(value, tp):
+    """Copies with exactly one ordered tuple of two or more distinct items reversed."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        if tp.__metadata__[0] == "unordered":
+            item = get_args(args[0])[0]
+            for i, x in enumerate(value):
+                for y in _one_reversed(x, item):
+                    yield value[:i] + (y,) + value[i + 1:]
+        return
+    if origin in (Union, types.UnionType):
+        if value is not None:
+            inner = next(a for a in args if a is not type(None))
+            yield from _one_reversed(value, inner)
+        return
+    if origin is tuple and args[-1] is Ellipsis:
+        if len(set(value)) >= 2:
+            yield value[::-1]
+        return
+    if dataclasses.is_dataclass(tp):
+        hints = get_type_hints(tp, include_extras=True)
+        for f in dataclasses.fields(tp):
+            for y in _one_reversed(getattr(value, f.name), hints[f.name]):
+                yield dataclasses.replace(value, **{f.name: y})
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_shuffling_unordered_tuples_keeps_records_equal(family):
+    rng = random.Random(family.value)
+    moved = 0
+    for record in _records(family):
+        for _ in range(4):
+            scope, evidence = list(record.scope), list(record.evidence)
+            rng.shuffle(scope)
+            rng.shuffle(evidence)
+            params = _shuffled(record.params, type(record.params), rng)
+            other = dataclasses.replace(
+                record, scope=tuple(scope), params=params, evidence=tuple(evidence)
+            )
+            moved += other != record
+            assert records_equal(record, other)
+            assert params_key(params) == params_key(record.params)
+    assert moved  # the shuffles did reorder something
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_reversing_an_ordered_field_breaks_equality(family):
+    reversed_fields = 0
+    for record in _records(family):
+        for params in _one_reversed(record.params, type(record.params)):
+            reversed_fields += 1
+            assert not records_equal(record, dataclasses.replace(record, params=params))
+    if family in (Family.STRETCH, Family.UNIT_COMMITMENT_RAMP):
+        assert reversed_fields  # levels, run starts, a generator's chains
+
+
+def _ordered_tuples(tp, path):
+    """Paths of the ``tuple[X, ...]`` fields whose order is part of the key."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        marker, inner = tp.__metadata__[0], args[0]
+        if marker == "unordered":
+            yield from _ordered_tuples(get_args(inner)[0], path + "[]")
+        elif marker == "object":
+            yield from _ordered_tuples(get_args(get_args(inner)[0])[1], path + "{}")
+    elif origin in (Union, types.UnionType):
+        for arg in args:
+            yield from _ordered_tuples(arg, path)
+    elif origin is tuple and args[-1] is Ellipsis:
+        yield path
+        yield from _ordered_tuples(args[0], path + "[]")
+    elif origin is tuple:
+        for i, arg in enumerate(args):
+            yield from _ordered_tuples(arg, f"{path}.{i}")
+    elif dataclasses.is_dataclass(tp):
+        hints = get_type_hints(tp, include_extras=True)
+        for f in dataclasses.fields(tp):
+            yield from _ordered_tuples(hints[f.name], f"{path}.{f.name}")
+
+
+def test_only_chain_positions_are_ordered():
+    ordered = {
+        path
+        for family, cls in PARAMS_CLASSES.items()
+        for path in _ordered_tuples(cls, family.value)
+    }
+    chain = ("status", "startup", "shutdown", "power", "reserve")
+    assert ordered == {
+        "Stretch.levels",
+        "Stretch.run_starts",
+        "UnitCommitmentRamp.demands",
+        "UnitCommitmentRamp.reserves",
+        *(f"UnitCommitmentRamp.generators[].{name}" for name in chain),
+    }
+
+
+def test_stretch_levels_and_generator_power_are_ordered():
+    stretch = reverse_sample(Family.STRETCH, seed=0).ground_truth
+    levels = dataclasses.replace(stretch.params, levels=stretch.params.levels[::-1])
+    assert not records_equal(stretch, dataclasses.replace(stretch, params=levels))
+
+    ramp = reverse_sample(Family.UNIT_COMMITMENT_RAMP, seed=0).ground_truth
+    first, *rest = ramp.params.generators
+    power = dataclasses.replace(first, power=first.power[::-1])
+    params = dataclasses.replace(ramp.params, generators=(power, *rest))
+    assert not records_equal(ramp, dataclasses.replace(ramp, params=params))
+
+
+def test_alldifferent_partitions_swap_only_when_symmetric():
+    grids = [
+        r.params for r in _records(Family.ALL_DIFFERENT)
+        if r.family is Family.ALL_DIFFERENT
+    ]
+    assert grids
+    for p in grids:
+        for symmetric in (False, True):
+            base = dataclasses.replace(p, symmetric=symmetric)
+            swapped = dataclasses.replace(
+                base, item_groups=p.value_groups, value_groups=p.item_groups
+            )
+            assert (params_key(base) == params_key(swapped)) is symmetric
+        # the flag itself is part of the identity
+        flipped = dataclasses.replace(p, symmetric=not p.symmetric)
+        assert params_key(flipped) != params_key(p)
+
+
+def _backwards(p: UnitCommitmentRampParams) -> UnitCommitmentRampParams:
+    generators = tuple(
+        dataclasses.replace(
+            g,
+            status=g.status[::-1],
+            startup=(None,) + g.shutdown[:0:-1],
+            shutdown=(None,) + g.startup[:0:-1],
+            power=g.power[::-1],
+            reserve=g.reserve[::-1],
+        )
+        for g in p.generators
+    )
+    return dataclasses.replace(
+        p, generators=generators, demands=p.demands[::-1], reserves=p.reserves[::-1]
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unit_commitment_reads_the_same_backwards(seed):
+    record = reverse_sample(Family.UNIT_COMMITMENT_RAMP, seed=seed).ground_truth
+    back = _backwards(record.params)
+    assert back != record.params
+    assert records_equal(record, dataclasses.replace(record, params=back))
+    assert _backwards(back) == record.params
+    # reversing the periods without swapping startup and shutdown is another chain
+    unswapped = dataclasses.replace(
+        back,
+        generators=tuple(
+            dataclasses.replace(g, startup=g.shutdown, shutdown=g.startup)
+            for g in back.generators
+        ),
+    )
+    assert not records_equal(record, dataclasses.replace(record, params=unswapped))

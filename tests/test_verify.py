@@ -377,13 +377,9 @@ def test_ladder_load_gate_catches_crash():
     assert "propagator_soundness" not in by_gate
 
 
-def test_ladder_smoke_timeout():
-    results = run_gate_ladder(
-        Family.CARDINALITY,
-        detector_suite=2,
-        soundness_suite=2,
-        time_caps={"smoke": 0.0},
-    )
+def test_ladder_smoke_timeout(monkeypatch):
+    monkeypatch.setitem(verify_mod.GATE_TIME_CAPS, "smoke", 0.0)
+    results = run_gate_ladder(Family.CARDINALITY, detector_suite=2, soundness_suite=2)
     by_gate = {r.gate: r for r in results}
     assert not by_gate["smoke"].passed
     assert "timeout" in by_gate["smoke"].detail
