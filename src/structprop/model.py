@@ -304,9 +304,10 @@ class PropagationOutcome:
     Counters follow the benchmark diagnostics: ``calls`` counts propagator
     invocations, ``domain_reductions`` counts recorded bound changes,
     ``cutoffs`` counts invocations that ended in a cutoff, ``prop_time`` is
-    wall time spent inside propagators.  ``tighten_row`` only records bound
-    changes into its caller's outcome; ``propagate_block_fixpoint``, which
-    repeats it, counts and times itself as one call.
+    wall time spent inside propagators.  ``tighten_row`` and the record
+    rules only record bound changes into their caller's outcome;
+    ``propagate_block_fixpoint`` and ``propagate_record`` count and time
+    each of their calls as one.
     """
 
     bound_changes: list[BoundChange] = field(default_factory=list)

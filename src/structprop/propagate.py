@@ -1,6 +1,6 @@
 """Per-record bound tightening: one handler table, one loop over records.
 
-``_HANDLERS`` maps a family to its propagator, which reads the record's
+``_HANDLERS`` maps a family to its rule, which reads the record's
 parameters; ``propagate_record`` dispatches through it and
 ``HANDLED_FAMILIES`` is its key set.  Only Channel, OneHotResource,
 BottleneckExactOne and DisjPolyhedral have one, because only their rules
@@ -10,22 +10,25 @@ propagating them is a no-op, since residual-activity tightening of their
 evidence rows (``propagate_block_fixpoint``) already does all their rules
 could.
 
-Each record propagator makes one pass over its record and returns, and so
-does the row kernel ``model.tighten_row``.  Only drivers repeat work until
-nothing changes: here ``run_fixpoint`` round-robins the records and
-``propagate_block_fixpoint`` sweeps a row block, each for at most
-``max_fixpoint_rounds`` rounds before it sets ``budget_hit``; the one
-other repeat loop, ``search.propagate_node``, alternates the two.
+A rule has the shape of the row kernel ``model.tighten_row``:
+``rule(params, box, out) -> bool``.  It makes one pass, writes bounds into
+the caller's ``out`` and returns True on a cutoff; it neither counts nor
+times itself.  ``propagate_record`` alone turns one rule call into an
+outcome (one call, its time, and the cutoff), as ``propagate_block_fixpoint``
+does for a row sweep.  Only drivers repeat work until nothing changes: here
+``run_fixpoint`` round-robins the records and ``propagate_block_fixpoint``
+sweeps a row block, each for at most ``max_fixpoint_rounds`` rounds before
+it sets ``budget_hit``; the one other repeat loop,
+``search.propagate_node``, alternates the two.
 
-Propagators tighten a mutable DomainBox in place and report what they did
-through a PropagationOutcome.  Two properties are load-bearing everywhere:
+Two properties of a rule are load-bearing everywhere:
 
 * soundness: a tightening may never exclude a point that satisfies the
-  record's encoding rows, and ``cutoff`` is raised only when no feasible
+  record's encoding rows, and a cutoff is raised only when no feasible
   point survives in the box;
 * conservative failure: when the box violates a record's structural
-  assumptions (a one-hot group member that is not binary, say), the
-  propagator returns an empty outcome instead of guessing.
+  assumptions (a one-hot group member that is not binary, say), the rule
+  changes nothing instead of guessing.
 
 Every bound is written through ``model.set_lower``/``set_upper``, the one
 write rule rows use too: integer bounds round inward, and a change counts
@@ -53,6 +56,7 @@ from .model import (
 )
 from .records import (
     BottleneckExactOneParams,
+    ChannelParams,
     DisjPolyhedralParams,
     Family,
     OneHotResourceParams,
@@ -67,9 +71,6 @@ __all__ = [
     "PropagatorConfig",
     "outcome_to_json",
     "propagate_block_fixpoint",
-    "propagate_bottleneck_exact_one",
-    "propagate_disj_polyhedral",
-    "propagate_one_hot_resource",
     "propagate_record",
     "run_fixpoint",
 ]
@@ -82,8 +83,7 @@ class PropagatorConfig:
     ``max_fixpoint_rounds`` caps each loop that repeats work until stable:
     ``run_fixpoint``'s round-robin over records, ``propagate_block_fixpoint``'s
     sweeps over rows and ``search.propagate_node``'s alternation of the two.
-    A record propagator makes one pass; DisjPolyhedral hands the cap on to
-    the block fixpoint of each branch.
+    A record's rule makes one pass and takes no cap.
     """
 
     max_fixpoint_rounds: int = 100
@@ -117,16 +117,6 @@ def outcome_to_json(outcome: PropagationOutcome) -> dict:
 # small shared pieces
 
 
-def _finish(
-    out: PropagationOutcome, started: float, cutoff: bool = False
-) -> PropagationOutcome:
-    if cutoff:
-        out.cutoff = True
-        out.cutoffs = 1
-    out.prop_time = time.perf_counter() - started
-    return out
-
-
 def _binary_like(box: DomainBox, var: int) -> bool:
     return (
         0 <= var < len(box)
@@ -138,6 +128,18 @@ def _binary_like(box: DomainBox, var: int) -> bool:
 
 def _all_binary(box: DomainBox, vars_: Sequence[int]) -> bool:
     return all(_binary_like(box, v) for v in vars_)
+
+
+def _binary_groups(box: DomainBox, groups) -> bool:
+    """Groups of ``(var, weight)`` pairs fit an exactly-one rule: there is at
+    least one, none is empty, no member repeats and every member is binary."""
+    members = [v for group in groups for v, _ in group]
+    return (
+        bool(groups)
+        and all(groups)
+        and len(set(members)) == len(members)
+        and _all_binary(box, members)
+    )
 
 
 def _live(box: DomainBox, var: int) -> bool:
@@ -170,7 +172,7 @@ def _exact_one_closure(
 
 
 # ---------------------------------------------------------------------------
-# row blocks and composite-family propagators
+# the row block driver
 
 
 def propagate_block_fixpoint(
@@ -182,7 +184,7 @@ def propagate_block_fixpoint(
 
     Sweeps ``tighten_row`` over the rows until a row cuts off, a sweep adds
     no reduction, or ``config.max_fixpoint_rounds`` sweeps have run, which
-    sets ``budget_hit``.  Counts as one call.
+    sets ``budget_hit``.  Counts and times itself as one call.
     """
     config = config or PropagatorConfig()
     started = time.perf_counter()
@@ -191,45 +193,42 @@ def propagate_block_fixpoint(
         before = out.domain_reductions
         for row in rows:
             if tighten_row(row, box, out):
-                return _finish(out, started, cutoff=True)
-        if out.domain_reductions == before:
+                out.cutoff = True
+                out.cutoffs = 1
+                break
+        if out.cutoff or out.domain_reductions == before:
             break
     else:
         out.budget_hit = True
-    return _finish(out, started)
+    out.prop_time = time.perf_counter() - started
+    return out
 
 
-def propagate_one_hot_resource(
-    params: OneHotResourceParams,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
+# ---------------------------------------------------------------------------
+# the family rules: (params, box, out) -> cutoff
+
+
+def _one_hot_resource(
+    params: OneHotResourceParams, box: DomainBox, out: PropagationOutcome
+) -> bool:
     """Cheapest-basket reasoning over one-hot groups under a budget.
 
     The basket cost is the external floor plus each group's cheapest live
     option.  The basket exceeding the budget is a cutoff; an option whose
     swap-in cost exceeds the remaining slack is fixed out; groups then close
-    under the exactly-one rule.  One pass; ``run_fixpoint`` repeats it.
+    under the exactly-one rule.
     """
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-    members = [v for group in params.groups for v, _ in group]
-    if (
-        not params.groups
-        or any(not group for group in params.groups)
-        or len(set(members)) != len(members)
-        or not _all_binary(box, members)
-    ):
-        return _finish(out, started)
+    if not _binary_groups(box, params.groups):
+        return False
     mins = []
     for group in params.groups:
         live_costs = [c for v, c in group if _live(box, v)]
         if not live_costs:
-            return _finish(out, started, cutoff=True)
+            return True
         mins.append(min(live_costs))
     basket = params.external_min + sum(mins)
     if basket > params.budget + FEAS_TOL:
-        return _finish(out, started, cutoff=True)
+        return True
 
     cut = False
     for cheapest, group in zip(mins, params.groups):
@@ -239,14 +238,12 @@ def propagate_one_hot_resource(
                 cut |= set_upper(box, out, v, 0.0)
     for group in params.groups:
         cut |= _exact_one_closure(box, out, [v for v, _ in group])
-    return _finish(out, started, cutoff=cut)
+    return cut
 
 
-def propagate_bottleneck_exact_one(
-    params: BottleneckExactOneParams,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
+def _bottleneck_exact_one(
+    params: BottleneckExactOneParams, box: DomainBox, out: PropagationOutcome
+) -> bool:
     """Max-min lower bound on the bottleneck plus weight elimination.
 
     Groups whose live selectors all carry known weights push lb(z) up to
@@ -254,31 +251,24 @@ def propagate_bottleneck_exact_one(
     selector groups close under exactly-one.  With activators present the
     link implications run both ways and the open count propagates as a
     residual cardinality.  Selectors without a known weight are never
-    eliminated and their groups never raise the bound.  One pass.
+    eliminated and their groups never raise the bound.
     """
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
     z = params.bottleneck_var
-    selectors = [v for group in params.groups for v, _ in group]
     activators = params.activators
     activator_vars = activators.activator_vars if activators else ()
     if (
         not 0 <= z < len(box)
-        or not params.groups
-        or any(not group for group in params.groups)
-        or len(set(selectors)) != len(selectors)
-        or not _all_binary(box, selectors)
+        or not _binary_groups(box, params.groups)
         or not _all_binary(box, activator_vars)
     ):
-        return _finish(out, started)
-    to_activator = dict(activators.selector_to_activator) if activators else {}
+        return False
     cut = False
 
     floor = -INF
     for group in params.groups:
         live = [(v, w) for v, w in group if _live(box, v)]
         if not live:
-            return _finish(out, started, cutoff=True)
+            return True
         if all(w is not None for _, w in live):
             floor = max(floor, min(w for _, w in live))
     for group in params.groups:
@@ -295,14 +285,16 @@ def propagate_bottleneck_exact_one(
                 cut |= set_upper(box, out, v, 0.0)
 
     if activators is not None:
-        for v in selectors:
-            y = to_activator.get(v)
-            if y is None:
-                continue
-            if _fixed_in(box, v):
-                cut |= set_lower(box, out, y, 1.0)
-            if not _live(box, y) and _live(box, v):
-                cut |= set_upper(box, out, v, 0.0)
+        to_activator = dict(activators.selector_to_activator)
+        for group in params.groups:
+            for v, _ in group:
+                y = to_activator.get(v)
+                if y is None:
+                    continue
+                if _fixed_in(box, v):
+                    cut |= set_lower(box, out, y, 1.0)
+                if not _live(box, y) and _live(box, v):
+                    cut |= set_upper(box, out, v, 0.0)
         forced = sum(1 for y in activator_vars if _fixed_in(box, y))
         open_slots = sum(1 for y in activator_vars if _live(box, y))
         if forced > activators.count or open_slots < activators.count:
@@ -318,15 +310,12 @@ def propagate_bottleneck_exact_one(
 
     for group in params.groups:
         cut |= _exact_one_closure(box, out, [v for v, _ in group])
+    return cut or box.lower[z] > box.upper[z] + FEAS_TOL
 
-    return _finish(out, started, cutoff=cut or box.lower[z] > box.upper[z] + FEAS_TOL)
 
-
-def propagate_disj_polyhedral(
-    params: DisjPolyhedralParams,
-    box: DomainBox,
-    config: PropagatorConfig | None = None,
-) -> PropagationOutcome:
+def _disj_polyhedral(
+    params: DisjPolyhedralParams, box: DomainBox, out: PropagationOutcome
+) -> bool:
     """Constructive disjunction over guarded branches.
 
     Each admissible branch gets a private copy of the box and a block
@@ -337,10 +326,6 @@ def propagate_disj_polyhedral(
     a branch never constrains keep their global bounds there, so the
     envelope cannot overtighten them).
     """
-    config = config or PropagatorConfig()
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
-
     branches = params.branches
     selectors = [b.selector_var for b in branches]
     shape_ok = (
@@ -361,7 +346,7 @@ def propagate_disj_polyhedral(
     else:
         shape_ok = False
     if not shape_ok:
-        return _finish(out, started)
+        return False
 
     def allows(branch) -> bool:
         if branch.selector_value == 1:
@@ -384,14 +369,13 @@ def propagate_disj_polyhedral(
             for i, r in enumerate(branch.rows)
         ]
         local = box.copy()
-        step = propagate_block_fixpoint(rows, local, config)
-        if step.cutoff:
+        if propagate_block_fixpoint(rows, local).cutoff:
             cut |= forbid(branch)
         else:
             viable.append(index)
             local_boxes[index] = local
     if not viable or cut:
-        return _finish(out, started, cutoff=True)
+        return True
 
     if len(viable) == 1:
         survivor = branches[viable[0]]
@@ -403,24 +387,16 @@ def propagate_disj_polyhedral(
     for var in params.touched:
         cut |= set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
         cut |= set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
-    return _finish(out, started, cutoff=cut)
+    return cut
 
 
-# ---------------------------------------------------------------------------
-# table-family propagators
-
-
-def _channel(
-    params, box: DomainBox, config: PropagatorConfig | None = None
-) -> PropagationOutcome:
+def _channel(params: ChannelParams, box: DomainBox, out: PropagationOutcome) -> bool:
     """Indicators one-hot over the values of the link variable ``x``.
 
     An indicator whose value lies outside x's bounds is fixed out; the
     indicators close under exactly-one; x then tightens to the range of the
-    values still live.  One pass.
+    values still live.
     """
-    started = time.perf_counter()
-    out = PropagationOutcome(calls=1)
     x = params.link_var
     indicators = [v for _, v in params.indicators]
     values = [value for value, _ in params.indicators]
@@ -431,7 +407,7 @@ def _channel(
         or len(set(values)) != len(values)
         or not _all_binary(box, indicators)
     ):
-        return _finish(out, started)
+        return False
     cut = False
     for value, v in params.indicators:
         if _live(box, v) and (
@@ -441,23 +417,23 @@ def _channel(
     cut |= _exact_one_closure(box, out, indicators)
     live_values = [value for value, v in params.indicators if _live(box, v)]
     if not live_values:
-        return _finish(out, started, cutoff=True)
+        return True
     cut |= set_lower(box, out, x, min(live_values))
     cut |= set_upper(box, out, x, max(live_values))
-    return _finish(out, started, cutoff=cut)
+    return cut
 
 
 # ---------------------------------------------------------------------------
 # the handler table, record dispatch and the global fixpoint
 
 
-# family -> its propagator, called as (record.params, box, config); only
-# families whose rule prunes beyond the rows the record came from
+# family -> its rule, called only by propagate_record; only families whose
+# rule prunes beyond the rows the record came from
 _HANDLERS = {
     Family.CHANNEL: _channel,
-    Family.ONE_HOT_RESOURCE: propagate_one_hot_resource,
-    Family.BOTTLENECK_EXACT_ONE: propagate_bottleneck_exact_one,
-    Family.DISJ_POLYHEDRAL: propagate_disj_polyhedral,
+    Family.ONE_HOT_RESOURCE: _one_hot_resource,
+    Family.BOTTLENECK_EXACT_ONE: _bottleneck_exact_one,
+    Family.DISJ_POLYHEDRAL: _disj_polyhedral,
 }
 
 # families propagate_record can dispatch; the verification ladder checks
@@ -487,17 +463,25 @@ def propagate_record(
     box: DomainBox,
     config: PropagatorConfig | None = None,
 ) -> PropagationOutcome:
-    """Run the family's propagator for one record against the box.
+    """Run the family's rule once for one record against the box.
 
-    A detect-only record leaves the box alone and reports no call.  No
-    propagator reads ``model``; it stays so every record call has one shape.
+    This is the one place a rule is called: the outcome counts one call,
+    its time, and the rule's cutoff as one ``cutoffs``.  A detect-only
+    record leaves the box alone and reports no call.  Neither ``model`` nor
+    ``config`` is read; they stay so every record call has one shape.
     """
-    propagate = _HANDLERS.get(record.family)
-    if propagate is not None:
-        return propagate(record.params, box, config)
-    if record.family in DETECT_ONLY:
-        return PropagationOutcome()
-    raise ValueError(f"no propagator for {record.family.value}")
+    rule = _HANDLERS.get(record.family)
+    if rule is None:
+        if record.family in DETECT_ONLY:
+            return PropagationOutcome()
+        raise ValueError(f"no propagator for {record.family.value}")
+    started = time.perf_counter()
+    out = PropagationOutcome(calls=1)
+    if rule(record.params, box, out):
+        out.cutoff = True
+        out.cutoffs = 1
+    out.prop_time = time.perf_counter() - started
+    return out
 
 
 def run_fixpoint(
@@ -508,13 +492,13 @@ def run_fixpoint(
 ) -> PropagationOutcome:
     """Call the records round-robin until stable.
 
-    This is the only loop that repeats record propagators, each of which
-    makes one pass per call.  A round calls every record once; rounds repeat
+    This is the only loop that repeats record rules, each of which makes
+    one pass per call.  A round calls every record once; rounds repeat
     until one adds no reduction or a record cuts off.  After
     ``config.max_fixpoint_rounds`` rounds the loop stops with ``budget_hit``
     set, and the box may not be stable.
 
-    Only record propagators run here; the model's rows are tightened by
+    Only record rules run here; the model's rows are tightened by
     ``propagate_block_fixpoint``, which ``search.propagate_node`` alternates
     with this loop, so the benchmark can tell handler work from row
     reasoning.

@@ -1040,27 +1040,25 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     n_vars = len(model.variables)
 
     box = DomainBox.from_model(model)
-    rows = list(model.rows)
+    # (name, vars, coeffs, lhs, rhs) per row; noise rows become LinearRows
+    # only once, when they are renumbered below
+    rows = [(r.name, r.vars, r.coeffs, r.lhs, r.rhs) for r in model.rows]
     noise_ids = list(instance.noise_row_ids)
     existing_noise = len(noise_ids)
     for idx in range(config.noise_rows):
         k = rng.randint(2, min(4, n_vars))
-        support = rng.sample(range(n_vars), k)
-        terms = tuple(
-            (v, float(rng.choice((-3, -2, -1, 1, 2, 3)))) for v in sorted(support)
-        )
-        rid = len(rows)
-        lo, hi = activity_range(terms, box)
-        lhs = -INF if math.isinf(lo) else math.floor(lo) - rng.randint(1, 5)
-        rhs = INF if math.isinf(hi) else math.ceil(hi) + rng.randint(1, 5)
+        support = sorted(rng.sample(range(n_vars), k))
+        coeffs = [float(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in support]
+        lo, hi = activity_range(zip(support, coeffs), box)
+        lhs = -INF if math.isinf(lo) else float(math.floor(lo) - rng.randint(1, 5))
+        rhs = INF if math.isinf(hi) else float(math.ceil(hi) + rng.randint(1, 5))
         shape = rng.randrange(3)
         if shape == 1 and not math.isinf(rhs):
             lhs = -INF
         elif shape == 2 and not math.isinf(lhs):
             rhs = INF
-        name = f"noise{existing_noise + idx + 1}"
-        rows.append(LinearRow(rid, name, terms, lhs, rhs))
-        noise_ids.append(rid)
+        noise_ids.append(len(rows))
+        rows.append((f"noise{existing_noise + idx + 1}", support, coeffs, lhs, rhs))
 
     n_rows = len(rows)
     var_map = list(range(n_vars))
@@ -1076,12 +1074,11 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
         new_vars[new_id] = Variable(new_id, var.name, var.lower, var.upper, var.integrality)
 
     new_rows: list[LinearRow | None] = [None] * n_rows
-    for old, row in enumerate(rows):
-        coeffs, lhs, rhs = row.coeffs, row.lhs, row.rhs
+    for old, (name, vars_, coeffs, lhs, rhs) in enumerate(rows):
         if rng.random() < config.sign_flip_prob:
             coeffs, lhs, rhs = [-c for c in coeffs], -rhs, -lhs
-        terms = zip(map(var_map.__getitem__, row.vars), coeffs)
-        new_rows[row_map[old]] = LinearRow(row_map[old], row.name, terms, lhs, rhs)
+        terms = zip(map(var_map.__getitem__, vars_), coeffs)
+        new_rows[row_map[old]] = LinearRow(row_map[old], name, terms, lhs, rhs)
 
     objective = tuple((var_map[v], c) for v, c in model.objective)
     new_model = MipModel(

@@ -17,7 +17,7 @@ from structprop.model import (
     PropagationOutcome,
     Variable,
 )
-from structprop.propagate import propagate_block_fixpoint, propagate_one_hot_resource
+from structprop.propagate import propagate_block_fixpoint, propagate_record
 from structprop.records import (
     PARAMS_CLASSES,
     Family,
@@ -270,7 +270,7 @@ def test_onehot_worked_example_passes():
     # the only feasible selection takes the cheap option in both groups,
     # so the propagator fixes two variables at 1 (and the other two at 0)
     box = DomainBox.from_model(model)
-    outcome = propagate_one_hot_resource(record.params, box)
+    outcome = propagate_record(model, record, box)
     fixings = [c for c in outcome.bound_changes if c.which == "lb"]
     assert len(fixings) == 2
     assert box.lower[0] == box.lower[2] == 1.0
