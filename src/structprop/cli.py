@@ -175,11 +175,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         families = list(Family)
     else:
         families = [args.family]
-    suite_seed = args.suite_seed if args.suite_seed is not None else args.seed
     ladders = []
     blocked = []
     for family in families:
-        results = run_gate_ladder(family, suite_seed=suite_seed)
+        results = run_gate_ladder(family, suite_seed=args.seed)
         doc = ladder_to_json(family, results)
         ladders.append(doc)
         if not doc["benchmark_ready"]:
@@ -189,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             family.value,
             "benchmark ready" if doc["benchmark_ready"] else results[-1].detail,
         )
-    _emit({"suite_seed": suite_seed, "ladders": ladders}, args.report)
+    _emit({"suite_seed": args.seed, "ladders": ladders}, args.report)
     if blocked:
         log.error("not benchmark ready: %s", ", ".join(blocked))
         return EXIT_FAILURE
@@ -199,11 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     records = list(detect_all(model).records)
-    config = SearchConfig(
-        propfreq="root_only" if args.propfreq == "root" else "every_node",
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-    )
+    config = SearchConfig(node_limit=args.node_limit, time_limit=args.time_limit)
     incumbent, stats = dfs_solve(model, records, config)
     doc = stats_to_json(stats)
     if incumbent is None:
@@ -295,13 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the gate ladder")
     p.add_argument("--family", type=_family_or_all, default="all")
-    p.add_argument("--suite-seed", type=int, default=None)
     p.add_argument("--report", default=None, help="write the ladder JSON here")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("search", parents=[common], help="solve with mined records")
     p.add_argument("file")
-    p.add_argument("--propfreq", choices=("root", "all"), default="all")
     p.add_argument("--node-limit", type=int, default=1_000_000)
     p.add_argument("--time-limit", type=float, default=60.0)
     p.set_defaults(handler=cmd_search)

@@ -286,13 +286,16 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     """Run-length chains over a binary level sequence with run-start markers."""
-    opp: dict[tuple[int, int], list[int]] = defaultdict(list)  # (u, w): u <= w
+    # every table is indexed by variable, so a chain reads only the rows
+    # that touch it instead of rescanning the model's rows
+    opp: dict[int, dict[int, list[int]]] = {}  # u -> {w: rows reading u <= w}
     for u, pairs in view.implications.items():
         for w, rid in pairs:
-            opp[(u, w)].append(rid)
+            opp.setdefault(u, {}).setdefault(w, []).append(rid)
     same2: dict[frozenset[int], list[int]] = defaultdict(list)  # u + w <= 1
     trips = []  # (rid, positive var, (negative, negative))
     windows = []  # (rid, support, scaled bound)
+    windows_at: dict[int, list[int]] = defaultdict(list)  # var -> window indices
     for facet in view.facets:
         if not facet.binary:
             continue
@@ -313,13 +316,19 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         if shared is not None and shared > 0 and len(sup) >= 3:
             bound = facet.bound / shared
             if bound >= 2 - FEAS_TOL:
+                for v in sup:
+                    windows_at[v].append(len(windows))
                 windows.append((facet.row, sup, bound))
+    pairs_at: dict[int, list[frozenset[int]]] = defaultdict(list)  # var -> same2 keys
+    for key in same2:
+        for v in key:
+            pairs_at[v].append(key)
 
     # successor edges between level vars, derived from the 3-var rows
     succ: dict[int, tuple[int, int, int]] = {}
     poisoned: set[int] = set()
     for rid, level, negs in trips:
-        starts = [v for v in negs if (v, level) in opp]
+        starts = [v for v in negs if level in opp.get(v, ())]
         prevs = [v for v in negs if v not in starts]
         if len(starts) != 1 or len(prevs) != 1:
             poisoned.update((level,) + negs)
@@ -330,7 +339,8 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
             continue
         succ[prev] = (level, start, rid)
 
-    heads = [v for v in succ if v not in {lvl for lvl, _, _ in succ.values()}]
+    successors = {lvl for lvl, _, _ in succ.values()}
+    heads = [v for v in succ if v not in successors]
     records = []
     for head in sorted(heads):
         levels = [head]
@@ -349,32 +359,26 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         if len(levels) < 2:
             continue
         # anchor the first run-start: mutual ordering rows with the head level
-        mutual = [w for (u, w) in opp if u == head and (w, head) in opp]
+        mutual = [w for w in opp.get(head, ()) if head in opp.get(w, ())]
         if len(mutual) != 1:
             continue
         starts_seq = [mutual[0]] + starts_seq
-        used_rows.update(opp[(head, starts_seq[0])])
+        used_rows.update(opp[head][starts_seq[0]])
         chain_vars = set(levels) | set(starts_seq)
         if poisoned & chain_vars or len(chain_vars) != 2 * len(levels):
             continue
-        if not _stretch_chain_consistent(
-            levels, starts_seq, opp, same2, windows, used_rows
-        ):
-            continue
-        horizon = len(levels)
-        min_run = sum(
-            1 for (u, w) in opp if u == starts_seq[0] and w in chain_vars
+        inner_opp = {(u, w): rids for u in chain_vars
+                     for w, rids in opp.get(u, {}).items() if w in chain_vars}
+        inner_off = {key: same2[key] for v in chain_vars
+                     for key in pairs_at.get(v, ()) if key <= chain_vars}
+        near = {i for v in chain_vars for i in windows_at.get(v, ())}
+        touching = [windows[i] for i in sorted(near)]
+        runs = _stretch_runs(
+            levels, starts_seq, inner_opp, inner_off, touching, used_rows
         )
-        max_run = None
-        for rid, sup, bound in windows:
-            if set(sup) <= set(levels):
-                max_run = int(round(bound))
-                break
-        if max_run is None:
+        if runs is None:
             continue
-        params = StretchParams(
-            tuple(levels), tuple(starts_seq), min_run, max_run
-        )
+        params = StretchParams(tuple(levels), tuple(starts_seq), *runs)
         scope = tuple(levels) + tuple(starts_seq)
         records.append(
             SemanticRecord(
@@ -384,58 +388,52 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     return records
 
 
-def _stretch_chain_consistent(levels, starts_seq, opp, same2, windows,
-                              used_rows: set[int]) -> bool:
-    """Verify the full chain is present and collect its row ids."""
+def _stretch_runs(levels, starts_seq, inner_opp, inner_off, touching,
+                  used_rows: set[int]) -> tuple[int, int] | None:
+    """Verify the full chain is present and collect its row ids.
+
+    ``inner_opp``/``inner_off`` map the chain's ordering and exclusion pairs
+    to their rows; ``touching`` lists the windows sharing a chain variable.
+    Returns ``(min_run, max_run)``, or None if a row is missing or extra.
+    """
     horizon = len(levels)
-    chain_vars = set(levels) | set(starts_seq)
-    position = {v: t for t, v in enumerate(levels)}
 
     # ordering rows from each run-start: its own level plus the next
     # min_run - 1 levels (truncated at the horizon)
-    min_run = sum(1 for (u, w) in opp if u == starts_seq[0] and w in chain_vars)
+    min_run = sum(1 for u, _ in inner_opp if u == starts_seq[0])
     if min_run < 1:
-        return False
+        return None
     expected_opp: set[tuple[int, int]] = {(levels[0], starts_seq[0])}
     for t in range(horizon):
         stop = min(t + min_run, horizon)
         for k in range(t, stop):
             expected_opp.add((starts_seq[t], levels[k]))
-    actual_opp = {
-        key for key in opp if key[0] in chain_vars and key[1] in chain_vars
-    }
-    if actual_opp != expected_opp:
-        return False
-    for key in expected_opp:
-        rids = opp[key]
+    if inner_opp.keys() != expected_opp:
+        return None
+    for rids in inner_opp.values():
         if len(rids) != 1:
-            return False
+            return None
         used_rows.update(rids)
 
     expected_off = {
         frozenset({starts_seq[t], levels[t - 1]}) for t in range(1, horizon)
     }
-    actual_off = {key for key in same2 if key <= chain_vars}
-    if actual_off != expected_off:
-        return False
-    for key in expected_off:
-        rids = same2[key]
+    if inner_off.keys() != expected_off:
+        return None
+    for rids in inner_off.values():
         if len(rids) != 1:
-            return False
+            return None
         used_rows.update(rids)
 
-    touching = [
-        (rid, sup, bound) for rid, sup, bound in windows if set(sup) & chain_vars
-    ]
     if not touching:
-        return False
+        return None
     sizes = {len(sup) for _, sup, _ in touching}
     if len(sizes) != 1:
-        return False
+        return None
     width = sizes.pop()
     max_run = width - 1
     if max_run < min_run or max_run > horizon - 1:
-        return False
+        return None
     expected_windows = {
         frozenset(levels[i:i + width]) for i in range(horizon - max_run)
     }
@@ -443,9 +441,9 @@ def _stretch_chain_consistent(levels, starts_seq, opp, same2, windows,
     for rid, sup, bound in touching:
         key = frozenset(sup)
         if key not in expected_windows or key in seen:
-            return False
+            return None
         if abs(bound - max_run) > FEAS_TOL:
-            return False
+            return None
         seen.add(key)
         used_rows.add(rid)
-    return seen == expected_windows
+    return (min_run, max_run) if seen == expected_windows else None

@@ -25,7 +25,7 @@ from ..records import (
     StrippedRow,
     UnitCommitmentRampParams,
 )
-from .rowview import ModelView
+from .rowview import ModelView, UnitView
 
 
 def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
@@ -101,6 +101,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         for v in u.support:
             group_of[v] = None if v in group_of else rid
 
+    count_rows = _count_rows(view)
     records = []
     for z in sorted(links):
         weight: dict[int, float] = {}
@@ -130,7 +131,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
             link_rows[v] for v in weight
         )
         scope = sorted(selectors) + [z]
-        activators = _find_activators(view, set(selectors))
+        activators = _find_activators(view, set(selectors), count_rows)
         if activators is not None:
             spec, act_rows = activators
             evidence.extend(act_rows)
@@ -155,7 +156,20 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
     return records
 
 
-def _find_activators(view: ModelView, selectors: set[int]):
+def _count_rows(view: ModelView) -> dict[frozenset[int], UnitView]:
+    """The first row ``sum(support) == k``, 1 <= k <= |support|, per support."""
+    by_support: dict[frozenset[int], UnitView] = {}
+    for u in view.units.values():
+        if not (u.is_equality and u.lower == u.upper):
+            continue
+        count = round(u.lower)
+        if abs(u.lower - count) <= FEAS_TOL and 1 <= count <= len(set(u.support)):
+            by_support.setdefault(frozenset(u.support), u)
+    return by_support
+
+
+def _find_activators(view: ModelView, selectors: set[int],
+                     count_rows: dict[frozenset[int], UnitView]):
     """Selector-to-activator implications closed by a counting equality row."""
     mapping = []
     act_rows = []
@@ -168,18 +182,16 @@ def _find_activators(view: ModelView, selectors: set[int]):
         mapping.append((x, act))
         act_rows.append(rid)
         activators.add(act)
-    for u in view.units.values():
-        if (u.is_equality and set(u.support) == activators
-                and u.lower == u.upper and abs(u.lower - round(u.lower)) <= FEAS_TOL
-                and 1 <= round(u.lower) <= len(activators)):
-            spec = ActivatorSpec(
-                selector_to_activator=tuple(mapping),
-                activator_vars=tuple(sorted(activators)),
-                count=int(round(u.lower)),
-                count_row=u.row,
-            )
-            return spec, act_rows + [u.row]
-    return None
+    u = count_rows.get(frozenset(activators))
+    if u is None:
+        return None
+    spec = ActivatorSpec(
+        selector_to_activator=tuple(mapping),
+        activator_vars=tuple(sorted(activators)),
+        count=int(round(u.lower)),
+        count_row=u.row,
+    )
+    return spec, act_rows + [u.row]
 
 
 def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:

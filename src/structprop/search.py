@@ -1,14 +1,17 @@
 """Depth-first search over integer domains driven by propagation.
 
-The tree prunes three ways: row-interval contradiction, a record
-propagator's cutoff, and an objective interval bound that cannot beat the
-incumbent.  The bound works on the minimization form the model stores, so
-maximization models need no special case.  With no objective every leaf is
-optimal, so once the first leaf is found the bound prunes every open node.
-There is no LP relaxation.  Statistics count record-propagator work only
-(calls, reductions, cutoffs, time), so a baseline run with no records
-reports zeros there while still doing row-level tightening at every node;
-that separation is what the benchmark tables compare.
+Every node, the root included, takes one step: the rows and the records
+tighten its box to a fixpoint (``propagate_node``), and then the node is
+pruned or split.  The tree prunes three ways: row-interval contradiction,
+a record propagator's cutoff, and an objective interval bound that cannot
+beat the incumbent.  The bound works on the minimization form the model
+stores, so maximization models need no special case.  With no objective
+every leaf is optimal, so once the first leaf is found the bound prunes
+every open node.  There is no LP relaxation.  Statistics count
+record-propagator work only (calls, reductions, cutoffs, time), so a
+baseline run with no records reports zeros there while still doing
+row-level tightening at every node; that separation is what the benchmark
+tables compare.
 
 An incumbent assigns every integer variable.  Continuous variables stay as
 interval-consistent boxes around the integer leaf, the same feasibility
@@ -39,18 +42,12 @@ __all__ = [
     "stats_to_json",
 ]
 
-PROPFREQS = ("root_only", "every_node")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    propfreq: str = "every_node"
     node_limit: int = 1_000_000
     time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.propfreq not in PROPFREQS:
-            raise ValueError(f"propfreq must be one of {PROPFREQS}")
         if self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
         if self.time_limit <= 0:
@@ -120,12 +117,10 @@ class _Search:
         self.incumbent_value = 0.0
         self.int_ids = [v.id for v in model.variables if v.is_integer]
         self.deadline = time.monotonic() + config.time_limit
-        self.limit_hit = False
 
-    def propagate(self, box: DomainBox, with_records: bool) -> bool:
+    def propagate(self, box: DomainBox) -> bool:
         """Tighten the node's box; True means the node is pruned."""
-        records = self.records if with_records else []
-        rows, by_records = propagate_node(self.model, records, box, self.prop)
+        rows, by_records = propagate_node(self.model, self.records, box, self.prop)
         self.stats.handler_calls += by_records.calls
         self.stats.domain_reductions += by_records.domain_reductions
         self.stats.cutoffs += by_records.cutoffs
@@ -150,30 +145,22 @@ class _Search:
             self.incumbent_value = value
 
     def out_of_budget(self) -> bool:
-        if self.stats.nodes >= self.config.node_limit:
-            self.limit_hit = True
-        elif time.monotonic() > self.deadline:
-            self.limit_hit = True
-        return self.limit_hit
+        return (
+            self.stats.nodes >= self.config.node_limit
+            or time.monotonic() > self.deadline
+        )
 
     def run(self) -> None:
-        root = DomainBox.from_model(self.model)
-        self.stats.nodes = 1
-        if self.propagate(root, with_records=True):
-            self.stats.status = "infeasible"
-            return
-        stack: list[DomainBox] = []
-        self.expand(root, stack)
-        every_node = self.config.propfreq == "every_node"
+        # the budget is checked only between nodes, so the root always runs
+        stack = [DomainBox.from_model(self.model)]
         while stack:
-            if self.out_of_budget():
-                break
             box = stack.pop()
             self.stats.nodes += 1
-            if self.propagate(box, with_records=every_node):
-                continue
-            self.expand(box, stack)
-        if self.limit_hit:
+            if not self.propagate(box):
+                self.expand(box, stack)
+            if stack and self.out_of_budget():
+                break
+        if stack:  # stopped with open nodes: the budget ran out
             self.stats.status = "limit"
         elif self.incumbent is not None:
             self.stats.status = "optimal"
@@ -204,9 +191,10 @@ def dfs_solve(
 ) -> tuple[dict[int, float] | None, SearchStats]:
     """Solve by propagation-guided DFS; returns (incumbent, stats).
 
-    Records always propagate at the root; deeper nodes re-run them only
-    under ``propfreq="every_node"``.  Row-level tightening runs at every
-    node regardless, so ``records=[]`` is the baseline configuration.
+    Every node, the root included, takes the same step: count it, run
+    ``propagate_node`` with the rows and the records, then prune it or
+    branch.  ``records=[]`` is therefore the baseline configuration: the
+    same rows tighten every node, and no record is called.
     Branching splits the lowest-id unfixed integer variable's domain at the
     floored midpoint, lower half first.  The incumbent maps integer
     variable ids to values and minimizes the model's stored (minimization

@@ -23,9 +23,9 @@ from .propagate import (
     HANDLED_FAMILIES,
     propagate_block_fixpoint,
     propagate_record,
-    run_fixpoint,
 )
 from .records import PARAMS_CLASSES, Family, SemanticRecord, _codec, params_key
+from .search import propagate_node
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
 
 __all__ = [
@@ -259,8 +259,6 @@ def run_gate_ladder(
     family: Family,
     suite_seed: int = 0,
     *,
-    detector_suite: int = DETECTOR_SUITE_SIZE,
-    soundness_suite: int = SOUNDNESS_SUITE_SIZE,
     detector: Detector | None = None,
 ) -> list[GateResult]:
     """Run the per-family CI ladder; a failing gate skips the rest.
@@ -268,8 +266,10 @@ def run_gate_ladder(
     The returned list holds one result per executed gate plus a final
     ``benchmark_ready`` conjunction, so ``results[-1].passed`` is the single
     go/no-go flag.  ``detector`` substitutes the detection entry point (the
-    ladder's own regression tests stub it).  Each gate is held to its
-    ``GATE_TIME_CAPS`` budget.
+    ladder's own regression tests stub it).  The suites run
+    ``DETECTOR_SUITE_SIZE``/``SOUNDNESS_SUITE_SIZE`` seeds from ``suite_seed``
+    on; ``load`` and ``smoke`` run search's node step, ``propagate_node``.
+    Each gate is held to its ``GATE_TIME_CAPS`` budget.
     """
     detect_fn = detector or _default_detector
     results: list[GateResult] = []
@@ -302,7 +302,7 @@ def run_gate_ladder(
     try:
         empty = MipModel(variables=(), rows=())
         found = detect_fn(empty)
-        run_fixpoint(empty, [], DomainBox.from_model(empty))
+        propagate_node(empty, found, DomainBox.from_model(empty))
         ok, detail = not found, f"empty model: {len(found)} records, fixpoint ran"
     except Exception as exc:
         ok, detail = False, f"crashed on empty model: {exc!r}"
@@ -310,8 +310,9 @@ def run_gate_ladder(
         return ready()
 
     started = time.perf_counter()
-    ok, detail = True, f"{detector_suite}/{detector_suite} exactly recovered"
-    for i in range(detector_suite):
+    size = DETECTOR_SUITE_SIZE
+    ok, detail = True, f"{size}/{size} exactly recovered"
+    for i in range(size):
         seed = suite_seed + i
         instance = obfuscate(
             reverse_sample(family, seed=seed), ObfuscationConfig(seed=seed)
@@ -326,8 +327,9 @@ def run_gate_ladder(
 
     started = time.perf_counter()
     ok = True
-    detail = f"{soundness_suite}/{soundness_suite} sound against enumeration"
-    for i in range(soundness_suite):
+    size = SOUNDNESS_SUITE_SIZE
+    detail = f"{size}/{size} sound against enumeration"
+    for i in range(size):
         seed = suite_seed + i
         instance = reverse_sample(family, seed=seed)
         step = verify_propagation(instance.model, instance.ground_truth)
@@ -343,11 +345,13 @@ def run_gate_ladder(
         instance = reverse_sample(family, seed=suite_seed)
         records = detect_fn(instance.model)
         box = DomainBox.from_model(instance.model)
-        outcome = run_fixpoint(instance.model, records, box)
-        ok = True
+        rows, by_records = propagate_node(instance.model, records, box)
+        # the instance is planted feasible, so a cutoff is a soundness fault
+        cutoff = rows.cutoff or by_records.cutoff
+        ok = not cutoff
         detail = (
-            f"{len(records)} records, {outcome.domain_reductions} reductions, "
-            f"cutoff={outcome.cutoff}"
+            f"{len(records)} records, {rows.domain_reductions} row and "
+            f"{by_records.domain_reductions} record reductions, cutoff={cutoff}"
         )
     except Exception as exc:
         ok, detail = False, f"crashed: {exc!r}"

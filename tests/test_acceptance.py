@@ -274,7 +274,7 @@ def test_search_matches_oracle_under_both_propagation_policies():
     suite.extend((Family.DISJ_POLYHEDRAL, seed, False) for seed in range(3, 9))
     assert len(suite) == 50
 
-    disj_nodes = {"root_only": [], "every_node": []}
+    disj_nodes = {"plugin": [], "baseline": []}
     failures = []
     for family, seed, infeasible in suite:
         instance = reverse_sample(family, seed=seed, make_infeasible=infeasible)
@@ -293,8 +293,8 @@ def test_search_matches_oracle_under_both_propagation_policies():
         else:
             expected = ("infeasible", None)
 
-        for freq in ("root_only", "every_node"):
-            incumbent, stats = dfs_solve(model, records, SearchConfig(propfreq=freq))
+        for policy, searched in (("plugin", records), ("baseline", [])):
+            incumbent, stats = dfs_solve(model, searched, SearchConfig())
             value = (
                 None
                 if incumbent is None
@@ -307,15 +307,15 @@ def test_search_matches_oracle_under_both_propagation_policies():
             )
             if not ok:
                 failures.append(
-                    f"{family.value}[{seed}] {freq}: {stats.status}/{value}"
+                    f"{family.value}[{seed}] {policy}: {stats.status}/{value}"
                     f" wanted {expected}"
                 )
             if family is Family.DISJ_POLYHEDRAL and not infeasible:
-                disj_nodes[freq].append(stats.nodes)
+                disj_nodes[policy].append(stats.nodes)
 
     assert failures == []
-    assert statistics.fmean(disj_nodes["every_node"]) <= statistics.fmean(
-        disj_nodes["root_only"]
+    assert statistics.fmean(disj_nodes["plugin"]) <= statistics.fmean(
+        disj_nodes["baseline"]
     )
 
 

@@ -1,4 +1,5 @@
-"""Search tests: oracle optimality, propfreq invariance, stats accounting."""
+"""Search tests: plugin and baseline optima against the enumeration oracle,
+the one node step every node takes, and stats accounting."""
 
 import hashlib
 import json
@@ -9,6 +10,7 @@ from structprop.detect import detect_all
 from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
 from structprop.mps import parse_mps
 from structprop.records import Family
+import structprop.search as search_mod
 from structprop.search import SearchConfig, dfs_solve, stats_to_json
 from structprop.synth import (
     ObfuscationConfig,
@@ -54,12 +56,12 @@ def objective_of(model, incumbent):
     "family,seed", SWEEP, ids=[f"{f.value}-{s}" for f, s in SWEEP]
 )
 def test_optimum_matches_oracle_under_both_propfreqs(family, seed):
+    # every node propagates the rows and the records it is given, so the
+    # plugin (ground truth record) and the baseline (no records) must agree
     inst = reverse_sample(family, seed=seed)
     expected = oracle_optimum(inst.model)
-    for propfreq in ("root_only", "every_node"):
-        incumbent, stats = dfs_solve(
-            inst.model, [inst.ground_truth], SearchConfig(propfreq=propfreq)
-        )
+    for records in ([inst.ground_truth], []):
+        incumbent, stats = dfs_solve(inst.model, records, SearchConfig())
         assert stats.status == "optimal"
         assert incumbent is not None
         assert objective_of(inst.model, incumbent) == pytest.approx(expected)
@@ -80,10 +82,8 @@ def test_baseline_without_records_agrees(seed):
 
 def test_infeasible_instance_under_both_propfreqs():
     inst = reverse_sample(Family.CARDINALITY, seed=3, make_infeasible=True)
-    for propfreq in ("root_only", "every_node"):
-        incumbent, stats = dfs_solve(
-            inst.model, [inst.ground_truth], SearchConfig(propfreq=propfreq)
-        )
+    for records in ([inst.ground_truth], []):
+        incumbent, stats = dfs_solve(inst.model, records, SearchConfig())
         assert incumbent is None
         assert stats.status == "infeasible"
 
@@ -99,14 +99,11 @@ def test_incumbent_satisfies_all_rows():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_disj_every_node_never_needs_more_nodes(seed):
+    # the record at every node never costs nodes against rows alone
     inst = reverse_sample(Family.DISJ_POLYHEDRAL, seed=seed)
-    _, root_only = dfs_solve(
-        inst.model, [inst.ground_truth], SearchConfig(propfreq="root_only")
-    )
-    _, every_node = dfs_solve(
-        inst.model, [inst.ground_truth], SearchConfig(propfreq="every_node")
-    )
-    assert every_node.nodes <= root_only.nodes
+    _, plugin = dfs_solve(inst.model, [inst.ground_truth], SearchConfig())
+    _, baseline = dfs_solve(inst.model, [], SearchConfig())
+    assert plugin.nodes <= baseline.nodes
 
 
 def test_node_limit_reports_limit_with_best_so_far():
@@ -127,17 +124,33 @@ def test_tiny_time_limit_reports_limit():
     assert stats.status == "limit"
 
 
-def test_root_only_calls_bounded_by_root_fixpoint():
-    inst = reverse_sample(Family.ONE_HOT_RESOURCE, seed=0)
-    records = [inst.ground_truth]
-    _, root_only = dfs_solve(
-        inst.model, records, SearchConfig(propfreq="root_only")
-    )
-    _, every_node = dfs_solve(
-        inst.model, records, SearchConfig(propfreq="every_node")
-    )
-    assert 1 <= root_only.handler_calls <= len(records) * 100
-    assert every_node.handler_calls >= root_only.handler_calls
+def test_every_node_takes_one_propagate_node_step(monkeypatch):
+    # the root is popped like any other node: each counted node, the root
+    # included, makes exactly one propagate_node call with the search's records
+    calls = []
+    real = search_mod.propagate_node
+
+    def spy(model, records, box, config=None):
+        calls.append(list(records))
+        return real(model, records, box, config)
+
+    monkeypatch.setattr(search_mod, "propagate_node", spy)
+    feasible = reverse_sample(Family.ONE_HOT_RESOURCE, seed=0)
+    infeasible = reverse_sample(Family.CARDINALITY, seed=3, make_infeasible=True)
+    cases = [
+        (feasible, SearchConfig(), "optimal"),
+        (infeasible, SearchConfig(), "infeasible"),
+        (feasible, SearchConfig(time_limit=1e-9), "limit"),
+    ]
+    for inst, config, status in cases:
+        for records in ([inst.ground_truth], []):
+            calls.clear()
+            _, stats = dfs_solve(inst.model, records, config)
+            assert stats.status == status
+            assert len(calls) == stats.nodes >= 1
+            assert all(seen == records for seen in calls)
+            if status == "infeasible":
+                assert stats.nodes == 1  # the root cuts off
 
 
 def test_deterministic_replay():
@@ -197,8 +210,6 @@ def test_stats_json_shape():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="propfreq"):
-        SearchConfig(propfreq="sometimes")
     with pytest.raises(ValueError, match="node_limit"):
         SearchConfig(node_limit=0)
     with pytest.raises(ValueError, match="time_limit"):

@@ -336,22 +336,23 @@ def test_truncated_enumeration_is_inconclusive():
 # gate ladder
 
 
-def test_ladder_all_gates_pass():
-    results = run_gate_ladder(
-        Family.CARDINALITY, suite_seed=0, detector_suite=4, soundness_suite=4
-    )
+def small_suites(monkeypatch, size):
+    monkeypatch.setattr(verify_mod, "DETECTOR_SUITE_SIZE", size)
+    monkeypatch.setattr(verify_mod, "SOUNDNESS_SUITE_SIZE", size)
+
+
+def test_ladder_all_gates_pass(monkeypatch):
+    small_suites(monkeypatch, 4)
+    results = run_gate_ladder(Family.CARDINALITY, suite_seed=0)
     assert [r.gate for r in results] == list(GATES)
     assert all(r.passed for r in results)
     assert results[-1].detail == "all gates passed"
 
 
-def test_ladder_stubbed_detector_short_circuits():
+def test_ladder_stubbed_detector_short_circuits(monkeypatch):
+    small_suites(monkeypatch, 3)
     results = run_gate_ladder(
-        Family.CARDINALITY,
-        suite_seed=0,
-        detector_suite=3,
-        soundness_suite=3,
-        detector=lambda model: [],
+        Family.CARDINALITY, suite_seed=0, detector=lambda model: []
     )
     gates = [r.gate for r in results]
     assert gates == [
@@ -379,16 +380,33 @@ def test_ladder_load_gate_catches_crash():
 
 def test_ladder_smoke_timeout(monkeypatch):
     monkeypatch.setitem(verify_mod.GATE_TIME_CAPS, "smoke", 0.0)
-    results = run_gate_ladder(Family.CARDINALITY, detector_suite=2, soundness_suite=2)
+    small_suites(monkeypatch, 2)
+    results = run_gate_ladder(Family.CARDINALITY)
     by_gate = {r.gate: r for r in results}
     assert not by_gate["smoke"].passed
     assert "timeout" in by_gate["smoke"].detail
     assert by_gate["benchmark_ready"].detail == "blocked by smoke"
 
 
+def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
+    # the smoke instance is planted feasible, so a root cutoff is unsound
+    def cuts(model, records, box, config=None):
+        return PropagationOutcome(), PropagationOutcome(cutoff=True, cutoffs=1)
+
+    small_suites(monkeypatch, 1)
+    monkeypatch.setattr(verify_mod, "propagate_node", cuts)
+    results = run_gate_ladder(Family.CHANNEL)
+    by_gate = {r.gate: r for r in results}
+    assert by_gate["load"].passed
+    assert not by_gate["smoke"].passed
+    assert "cutoff=True" in by_gate["smoke"].detail
+    assert by_gate["benchmark_ready"].detail == "blocked by smoke"
+
+
 def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
     monkeypatch.delitem(DETECTORS, Family.STRETCH)
-    results = run_gate_ladder(Family.STRETCH, detector_suite=1, soundness_suite=1)
+    small_suites(monkeypatch, 1)
+    results = run_gate_ladder(Family.STRETCH)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert not results[0].passed
     assert "missing: detector" in results[0].detail
@@ -401,27 +419,30 @@ class _ListParams:
 
 def test_ladder_flags_params_the_codec_cannot_walk(monkeypatch):
     monkeypatch.setitem(PARAMS_CLASSES, Family.STRETCH, _ListParams)
-    results = run_gate_ladder(Family.STRETCH, detector_suite=1, soundness_suite=1)
+    small_suites(monkeypatch, 1)
+    results = run_gate_ladder(Family.STRETCH)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert results[0].detail == "missing: serializer"
 
 
 def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
-    results = run_gate_ladder(Family.CARDINALITY, detector_suite=1, soundness_suite=1)
+    small_suites(monkeypatch, 1)
+    results = run_gate_ladder(Family.CARDINALITY)
     assert results[0].passed
     assert results[0].detail == "detector, record schema, detect-only, serializer registered"
     assert results[-1].passed
 
     # a family with neither a propagator nor a detect-only entry is incomplete
     monkeypatch.setattr(verify_mod, "DETECT_ONLY", frozenset())
-    results = run_gate_ladder(Family.CARDINALITY, detector_suite=1, soundness_suite=1)
+    results = run_gate_ladder(Family.CARDINALITY)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert results[0].detail == "missing: propagator"
 
 
 def test_benchmark_ready_implies_all_prior(monkeypatch):
+    small_suites(monkeypatch, 2)
     scenarios = [
-        run_gate_ladder(Family.CHANNEL, detector_suite=2, soundness_suite=2),
+        run_gate_ladder(Family.CHANNEL),
         run_gate_ladder(Family.CHANNEL, detector=lambda model: []),
     ]
     for results in scenarios:
@@ -431,10 +452,9 @@ def test_benchmark_ready_implies_all_prior(monkeypatch):
             assert any(not r.passed for r in results[:-1])
 
 
-def test_ladder_to_json_shape():
-    results = run_gate_ladder(
-        Family.ONE_HOT_RESOURCE, detector_suite=2, soundness_suite=2
-    )
+def test_ladder_to_json_shape(monkeypatch):
+    small_suites(monkeypatch, 2)
+    results = run_gate_ladder(Family.ONE_HOT_RESOURCE)
     report = ladder_to_json(Family.ONE_HOT_RESOURCE, results)
     assert report["family"] == "OneHotResource"
     assert report["benchmark_ready"] is True
