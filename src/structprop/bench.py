@@ -68,7 +68,7 @@ DIAGNOSTIC_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchRun:
     instance: str
     seed: int

@@ -8,10 +8,11 @@ partial or contaminated encoding yields no record rather than a wrong one.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 
-from ..model import FEAS_TOL, INF
+from ..model import FEAS_TOL, INF, shared_float
 from ..records import (
     AllDifferentParams,
     CardinalityParams,
@@ -28,22 +29,26 @@ from .rowview import ModelView, uniform_coefficient
 
 
 def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
-    """Two-sided counting rows: L <= sum of >= 3 binaries <= U."""
+    """Two-sided counting rows: L <= sum of >= 3 binaries <= U.
+
+    A row in ``view.claimed`` already belongs to an exact record, which
+    arbitration would keep over this one, so no record is built for it.
+    """
     records = []
     for u in view.units.values():
-        if len(u.support) < 3 or not u.binary:
+        if len(u.support) < 3 or not u.binary or u.row in view.claimed:
             continue
         n = len(u.support)
         lower = 0.0 if u.lower == -INF else max(0.0, float(math.ceil(u.lower - FEAS_TOL)))
         upper = float(n) if u.upper == INF else min(float(n), float(math.floor(u.upper + FEAS_TOL)))
         if lower > upper:
             continue
-        support = tuple(sorted(u.support))
+        # the support is the row's own sorted vars tuple, shared, not copied
         records.append(
             SemanticRecord(
                 Family.CARDINALITY,
-                support,
-                CardinalityParams(support, lower, upper),
+                u.support,
+                CardinalityParams(u.support, shared_float(lower), shared_float(upper)),
                 (u.row,),
             )
         )
@@ -295,7 +300,6 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
     same2: dict[frozenset[int], list[int]] = defaultdict(list)  # u + w <= 1
     trips = []  # (rid, positive var, (negative, negative))
     windows = []  # (rid, support, scaled bound)
-    windows_at: dict[int, list[int]] = defaultdict(list)  # var -> window indices
     for facet in view.facets:
         if not facet.binary:
             continue
@@ -316,13 +320,12 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         if shared is not None and shared > 0 and len(sup) >= 3:
             bound = facet.bound / shared
             if bound >= 2 - FEAS_TOL:
-                for v in sup:
-                    windows_at[v].append(len(windows))
                 windows.append((facet.row, sup, bound))
-    pairs_at: dict[int, list[frozenset[int]]] = defaultdict(list)  # var -> same2 keys
-    for key in same2:
-        for v in key:
-            pairs_at[v].append(key)
+    # var -> window indices and var -> same2 keys, built for the first chain
+    windows_at = functools.cache(
+        lambda: _by_var((i, sup) for i, (_, sup, _) in enumerate(windows))
+    )
+    pairs_at = functools.cache(lambda: _by_var((key, key) for key in same2))
 
     # successor edges between level vars, derived from the 3-var rows
     succ: dict[int, tuple[int, int, int]] = {}
@@ -370,8 +373,8 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
         inner_opp = {(u, w): rids for u in chain_vars
                      for w, rids in opp.get(u, {}).items() if w in chain_vars}
         inner_off = {key: same2[key] for v in chain_vars
-                     for key in pairs_at.get(v, ()) if key <= chain_vars}
-        near = {i for v in chain_vars for i in windows_at.get(v, ())}
+                     for key in pairs_at().get(v, ()) if key <= chain_vars}
+        near = {i for v in chain_vars for i in windows_at().get(v, ())}
         touching = [windows[i] for i in sorted(near)]
         runs = _stretch_runs(
             levels, starts_seq, inner_opp, inner_off, touching, used_rows
@@ -386,6 +389,16 @@ def detect_stretch(view: ModelView, config) -> list[SemanticRecord]:
             )
         )
     return records
+
+
+def _by_var(entries) -> dict[int, list]:
+    """var -> the entries, in order, whose support holds it, from
+    ``(entry, support)`` pairs."""
+    at: dict[int, list] = defaultdict(list)
+    for entry, support in entries:
+        for v in support:
+            at[v].append(entry)
+    return at
 
 
 def _stretch_runs(levels, starts_seq, inner_opp, inner_off, touching,

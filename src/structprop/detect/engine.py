@@ -4,6 +4,10 @@ Families are tried in a fixed priority order.  A record accepted with exact
 confidence claims its evidence rows; later records overlapping those rows are
 dropped, which keeps the surviving set disjoint on evidence.  Heuristic
 records never claim rows, so they cannot shadow an exact match ranked lower.
+
+The claimed rows live on the shared ``ModelView`` (``view.claimed``).
+Cardinality, last in the order and one row per record, reads them and builds
+no record for a claimed row, since arbitration would only drop it.
 """
 
 from __future__ import annotations
@@ -54,8 +58,17 @@ DETECTORS: dict[Family, Callable[[ModelView, DetectConfig], list[SemanticRecord]
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionReport:
+    """What ``detect_all`` kept, in priority order, and what it dropped.
+
+    ``dropped`` holds the records a detector built whose evidence overlaps
+    rows an exact record of a higher-priority family already claimed.
+    Cardinality never appears there: it skips claimed rows before building
+    a record (``detect_family`` still returns a record for every counting
+    row).
+    """
+
     records: tuple[SemanticRecord, ...]
     family_counts: dict[str, int] = field(default_factory=dict)
     dropped: tuple[SemanticRecord, ...] = ()
@@ -78,7 +91,7 @@ def detect_all(model: MipModel, config: DetectConfig | None = None) -> Detection
     view = ModelView(model, row_scan_cap=config.row_scan_cap)
     kept: list[SemanticRecord] = []
     dropped: list[SemanticRecord] = []
-    claimed: set[int] = set()
+    claimed = view.claimed
     warnings: list[str] = []
     for family in PRIORITY_ORDER:
         try:

@@ -18,7 +18,9 @@ each row once, when it is built, and detectors only read the result:
 * two-binary facets ``x - y <= 0`` (any positive scale) are indexed as
   implications ``x <= y``.
 
-Every list is in row order.
+Every list is in row order.  ``claimed`` is the one field that changes after
+construction: ``detect_all`` adds the evidence rows of each exact record it
+keeps, so a detector run later in its priority order can skip them.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class ModelView:
             for v in model.variables
         ]
         self.truncated = row_scan_cap is not None and len(model.rows) > row_scan_cap
+        self.claimed: set[int] = set()  # rows kept exact records own
         scan = model.rows if not self.truncated else model.rows[:row_scan_cap]
 
         self.active_rows: list[LinearRow] = []

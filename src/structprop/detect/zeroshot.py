@@ -8,7 +8,9 @@ bottleneck family, when the link rows cover the selector grid incompletely.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
+from typing import Callable
 
 from ..model import FEAS_TOL, INF, Integrality, activity_range
 from ..records import (
@@ -101,7 +103,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         for v in u.support:
             group_of[v] = None if v in group_of else rid
 
-    count_rows = _count_rows(view)
+    count_rows = functools.cache(lambda: _count_rows(view))  # first lookup builds it
     records = []
     for z in sorted(links):
         weight: dict[int, float] = {}
@@ -169,8 +171,11 @@ def _count_rows(view: ModelView) -> dict[frozenset[int], UnitView]:
 
 
 def _find_activators(view: ModelView, selectors: set[int],
-                     count_rows: dict[frozenset[int], UnitView]):
-    """Selector-to-activator implications closed by a counting equality row."""
+                     count_rows: Callable[[], dict[frozenset[int], UnitView]]):
+    """Selector-to-activator implications closed by a counting equality row.
+
+    ``count_rows()`` returns the :func:`_count_rows` index.
+    """
     mapping = []
     act_rows = []
     activators: set[int] = set()
@@ -182,7 +187,7 @@ def _find_activators(view: ModelView, selectors: set[int],
         mapping.append((x, act))
         act_rows.append(rid)
         activators.add(act)
-    u = count_rows.get(frozenset(activators))
+    u = count_rows().get(frozenset(activators))
     if u is None:
         return None
     spec = ActivatorSpec(

@@ -88,6 +88,15 @@ def detections_for(names, family="Cardinality"):
     return {name: DetectionReport(records=(), family_counts={family: 1}) for name in names}
 
 
+def test_runs_and_reports_are_slotted_and_still_copy():
+    plugin = run("a", "plugin")
+    report = detections_for(["a"])["a"]
+    # a benchmark keeps one per search and per detection: no instance __dict__
+    assert not hasattr(plugin, "__dict__") and not hasattr(report, "__dict__")
+    assert dataclasses.asdict(dataclasses.replace(plugin, nodes=11))["nodes"] == 11
+    assert dataclasses.replace(report, truncated=True).family_counts == {"Cardinality": 1}
+
+
 def test_equal_pair_gives_unit_speedups():
     runs = [run("a", "baseline"), run("a", "plugin")]
     report = aggregate(runs, detections_for(["a"]))

@@ -14,7 +14,13 @@ from structprop.detect import (
 )
 from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
 from structprop.propagate import propagate_record
-from structprop.records import Confidence, Family, records_equal, records_to_json
+from structprop.records import (
+    PRIORITY_ORDER,
+    Confidence,
+    Family,
+    records_equal,
+    records_to_json,
+)
 from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
 from structprop.verify import verify_propagation
 
@@ -207,10 +213,52 @@ def test_priority_drops_row_level_reinterpretations():
     counting = detect_family(inst.model, Family.CARDINALITY)
     assert len(counting) == len(inst.model.rows)
 
+    # arbitration gives every row to AllDifferent, so Cardinality builds
+    # no record for them and nothing is dropped
     report = detect_all(inst.model)
     assert [r.family for r in report.records] == [Family.ALL_DIFFERENT]
-    assert len(report.dropped) == len(inst.model.rows)
-    assert {r.family for r in report.dropped} == {Family.CARDINALITY}
+    assert report.dropped == ()
+
+
+def arbitrate_full_outputs(model):
+    """detect_all's rule applied to every family's full detect_family output:
+    in priority order, drop a record overlapping a row an exact record kept
+    before it claimed."""
+    kept, dropped, claimed = [], [], set()
+    for family in PRIORITY_ORDER:
+        for rec in sorted(detect_family(model, family), key=lambda r: sorted(r.evidence)):
+            if claimed & set(rec.evidence):
+                dropped.append(rec)
+                continue
+            kept.append(rec)
+            if rec.confidence is Confidence.EXACT:
+                claimed.update(rec.evidence)
+    return kept, dropped
+
+
+@pytest.mark.parametrize("obfuscated", [False, True], ids=["clean", "obfuscated"])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_skipping_claimed_counting_rows_keeps_the_arbitrated_records(
+    family, seed, obfuscated
+):
+    inst = reverse_sample(family, seed=seed)
+    if obfuscated:
+        inst = obfuscate(
+            inst, ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=seed)
+        )
+    kept, dropped = arbitrate_full_outputs(inst.model)
+    report = detect_all(inst.model)
+    assert list(report.records) == kept
+    # only the Cardinality records for claimed rows are no longer built
+    assert list(report.dropped) == [r for r in dropped if r.family is not Family.CARDINALITY]
+
+
+def test_cardinality_records_share_the_row_tuple():
+    inst = reverse_sample(Family.CARDINALITY, seed=0)
+    (record,) = detect_all(inst.model).records
+    row = inst.model.rows[record.evidence[0]]
+    assert record.scope is row.vars and record.params.vars is row.vars
 
 
 def test_failing_detector_becomes_warning(monkeypatch):
@@ -287,7 +335,7 @@ def test_heuristic_record_leaves_its_rows_to_lower_priority_families():
     full = detect_all(bottleneck_model({**PARTIAL_WEIGHTS, 2: 3.0}))
     assert bottleneck_record(full).confidence is Confidence.EXACT
     assert [r.family for r in full.records] == [Family.BOTTLENECK_EXACT_ONE]
-    assert sorted(r.evidence for r in full.dropped) == [(0,), (1,)]
+    assert full.dropped == ()
 
 
 def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
@@ -307,8 +355,8 @@ def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
 # pinned detection output on larger and multi-block models
 
 
-def records_digest(model, report) -> str:
-    doc = records_to_json([*report.records, *report.dropped], model)
+def records_digest(model, records) -> str:
+    doc = records_to_json(list(records), model)
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -337,9 +385,12 @@ def disjoint_union(blocks):
     return MipModel(variables, rows, objective), truths
 
 
-# sha256 prefix of the records JSON (kept plus dropped) of detect_all
-MULTI_BLOCK_RECORDS_SHA256 = "98882b588539ed27"
-LARGE_ROSTERING_RECORDS_SHA256 = "2e7f731132e43546"
+# sha256 prefixes of the records JSON of detect_all, kept and dropped apart
+MULTI_BLOCK_RECORDS_SHA256 = "d2b9864f1e9be772"
+LARGE_ROSTERING_RECORDS_SHA256 = "1bd06e9f484bd8b3"
+# both reports drop nothing: every overlap was a Cardinality row, now skipped
+MULTI_BLOCK_DROPPED_SHA256 = "cd2e17941a770df4"
+LARGE_ROSTERING_DROPPED_SHA256 = "cd2e17941a770df4"
 
 
 def test_multi_block_detection_matches_pinned_output():
@@ -349,7 +400,8 @@ def test_multi_block_detection_matches_pinned_output():
     ]
     model, truths = disjoint_union(blocks)
     report = detect_all(model)
-    assert records_digest(model, report) == MULTI_BLOCK_RECORDS_SHA256
+    assert records_digest(model, report.records) == MULTI_BLOCK_RECORDS_SHA256
+    assert records_digest(model, report.dropped) == MULTI_BLOCK_DROPPED_SHA256
     assert report.warnings == ()
     assert report.family_counts == {
         "AllDifferent": 1, "BottleneckExactOne": 1, "Cardinality": 13, "Channel": 1,
@@ -371,4 +423,5 @@ def test_large_rostering_detection_matches_pinned_output():
     report = detect_all(inst.model)
     assert [r.family for r in report.records] == [Family.ROSTERING_WINDOW]
     assert records_equal(report.records[0], inst.ground_truth)
-    assert records_digest(inst.model, report) == LARGE_ROSTERING_RECORDS_SHA256
+    assert records_digest(inst.model, report.records) == LARGE_ROSTERING_RECORDS_SHA256
+    assert records_digest(inst.model, report.dropped) == LARGE_ROSTERING_DROPPED_SHA256
