@@ -2,13 +2,14 @@
 
 ``_HANDLERS`` maps a family to its rule, which reads the record's
 parameters; ``propagate_record`` dispatches through it and
-``HANDLED_FAMILIES`` is its key set.  Only Channel, OneHotResource,
-BottleneckExactOne and DisjPolyhedral have one, because only their rules
-prune values that the rows the record came from cannot.  The other seven
+``HANDLED_FAMILIES`` is its key set.  Only the three families Channel,
+OneHotResource and DisjPolyhedral have one, because only their rules prune
+integer values that the rows the record came from cannot.  The other eight
 families are ``DETECT_ONLY``: their records are mined and serialized, and
-propagating them is a no-op, since residual-activity tightening of their
-evidence rows (``propagate_block_fixpoint``) already does all their rules
-could.
+propagating them is a no-op.  For seven of them residual-activity
+tightening of their evidence rows (``propagate_block_fixpoint``) already
+does all their rules could; BottleneckExactOne's rule did more only on the
+continuous bottleneck variable, which nothing in the search reads.
 
 A rule has the shape of the row kernel ``model.tighten_row``:
 ``rule(params, box, out) -> bool``.  It makes one pass, writes bounds into
@@ -55,7 +56,6 @@ from .model import (
     tighten_row,
 )
 from .records import (
-    BottleneckExactOneParams,
     ChannelParams,
     DisjPolyhedralParams,
     Family,
@@ -241,78 +241,6 @@ def _one_hot_resource(
     return cut
 
 
-def _bottleneck_exact_one(
-    params: BottleneckExactOneParams, box: DomainBox, out: PropagationOutcome
-) -> bool:
-    """Max-min lower bound on the bottleneck plus weight elimination.
-
-    Groups whose live selectors all carry known weights push lb(z) up to
-    their cheapest option; any selector priced above ub(z) is fixed out;
-    selector groups close under exactly-one.  With activators present the
-    link implications run both ways and the open count propagates as a
-    residual cardinality.  Selectors without a known weight are never
-    eliminated and their groups never raise the bound.
-    """
-    z = params.bottleneck_var
-    activators = params.activators
-    activator_vars = activators.activator_vars if activators else ()
-    if (
-        not 0 <= z < len(box)
-        or not _binary_groups(box, params.groups)
-        or not _all_binary(box, activator_vars)
-    ):
-        return False
-    cut = False
-
-    floor = -INF
-    for group in params.groups:
-        live = [(v, w) for v, w in group if _live(box, v)]
-        if not live:
-            return True
-        if all(w is not None for _, w in live):
-            floor = max(floor, min(w for _, w in live))
-    for group in params.groups:
-        for v, w in group:
-            if w is not None and _fixed_in(box, v):
-                floor = max(floor, w)
-    if floor > -INF:
-        cut |= set_lower(box, out, z, floor)
-
-    ceiling = box.upper[z]
-    for group in params.groups:
-        for v, w in group:
-            if w is not None and _live(box, v) and w > ceiling + FEAS_TOL:
-                cut |= set_upper(box, out, v, 0.0)
-
-    if activators is not None:
-        to_activator = dict(activators.selector_to_activator)
-        for group in params.groups:
-            for v, _ in group:
-                y = to_activator.get(v)
-                if y is None:
-                    continue
-                if _fixed_in(box, v):
-                    cut |= set_lower(box, out, y, 1.0)
-                if not _live(box, y) and _live(box, v):
-                    cut |= set_upper(box, out, v, 0.0)
-        forced = sum(1 for y in activator_vars if _fixed_in(box, y))
-        open_slots = sum(1 for y in activator_vars if _live(box, y))
-        if forced > activators.count or open_slots < activators.count:
-            cut = True
-        elif forced == activators.count:
-            for y in activator_vars:
-                if _live(box, y) and not _fixed_in(box, y):
-                    cut |= set_upper(box, out, y, 0.0)
-        elif open_slots == activators.count:
-            for y in activator_vars:
-                if _live(box, y) and not _fixed_in(box, y):
-                    cut |= set_lower(box, out, y, 1.0)
-
-    for group in params.groups:
-        cut |= _exact_one_closure(box, out, [v for v, _ in group])
-    return cut or box.lower[z] > box.upper[z] + FEAS_TOL
-
-
 def _disj_polyhedral(
     params: DisjPolyhedralParams, box: DomainBox, out: PropagationOutcome
 ) -> bool:
@@ -432,7 +360,6 @@ def _channel(params: ChannelParams, box: DomainBox, out: PropagationOutcome) -> 
 _HANDLERS = {
     Family.CHANNEL: _channel,
     Family.ONE_HOT_RESOURCE: _one_hot_resource,
-    Family.BOTTLENECK_EXACT_ONE: _bottleneck_exact_one,
     Family.DISJ_POLYHEDRAL: _disj_polyhedral,
 }
 
@@ -440,10 +367,14 @@ _HANDLERS = {
 # registration against this set and DETECT_ONLY
 HANDLED_FAMILIES: frozenset[Family] = frozenset(_HANDLERS)
 
-# families that are detected and serialized but have no propagator: their
+# families that are detected and serialized but have no propagator.  Seven
 # rules (exact-one, counting, capacity, run-length and window rows) are
 # residual-activity tightening of their own evidence rows, which the
-# all-rows fixpoint already runs
+# all-rows fixpoint already runs.  BottleneckExactOne's rule pruned beyond
+# its rows only by a max-min floor on the continuous bottleneck z, and
+# nothing reads that floor: no row turns it into an integer bound, the
+# generators never price z, and dfs_solve rejects an objective on a
+# continuous variable
 DETECT_ONLY: frozenset[Family] = frozenset(
     {
         Family.ALL_DIFFERENT,
@@ -453,6 +384,7 @@ DETECT_ONLY: frozenset[Family] = frozenset(
         Family.STRETCH,
         Family.ROSTERING_WINDOW,
         Family.UNIT_COMMITMENT_RAMP,
+        Family.BOTTLENECK_EXACT_ONE,
     }
 )
 

@@ -2,7 +2,7 @@
 
 Each test here is a self-contained pass/fail line for one promised behavior
 of the package: exact structure recovery under obfuscation, propagation
-soundness against exhaustive enumeration, exact reproduction of the three
+soundness against exhaustive enumeration, exact reproduction of the two
 worked tightening examples, detection invariance under renaming, search
 agreement with the enumeration oracle under both propagation policies,
 benchmark metric arithmetic and table shapes, the verification gate ladder,
@@ -37,7 +37,6 @@ from structprop.model import (
 from structprop.mps import parse_mps, write_mps
 from structprop.propagate import PropagatorConfig, propagate_record
 from structprop.records import (
-    BottleneckExactOneParams,
     BranchSpec,
     DisjPolyhedralParams,
     Family,
@@ -131,58 +130,6 @@ def test_worked_tightening_examples_reproduce_exactly():
     assert not out.cutoff
     assert box.lower == [1.0, 0.0, 1.0, 0.0]
     assert box.upper == [1.0, 0.0, 1.0, 0.0]
-    assert is_valid_reduction(original, box, enum.mappings())
-
-    # two exact-one groups with weights {2, 5} and {3, 6} linked to a
-    # bottleneck variable: its floor rises to 3, and capping it at 4
-    # removes both heavy options and fixes the survivors
-    def bottleneck_model(z_upper):
-        return MipModel(
-            tuple(binary(i, f"x{i}") for i in range(4))
-            + (Variable(4, "z", 0.0, z_upper),),
-            (
-                LinearRow(0, "grp1", ((0, 1.0), (1, 1.0)), 1.0, 1.0),
-                LinearRow(1, "grp2", ((2, 1.0), (3, 1.0)), 1.0, 1.0),
-                LinearRow(2, "l0", ((4, 1.0), (0, -2.0)), 0.0, INF),
-                LinearRow(3, "l1", ((4, 1.0), (1, -5.0)), 0.0, INF),
-                LinearRow(4, "l2", ((4, 1.0), (2, -3.0)), 0.0, INF),
-                LinearRow(5, "l3", ((4, 1.0), (3, -6.0)), 0.0, INF),
-            ),
-        )
-
-    bottleneck_record = SemanticRecord(
-        Family.BOTTLENECK_EXACT_ONE,
-        (0, 1, 2, 3, 4),
-        BottleneckExactOneParams(
-            bottleneck_var=4,
-            groups=(((0, 2.0), (1, 5.0)), ((2, 3.0), (3, 6.0))),
-            link_coverage=1.0,
-            activators=None,
-        ),
-        (0, 1, 2, 3, 4, 5),
-    )
-    loose = bottleneck_model(INF)
-    enum = enumerate_feasible(loose, (0, 1, 2, 3, 4))
-    assert enum.scope_vars == (0, 1, 2, 3)  # z is continuous, skipped
-    assert enum.feasible_points == {
-        (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
-    }
-    box = DomainBox.from_model(loose)
-    original = box.copy()
-    out = propagate_record(loose, bottleneck_record, box, config)
-    assert not out.cutoff
-    assert box.lower[4] == 3.0
-    assert is_valid_reduction(original, box, enum.mappings())
-
-    capped = bottleneck_model(4.0)
-    enum = enumerate_feasible(capped, (0, 1, 2, 3, 4))
-    assert enum.feasible_points == {(1, 0, 1, 0)}
-    box = DomainBox.from_model(capped)
-    original = box.copy()
-    out = propagate_record(capped, bottleneck_record, box, config)
-    assert not out.cutoff
-    assert box.upper[1] == 0.0 and box.upper[3] == 0.0
-    assert box.lower[0] == 1.0 and box.lower[2] == 1.0
     assert is_valid_reduction(original, box, enum.mappings())
 
     # an either-or with big-M rows: branch y=0 allows x <= 2, branch y=1

@@ -28,8 +28,6 @@ from structprop.propagate import (
 )
 from structprop.records import (
     PARAMS_CLASSES,
-    ActivatorSpec,
-    BottleneckExactOneParams,
     BranchSpec,
     ChannelParams,
     DisjPolyhedralParams,
@@ -134,108 +132,6 @@ def test_one_hot_idempotent():
     apply_rule(onehot_params(), box)
     again = apply_rule(onehot_params(), box)
     assert not again.bound_changes and not again.cutoff
-
-
-# ---------------------------------------------------------------------------
-# bottleneck exact-one
-
-
-def bottleneck_params(activators=None):
-    return BottleneckExactOneParams(
-        bottleneck_var=4,
-        groups=(((0, 2.0), (1, 5.0)), ((2, 3.0), (3, 6.0))),
-        link_coverage=1.0,
-        activators=activators,
-    )
-
-
-def zbox(z_upper=INF):
-    return binary_box(4, extra=[(0.0, z_upper, False)])
-
-
-def test_bottleneck_max_min_lower_bound():
-    box = zbox()
-    out = apply_rule(bottleneck_params(), box)
-    assert not out.cutoff
-    assert box.lower[4] == 3.0
-
-
-def test_bottleneck_weight_elimination_collapses_groups():
-    box = zbox(z_upper=4.0)
-    out = apply_rule(bottleneck_params(), box)
-    assert not out.cutoff
-    assert box.upper[1] == 0.0 and box.upper[3] == 0.0
-    assert box.lower[0] == 1.0 and box.lower[2] == 1.0
-
-
-def test_bottleneck_tight_bound_is_noop_on_z():
-    params = BottleneckExactOneParams(
-        bottleneck_var=2,
-        groups=(((0, 4.0),), ((1, 4.0),)),
-        link_coverage=1.0,
-        activators=None,
-    )
-    box = binary_box(2, extra=[(4.0, 4.0, False)])
-    out = apply_rule(params, box)
-    assert all(c.var != 2 for c in out.bound_changes)
-
-
-def test_bottleneck_infeasible_bound_gap():
-    box = zbox(z_upper=1.0)  # every weight exceeds ub(z)
-    out = apply_rule(bottleneck_params(), box)
-    assert out.cutoff
-
-
-def test_bottleneck_unknown_weights_stay_conservative():
-    params = BottleneckExactOneParams(
-        bottleneck_var=4,
-        groups=(((0, 2.0), (1, None)), ((2, 3.0), (3, 6.0))),
-        link_coverage=0.75,
-        activators=None,
-    )
-    box = zbox()
-    out = apply_rule(params, box)
-    # group with the unlinked selector cannot raise the floor
-    assert box.lower[4] == 3.0
-    assert box.upper[1] == 1.0
-    assert not out.cutoff
-
-
-def test_bottleneck_activator_implications():
-    activators = ActivatorSpec(
-        selector_to_activator=((0, 5), (1, 6), (2, 5), (3, 6)),
-        activator_vars=(5, 6),
-        count=1,
-        count_row=0,
-    )
-    box = binary_box(4, extra=[(0.0, INF, False), (0.0, 1.0, True), (0.0, 0.0, True)])
-    out = apply_rule(bottleneck_params(activators), box)
-    assert not out.cutoff
-    # activator 6 is shut: its selectors die, groups collapse, slot 5 opens
-    assert box.upper[1] == 0.0 and box.upper[3] == 0.0
-    assert box.lower[0] == 1.0 and box.lower[2] == 1.0
-    assert box.lower[5] == 1.0
-
-
-def test_bottleneck_max_min_floor_ignores_slot_packing():
-    # one open slot, two groups with disjoint cheap reach: someone must pay
-    # 9, but the max-min floor only proves the cheapest option per group
-    params = BottleneckExactOneParams(
-        bottleneck_var=4,
-        groups=(((0, 2.0), (1, 9.0)), ((2, 2.0), (3, 9.0))),
-        link_coverage=1.0,
-        activators=ActivatorSpec(
-            selector_to_activator=((0, 5), (1, 7), (2, 6), (3, 7)),
-            activator_vars=(5, 6, 7),
-            count=1,
-            count_row=0,
-        ),
-    )
-
-    box = binary_box(4, extra=[(0.0, INF, False)] + [(0.0, 1.0, True)] * 3)
-    out = apply_rule(params, box)
-    assert not out.cutoff
-    assert box.lower[4] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +475,6 @@ def test_every_family_has_a_handler():
     assert HANDLED_FAMILIES == {
         Family.CHANNEL,
         Family.ONE_HOT_RESOURCE,
-        Family.BOTTLENECK_EXACT_ONE,
         Family.DISJ_POLYHEDRAL,
     }
     for family in Family:
@@ -615,10 +510,16 @@ def seeded_fixings(model, record, seed, trials):
         yield box
 
 
+def integer_bounds(model, box):
+    return [(box.lower[v.id], box.upper[v.id]) for v in model.variables if v.is_integer]
+
+
 @pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
 def test_kept_handlers_prune_beyond_rows(family):
     # a family keeps its propagator only while the propagator removes
-    # something the all-rows fixpoint leaves
+    # something search can use that the all-rows fixpoint leaves: after the
+    # rule and one more row fixpoint, an integer bound moved or the box cut
+    # off; tightening continuous variables alone does not count
     for seed in range(6):
         inst = reverse_sample(family, seed=seed)
         for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
@@ -626,10 +527,14 @@ def test_kept_handlers_prune_beyond_rows(family):
             for box in seeded_fixings(model, record, seed, 25):
                 if propagate_block_fixpoint(model.rows, box).cutoff:
                     continue
-                out = propagate_record(model, record, box)
-                if out.domain_reductions or out.cutoff:
+                before = integer_bounds(model, box)
+                if (
+                    propagate_record(model, record, box).cutoff
+                    or propagate_block_fixpoint(model.rows, box).cutoff
+                    or integer_bounds(model, box) != before
+                ):
                     return
-    pytest.fail(f"{family.value} never pruned beyond its rows")
+    pytest.fail(f"{family.value} never pruned an integer bound beyond its rows")
 
 
 @pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)

@@ -280,7 +280,7 @@ def test_feasibility_model_stops_pruning_after_first_leaf():
 # dfs_solve plus enumerate_feasible on every family's obfuscated seed-0..2
 # instances; a refactor of the propagation engine must leave every status,
 # node count, record statistic, incumbent and oracle count as it was
-PINNED_TRACE_SHA256 = "46103d58fcea873d"
+PINNED_TRACE_SHA256 = "11152dabc1c6dd98"
 TRACE_NODE_LIMIT = 1000
 
 
