@@ -12,7 +12,8 @@ from structprop.detect import (
     detect_family,
     one_sided_facet,
 )
-from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
+from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
+from structprop.propagate import propagate_block_fixpoint, propagate_record
 from structprop.records import (
     PRIORITY_ORDER,
     Confidence,
@@ -21,6 +22,7 @@ from structprop.records import (
     records_to_json,
 )
 from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
+from structprop.verify import verify_propagation
 
 ALL_FAMILIES = list(Family)
 RECOVERY_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
@@ -334,6 +336,21 @@ def test_heuristic_record_leaves_its_rows_to_lower_priority_families():
     assert bottleneck_record(full).confidence is Confidence.EXACT
     assert [r.family for r in full.records] == [Family.BOTTLENECK_EXACT_ONE]
     assert full.dropped == ()
+
+
+def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
+    model = bottleneck_model(PARTIAL_WEIGHTS)
+    record = bottleneck_record(detect_all(model))
+    assert verify_propagation(model, record).passed
+
+    # the record is detect-only; the rows price x0 and x1 out under z <= 3,
+    # and only the weightless x2 is left in its group
+    box = DomainBox.from_model(model)
+    assert propagate_record(model, record, box).calls == 0
+    out = propagate_block_fixpoint(model.rows, box)
+    assert not out.cutoff
+    assert box.lower[2] == box.upper[2] == 1.0
+    assert box.lower[3] == 1.0 and box.lower[6] == 2.0
 
 
 # ---------------------------------------------------------------------------

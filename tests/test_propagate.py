@@ -16,6 +16,7 @@ from structprop.model import (
     MipModel,
     PropagationOutcome,
     Variable,
+    is_valid_reduction,
 )
 from structprop.propagate import (
     DETECT_ONLY,
@@ -28,6 +29,8 @@ from structprop.propagate import (
 )
 from structprop.records import (
     PARAMS_CLASSES,
+    ActivatorSpec,
+    BottleneckExactOneParams,
     BranchSpec,
     ChannelParams,
     DisjPolyhedralParams,
@@ -38,6 +41,7 @@ from structprop.records import (
 )
 from structprop.search import SearchConfig, dfs_solve
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
+from structprop.verify import enumerate_feasible
 
 ALL_FAMILIES = list(Family)
 
@@ -132,6 +136,154 @@ def test_one_hot_idempotent():
     apply_rule(onehot_params(), box)
     again = apply_rule(onehot_params(), box)
     assert not again.bound_changes and not again.cutoff
+
+
+# ---------------------------------------------------------------------------
+# bottleneck exact-one: detect-only, so its rows alone prune its groups
+
+BOTTLENECK_GROUPS = (((0, 2.0), (1, 5.0)), ((2, 3.0), (3, 6.0)))
+
+
+def bottleneck_instance(groups=BOTTLENECK_GROUPS, z_upper=INF, activators=None):
+    """Exact-one groups over binaries under a continuous z, with their record.
+
+    z follows the selectors; each selector with a weight gets a link row
+    ``w*x - z <= 0``, and ``activators`` adds ``x - a <= 0`` per selector and
+    an equality fixing how many activators are open.
+    """
+    n = sum(len(group) for group in groups)
+    variables = [Variable(v, f"x{v}", 0.0, 1.0, Integrality.BINARY) for v in range(n)]
+    variables.append(Variable(n, "z", 0.0, z_upper, Integrality.CONTINUOUS))
+    specs = [(tuple((x, 1.0) for x, _ in group), 1.0, 1.0) for group in groups]
+    specs += [
+        (((x, w), (n, -1.0)), -INF, 0.0)
+        for group in groups
+        for x, w in group
+        if w is not None
+    ]
+    if activators is not None:
+        variables += [
+            Variable(a, f"a{a}", 0.0, 1.0, Integrality.BINARY)
+            for a in activators.activator_vars
+        ]
+        specs += [
+            (((x, 1.0), (a, -1.0)), -INF, 0.0)
+            for x, a in activators.selector_to_activator
+        ]
+        count = float(activators.count)
+        specs.append((tuple((a, 1.0) for a in activators.activator_vars), count, count))
+    rows = tuple(LinearRow(i, f"r{i}", t, lo, up) for i, (t, lo, up) in enumerate(specs))
+    model = MipModel(tuple(variables), rows)
+    params = BottleneckExactOneParams(n, groups, 1.0, activators)
+    record = SemanticRecord(
+        Family.BOTTLENECK_EXACT_ONE,
+        tuple(range(len(variables))),
+        params,
+        tuple(range(len(rows))),
+    )
+    return model, record
+
+
+def bottleneck_search_step(model, record, box):
+    """What search does at a node: the record (a no-op), then the row fixpoint."""
+    before = box.copy()
+    out = propagate_record(model, record, box)
+    assert out.calls == 0 and not out.bound_changes and not out.cutoff
+    assert (box.lower, box.upper) == (before.lower, before.upper)
+    return propagate_block_fixpoint(model.rows, box)
+
+
+def test_bottleneck_max_min_floor_moves_no_integer_bound():
+    # the max-min floor is 3 (each group's cheapest option); the rows do not
+    # derive it, and imposing it by hand tightens no selector either
+    model, record = bottleneck_instance()
+    box = DomainBox.from_model(model)
+    out = bottleneck_search_step(model, record, box)
+    assert not out.bound_changes and not out.cutoff
+    assert box.lower[4] == 0.0
+
+    box.lower[4] = 3.0
+    out = bottleneck_search_step(model, record, box)
+    assert not out.bound_changes and not out.cutoff
+    assert box.lower[:4] == [0.0] * 4 and box.upper[:4] == [1.0] * 4
+
+
+def test_bottleneck_weight_elimination_collapses_groups():
+    model, record = bottleneck_instance(z_upper=4.0)
+    enum = enumerate_feasible(model, record.scope)
+    box = DomainBox.from_model(model)
+    original = box.copy()
+    out = bottleneck_search_step(model, record, box)
+    assert not out.cutoff
+    assert box.upper[1] == 0.0 and box.upper[3] == 0.0
+    assert box.lower[0] == 1.0 and box.lower[2] == 1.0
+    assert is_valid_reduction(original, box, enum.mappings())
+
+
+def test_bottleneck_tight_bound_is_noop_on_z():
+    model, record = bottleneck_instance(groups=(((0, 4.0),), ((1, 4.0),)))
+    box = DomainBox.from_model(model)
+    box.lower[2] = box.upper[2] = 4.0
+    out = bottleneck_search_step(model, record, box)
+    assert not out.cutoff
+    assert all(c.var != 2 for c in out.bound_changes)
+    assert box.lower[:2] == [1.0, 1.0]
+
+
+def test_bottleneck_infeasible_bound_gap():
+    model, record = bottleneck_instance(z_upper=1.0)  # every weight exceeds ub(z)
+    assert not enumerate_feasible(model, record.scope).feasible_points
+    out = bottleneck_search_step(model, record, DomainBox.from_model(model))
+    assert out.cutoff
+
+
+def test_bottleneck_unknown_weights_stay_conservative():
+    groups = (((0, 2.0), (1, None)), ((2, 3.0), (3, 6.0)))
+    model, record = bottleneck_instance(groups=groups, z_upper=4.0)
+    box = DomainBox.from_model(model)
+    out = bottleneck_search_step(model, record, box)
+    assert not out.cutoff
+    # the unlinked selector keeps its group open; the linked group collapses
+    assert box.upper[0] == box.upper[1] == 1.0 and box.lower[0] == box.lower[1] == 0.0
+    assert box.upper[3] == 0.0 and box.lower[2] == 1.0
+
+
+def test_bottleneck_activator_implications():
+    activators = ActivatorSpec(
+        selector_to_activator=((0, 5), (1, 6), (2, 5), (3, 6)),
+        activator_vars=(5, 6),
+        count=1,
+        count_row=0,
+    )
+    model, record = bottleneck_instance(activators=activators)
+    box = DomainBox.from_model(model)
+    box.upper[6] = 0.0
+    out = bottleneck_search_step(model, record, box)
+    assert not out.cutoff
+    # activator 6 is shut: its selectors die, groups collapse, slot 5 opens
+    assert box.upper[1] == 0.0 and box.upper[3] == 0.0
+    assert box.lower[0] == 1.0 and box.lower[2] == 1.0
+    assert box.lower[5] == 1.0
+
+
+def test_bottleneck_max_min_floor_ignores_slot_packing():
+    # one open slot, two groups with disjoint cheap reach: only the shared
+    # heavy slot is feasible, which neither the rows nor a max-min floor see
+    activators = ActivatorSpec(
+        selector_to_activator=((0, 5), (1, 7), (2, 6), (3, 7)),
+        activator_vars=(5, 6, 7),
+        count=1,
+        count_row=0,
+    )
+    groups = (((0, 2.0), (1, 9.0)), ((2, 2.0), (3, 9.0)))
+    model, record = bottleneck_instance(groups=groups, activators=activators)
+    enum = enumerate_feasible(model, record.scope)
+    assert enum.feasible_points == {(0, 1, 0, 1, 0, 0, 1)}
+    box = DomainBox.from_model(model)
+    original = box.copy()
+    out = bottleneck_search_step(model, record, box)
+    assert not out.bound_changes and not out.cutoff
+    assert is_valid_reduction(original, box, enum.mappings())
 
 
 # ---------------------------------------------------------------------------
