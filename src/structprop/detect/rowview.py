@@ -85,10 +85,10 @@ class ModelView:
 
     def __init__(self, model: MipModel, row_scan_cap: int | None = None) -> None:
         self.model = model
-        self.box = DomainBox.from_model(model)
+        self.box = box = DomainBox.from_model(model)
         self.is_binary = [
-            v.is_integer and v.lower >= 0.0 and v.upper <= 1.0
-            for v in model.variables
+            integer and lo >= 0.0 and up <= 1.0
+            for integer, lo, up in zip(box.integer_mask, box.lower, box.upper)
         ]
         self.truncated = row_scan_cap is not None and len(model.rows) > row_scan_cap
         self.claimed: set[int] = set()  # rows kept exact records own

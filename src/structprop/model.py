@@ -17,10 +17,11 @@ constants, read where they are used.  ``FEAS_TOL`` (1e-6) is the smallest
 bound change that counts as a tightening and the slack of every feasibility
 and emptiness test; ``INT_TOL`` (1e-6) is the slack of inward integer
 rounding; a coefficient below ``COEFF_FLOOR`` (1e-9) is never divided by.
-No function takes a tolerance.  Integer bounds are always rounded inward
-when tightened.  Bounds and row sides may be infinite on their own side
-only (no ``lhs`` or lower bound at ``+inf``, no ``rhs`` or upper bound at
-``-inf``); coefficients must be finite and NaN is rejected.
+No function takes a tolerance.  Integer bounds are always rounded inward,
+when a box is built from a model and when tightened.  Bounds and row sides
+may be infinite on their own side only (no ``lhs`` or lower bound at
+``+inf``, no ``rhs`` or upper bound at ``-inf``); coefficients must be
+finite and NaN is rejected.
 
 Row storage: a :class:`LinearRow` keeps its nonzeros as two flat tuples,
 ``vars`` (strictly increasing variable ids) and ``coeffs`` (the matching
@@ -205,9 +206,6 @@ class LinearRow:
     def is_equality(self) -> bool:
         return self.lhs == self.rhs
 
-    def support(self) -> tuple[int, ...]:
-        return self.vars
-
 
 class MipModel:
     """Immutable-after-construction container for variables, rows, objective.
@@ -257,11 +255,6 @@ class MipModel:
             sorted((v, shared_float(c)) for v, c in objective if c != 0.0)
         )
         self.objective_sense = objective_sense
-
-    @property
-    def flagged_infeasible(self) -> bool:
-        """True when some variable was declared with crossing bounds."""
-        return any(v.lower > v.upper for v in self.variables)
 
     def row_by_name(self, name: str) -> LinearRow:
         for row in self.rows:
@@ -360,10 +353,14 @@ class DomainBox:
 
     @classmethod
     def from_model(cls, model: MipModel) -> "DomainBox":
+        """The declared bounds, integer ones rounded inward as
+        :func:`set_lower`/:func:`set_upper` round them; a declared box may be
+        empty (crossing bounds, or no integer in an integer range)."""
+        variables = model.variables
         return cls(
-            [v.lower for v in model.variables],
-            [v.upper for v in model.variables],
-            [v.is_integer for v in model.variables],
+            [_ceil_int(v.lower) if v.is_integer else v.lower for v in variables],
+            [_floor_int(v.upper) if v.is_integer else v.upper for v in variables],
+            [v.is_integer for v in variables],
         )
 
     def copy(self) -> "DomainBox":
@@ -386,6 +383,18 @@ class DomainBox:
         self.upper[var] = value
 
 
+def _ceil_int(value: float) -> float:
+    """An integer lower bound rounded inward, as a shared float; infinite
+    bounds stay."""
+    return shared_float(math.ceil(value - INT_TOL)) if math.isfinite(value) else value
+
+
+def _floor_int(value: float) -> float:
+    """An integer upper bound rounded inward, as a shared float; infinite
+    bounds stay."""
+    return shared_float(math.floor(value + INT_TOL)) if math.isfinite(value) else value
+
+
 def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Raise ``var``'s lower bound to ``value``; True means the domain emptied.
 
@@ -394,8 +403,8 @@ def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -
     beats the old one by more than ``FEAS_TOL``; otherwise nothing happens
     and False comes back.
     """
-    if box.integer_mask[var] and math.isfinite(value):
-        value = float(math.ceil(value - INT_TOL))
+    if box.integer_mask[var]:
+        value = _ceil_int(value)
     old = box.lower[var]
     if value <= old + FEAS_TOL:
         return False
@@ -406,8 +415,8 @@ def set_lower(box: DomainBox, out: PropagationOutcome, var: int, value: float) -
 
 def set_upper(box: DomainBox, out: PropagationOutcome, var: int, value: float) -> bool:
     """Lower ``var``'s upper bound to ``value``; the mirror of :func:`set_lower`."""
-    if box.integer_mask[var] and math.isfinite(value):
-        value = float(math.floor(value + INT_TOL))
+    if box.integer_mask[var]:
+        value = _floor_int(value)
     old = box.upper[var]
     if value >= old - FEAS_TOL:
         return False

@@ -4,12 +4,17 @@
 parameters; ``propagate_record`` dispatches through it and
 ``HANDLED_FAMILIES`` is its key set.  Only the three families Channel,
 OneHotResource and DisjPolyhedral have one, because only their rules prune
-integer values that the rows the record came from cannot.  The other eight
-families are ``DETECT_ONLY``: their records are mined and serialized, and
-propagating them is a no-op.  For seven of them residual-activity
-tightening of their evidence rows (``propagate_block_fixpoint``) already
-does all their rules could; BottleneckExactOne's rule did more only on the
-continuous bottleneck variable, which nothing in the search reads.
+integer values that the rows the record came from cannot, and a rule holds
+only that reasoning.  Each of the three records comes with an exact-one row
+(pick-one, group or selector row), and that row closes the group: once all
+members but one are fixed out, its residual-activity step fixes the last
+one in, and ``search.propagate_node`` runs the rows again after every
+record round that changed the box.  The other eight families are
+``DETECT_ONLY``: their records are mined and serialized, and propagating
+them is a no-op.  For seven of them residual-activity tightening of their
+evidence rows (``propagate_block_fixpoint``) already does all their rules
+could; BottleneckExactOne's rule did more only on the continuous bottleneck
+variable, which nothing in the search reads.
 
 A rule has the shape of the row kernel ``model.tighten_row``:
 ``rule(params, box, out) -> bool``.  It makes one pass, writes bounds into
@@ -131,7 +136,7 @@ def _all_binary(box: DomainBox, vars_: Sequence[int]) -> bool:
 
 
 def _binary_groups(box: DomainBox, groups) -> bool:
-    """Groups of ``(var, weight)`` pairs fit an exactly-one rule: there is at
+    """Groups of ``(var, weight)`` pairs fit the one-hot rule: there is at
     least one, none is empty, no member repeats and every member is binary."""
     members = [v for group in groups for v, _ in group]
     return (
@@ -144,31 +149,6 @@ def _binary_groups(box: DomainBox, groups) -> bool:
 
 def _live(box: DomainBox, var: int) -> bool:
     return box.upper[var] > 0.5
-
-
-def _fixed_in(box: DomainBox, var: int) -> bool:
-    return box.lower[var] > 0.5
-
-
-def _exact_one_closure(
-    box: DomainBox, out: PropagationOutcome, members: Sequence[int]
-) -> bool:
-    """Close one exactly-one group; True means contradiction."""
-    fixed = [v for v in members if _fixed_in(box, v)]
-    if len(fixed) > 1:
-        return True
-    if len(fixed) == 1:
-        cut = False
-        for v in members:
-            if v != fixed[0] and _live(box, v):
-                cut |= set_upper(box, out, v, 0.0)
-        return cut
-    live = [v for v in members if _live(box, v)]
-    if not live:
-        return True
-    if len(live) == 1:
-        return set_lower(box, out, live[0], 1.0)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +195,8 @@ def _one_hot_resource(
 
     The basket cost is the external floor plus each group's cheapest live
     option.  The basket exceeding the budget is a cutoff; an option whose
-    swap-in cost exceeds the remaining slack is fixed out; groups then close
-    under the exactly-one rule.
+    swap-in cost exceeds the remaining slack is fixed out.  The group rows
+    fix a group's last live option in.
     """
     if not _binary_groups(box, params.groups):
         return False
@@ -236,8 +216,6 @@ def _one_hot_resource(
         for v, cost in group:
             if _live(box, v) and cost > slack + FEAS_TOL:
                 cut |= set_upper(box, out, v, 0.0)
-    for group in params.groups:
-        cut |= _exact_one_closure(box, out, [v for v, _ in group])
     return cut
 
 
@@ -249,10 +227,12 @@ def _disj_polyhedral(
     Each admissible branch gets a private copy of the box and a block
     fixpoint over its stripped rows.  A branch whose copy empties is
     impossible and loses its selector value; no surviving branch is a
-    cutoff; a single survivor fixes its selector.  Touched variables then
-    tighten to the envelope of the surviving branch-local bounds (variables
-    a branch never constrains keep their global bounds there, so the
-    envelope cannot overtighten them).
+    cutoff.  Touched variables then tighten to the envelope of the
+    surviving branch-local bounds (variables a branch never constrains keep
+    their global bounds there, so the envelope cannot overtighten them).
+    A single survivor needs no step of its own: for ``binary_selector`` the
+    dead branch's lost value fixes the guard, and for ``exact_one_mode`` the
+    selector row fixes the last live selector in.
     """
     branches = params.branches
     selectors = [b.selector_var for b in branches]
@@ -305,13 +285,6 @@ def _disj_polyhedral(
     if not viable or cut:
         return True
 
-    if len(viable) == 1:
-        survivor = branches[viable[0]]
-        if survivor.selector_value == 1:
-            cut |= set_lower(box, out, survivor.selector_var, 1.0)
-        else:
-            cut |= set_upper(box, out, survivor.selector_var, 0.0)
-
     for var in params.touched:
         cut |= set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
         cut |= set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
@@ -321,9 +294,9 @@ def _disj_polyhedral(
 def _channel(params: ChannelParams, box: DomainBox, out: PropagationOutcome) -> bool:
     """Indicators one-hot over the values of the link variable ``x``.
 
-    An indicator whose value lies outside x's bounds is fixed out; the
-    indicators close under exactly-one; x then tightens to the range of the
-    values still live.
+    An indicator whose value lies outside x's bounds is fixed out; x then
+    tightens to the range of the values still live.  The pick-one row fixes
+    the last live indicator in.
     """
     x = params.link_var
     indicators = [v for _, v in params.indicators]
@@ -342,7 +315,6 @@ def _channel(params: ChannelParams, box: DomainBox, out: PropagationOutcome) -> 
             value < box.lower[x] - FEAS_TOL or value > box.upper[x] + FEAS_TOL
         ):
             cut |= set_upper(box, out, v, 0.0)
-    cut |= _exact_one_closure(box, out, indicators)
     live_values = [value for value, v in params.indicators if _live(box, v)]
     if not live_values:
         return True

@@ -151,8 +151,13 @@ class _Search:
         )
 
     def run(self) -> None:
-        # the budget is checked only between nodes, so the root always runs
+        # the budget is checked only between nodes, so the root always runs.
+        # set_lower/set_upper report every crossing they make, so only the
+        # declared box can be empty unnoticed: it is checked once, here
         stack = [DomainBox.from_model(self.model)]
+        if stack[0].is_empty():
+            self.stats.nodes = 1
+            stack.clear()
         while stack:
             box = stack.pop()
             self.stats.nodes += 1

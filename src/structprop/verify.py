@@ -131,7 +131,7 @@ def enumerate_feasible(
 
     stack: list[tuple[int, DomainBox]] = []
     root = DomainBox.from_model(model)
-    if consistent(root):
+    if not root.is_empty() and consistent(root):
         stack.append((0, root))
     while stack:
         depth, box = stack.pop()

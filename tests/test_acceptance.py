@@ -44,7 +44,7 @@ from structprop.records import (
     SemanticRecord,
     StrippedRow,
 )
-from structprop.search import SearchConfig, dfs_solve
+from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import (
     GATES,
@@ -102,7 +102,8 @@ def test_worked_tightening_examples_reproduce_exactly():
     config = PropagatorConfig()
 
     # selection costs {3, 5} and {4, 7} against a shared budget of 8:
-    # both expensive options die and both survivors get fixed
+    # the record kills both expensive options and the group rows fix both
+    # survivors, in one node step
     onehot_model = MipModel(
         tuple(binary(i, f"y{i}") for i in range(4)),
         (
@@ -126,8 +127,8 @@ def test_worked_tightening_examples_reproduce_exactly():
     assert enum.feasible_points == {(1, 0, 1, 0)}
     box = DomainBox.from_model(onehot_model)
     original = box.copy()
-    out = propagate_record(onehot_model, onehot_record, box, config)
-    assert not out.cutoff
+    rows, out = propagate_node(onehot_model, [onehot_record], box, config)
+    assert not rows.cutoff and not out.cutoff
     assert box.lower == [1.0, 0.0, 1.0, 0.0]
     assert box.upper == [1.0, 0.0, 1.0, 0.0]
     assert is_valid_reduction(original, box, enum.mappings())

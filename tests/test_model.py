@@ -191,7 +191,6 @@ def test_row_layout_is_canonical_in_any_term_order():
     reference = row(terms, lhs=-1.0, rhs=6.0)
     assert reference.vars == (0, 2, 4, 7)
     assert reference.coeffs == (3.0, 1.0, -2.0, 0.5)
-    assert reference.support() == reference.vars
     for order in itertools.permutations(terms + [(1, 0.0), (9, 0)]):
         again = row(order, lhs=-1.0, rhs=6.0)
         assert again == reference
@@ -383,9 +382,17 @@ def test_binary_variable_bounds_enforced():
         Variable(0, "b", 0.0, 2.0, Integrality.BINARY)
 
 
-def test_model_flags_crossed_variable_bounds():
-    m = MipModel([Variable(0, "x", 3.0, 1.0)], [])
-    assert m.flagged_infeasible
+def test_box_from_model_rounds_integer_bounds_inward():
+    variables = [
+        Variable(0, "x", 0.5, 2.0, Integrality.INTEGER),
+        Variable(1, "y", 0.2, 0.8, Integrality.INTEGER),
+        Variable(2, "z", -INF, 3.0 + 1e-7, Integrality.INTEGER),
+        Variable(3, "w", 0.5, 2.5),
+    ]
+    box = DomainBox.from_model(MipModel(variables, []))
+    assert box.lower == [1.0, 1.0, -INF, 0.5]
+    assert box.upper == [2.0, 0.0, 3.0, 2.5]
+    assert box.is_empty()  # y holds no integer
 
 
 def test_model_validates_references():

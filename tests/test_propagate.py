@@ -39,7 +39,7 @@ from structprop.records import (
     SemanticRecord,
     StrippedRow,
 )
-from structprop.search import SearchConfig, dfs_solve
+from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import enumerate_feasible
 
@@ -80,13 +80,27 @@ def onehot_params(budget=8.0, external=0.0):
     )
 
 
+def onehot_node():
+    """The two groups' exact-one rows on four binaries, with their record."""
+    model = MipModel(
+        [Variable(i, f"b{i}", 0.0, 1.0, Integrality.BINARY) for i in range(4)],
+        rows_of((((0, 1.0), (1, 1.0)), 1.0, 1.0), (((2, 1.0), (3, 1.0)), 1.0, 1.0)),
+    )
+    record = SemanticRecord(Family.ONE_HOT_RESOURCE, (0, 1, 2, 3), onehot_params(), (0, 1))
+    return model, record
+
+
 def test_one_hot_eliminates_and_collapses():
-    box = binary_box(4)
-    out = apply_rule(onehot_params(), box)
-    assert not out.cutoff
+    # the rule fixes both expensive options out; the group rows then fix
+    # the survivors in
+    model, record = onehot_node()
+    box = DomainBox.from_model(model)
+    rows, by_record = propagate_node(model, [record], box)
+    assert not rows.cutoff and not by_record.cutoff
     assert box.upper[1] == 0.0 and box.upper[3] == 0.0
     assert box.lower[0] == 1.0 and box.lower[2] == 1.0
-    assert out.domain_reductions == 4
+    assert [(c.var, c.which) for c in by_record.bound_changes] == [(1, "ub"), (3, "ub")]
+    assert [(c.var, c.which) for c in rows.bound_changes] == [(0, "lb"), (2, "lb")]
 
 
 def test_one_hot_budget_cutoff():
@@ -408,14 +422,19 @@ def test_channel_out_of_range_indicators_zeroed():
 
 
 def test_channel_indicator_fix_pins_link_var():
+    # the pick-one row zeroes the other indicators; the rule pins x
     params = ChannelParams(link_var=3, indicators=((2.0, 0), (4.0, 1), (7.0, 2)))
     record = SemanticRecord(Family.CHANNEL, (3, 0, 1, 2), params, (0,))
-    box = binary_box(3, extra=[(0.0, 9.0, True)])
+    variables = [Variable(i, f"b{i}", 0.0, 1.0, Integrality.BINARY) for i in range(3)]
+    variables.append(Variable(3, "x", 0.0, 9.0, Integrality.INTEGER))
+    model = MipModel(variables, rows_of((((0, 1.0), (1, 1.0), (2, 1.0)), 1.0, 1.0)))
+    box = DomainBox.from_model(model)
     box.lower[1] = 1.0
-    out = propagate_on_binaries(record, box)
-    assert not out.cutoff
+    rows, by_record = propagate_node(model, [record], box)
+    assert not rows.cutoff and not by_record.cutoff
     assert (box.lower[3], box.upper[3]) == (4.0, 4.0)
     assert box.upper[0] == 0.0 and box.upper[2] == 0.0
+    assert {c.var for c in by_record.bound_changes} == {3}
 
 
 def test_channel_empty_support_cutoff():
@@ -581,7 +600,7 @@ def channel_and_budget():
         Variable(1, "b1", 0.0, 1.0, Integrality.BINARY),
         Variable(2, "x", 1.0, 2.0, Integrality.INTEGER),
     ]
-    model = MipModel(variables, [])
+    model = MipModel(variables, rows_of((((0, 1.0), (1, 1.0)), 1.0, 1.0)))
     channel = SemanticRecord(
         Family.CHANNEL, (2, 0, 1), ChannelParams(2, ((1.0, 0), (2.0, 1))), (0,)
     )
@@ -597,11 +616,12 @@ def channel_and_budget():
 def test_run_fixpoint_couples_records():
     model, channel, budget = channel_and_budget()
     box = DomainBox.from_model(model)
-    out = run_fixpoint(model, [channel, budget], box)
-    assert not out.cutoff
+    rows, out = propagate_node(model, [channel, budget], box)
+    assert not rows.cutoff and not out.cutoff
     assert box.upper[0] == 0.0 and box.lower[1] == 1.0
     assert box.lower[2] == box.upper[2] == 2.0
     assert out.calls >= 3  # the channel runs again after the budget acts
+    assert [(c.var, c.which) for c in rows.bound_changes] == [(1, "lb")]
 
     # the channel alone cannot pin x
     solo = DomainBox.from_model(model)
@@ -689,6 +709,34 @@ def test_kept_handlers_prune_beyond_rows(family):
     pytest.fail(f"{family.value} never pruned an integer bound beyond its rows")
 
 
+def exact_one_members(params):
+    """The variables of the exact-one rows a kept record was detected from."""
+    if isinstance(params, ChannelParams):
+        return {v for _, v in params.indicators}
+    if isinstance(params, OneHotResourceParams):
+        return {v for group in params.groups for v, _ in group}
+    if params.variant == "exact_one_mode":
+        return {b.selector_var for b in params.branches}
+    return set()
+
+
+@pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
+def test_kept_rules_leave_exact_one_closing_to_rows(family):
+    # fixing the last live member of an exact-one group in is the group
+    # row's residual-activity step, so a rule never raises such a lower bound
+    for seed in range(6):
+        inst = reverse_sample(family, seed=seed)
+        for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
+            model, record = planted.model, planted.ground_truth
+            members = exact_one_members(record.params)
+            for box in seeded_fixings(model, record, seed, 25):
+                if propagate_block_fixpoint(model.rows, box).cutoff:
+                    continue
+                out = propagate_record(model, record, box)
+                raised = [c.var for c in out.bound_changes if c.which == "lb"]
+                assert not members.intersection(raised)
+
+
 @pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
 def test_kept_handlers_reach_fixpoint_under_run_fixpoint(family):
     # each handler makes one pass per call, so run_fixpoint's rounds alone
@@ -731,15 +779,18 @@ def test_run_fixpoint_no_records_identity():
 
 
 def test_outcome_serialization_shape():
-    box = binary_box(4)
-    out = apply_rule(onehot_params(), box)
+    # the record's share of one node step: its first call fixes two options
+    # out, and it then finds the box stable twice, once in the same
+    # run_fixpoint and once after the group rows fix the survivors in
+    model, record = onehot_node()
+    _, out = propagate_node(model, [record], DomainBox.from_model(model))
     blob = outcome_to_json(out)
-    assert blob["calls"] == 1
-    assert blob["domain_reductions"] == 4
+    assert blob["calls"] == 3
+    assert blob["domain_reductions"] == 2
     assert blob["cutoffs"] == 0
     assert blob["budget_hit"] is False
     assert blob["prop_time_ms"] >= 0.0
-    assert {c["side"] for c in blob["bound_changes"]} == {"lb", "ub"}
+    assert {c["side"] for c in blob["bound_changes"]} == {"ub"}
 
 
 def test_integer_rounded_bounds_stay_floats():

@@ -262,6 +262,56 @@ def test_maximization_model_is_maximized():
     assert oracle_optimum(model) == objective_of(model, incumbent) == -15.0
 
 
+def test_crossed_bounds_on_a_variable_in_no_row_are_infeasible():
+    # no row reads x, so no propagation step ever sees x's empty domain;
+    # the root box is checked once instead
+    model = MipModel(
+        [
+            Variable(0, "x", 3.0, 1.0, Integrality.INTEGER),
+            Variable(1, "y", 0.0, 1.0, Integrality.BINARY),
+        ],
+        [LinearRow(0, "r", [(1, 1.0)], 0.0, 1.0)],
+        [(0, 1.0), (1, 1.0)],
+    )
+    incumbent, stats = dfs_solve(model, [])
+    assert incumbent is None
+    assert (stats.status, stats.nodes) == ("infeasible", 1)
+    assert enumerate_feasible(model, [0, 1]).feasible_points == set()
+
+    rowless = MipModel(
+        [
+            Variable(0, "w", 2.0, 1.0),
+            Variable(1, "y", 0.0, 1.0, Integrality.BINARY),
+        ],
+        [],
+    )
+    enum = enumerate_feasible(rowless, [0, 1])
+    assert enum.feasible_points == set() and enum.nodes_visited == 0
+
+
+FRACTIONAL_BOUND_MPS = """\
+NAME frac
+ROWS
+ N obj
+COLUMNS
+    MARK 'MARKER' 'INTORG'
+    x obj 1
+    MARK 'MARKER' 'INTEND'
+BOUNDS
+ LO BND x 0.5
+ UP BND x 2
+ENDATA
+"""
+
+
+def test_fractional_integer_bounds_round_inward():
+    model = parse_mps(FRACTIONAL_BOUND_MPS)
+    assert model.variables[0] == Variable(0, "x", 0.5, 2.0, Integrality.INTEGER)
+    incumbent, stats = dfs_solve(model, [])
+    assert (stats.status, incumbent) == ("optimal", {0: 1.0})
+    assert enumerate_feasible(model, [0]).feasible_points == {(1,), (2,)}
+
+
 def test_feasibility_model_stops_pruning_after_first_leaf():
     # no objective: every feasible point is optimal, so the first leaf
     # lets the bound prune every open node
@@ -280,7 +330,7 @@ def test_feasibility_model_stops_pruning_after_first_leaf():
 # dfs_solve plus enumerate_feasible on every family's obfuscated seed-0..2
 # instances; a refactor of the propagation engine must leave every status,
 # node count, record statistic, incumbent and oracle count as it was
-PINNED_TRACE_SHA256 = "11152dabc1c6dd98"
+PINNED_TRACE_SHA256 = "5e2c1f94eb7990d8"
 TRACE_NODE_LIMIT = 1000
 
 

@@ -17,7 +17,8 @@ from structprop.model import (
     PropagationOutcome,
     Variable,
 )
-from structprop.propagate import propagate_block_fixpoint, propagate_record
+from structprop.propagate import propagate_block_fixpoint
+from structprop.search import propagate_node
 from structprop.records import (
     PARAMS_CLASSES,
     Family,
@@ -267,11 +268,13 @@ def test_onehot_worked_example_passes():
     gate = verify_propagation(model, record)
     assert gate.passed
     assert "kept all 1 feasible assignments" in gate.detail
-    # the only feasible selection takes the cheap option in both groups,
-    # so the propagator fixes two variables at 1 (and the other two at 0)
+    # the only feasible selection takes the cheap option in both groups:
+    # in one node step the propagator fixes the other two options at 0 and
+    # the group rows then fix the cheap ones at 1
     box = DomainBox.from_model(model)
-    outcome = propagate_record(model, record, box)
-    fixings = [c for c in outcome.bound_changes if c.which == "lb"]
+    rows, outcome = propagate_node(model, [record], box)
+    assert [c.which for c in outcome.bound_changes] == ["ub", "ub"]
+    fixings = [c for c in rows.bound_changes if c.which == "lb"]
     assert len(fixings) == 2
     assert box.lower[0] == box.lower[2] == 1.0
     assert box.upper[1] == box.upper[3] == 0.0
