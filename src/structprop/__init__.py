@@ -13,7 +13,6 @@ from .model import (  # noqa: F401
     tighten_row,
 )
 from .detect import (  # noqa: F401
-    DetectConfig,
     DetectionReport,
     detect_all,
     detect_family,

@@ -157,9 +157,8 @@ def aggregate(
     detected instances; a family with no such instances gets absent cells.
     """
     pairs = _pair_runs(runs)
-    families = sorted(
-        {fam for report in detections.values() for fam in report.family_counts}
-    )
+    found = {name: report.family_counts.keys() for name, report in detections.items()}
+    families = sorted({fam for fams in found.values() for fam in fams})
     coverage: dict[str, dict[str, int]] = {}
     performance: dict[str, dict[str, float | int | None]] = {}
     diagnostics: dict[str, dict[str, float | int | None]] = {}
@@ -167,7 +166,7 @@ def aggregate(
         detected = [
             slot
             for (name, _), slot in sorted(pairs.items())
-            if name in detections and fam in detections[name].family_counts
+            if name in found and fam in found[name]
         ]
         base_solved = [s for s in detected if s["baseline"].solved]
         plug_solved = [s for s in detected if s["plugin"].solved]
@@ -253,13 +252,7 @@ def _bench_one(path, families, config):
     if families is not None:
         wanted = {f.value for f in families}
         kept = tuple(r for r in report.records if r.family.value in wanted)
-        report = dataclasses.replace(
-            report,
-            records=kept,
-            family_counts={
-                fam: n for fam, n in report.family_counts.items() if fam in wanted
-            },
-        )
+        report = dataclasses.replace(report, records=kept)
     runs = []
     for label, records in (("baseline", []), ("plugin", list(report.records))):
         started, cpu_started = time.perf_counter(), time.process_time()

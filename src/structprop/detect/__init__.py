@@ -2,7 +2,6 @@
 
 from .engine import (  # noqa: F401
     DETECTORS,
-    DetectConfig,
     DetectionReport,
     detect_all,
     detect_family,

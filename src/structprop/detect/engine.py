@@ -8,12 +8,18 @@ records never claim rows, so they cannot shadow an exact match ranked lower.
 The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
 no record for a claimed row, since arbitration would only drop it.
+
+Detection takes no options: ``ModelView`` classifies every row of the model,
+whatever its size.  Each detector still takes a second argument, ``config``,
+and ``detect_all`` accepts one; none of them reads it.  It stays only so the
+benchmark harness's call shapes, ``detect_all(model, config)`` and
+``DETECTORS[family](view, config)``, keep working.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..model import MipModel
@@ -35,15 +41,7 @@ from .zeroshot import (
     detect_unit_commitment_ramp,
 )
 
-DEFAULT_ROW_SCAN_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class DetectConfig:
-    row_scan_cap: int = DEFAULT_ROW_SCAN_CAP
-
-
-DETECTORS: dict[Family, Callable[[ModelView, DetectConfig], list[SemanticRecord]]] = {
+DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {
     Family.DISJ_POLYHEDRAL: detect_disj_polyhedral,
     Family.UNIT_COMMITMENT_RAMP: detect_unit_commitment_ramp,
     Family.ROSTERING_WINDOW: detect_rostering_window,
@@ -70,25 +68,26 @@ class DetectionReport:
     """
 
     records: tuple[SemanticRecord, ...]
-    family_counts: dict[str, int] = field(default_factory=dict)
     dropped: tuple[SemanticRecord, ...] = ()
     warnings: tuple[str, ...] = ()
-    truncated: bool = False
+
+    @property
+    def family_counts(self) -> dict[str, int]:
+        """Kept records per family name, in name order."""
+        return dict(sorted(Counter(rec.family.value for rec in self.records).items()))
 
 
-def detect_family(
-    model: MipModel, family: Family, config: DetectConfig | None = None
-) -> list[SemanticRecord]:
+def detect_family(model: MipModel, family: Family) -> list[SemanticRecord]:
     """Run a single family detector, without cross-family arbitration."""
-    config = config or DetectConfig()
-    view = ModelView(model, row_scan_cap=config.row_scan_cap)
-    return DETECTORS[family](view, config)
+    return DETECTORS[family](ModelView(model), None)
 
 
-def detect_all(model: MipModel, config: DetectConfig | None = None) -> DetectionReport:
-    """Run every detector and keep at most one claimant per evidence row."""
-    config = config or DetectConfig()
-    view = ModelView(model, row_scan_cap=config.row_scan_cap)
+def detect_all(model: MipModel, config: object = None) -> DetectionReport:
+    """Run every detector and keep at most one claimant per evidence row.
+
+    ``config`` is not read; see the module docstring.
+    """
+    view = ModelView(model)
     kept: list[SemanticRecord] = []
     dropped: list[SemanticRecord] = []
     claimed = view.claimed
@@ -108,16 +107,7 @@ def detect_all(model: MipModel, config: DetectConfig | None = None) -> Detection
             kept.append(rec)
             if rec.confidence is Confidence.EXACT:
                 claimed |= evidence
-    if view.truncated:
-        warnings.append(
-            f"row scan capped at {config.row_scan_cap} of {len(model.rows)} rows"
-        )
-    counts = Counter(rec.family.value for rec in kept)
     return DetectionReport(
-        records=tuple(kept),
-        family_counts=dict(sorted(counts.items())),
-        dropped=tuple(dropped),
-        warnings=tuple(warnings),
-        truncated=view.truncated,
+        records=tuple(kept), dropped=tuple(dropped), warnings=tuple(warnings)
     )
 

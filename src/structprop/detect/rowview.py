@@ -1,11 +1,13 @@
 """Shared row classification used by every detector.
 
 Detectors never look at variable or row names.  ``ModelView`` classifies
-each row once, when it is built, and detectors only read the result:
+every row of the model once, when it is built, however many rows there are,
+and detectors only read the result:
 
-* non-binding rows are dropped up front (a row whose activity image already
-  sits inside its sides constrains nothing, so it can only be noise); the
-  rest are ``active_rows``, with the equalities among them in ``equalities``,
+* non-binding rows are dropped up front (an empty row, or a row whose
+  activity image already sits inside its sides, constrains nothing, so it
+  can only be noise); the rest are ``active_rows``, with the equalities
+  among them in ``equalities``,
 * one-sided rows are canonicalized to ``sum(terms) <= bound`` facets, which
   makes detection invariant under row sign inversion, each flagged when its
   support is all binary,
@@ -83,28 +85,23 @@ def uniform_coefficient(coeffs) -> float | None:
 class ModelView:
     """Precomputed, name-blind classification of a model's rows."""
 
-    def __init__(self, model: MipModel, row_scan_cap: int | None = None) -> None:
+    def __init__(self, model: MipModel) -> None:
         self.model = model
         self.box = box = DomainBox.from_model(model)
         self.is_binary = [
             integer and lo >= 0.0 and up <= 1.0
             for integer, lo, up in zip(box.integer_mask, box.lower, box.upper)
         ]
-        self.truncated = row_scan_cap is not None and len(model.rows) > row_scan_cap
         self.claimed: set[int] = set()  # rows kept exact records own
-        scan = model.rows if not self.truncated else model.rows[:row_scan_cap]
 
         self.active_rows: list[LinearRow] = []
-        self.vacuous: set[int] = set()
-        for row in scan:
+        for row in model.rows:
             if not row.vars:
-                self.vacuous.add(row.id)
                 continue
-            min_act, max_act = activity_range(zip(row.vars, row.coeffs), self.box)
+            min_act, max_act = activity_range(zip(row.vars, row.coeffs), box)
             if row.lhs <= min_act + FEAS_TOL and max_act <= row.rhs + FEAS_TOL:
-                self.vacuous.add(row.id)
-            else:
-                self.active_rows.append(row)
+                continue
+            self.active_rows.append(row)
 
         self.equalities: list[LinearRow] = [r for r in self.active_rows if r.is_equality]
         self.facets: list[Facet] = []

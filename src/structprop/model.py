@@ -80,6 +80,8 @@ _PATTERNS: dict[tuple[float, ...], tuple[float, ...]] = {}
 
 # frozen fields are set once, in __init__; bound here because rows are built by the 100k
 _set_field = object.__setattr__
+# read on every zero side and bound, so bound here for the same reason
+_copysign = math.copysign
 
 
 def shared_float(value: float) -> float:
@@ -89,7 +91,7 @@ def shared_float(value: float) -> float:
     if shared is not None:
         return shared
     if value == 0.0:
-        return _NEG_ZERO if math.copysign(1.0, value) < 0.0 else _ZERO
+        return _NEG_ZERO if _copysign(1.0, value) < 0.0 else _ZERO
     return float(value)
 
 
@@ -255,12 +257,6 @@ class MipModel:
             sorted((v, shared_float(c)) for v, c in objective if c != 0.0)
         )
         self.objective_sense = objective_sense
-
-    def row_by_name(self, name: str) -> LinearRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
 
 
 def models_equal(a: MipModel, b: MipModel) -> bool:

@@ -51,7 +51,6 @@ from .records import (
     StrippedRow,
     UnitCommitmentRampParams,
     _codec,
-    records_from_json,
     records_to_json,
 )
 
@@ -1186,14 +1185,3 @@ def write_instance(instance: PlantedInstance, directory: str, basename: str | No
         json.dump(instance_to_json(instance), handle, indent=1, sort_keys=True)
         handle.write("\n")
     return mps_path, json_path
-
-
-def load_ground_truth(json_path: str, model: MipModel) -> SemanticRecord:
-    with open(json_path, "r", encoding="ascii") as handle:
-        doc = json.load(handle)
-    if doc.get("schema") != SIDECAR_SCHEMA_VERSION:
-        raise ValueError(f"unsupported sidecar schema {doc.get('schema')!r}")
-    records = records_from_json(doc["ground_truth"], model)
-    if len(records) != 1:
-        raise ValueError("sidecar must contain exactly one ground-truth record")
-    return records[0]

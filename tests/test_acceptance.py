@@ -296,11 +296,12 @@ def test_metric_arithmetic_and_report_table_shapes(tmp_path):
         runs.append(run(name, "plugin", "optimal"))
     runs.append(run("s1", "baseline", "limit"))
     runs.append(run("s1", "plugin", "limit"))
+    bottleneck = reverse_sample(Family.BOTTLENECK_EXACT_ONE, seed=0).ground_truth
+    stretch = reverse_sample(Family.STRETCH, seed=0).ground_truth
     detections = {
-        name: DetectionReport(records=(), family_counts={"BottleneckExactOne": 1})
-        for name in ("b1", "b2", "b3", "b4")
+        name: DetectionReport(records=(bottleneck,)) for name in ("b1", "b2", "b3", "b4")
     }
-    detections["s1"] = DetectionReport(records=(), family_counts={"Stretch": 1})
+    detections["s1"] = DetectionReport(records=(stretch,))
 
     report = aggregate(runs, detections)
     assert report.coverage["BottleneckExactOne"] == {

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 
@@ -84,8 +85,14 @@ def run(instance, label, status="optimal", wall=1.0, nodes=10, reductions=0):
     )
 
 
+@functools.cache
+def planted(family: str):
+    """A real record of ``family``: the one a seed-0 instance plants."""
+    return reverse_sample(Family(family), seed=0).ground_truth
+
+
 def detections_for(names, family="Cardinality"):
-    return {name: DetectionReport(records=(), family_counts={family: 1}) for name in names}
+    return {name: DetectionReport(records=(planted(family),)) for name in names}
 
 
 def test_runs_and_reports_are_slotted_and_still_copy():
@@ -94,7 +101,9 @@ def test_runs_and_reports_are_slotted_and_still_copy():
     # a benchmark keeps one per search and per detection: no instance __dict__
     assert not hasattr(plugin, "__dict__") and not hasattr(report, "__dict__")
     assert dataclasses.asdict(dataclasses.replace(plugin, nodes=11))["nodes"] == 11
-    assert dataclasses.replace(report, truncated=True).family_counts == {"Cardinality": 1}
+    assert report.family_counts == {"Cardinality": 1}
+    doubled = dataclasses.replace(report, records=report.records * 2)
+    assert doubled.family_counts == {"Cardinality": 2}
 
 
 def test_equal_pair_gives_unit_speedups():
@@ -262,8 +271,8 @@ def test_write_report_files(tmp_path):
         run("b", "plugin", status="limit"),
     ]
     detections = {
-        "a": DetectionReport(records=(), family_counts={"Cardinality": 1}),
-        "b": DetectionReport(records=(), family_counts={"Stretch": 2}),
+        "a": DetectionReport(records=(planted("Cardinality"),)),
+        "b": DetectionReport(records=(planted("Stretch"),) * 2),
     }
     report = aggregate(runs, detections)
     paths = write_report(report, str(tmp_path), "unit")

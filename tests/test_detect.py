@@ -6,7 +6,6 @@ import json
 import pytest
 
 from structprop.detect import (
-    DetectConfig,
     ModelView,
     detect_all,
     detect_family,
@@ -53,7 +52,6 @@ def test_vacuous_rows_are_filtered():
         ],
     )
     view = ModelView(model)
-    assert view.vacuous == {0}
     assert [r.id for r in view.active_rows] == [1]
 
 
@@ -191,9 +189,10 @@ def test_recovers_planted_record_obfuscated(family, seed):
 def test_noise_rows_never_reach_detectors(family):
     inst = reverse_sample(family, seed=13)
     noisy = obfuscate(inst, ObfuscationConfig(noise_rows=12, seed=13))
-    view = ModelView(noisy.model)
-    assert len(view.vacuous) >= 12
-    assert view.vacuous.isdisjoint(noisy.ground_truth.evidence)
+    active = {row.id for row in ModelView(noisy.model).active_rows}
+    assert len(noisy.noise_row_ids) == 12
+    assert active.isdisjoint(noisy.noise_row_ids)
+    assert set(noisy.ground_truth.evidence) <= active
 
 
 def test_family_counts_summarize_report():
@@ -272,14 +271,6 @@ def test_failing_detector_becomes_warning(monkeypatch):
     report = detect_all(inst.model)
     assert Family.STRETCH not in {r.family for r in report.records}
     assert any("Stretch detector failed" in w for w in report.warnings)
-
-
-def test_row_scan_cap_reports_truncation():
-    inst = reverse_sample(Family.CARDINALITY, seed=0)
-    config = DetectConfig(row_scan_cap=0)
-    report = detect_all(inst.model, config)
-    assert report.truncated
-    assert any("capped" in w for w in report.warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ ENDATA
 """
 
 
+def row_named(model, name):
+    (row,) = [row for row in model.rows if row.name == name]
+    return row
+
+
 def test_parse_sections_and_senses():
     m = parse_mps(SAMPLE)
     assert m.name == "test1"
@@ -40,11 +45,11 @@ def test_parse_sections_and_senses():
     assert (x.lower, x.upper, x.integrality) == (0.0, 4.0, Integrality.CONTINUOUS)
     assert (y.lower, y.upper, y.integrality) == (0.0, 1.0, Integrality.BINARY)
     assert z.integrality is Integrality.CONTINUOUS
-    cap = m.row_by_name("cap")
+    cap = row_named(m, "cap")
     assert (cap.lhs, cap.rhs) == (-INF, 10.0)
-    need = m.row_by_name("need")
+    need = row_named(m, "need")
     assert (need.lhs, need.rhs) == (2.0, INF)
-    bal = m.row_by_name("bal")
+    bal = row_named(m, "bal")
     assert (bal.lhs, bal.rhs) == (0.0, 0.0)
     assert dict(m.objective) == {0: 3.0}
 
@@ -68,10 +73,10 @@ RANGES
 ENDATA
 """
     m = parse_mps(text)
-    assert (m.row_by_name("lrow").lhs, m.row_by_name("lrow").rhs) == (5.0, 8.0)
-    assert (m.row_by_name("grow").lhs, m.row_by_name("grow").rhs) == (2.0, 6.0)
-    assert (m.row_by_name("erow").lhs, m.row_by_name("erow").rhs) == (5.0, 7.0)
-    assert (m.row_by_name("erow2").lhs, m.row_by_name("erow2").rhs) == (3.0, 5.0)
+    assert (row_named(m, "lrow").lhs, row_named(m, "lrow").rhs) == (5.0, 8.0)
+    assert (row_named(m, "grow").lhs, row_named(m, "grow").rhs) == (2.0, 6.0)
+    assert (row_named(m, "erow").lhs, row_named(m, "erow").rhs) == (5.0, 7.0)
+    assert (row_named(m, "erow2").lhs, row_named(m, "erow2").rhs) == (3.0, 5.0)
 
 
 def test_parse_bound_types():

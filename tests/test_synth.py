@@ -24,10 +24,10 @@ from structprop.records import (
     records_to_json,
 )
 from structprop.synth import (
+    SIDECAR_SCHEMA_VERSION,
     ObfuscationConfig,
     default_size_params,
     instance_to_json,
-    load_ground_truth,
     obfuscate,
     reverse_sample,
     witness_satisfies,
@@ -352,7 +352,10 @@ def test_sidecar_round_trip(tmp_path):
     with open(mps_path) as handle:
         reread = parse_mps(handle.read())
     assert models_equal(inst.model, reread)
-    truth = load_ground_truth(json_path, reread)
+    with open(json_path) as handle:
+        sidecar = json.load(handle)
+    assert sidecar["schema"] == SIDECAR_SCHEMA_VERSION
+    (truth,) = records_from_json(sidecar["ground_truth"], reread)
     assert records_equal(truth, inst.ground_truth)
     doc = instance_to_json(inst)
     assert doc["family"] == "BottleneckExactOne"
