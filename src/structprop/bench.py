@@ -316,8 +316,8 @@ def _write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_report(report: BenchReport, directory: str, label: str = "bench") -> list[str]:
-    """Emit one CSV per table plus a single JSON document; returns paths."""
+def write_report(report: BenchReport, directory: str) -> list[str]:
+    """Emit ``bench_<table>.csv`` per table plus ``bench.json``; returns paths."""
     os.makedirs(directory, exist_ok=True)
     tables = (
         ("coverage", COVERAGE_COLUMNS, report.coverage),
@@ -326,7 +326,7 @@ def write_report(report: BenchReport, directory: str, label: str = "bench") -> l
     )
     paths = []
     for table_name, columns, table in tables:
-        path = os.path.join(directory, f"{label}_{table_name}.csv")
+        path = os.path.join(directory, f"bench_{table_name}.csv")
         rows = [
             [fam] + [_cell(table[fam][col]) for col in columns]
             for fam in sorted(table)
@@ -341,7 +341,7 @@ def write_report(report: BenchReport, directory: str, label: str = "bench") -> l
         "runs": [dataclasses.asdict(run) for run in report.runs],
         "skipped": list(report.skipped),
     }
-    json_path = os.path.join(directory, f"{label}.json")
+    json_path = os.path.join(directory, "bench.json")
     with open(json_path, "w", encoding="ascii") as handle:
         json.dump(doc, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -8,6 +8,10 @@ drives the paired baseline/plugin comparison over a directory.  The numeric
 policy is fixed (see :mod:`structprop.model`), and so is the fixpoint round
 cap, so no flag sets a tolerance or a round cap.
 
+Every subcommand takes ``--quiet``.  Only ``synth`` and ``verify`` take a
+seed (``--seed``, else ``$STRUCTPROP_SEED``, else 0), and only ``synth`` and
+``bench`` take ``--json``, which prints their output paths as JSON.
+
 Exit codes: 0 on success, 1 on a domain failure (a failed gate, a cutoff or
 empty search where a feasible point was expected), 2 on bad usage.  Logs go
 to stderr; machine-readable payloads go to stdout or the requested file.
@@ -163,7 +167,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sys.stdout.write(json_path + "\n")
     log.info(
         "planted %s instance with %d variables, %d rows",
-        instance.family.value,
+        instance.ground_truth.family.value,
         len(instance.model.variables),
         len(instance.model.rows),
     )
@@ -239,16 +243,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
+        "--quiet", action="store_true", help="suppress informational logging"
+    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed",
         type=int,
         default=None,
         help=f"random seed (default: ${SEED_ENV_VAR} or 0)",
     )
-    common.add_argument(
-        "--json", action="store_true", help="emit JSON even where paths would do"
-    )
-    common.add_argument(
-        "--quiet", action="store_true", help="suppress informational logging"
+    paths = argparse.ArgumentParser(add_help=False)
+    paths.add_argument(
+        "--json", action="store_true", help="print the output paths as JSON"
     )
 
     parser = argparse.ArgumentParser(
@@ -276,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_propagate)
 
-    p = sub.add_parser("synth", parents=[common], help="plant a synthetic instance")
+    p = sub.add_parser(
+        "synth", parents=[common, seeded, paths], help="plant a synthetic instance"
+    )
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument(
         "--size",
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("verify", parents=[common], help="run the gate ladder")
+    p = sub.add_parser("verify", parents=[common, seeded], help="run the gate ladder")
     p.add_argument("--family", type=_family_or_all, default="all")
     p.add_argument("--report", default=None, help="write the ladder JSON here")
     p.set_defaults(handler=cmd_verify)
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser(
-        "bench", parents=[common], help="paired baseline/plugin comparison"
+        "bench", parents=[common, paths], help="paired baseline/plugin comparison"
     )
     p.add_argument("--dir", required=True, help="directory of .mps instances")
     p.add_argument(
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.seed is not None:
+    if "seed" not in args or args.seed is not None:
         return
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:

@@ -11,9 +11,11 @@ model so the writer can restore it.
 
 Unsupported features (SOS sections, semicontinuous bounds) and malformed
 input raise :class:`MpsParseError` carrying the offending line number; so
-does an infinite RHS or RANGES value, which no row side can take.  The
-negative-UP-bound legacy wart (treating ``UP v < 0`` as also dropping the
-lower bound to -inf) is deliberately not implemented.
+does an infinite RHS or RANGES value, which no row side can take.  An
+``UP`` or ``UI`` bound below 0 on a column whose lower bound is still the
+default 0 (no earlier LO, MI, FX, FR, BV or LI line) also sets the lower
+bound to -inf, the free-MPS convention CPLEX documents and SCIP follows;
+the writer always puts LO or MI before UP, so it never relies on this.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class MpsWriteError(ValueError):
 
 
 class _ColumnState:
-    __slots__ = ("name", "is_integer", "lower", "upper", "saw_bound", "binary_tagged")
+    __slots__ = (
+        "name", "is_integer", "lower", "upper", "saw_bound", "lower_set", "binary_tagged"
+    )
 
     def __init__(self, name: str, is_integer: bool) -> None:
         self.name = name
@@ -48,6 +52,7 @@ class _ColumnState:
         self.lower = 0.0
         self.upper = INF
         self.saw_bound = False
+        self.lower_set = False  # an explicit bound line set the lower bound
         self.binary_tagged = False
 
 
@@ -223,6 +228,10 @@ def parse_mps(text: str) -> MipModel:
                 raise err(line_no, f"bound type {btype} needs a value")
             value = parse_number(tokens[3], line_no) if needs_value else 0.0
             state.saw_bound = True
+            if btype in ("UP", "UI") and value < 0 and not state.lower_set:
+                state.lower = -INF
+            elif btype not in ("UP", "UI", "PL"):
+                state.lower_set = True
             if btype == "UP":
                 state.upper = value
             elif btype == "LO":

@@ -350,23 +350,35 @@ def records_to_json(records: list[SemanticRecord], model: MipModel) -> dict:
 
 
 def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
+    """Decode a records document against a model; names become dense ids.
+
+    A malformed document (a missing key, an unknown name, a value of the
+    wrong JSON type) raises ValueError.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"records document must be an object, not {type(doc).__name__}")
     if doc.get("schema") != RECORDS_SCHEMA_VERSION:
         raise ValueError(f"unsupported records schema {doc.get('schema')!r}")
     vid = _resolver(_names(model.variables, "C", "variable"), "variable")
     rid = _resolver(_names(model.rows, "R", "row"), "row")
     records = []
-    for raw in doc["records"]:
-        family = Family.from_string(raw["family"])
-        params = _codec(PARAMS_CLASSES[family])[1](raw["params"], vid, rid)
-        records.append(
-            SemanticRecord(
-                family,
-                tuple(vid(n) for n in raw["scope"]),
-                params,
-                tuple(rid(n) for n in raw["evidence"]),
-                Confidence(raw.get("confidence", "exact")),
+    try:
+        for raw in doc["records"]:
+            family = Family.from_string(raw["family"])
+            params = _codec(PARAMS_CLASSES[family])[1](raw["params"], vid, rid)
+            records.append(
+                SemanticRecord(
+                    family,
+                    tuple(vid(n) for n in raw["scope"]),
+                    params,
+                    tuple(rid(n) for n in raw["evidence"]),
+                    Confidence(raw.get("confidence", "exact")),
+                )
             )
-        )
+    except KeyError as exc:
+        raise ValueError(f"malformed records document: missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed records document: {exc}") from None
     return records
 
 
@@ -386,7 +398,7 @@ def _resolver(names: list[str], what: str):
 
     def id_of(name: str) -> int:
         if name not in table:
-            raise KeyError(f"unknown {what} name {name!r}")
+            raise ValueError(f"unknown {what} name {name!r}")
         return table[name]
 
     return id_of
@@ -400,12 +412,19 @@ def _itself(value):
     return value
 
 
-def _as_list(items, var, row):
-    return list(items)
+def _checked(tp):
+    """Decoder of a plain field: the JSON value must have type ``tp``.
 
+    A float field also takes an int; a bool is no int or float here.
+    """
+    accepted = (int, float) if tp is float else tp
 
-def _as_tuple(items, var, row):
-    return tuple(items)
+    def decode(value, var, row):
+        if not isinstance(value, accepted) or isinstance(value, bool) != (tp is bool):
+            raise ValueError(f"expected a JSON {tp.__name__}, got {value!r}")
+        return value
+
+    return decode
 
 
 def _var(value, var, row):
@@ -466,9 +485,7 @@ def _codec(tp):
     elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         enc, dec, key = _codec(args[0])
         seq_key = _itself if key is _itself else lambda items: tuple(map(key, items))
-        # id and plain items skip the per-item call: they dominate record size
-        if enc is _same:
-            return _as_list, _as_tuple, seq_key
+        # id items skip the per-item call: they dominate record size
         if enc is _var:
             return (
                 lambda items, var, row: list(map(var, items)),
@@ -513,5 +530,5 @@ def _codec(tp):
             key if symmetry is None else lambda value: symmetry(value, key),
         )
     elif tp in (bool, int, float, str):
-        return _same, _same, _itself
+        return _same, _checked(tp), _itself
     raise TypeError(f"records cannot serialize a field of type {tp!r}")

@@ -2,10 +2,11 @@
 
 Each builder works witness-first: it draws a feasible assignment, then picks
 budgets, capacities, and requirements consistent with that witness, so every
-generated instance is feasible by construction (unless ``make_infeasible``
-deliberately adds a contradictory row pair for search stress tests).  The
-planted block's rows are all binding somewhere inside the variable bounds;
-``obfuscate`` later adds rows that are deliberately not.
+generated instance is feasible by construction.  The planted block's rows are
+all binding somewhere inside the variable bounds; ``obfuscate`` later adds
+rows that are deliberately not.  Obfuscation is fixed except for its seed: it
+adds ``NOISE_ROWS`` noise rows, permutes rows and variables, and negates each
+row with probability ``SIGN_FLIP_PROB``.
 
 All numeric data are integers (stored as floats), which keeps witness checks
 and detector matching exact.
@@ -59,20 +60,15 @@ from .records import (
 #: ``allow_large=1`` in size_params to lift it.
 SCOPE_CAP = 12
 
+#: Rows ``obfuscate`` adds, each non-binding over the current bounds.
+NOISE_ROWS = 10
+#: Probability that ``obfuscate`` negates a row (sides swapped).
+SIGN_FLIP_PROB = 0.3
+
 
 @dataclass(frozen=True)
 class ObfuscationConfig:
-    noise_rows: int = 10
-    permute_rows: bool = True
-    permute_vars: bool = True
-    sign_flip_prob: float = 0.3
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sign_flip_prob <= 1.0:
-            raise ValueError(f"sign_flip_prob must be in [0, 1], got {self.sign_flip_prob}")
-        if self.noise_rows < 0:
-            raise ValueError("noise_rows must be non-negative")
 
 
 @dataclass
@@ -82,19 +78,16 @@ class PlantedInstance:
     ``ground_truth`` is kept in the model's *current* indexing: obfuscation
     rewrites it through the permutation it applies.  ``permutation`` maps the
     original planted indices to current ones and is provenance only.
-    ``witness`` maps every variable id to a feasible value (None when the
-    instance was deliberately made infeasible).
+    ``witness`` maps every variable id to a feasible value.
     """
 
     model: MipModel
     ground_truth: SemanticRecord
     permutation: tuple[tuple[int, ...], tuple[int, ...]]  # (row map, var map)
     seed: int
-    family: Family
     size_params: dict[str, int]
-    witness: dict[int, float] | None
+    witness: dict[int, float]
     noise_row_ids: tuple[int, ...] = ()
-    feasible: bool = True
 
 
 DEFAULT_SIZE_PARAMS: dict[Family, dict[str, int]] = {
@@ -110,10 +103,6 @@ DEFAULT_SIZE_PARAMS: dict[Family, dict[str, int]] = {
     Family.UNIT_COMMITMENT_RAMP: {"generators": 2, "periods": 2},
     Family.DISJ_POLYHEDRAL: {"branches": 2, "xvars": 2},
 }
-
-
-def default_size_params(family: Family) -> dict[str, int]:
-    return dict(DEFAULT_SIZE_PARAMS[family])
 
 
 class _Builder:
@@ -148,11 +137,9 @@ def reverse_sample(
     family: Family,
     size_params: dict[str, int] | None = None,
     seed: int = 0,
-    *,
-    make_infeasible: bool = False,
 ) -> PlantedInstance:
     """Generate a feasible instance containing one planted constraint block."""
-    sizes = default_size_params(family)
+    sizes = dict(DEFAULT_SIZE_PARAMS[family])
     if size_params:
         unknown = set(size_params) - set(sizes) - {"allow_large"}
         if unknown:
@@ -176,20 +163,6 @@ def reverse_sample(
             f"(cap {SCOPE_CAP}); pass allow_large=1 to override"
         )
 
-    feasible = True
-    if make_infeasible:
-        if len(scope_ints) < 2:
-            raise ValueError("make_infeasible needs at least two integer scope variables")
-        a, b = scope_ints[0], scope_ints[1]
-        lo = mb.variables[a].lower + mb.variables[b].lower
-        hi = mb.variables[a].upper + mb.variables[b].upper
-        k = math.floor((lo + hi) / 2)
-        k = max(int(lo), min(int(hi) - 1, k))
-        mb.row("clash_hi", [(a, 1.0), (b, 1.0)], k + 1, INF)
-        mb.row("clash_lo", [(a, 1.0), (b, 1.0)], -INF, k)
-        witness = None
-        feasible = False
-
     objective = _draw_objective(rng, scope_ints)
     model = mb.finish(objective, f"{family.value.upper()}_S{seed}")
     identity = (tuple(range(len(model.rows))), tuple(range(len(model.variables))))
@@ -198,10 +171,8 @@ def reverse_sample(
         ground_truth=record,
         permutation=identity,
         seed=seed,
-        family=family,
         size_params=sizes,
         witness=witness,
-        feasible=feasible,
     )
 
 
@@ -1044,7 +1015,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     rows = [(r.name, r.vars, r.coeffs, r.lhs, r.rhs) for r in model.rows]
     noise_ids = list(instance.noise_row_ids)
     existing_noise = len(noise_ids)
-    for idx in range(config.noise_rows):
+    for idx in range(NOISE_ROWS):
         k = rng.randint(2, min(4, n_vars))
         support = sorted(rng.sample(range(n_vars), k))
         coeffs = [float(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in support]
@@ -1062,10 +1033,8 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     n_rows = len(rows)
     var_map = list(range(n_vars))
     row_map = list(range(n_rows))
-    if config.permute_vars:
-        rng.shuffle(var_map)
-    if config.permute_rows:
-        rng.shuffle(row_map)
+    rng.shuffle(var_map)
+    rng.shuffle(row_map)
 
     new_vars: list[Variable | None] = [None] * n_vars
     for old, var in enumerate(model.variables):
@@ -1074,7 +1043,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
 
     new_rows: list[LinearRow | None] = [None] * n_rows
     for old, (name, vars_, coeffs, lhs, rhs) in enumerate(rows):
-        if rng.random() < config.sign_flip_prob:
+        if rng.random() < SIGN_FLIP_PROB:
             coeffs, lhs, rhs = [-c for c in coeffs], -rhs, -lhs
         terms = zip(map(var_map.__getitem__, vars_), coeffs)
         new_rows[row_map[old]] = LinearRow(row_map[old], name, terms, lhs, rhs)
@@ -1085,11 +1054,7 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
     )
 
     ground_truth = remap_record(instance.ground_truth, var_map, row_map)
-    witness = (
-        {var_map[v]: value for v, value in instance.witness.items()}
-        if instance.witness is not None
-        else None
-    )
+    witness = {var_map[v]: value for v, value in instance.witness.items()}
     prev_rows, prev_vars = instance.permutation
     permutation = (
         tuple(row_map[r] for r in prev_rows),
@@ -1100,11 +1065,9 @@ def obfuscate(instance: PlantedInstance, config: ObfuscationConfig) -> PlantedIn
         ground_truth=ground_truth,
         permutation=permutation,
         seed=instance.seed,
-        family=instance.family,
         size_params=dict(instance.size_params),
         witness=witness,
         noise_row_ids=tuple(sorted(row_map[r] for r in noise_ids)),
-        feasible=instance.feasible,
     )
 
 
@@ -1149,16 +1112,11 @@ SIDECAR_SCHEMA_VERSION = 1
 
 def instance_to_json(instance: PlantedInstance) -> dict:
     model = instance.model
-    witness = None
-    if instance.witness is not None:
-        witness = {
-            model.variables[v].name: value for v, value in instance.witness.items()
-        }
+    witness = {model.variables[v].name: value for v, value in instance.witness.items()}
     return {
         "schema": SIDECAR_SCHEMA_VERSION,
-        "family": instance.family.value,
+        "family": instance.ground_truth.family.value,
         "seed": instance.seed,
-        "feasible": instance.feasible,
         "size_params": dict(instance.size_params),
         "ground_truth": records_to_json([instance.ground_truth], model),
         "permutation": {
@@ -1170,12 +1128,11 @@ def instance_to_json(instance: PlantedInstance) -> dict:
     }
 
 
-def write_instance(instance: PlantedInstance, directory: str, basename: str | None = None):
-    """Write the model as free MPS plus a JSON ground-truth sidecar."""
+def write_instance(instance: PlantedInstance, directory: str):
+    """Write ``{family}_{seed}.mps`` plus a JSON ground-truth sidecar."""
     from .mps import write_mps
 
-    if basename is None:
-        basename = f"{instance.family.value.lower()}_{instance.seed}"
+    basename = f"{instance.ground_truth.family.value.lower()}_{instance.seed}"
     os.makedirs(directory, exist_ok=True)
     mps_path = os.path.join(directory, basename + ".mps")
     json_path = os.path.join(directory, basename + ".json")

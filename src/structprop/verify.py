@@ -187,19 +187,16 @@ def verify_detector(
     return done(True, "exact recovery")
 
 
-def verify_propagation(
-    model: MipModel,
-    record: SemanticRecord,
-    cap: int = ENUMERATION_CAP,
-) -> GateResult:
+def verify_propagation(model: MipModel, record: SemanticRecord) -> GateResult:
     """Check the record's propagator against the enumerated feasible set.
 
     Passes iff the reduced box contains every feasible point, stays inside
     the original box, and any reported cutoff coincides with an empty
-    feasible set.  A truncated enumeration is inconclusive and never passes.
+    feasible set.  An enumeration truncated at ``ENUMERATION_CAP`` nodes is
+    inconclusive and never passes.
     """
     started = time.perf_counter()
-    enum = enumerate_feasible(model, record.scope, cap)
+    enum = enumerate_feasible(model, record.scope, ENUMERATION_CAP)
 
     def done(passed: bool, detail: str) -> GateResult:
         return GateResult(

@@ -14,6 +14,8 @@ import math
 import statistics
 import time
 
+from clash import clash_model
+
 from structprop.bench import (
     BenchRun,
     COVERAGE_COLUMNS,
@@ -72,10 +74,7 @@ def test_detectors_exactly_recover_planted_structure():
     for family in Family:
         for i in range(RECOVERY_SUITE):
             clean = reverse_sample(family, seed=i)
-            noisy = obfuscate(
-                clean,
-                ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=i),
-            )
+            noisy = obfuscate(clean, ObfuscationConfig(seed=i))
             gate = verify_detector(noisy, list(detect_all(noisy.model).records))
             if not gate.passed:
                 failures.append(f"{family.value}[{i}]: {gate.detail}")
@@ -197,10 +196,7 @@ def test_detection_invariant_under_renaming_and_sign_inversion():
     for family in Family:
         for i in range(INVARIANCE_SUITE):
             clean = reverse_sample(family, seed=i)
-            renamed = obfuscate(
-                clean,
-                ObfuscationConfig(noise_rows=0, sign_flip_prob=1.0, seed=i),
-            )
+            renamed = obfuscate(clean, ObfuscationConfig(seed=i))
             clean_records = detect_all(clean.model).records
             renamed_records = detect_all(renamed.model).records
             gate = verify_detector(renamed, list(renamed_records))
@@ -225,8 +221,10 @@ def test_search_matches_oracle_under_both_propagation_policies():
     disj_nodes = {"plugin": [], "baseline": []}
     failures = []
     for family, seed, infeasible in suite:
-        instance = reverse_sample(family, seed=seed, make_infeasible=infeasible)
-        model = instance.model
+        if infeasible:
+            model, _ = clash_model(family, seed)
+        else:
+            model = reverse_sample(family, seed=seed).model
         records = list(detect_all(model).records)
         ints = [v.id for v in model.variables if v.is_integer]
         enum = enumerate_feasible(model, ints)
@@ -314,16 +312,16 @@ def test_metric_arithmetic_and_report_table_shapes(tmp_path):
     }
     assert report.performance["Stretch"] == {c: None for c in PERFORMANCE_COLUMNS}
 
-    write_report(report, str(tmp_path), "gate")
-    with open(tmp_path / "gate_coverage.csv") as handle:
+    write_report(report, str(tmp_path))
+    with open(tmp_path / "bench_coverage.csv") as handle:
         header = next(csv.reader(handle))
     assert header == ["Family"] + list(COVERAGE_COLUMNS)
-    with open(tmp_path / "gate_performance.csv") as handle:
+    with open(tmp_path / "bench_performance.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["Family"] + list(PERFORMANCE_COLUMNS)
     stretch_row = next(r for r in rows if r[0] == "Stretch")
     assert set(stretch_row[1:]) == {"--"}
-    with open(tmp_path / "gate_diagnostics.csv") as handle:
+    with open(tmp_path / "bench_diagnostics.csv") as handle:
         header = next(csv.reader(handle))
     assert header == ["Family"] + list(DIAGNOSTIC_COLUMNS)
 

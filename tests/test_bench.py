@@ -275,23 +275,23 @@ def test_write_report_files(tmp_path):
         "b": DetectionReport(records=(planted("Stretch"),) * 2),
     }
     report = aggregate(runs, detections)
-    paths = write_report(report, str(tmp_path), "unit")
+    paths = write_report(report, str(tmp_path))
     names = sorted(p.rsplit("/", 1)[-1] for p in paths)
     assert names == [
-        "unit.json",
-        "unit_coverage.csv",
-        "unit_diagnostics.csv",
-        "unit_performance.csv",
+        "bench.json",
+        "bench_coverage.csv",
+        "bench_diagnostics.csv",
+        "bench_performance.csv",
     ]
-    with open(tmp_path / "unit_coverage.csv") as handle:
+    with open(tmp_path / "bench_coverage.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["Family"] + list(COVERAGE_COLUMNS)
     assert rows[1][0] == "Cardinality"
-    with open(tmp_path / "unit_performance.csv") as handle:
+    with open(tmp_path / "bench_performance.csv") as handle:
         rows = list(csv.reader(handle))
     stretch = next(r for r in rows if r[0] == "Stretch")
     assert set(stretch[1:]) == {"--"}
-    doc = json.loads((tmp_path / "unit.json").read_text())
+    doc = json.loads((tmp_path / "bench.json").read_text())
     assert set(doc) == {"schema", "coverage", "performance", "diagnostics", "runs", "skipped"}
     assert len(doc["runs"]) == 4
     assert all(r["cpu_time"] == 0.0 and r["wall_time"] == 1.0 for r in doc["runs"])

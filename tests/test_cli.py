@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from clash import clash_model
+
 import structprop.cli as cli_mod
 from structprop.cli import main
 from structprop.model import Integrality, LinearRow, MipModel, Variable
 from structprop.mps import write_mps
 from structprop.records import CardinalityParams, Family, SemanticRecord, records_to_json
-from structprop.synth import reverse_sample, write_instance
 from structprop.verify import GateResult
 
 
@@ -155,6 +156,43 @@ def test_propagate_tightens_with_rows_as_search_does_at_root(tmp_path, capsys):
     ]
 
 
+def _drop_records(doc):
+    del doc["records"]
+    return doc
+
+
+def _drop_link_var(doc):
+    del doc["records"][0]["params"]["link_var"]
+    return doc
+
+
+def _string_indicator_value(doc):
+    doc["records"][0]["params"]["indicators"][0][0] = "abc"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_drop_records, "missing key 'records'"),
+        (_drop_link_var, "missing key 'link_var'"),
+        (lambda doc: [doc], "must be an object, not list"),
+        (_string_indicator_value, "expected a JSON float, got 'abc'"),
+    ],
+    ids=["no-records", "no-params-field", "list", "string-value"],
+)
+def test_propagate_malformed_records_file_is_domain_failure(tmp_path, capsys, spoil, message):
+    mps = synth_file(tmp_path, "channel", 0)
+    records_path = tmp_path / "records.json"
+    run_cli(capsys, "detect", mps, "--records-out", str(records_path), "--quiet")
+    records_path.write_text(json.dumps(spoil(json.loads(records_path.read_text()))))
+    code, out, err = run_cli(capsys, "propagate", mps, "--records", str(records_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_propagate_requires_a_record_source(tmp_path):
     mps_path = tmp_path / "x.mps"
     with pytest.raises(SystemExit) as excinfo:
@@ -237,6 +275,20 @@ def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch):
     assert excinfo.value.code == 2
 
 
+def test_seed_belongs_to_synth_and_verify_only(tmp_path, capsys, monkeypatch):
+    mps = synth_file(tmp_path, "cardinality", 0)
+    capsys.readouterr()
+    monkeypatch.setenv("STRUCTPROP_SEED", "lucky")
+    code, out, _ = run_cli(capsys, "detect", mps, "--quiet")
+    assert code == 0
+    assert json.loads(out)["family_counts"] == {"Cardinality": 1}
+    for argv in (["detect", mps, "--seed", "1"], ["search", mps, "--json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -314,9 +366,10 @@ def test_search_reports_objective_in_declared_sense(tmp_path, capsys):
 
 
 def test_search_infeasible_exits_nonzero(tmp_path, capsys):
-    instance = reverse_sample(Family.CARDINALITY, seed=0, make_infeasible=True)
-    mps_path, _ = write_instance(instance, str(tmp_path), basename="clash")
-    code, out, _ = run_cli(capsys, "search", mps_path, "--quiet")
+    model, _ = clash_model(Family.CARDINALITY, 0)
+    mps_path = tmp_path / "clash.mps"
+    mps_path.write_text(write_mps(model), encoding="ascii")
+    code, out, _ = run_cli(capsys, "search", str(mps_path), "--quiet")
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "infeasible"

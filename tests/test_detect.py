@@ -177,9 +177,7 @@ def test_recovers_planted_record_clean(family, seed):
 @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
 def test_recovers_planted_record_obfuscated(family, seed):
     inst = reverse_sample(family, seed=seed)
-    noisy = obfuscate(
-        inst, ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=seed)
-    )
+    noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
     report = detect_all(noisy.model)
     assert len(report.records) == 1
     assert records_equal(report.records[0], noisy.ground_truth)
@@ -188,9 +186,9 @@ def test_recovers_planted_record_obfuscated(family, seed):
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
 def test_noise_rows_never_reach_detectors(family):
     inst = reverse_sample(family, seed=13)
-    noisy = obfuscate(inst, ObfuscationConfig(noise_rows=12, seed=13))
+    noisy = obfuscate(inst, ObfuscationConfig(seed=13))
     active = {row.id for row in ModelView(noisy.model).active_rows}
-    assert len(noisy.noise_row_ids) == 12
+    assert len(noisy.noise_row_ids) == 10
     assert active.isdisjoint(noisy.noise_row_ids)
     assert set(noisy.ground_truth.evidence) <= active
 
@@ -243,9 +241,7 @@ def test_skipping_claimed_counting_rows_keeps_the_arbitrated_records(
 ):
     inst = reverse_sample(family, seed=seed)
     if obfuscated:
-        inst = obfuscate(
-            inst, ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=seed)
-        )
+        inst = obfuscate(inst, ObfuscationConfig(seed=seed))
     kept, dropped = arbitrate_full_outputs(inst.model)
     report = detect_all(inst.model)
     assert list(report.records) == kept

@@ -250,6 +250,42 @@ def test_bound_at_the_wrong_infinity_is_rejected(bound):
         parse_mps(one_row(bound=bound))
 
 
+INTEGER_ROW = """\
+NAME introw
+ROWS
+ N OBJ
+ L c1
+COLUMNS
+    MARK1 'MARKER' 'INTORG'
+    x OBJ 1 c1 1
+    MARK2 'MARKER' 'INTEND'
+RHS
+    RHS c1 2
+BOUNDS
+{bounds}
+ENDATA
+"""
+
+
+@pytest.mark.parametrize(
+    "text, bounds, integrality",
+    [
+        (one_row(bound="UP BND x -2"), (-INF, -2.0), Integrality.CONTINUOUS),
+        (INTEGER_ROW.format(bounds=" UP BND x -2"), (-INF, -2.0), Integrality.INTEGER),
+        (one_row(bound="UI BND x -2"), (-INF, -2.0), Integrality.INTEGER),
+        (INTEGER_ROW.format(bounds=" LO BND x 0\n UP BND x -2"), (0.0, -2.0),
+         Integrality.INTEGER),
+        (one_row(bound="MI BND x\n UP BND x -2"), (-INF, -2.0), Integrality.CONTINUOUS),
+        (one_row(bound="UP BND x 0"), (0.0, 0.0), Integrality.CONTINUOUS),
+    ],
+    ids=["continuous", "integer", "ui", "explicit-lo", "mi", "zero"],
+)
+def test_negative_upper_bound_frees_a_default_lower_bound(text, bounds, integrality):
+    (var,) = parse_mps(text).variables
+    assert (var.lower, var.upper) == bounds
+    assert var.integrality is integrality
+
+
 def test_accepted_infinite_bounds_write_back():
     for bound in ("UP BND x inf", "LO BND x -inf", "MI BND x", "FR BND x"):
         model = parse_mps(one_row(bound=bound))

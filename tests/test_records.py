@@ -16,6 +16,8 @@ from structprop.records import (
     UnitCommitmentRampParams,
     params_key,
     records_equal,
+    records_from_json,
+    records_to_json,
 )
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 
@@ -28,9 +30,7 @@ def _records(family: Family) -> tuple[SemanticRecord, ...]:
     found = []
     for seed in SEEDS:
         inst = reverse_sample(family, seed=seed)
-        noisy = obfuscate(
-            inst, ObfuscationConfig(noise_rows=10, sign_flip_prob=0.3, seed=seed)
-        )
+        noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
         for planted in (inst, noisy):
             report = detect_all(planted.model)
             found += [planted.ground_truth, *report.records, *report.dropped]
@@ -223,3 +223,36 @@ def test_unit_commitment_reads_the_same_backwards(seed):
         ),
     )
     assert not records_equal(record, dataclasses.replace(record, params=unswapped))
+
+
+def _planted_doc(family: Family):
+    inst = reverse_sample(family, seed=0)
+    return records_to_json([inst.ground_truth], inst.model), inst
+
+
+@pytest.mark.parametrize(
+    "family, field, value, message",
+    [
+        (Family.ALL_DIFFERENT, "symmetric", 1, "expected a JSON bool, got 1"),
+        (Family.STRETCH, "min_run", 2.0, "expected a JSON int, got 2.0"),
+        (Family.STRETCH, "max_run", True, "expected a JSON int, got True"),
+        (Family.CARDINALITY, "lower", False, "expected a JSON float, got False"),
+        (Family.DISJ_POLYHEDRAL, "variant", 5, "expected a JSON str, got 5"),
+        (Family.CARDINALITY, "vars", ["nobody"], "unknown variable name 'nobody'"),
+    ],
+    ids=["bool-as-int", "int-as-float", "int-as-bool", "float-as-bool", "str-as-int", "name"],
+)
+def test_records_from_json_rejects_wrong_values(family, field, value, message):
+    doc, inst = _planted_doc(family)
+    doc["records"][0]["params"][field] = value
+    with pytest.raises(ValueError, match=message):
+        records_from_json(doc, inst.model)
+
+
+def test_records_from_json_takes_an_int_for_a_float():
+    doc, inst = _planted_doc(Family.CARDINALITY)
+    params = doc["records"][0]["params"]
+    assert type(params["lower"]) is float and params["lower"] == int(params["lower"])
+    params["lower"] = int(params["lower"])
+    (record,) = records_from_json(doc, inst.model)
+    assert records_equal(record, inst.ground_truth)

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from clash import clash_model
+
 from structprop.detect import detect_all
 from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
 from structprop.mps import parse_mps
@@ -81,9 +83,9 @@ def test_baseline_without_records_agrees(seed):
 
 
 def test_infeasible_instance_under_both_propfreqs():
-    inst = reverse_sample(Family.CARDINALITY, seed=3, make_infeasible=True)
-    for records in ([inst.ground_truth], []):
-        incumbent, stats = dfs_solve(inst.model, records, SearchConfig())
+    model, record = clash_model(Family.CARDINALITY, 3)
+    for records in ([record], []):
+        incumbent, stats = dfs_solve(model, records, SearchConfig())
         assert incumbent is None
         assert stats.status == "infeasible"
 
@@ -135,17 +137,18 @@ def test_every_node_takes_one_propagate_node_step(monkeypatch):
         return real(model, records, box, config)
 
     monkeypatch.setattr(search_mod, "propagate_node", spy)
-    feasible = reverse_sample(Family.ONE_HOT_RESOURCE, seed=0)
-    infeasible = reverse_sample(Family.CARDINALITY, seed=3, make_infeasible=True)
+    planted = reverse_sample(Family.ONE_HOT_RESOURCE, seed=0)
+    feasible = (planted.model, planted.ground_truth)
+    infeasible = clash_model(Family.CARDINALITY, 3)
     cases = [
         (feasible, SearchConfig(), "optimal"),
         (infeasible, SearchConfig(), "infeasible"),
         (feasible, SearchConfig(time_limit=1e-9), "limit"),
     ]
-    for inst, config, status in cases:
-        for records in ([inst.ground_truth], []):
+    for (model, record), config, status in cases:
+        for records in ([record], []):
             calls.clear()
-            _, stats = dfs_solve(inst.model, records, config)
+            _, stats = dfs_solve(model, records, config)
             assert stats.status == status
             assert len(calls) == stats.nodes >= 1
             assert all(seen == records for seen in calls)

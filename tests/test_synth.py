@@ -3,6 +3,7 @@ import itertools
 import json
 
 import pytest
+from clash import clash_model
 
 from structprop.detect import detect_all
 from structprop.model import (
@@ -25,8 +26,8 @@ from structprop.records import (
 )
 from structprop.synth import (
     SIDECAR_SCHEMA_VERSION,
+    DEFAULT_SIZE_PARAMS,
     ObfuscationConfig,
-    default_size_params,
     instance_to_json,
     obfuscate,
     reverse_sample,
@@ -41,7 +42,6 @@ ALL_FAMILIES = list(Family)
 @pytest.mark.parametrize("seed", [0, 1, 7, 23])
 def test_witness_feasible_by_construction(family, seed):
     inst = reverse_sample(family, seed=seed)
-    assert inst.feasible
     assert witness_satisfies(inst.model, inst.witness)
 
 
@@ -108,30 +108,18 @@ def test_disjunction_big_m_dominates_admission_bound():
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
-def test_obfuscate_all_off_is_identity(family):
-    inst = reverse_sample(family, seed=5)
-    config = ObfuscationConfig(
-        noise_rows=0, permute_rows=False, permute_vars=False, sign_flip_prob=0.0, seed=0
-    )
-    same = obfuscate(inst, config)
-    assert models_equal(inst.model, same.model)
-    assert records_equal(inst.ground_truth, same.ground_truth)
-    assert same.witness == inst.witness
-
-
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
 def test_obfuscation_preserves_witness(family):
     inst = reverse_sample(family, seed=13)
-    ob = obfuscate(inst, ObfuscationConfig(noise_rows=5, seed=99))
-    assert len(ob.model.rows) == len(inst.model.rows) + 5
+    ob = obfuscate(inst, ObfuscationConfig(seed=99))
+    assert len(ob.model.rows) == len(inst.model.rows) + 10
     assert witness_satisfies(ob.model, ob.witness)
 
 
 def test_noise_rows_are_vacuous_under_bounds():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
-    ob = obfuscate(inst, ObfuscationConfig(noise_rows=12, seed=4))
+    ob = obfuscate(inst, ObfuscationConfig(seed=4))
     box = DomainBox.from_model(ob.model)
-    assert len(ob.noise_row_ids) == 12
+    assert len(ob.noise_row_ids) == 10
     for rid in ob.noise_row_ids:
         row = ob.model.rows[rid]
         min_act, max_act = activity_range(row.terms, box)
@@ -146,18 +134,22 @@ def test_obfuscated_row_sides_are_floats():
         assert type(row.lhs) is float and type(row.rhs) is float
 
 
-def test_sign_flip_prob_one_negates_every_row():
-    inst = reverse_sample(Family.CARDINALITY, seed=8)
-    ob = obfuscate(
-        inst,
-        ObfuscationConfig(
-            noise_rows=0, permute_rows=False, permute_vars=False,
-            sign_flip_prob=1.0, seed=1,
-        ),
-    )
-    for before, after in zip(inst.model.rows, ob.model.rows):
-        assert after.terms == tuple((v, -c) for v, c in before.terms)
-        assert (after.lhs, after.rhs) == (-before.rhs, -before.lhs)
+def test_each_row_is_kept_or_negated():
+    inst = reverse_sample(Family.CUMULATIVE, seed=8)
+    ob = obfuscate(inst, ObfuscationConfig(seed=1))
+    row_map, var_map = ob.permutation
+    seen = set()
+    for old, before in enumerate(inst.model.rows):
+        after = ob.model.rows[row_map[old]]
+        terms = tuple(sorted((var_map[v], c) for v, c in before.terms))
+        if after.terms == terms:
+            assert (after.lhs, after.rhs) == (before.lhs, before.rhs)
+            seen.add("kept")
+        else:
+            assert after.terms == tuple((v, -c) for v, c in terms)
+            assert (after.lhs, after.rhs) == (-before.rhs, -before.lhs)
+            seen.add("negated")
+    assert seen == {"kept", "negated"}
 
 
 def test_permutation_map_tracks_variables():
@@ -309,15 +301,15 @@ def test_witness_values_are_shared_floats(family):
             assert first_of.setdefault(value, value) is value  # equal values, one object
 
 
-def test_make_infeasible_truly_conflicts():
-    inst = reverse_sample(Family.CARDINALITY, {"n": 5}, seed=9, make_infeasible=True)
-    assert inst.witness is None and not inst.feasible
-    binaries = [v.id for v in inst.model.variables]
+def test_clash_rows_truly_conflict():
+    model, _ = clash_model(Family.CARDINALITY, 9, {"n": 5})
+    assert [row.name for row in model.rows[-2:]] == ["clash_hi", "clash_lo"]
+    binaries = [v.id for v in model.variables]
     for bits in itertools.product([0.0, 1.0], repeat=len(binaries)):
         point = dict(zip(binaries, bits))
         assert any(
             not (row.lhs <= sum(c * point[v] for v, c in row.terms) <= row.rhs)
-            for row in inst.model.rows
+            for row in model.rows
         )
 
 
@@ -337,10 +329,12 @@ def test_scope_cap_enforced_and_overridable():
     assert len(inst.model.variables) == 16
 
 
-def test_defaults_are_copies():
-    sizes = default_size_params(Family.CUMULATIVE)
-    sizes["tasks"] = 99
-    assert default_size_params(Family.CUMULATIVE)["tasks"] == 2
+def test_size_overrides_leave_defaults_unchanged():
+    before = {family: dict(sizes) for family, sizes in DEFAULT_SIZE_PARAMS.items()}
+    inst = reverse_sample(Family.CUMULATIVE, {"horizon": 6}, seed=0)
+    assert inst.size_params == {"tasks": 2, "horizon": 6}
+    inst.size_params["tasks"] = 99
+    assert DEFAULT_SIZE_PARAMS == before
 
 
 def test_sidecar_round_trip(tmp_path):
@@ -359,4 +353,3 @@ def test_sidecar_round_trip(tmp_path):
     assert records_equal(truth, inst.ground_truth)
     doc = instance_to_json(inst)
     assert doc["family"] == "BottleneckExactOne"
-    assert doc["feasible"] is True

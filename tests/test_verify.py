@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from clash import clash_model
+
 import structprop.verify as verify_mod
 from structprop.detect import DETECTORS, detect_all
 from structprop.model import (
@@ -77,12 +79,12 @@ def test_two_by_two_assignment_grid():
 
 
 def test_infeasible_instance_enumerates_empty():
-    inst = reverse_sample(Family.CARDINALITY, seed=5, make_infeasible=True)
-    result = enumerate_feasible(inst.model, inst.ground_truth.scope)
+    model, record = clash_model(Family.CARDINALITY, 5)
+    result = enumerate_feasible(model, record.scope)
     assert result.feasible_points == frozenset()
     assert result.nodes_visited == 0  # the clash rows kill the root box
-    root = DomainBox.from_model(inst.model)
-    assert propagate_block_fixpoint(inst.model.rows, root).cutoff
+    root = DomainBox.from_model(model)
+    assert propagate_block_fixpoint(model.rows, root).cutoff
 
 
 def test_enumeration_cap_sets_truncated():
@@ -318,19 +320,20 @@ def test_false_cutoff_fails(monkeypatch):
 
 
 def test_cutoff_on_empty_feasible_set_passes(monkeypatch):
-    inst = reverse_sample(Family.CARDINALITY, seed=5, make_infeasible=True)
+    model, record = clash_model(Family.CARDINALITY, 5)
 
     def cuts(model, record, box, config=None):
         return PropagationOutcome(cutoff=True, calls=1, cutoffs=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", cuts)
-    gate = verify_propagation(inst.model, inst.ground_truth)
+    gate = verify_propagation(model, record)
     assert gate.passed
 
 
-def test_truncated_enumeration_is_inconclusive():
+def test_truncated_enumeration_is_inconclusive(monkeypatch):
     model, record = onehot_example()
-    gate = verify_propagation(model, record, cap=1)
+    monkeypatch.setattr(verify_mod, "ENUMERATION_CAP", 1)
+    gate = verify_propagation(model, record)
     assert not gate.passed
     assert "inconclusive" in gate.detail
 
