@@ -23,7 +23,6 @@ from .propagate import (  # noqa: F401
     run_fixpoint,
 )
 from .records import (  # noqa: F401
-    Confidence,
     Family,
     SemanticRecord,
     records_equal,

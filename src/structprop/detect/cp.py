@@ -31,7 +31,7 @@ from .rowview import ModelView, uniform_coefficient
 def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
     """Two-sided counting rows: L <= sum of >= 3 binaries <= U.
 
-    A row in ``view.claimed`` already belongs to an exact record, which
+    A row in ``view.claimed`` already belongs to a kept record, which
     arbitration would keep over this one, so no record is built for it.
     """
     records = []

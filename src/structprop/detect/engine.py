@@ -1,9 +1,9 @@
 """Detection driver: runs every family detector and arbitrates row claims.
 
-Families are tried in a fixed priority order.  A record accepted with exact
-confidence claims its evidence rows; later records overlapping those rows are
-dropped, which keeps the surviving set disjoint on evidence.  Heuristic
-records never claim rows, so they cannot shadow an exact match ranked lower.
+Families are tried in the key order of ``DETECTORS``, the one place that
+order is written.  Every kept record claims its evidence rows; a later
+record overlapping those rows is dropped, which keeps the surviving set
+disjoint on evidence.
 
 The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..model import MipModel
-from ..records import PRIORITY_ORDER, Confidence, Family, SemanticRecord
+from ..records import Family, SemanticRecord
 from .cp import (
     detect_alldifferent,
     detect_cardinality,
@@ -41,6 +41,7 @@ from .zeroshot import (
     detect_unit_commitment_ramp,
 )
 
+# arbitration order: earlier families claim evidence rows first
 DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {
     Family.DISJ_POLYHEDRAL: detect_disj_polyhedral,
     Family.UNIT_COMMITMENT_RAMP: detect_unit_commitment_ramp,
@@ -61,7 +62,7 @@ class DetectionReport:
     """What ``detect_all`` kept, in priority order, and what it dropped.
 
     ``dropped`` holds the records a detector built whose evidence overlaps
-    rows an exact record of a higher-priority family already claimed.
+    rows a record of a higher-priority family already claimed.
     Cardinality never appears there: it skips claimed rows before building
     a record (``detect_family`` still returns a record for every counting
     row).
@@ -92,9 +93,9 @@ def detect_all(model: MipModel, config: object = None) -> DetectionReport:
     dropped: list[SemanticRecord] = []
     claimed = view.claimed
     warnings: list[str] = []
-    for family in PRIORITY_ORDER:
+    for family, detector in DETECTORS.items():
         try:
-            found = DETECTORS[family](view, config)
+            found = detector(view, config)
         except Exception as exc:  # a detector must never sink the whole scan
             warnings.append(f"{family.value} detector failed: {exc}")
             continue
@@ -105,8 +106,7 @@ def detect_all(model: MipModel, config: object = None) -> DetectionReport:
                 dropped.append(rec)
                 continue
             kept.append(rec)
-            if rec.confidence is Confidence.EXACT:
-                claimed |= evidence
+            claimed |= evidence
     return DetectionReport(
         records=tuple(kept), dropped=tuple(dropped), warnings=tuple(warnings)
     )

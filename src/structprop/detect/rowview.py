@@ -21,7 +21,7 @@ and detectors only read the result:
   implications ``x <= y``.
 
 Every list is in row order.  ``claimed`` is the one field that changes after
-construction: ``detect_all`` adds the evidence rows of each exact record it
+construction: ``detect_all`` adds the evidence rows of each record it
 keeps, so a detector run later in its priority order can skip them.
 """
 
@@ -92,7 +92,7 @@ class ModelView:
             integer and lo >= 0.0 and up <= 1.0
             for integer, lo, up in zip(box.integer_mask, box.lower, box.upper)
         ]
-        self.claimed: set[int] = set()  # rows kept exact records own
+        self.claimed: set[int] = set()  # rows kept records own
 
         self.active_rows: list[LinearRow] = []
         for row in model.rows:

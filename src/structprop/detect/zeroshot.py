@@ -2,8 +2,8 @@
 
 These patterns span many rows with several distinct shapes, so each detector
 assembles the whole structure before emitting anything: partial matches are
-discarded rather than reported.  Confidence drops to heuristic only for the
-bottleneck family, when the link rows cover the selector grid incompletely.
+discarded rather than reported; a bottleneck whose link rows miss one
+selector of a touched group gives no record.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from ..records import (
     ActivatorSpec,
     BottleneckExactOneParams,
     BranchSpec,
-    Confidence,
     DisjPolyhedralParams,
     Family,
     GeneratorSpec,
@@ -79,11 +78,6 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
     return records
 
 
-#: Smallest share of a bottleneck's selectors that must carry a link row;
-#: below it no record is emitted, below 1.0 the record is heuristic.
-LINK_COVERAGE_MIN = 0.8
-
-
 def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]:
     """Exact-one selector groups whose weights push a shared max variable."""
     links: dict[int, list[tuple[int, int, float]]] = defaultdict(list)
@@ -120,18 +114,13 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         if not clean or len(touched_groups) < 2:
             continue
         selectors = [v for rid in touched_groups for v in group_rows[rid].support]
-        total = len(selectors)
-        found = sum(1 for v in selectors if v in weight)
-        coverage = found / total
-        if coverage < LINK_COVERAGE_MIN:
-            continue
+        if not all(v in weight for v in selectors):
+            continue  # a selector without its link row
         groups = tuple(
-            tuple((v, weight.get(v)) for v in sorted(group_rows[rid].support))
+            tuple((v, weight[v]) for v in sorted(group_rows[rid].support))
             for rid in sorted(touched_groups)
         )
-        evidence = sorted(touched_groups) + sorted(
-            link_rows[v] for v in weight
-        )
+        evidence = sorted(touched_groups) + sorted(link_rows.values())
         scope = sorted(selectors) + [z]
         activators = _find_activators(view, set(selectors), count_rows)
         if activators is not None:
@@ -142,17 +131,11 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         params = BottleneckExactOneParams(
             bottleneck_var=z,
             groups=groups,
-            link_coverage=coverage,
             activators=activators,
         )
-        confidence = Confidence.EXACT if coverage == 1.0 else Confidence.HEURISTIC
         records.append(
             SemanticRecord(
-                Family.BOTTLENECK_EXACT_ONE,
-                tuple(scope),
-                params,
-                tuple(evidence),
-                confidence,
+                Family.BOTTLENECK_EXACT_ONE, tuple(scope), params, tuple(evidence)
             )
         )
     return records

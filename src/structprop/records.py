@@ -65,27 +65,6 @@ class Family(Enum):
         raise ValueError(f"unknown family {text!r}")
 
 
-#: Arbitration order: earlier families claim evidence rows first.
-PRIORITY_ORDER: tuple[Family, ...] = (
-    Family.DISJ_POLYHEDRAL,
-    Family.UNIT_COMMITMENT_RAMP,
-    Family.ROSTERING_WINDOW,
-    Family.BOTTLENECK_EXACT_ONE,
-    Family.ONE_HOT_RESOURCE,
-    Family.CUMULATIVE,
-    Family.CHANNEL,
-    Family.ALL_DIFFERENT,
-    Family.NVALUE,
-    Family.STRETCH,
-    Family.CARDINALITY,
-)
-
-
-class Confidence(Enum):
-    EXACT = "exact"
-    HEURISTIC = "heuristic"
-
-
 #: A variable id; serialized as the variable's name.
 Var = Annotated[int, "var"]
 #: A row id; serialized as the row's name.
@@ -188,7 +167,6 @@ class ActivatorSpec:
 class BottleneckExactOneParams:
     bottleneck_var: Var
     groups: Unordered[Unordered[tuple[Var, float]]]  # per group: (selector, weight)
-    link_coverage: float
     activators: ActivatorSpec | None
 
 
@@ -295,7 +273,6 @@ class SemanticRecord:
     scope: tuple[Var, ...]
     params: Any
     evidence: tuple[Row, ...]
-    confidence: Confidence = Confidence.EXACT
 
     def __post_init__(self) -> None:
         if not self.scope:
@@ -309,7 +286,7 @@ class SemanticRecord:
 
     def key(self):
         """Identity up to order: scope and evidence compare as sets, params
-        by :func:`params_key`; confidence is not part of it."""
+        by :func:`params_key`."""
         return (
             self.family,
             frozenset(self.scope),
@@ -342,7 +319,6 @@ def records_to_json(records: list[SemanticRecord], model: MipModel) -> dict:
                 "scope": [vn(v) for v in rec.scope],
                 "params": _codec(type(rec.params))[0](rec.params, vn, rn),
                 "evidence": [rn(r) for r in rec.evidence],
-                "confidence": rec.confidence.value,
             }
             for rec in records
         ],
@@ -353,7 +329,9 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     """Decode a records document against a model; names become dense ids.
 
     A malformed document (a missing key, an unknown name, a value of the
-    wrong JSON type) raises ValueError.
+    wrong JSON type) raises ValueError.  Keys the schema does not name are
+    skipped, so older documents that carry a record's ``confidence`` or a
+    bottleneck's link coverage still load.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"records document must be an object, not {type(doc).__name__}")
@@ -372,7 +350,6 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
                     tuple(vid(n) for n in raw["scope"]),
                     params,
                     tuple(rid(n) for n in raw["evidence"]),
-                    Confidence(raw.get("confidence", "exact")),
                 )
             )
     except KeyError as exc:

@@ -569,7 +569,6 @@ def _plant_bottleneck_exact_one(rng, sizes):
             tuple((x[i][j], float(weights[i][j])) for j in range(n_options))
             for i in range(n_groups)
         ),
-        link_coverage=1.0,
         activators=activators,
     )
     record = SemanticRecord(Family.BOTTLENECK_EXACT_ONE, scope, params, tuple(evidence))
@@ -1082,7 +1081,6 @@ def remap_record(record: SemanticRecord, var_map, row_map) -> SemanticRecord:
         scope=tuple(var_map[v] for v in record.scope),
         params=params,
         evidence=tuple(row_map[r] for r in record.evidence),
-        confidence=record.confidence,
     )
 
 

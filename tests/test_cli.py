@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 from clash import clash_model
 
 import structprop.cli as cli_mod
@@ -107,6 +108,23 @@ def test_propagate_detect_matches_records_file(tmp_path, capsys):
     doc_a, doc_b = json.loads(out_a), json.loads(out_b)
     assert doc_a["changes"] == doc_b["changes"]
     assert doc_a["records_applied"] == doc_b["records_applied"] == 1
+
+
+def test_records_written_for_an_incomplete_bottleneck_load_back(tmp_path, capsys):
+    # x2 has no link row, so detection keeps the group rows' counting records
+    mps_path = tmp_path / "bottleneck.mps"
+    mps_path.write_text(write_mps(bottleneck_model(PARTIAL_WEIGHTS)))
+    records_path = tmp_path / "records.json"
+    code, _, _ = run_cli(
+        capsys, "detect", str(mps_path), "--records-out", str(records_path), "--quiet"
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "propagate", str(mps_path), "--records", str(records_path), "--quiet"
+    )
+    assert code == 0
+    assert json.loads(records_path.read_text())["family_counts"] == {"Cardinality": 2}
+    assert json.loads(out)["records_applied"] == 2
 
 
 def test_propagate_cutoff_exits_nonzero(tmp_path, capsys):

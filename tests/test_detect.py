@@ -1,27 +1,23 @@
-"""Detector tests: row views, exact recovery, arbitration, heuristic records."""
+"""Detector tests: row views, exact recovery, arbitration, incomplete evidence."""
 
 import hashlib
 import json
 
 import pytest
 
+from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
+
 from structprop.detect import (
+    DETECTORS,
     ModelView,
     detect_all,
     detect_family,
     one_sided_facet,
 )
 from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
-from structprop.propagate import propagate_block_fixpoint, propagate_record
-from structprop.records import (
-    PRIORITY_ORDER,
-    Confidence,
-    Family,
-    records_equal,
-    records_to_json,
-)
+from structprop.propagate import propagate_block_fixpoint
+from structprop.records import Family, records_equal, records_to_json
 from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
-from structprop.verify import verify_propagation
 
 ALL_FAMILIES = list(Family)
 RECOVERY_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
@@ -169,7 +165,6 @@ def test_recovers_planted_record_clean(family, seed):
     report = detect_all(inst.model)
     assert len(report.records) == 1
     assert records_equal(report.records[0], inst.ground_truth)
-    assert report.records[0].confidence is Confidence.EXACT
     assert not report.warnings
 
 
@@ -219,17 +214,16 @@ def test_priority_drops_row_level_reinterpretations():
 
 def arbitrate_full_outputs(model):
     """detect_all's rule applied to every family's full detect_family output:
-    in priority order, drop a record overlapping a row an exact record kept
-    before it claimed."""
+    in DETECTORS order, drop a record overlapping a row a record kept before
+    it claimed."""
     kept, dropped, claimed = [], [], set()
-    for family in PRIORITY_ORDER:
+    for family in DETECTORS:
         for rec in sorted(detect_family(model, family), key=lambda r: sorted(r.evidence)):
             if claimed & set(rec.evidence):
                 dropped.append(rec)
                 continue
             kept.append(rec)
-            if rec.confidence is Confidence.EXACT:
-                claimed.update(rec.evidence)
+            claimed.update(rec.evidence)
     return kept, dropped
 
 
@@ -270,70 +264,41 @@ def test_failing_detector_becomes_warning(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# heuristic bottleneck records (incomplete link coverage)
+# incomplete bottleneck evidence (a selector without its link row)
 
 
-def bottleneck_model(weights):
-    """Two exact-one groups {x0,x1,x2} and {x3,x4,x5} under z in [0, 3].
-
-    ``weights`` maps a selector to the weight of its link row ``w*x - z <= 0``;
-    a selector left out has no link row.
-    """
-    variables = [binary(v, f"x{v}") for v in range(6)]
-    variables.append(Variable(6, "z", 0.0, 3.0, Integrality.CONTINUOUS))
-    specs = [
-        ([(0, 1.0), (1, 1.0), (2, 1.0)], 1.0, 1.0),
-        ([(3, 1.0), (4, 1.0), (5, 1.0)], 1.0, 1.0),
-    ]
-    for x, w in sorted(weights.items()):
-        specs.append(([(x, w), (6, -1.0)], -INF, 0.0))
-    return make_model(variables, specs)
+def bottleneck_records(report):
+    return [r for r in report.records if r.family is Family.BOTTLENECK_EXACT_ONE]
 
 
-PARTIAL_WEIGHTS = {0: 5.0, 1: 7.0, 3: 2.0, 4: 4.0, 5: 6.0}  # x2 has no link
+@pytest.mark.parametrize(
+    "weights",
+    [PARTIAL_WEIGHTS, {0: 5.0, 1: 7.0, 3: 2.0, 4: 4.0}],
+    ids=["5-of-6", "4-of-6"],
+)
+def test_link_coverage_below_the_minimum_gives_no_record(weights):
+    # the minimum is every selector of every touched group
+    assert not bottleneck_records(detect_all(bottleneck_model(weights)))
 
 
-def bottleneck_record(report):
-    (record,) = [r for r in report.records if r.family is Family.BOTTLENECK_EXACT_ONE]
-    return record
-
-
-def test_partial_link_coverage_gives_heuristic_record():
-    record = bottleneck_record(detect_all(bottleneck_model(PARTIAL_WEIGHTS)))
-    assert record.confidence is Confidence.HEURISTIC
-    assert record.params.link_coverage == pytest.approx(5 / 6)
-    assert (2, None) in record.params.groups[0]
-
-
-def test_link_coverage_below_the_minimum_gives_no_record():
-    # 4 of 6 selectors carry a link row: coverage 0.67 is below 0.8
-    weights = {0: 5.0, 1: 7.0, 3: 2.0, 4: 4.0}
-    report = detect_all(bottleneck_model(weights))
-    assert not [r for r in report.records if r.family is Family.BOTTLENECK_EXACT_ONE]
-
-
-def test_heuristic_record_leaves_its_rows_to_lower_priority_families():
+def test_incomplete_bottleneck_leaves_its_rows_to_lower_priority_families():
     partial = detect_all(bottleneck_model(PARTIAL_WEIGHTS))
     counting = [r for r in partial.records if r.family is Family.CARDINALITY]
     assert sorted(r.evidence for r in counting) == [(0,), (1,)]
     assert not partial.dropped
 
-    # with the missing link row the record is exact and claims the group rows
+    # with the missing link row the record is found and claims the group rows
     full = detect_all(bottleneck_model({**PARTIAL_WEIGHTS, 2: 3.0}))
-    assert bottleneck_record(full).confidence is Confidence.EXACT
+    assert len(bottleneck_records(full)) == 1
     assert [r.family for r in full.records] == [Family.BOTTLENECK_EXACT_ONE]
     assert full.dropped == ()
 
 
-def test_heuristic_record_propagates_soundly_and_keeps_weightless_selector():
+def test_rows_fix_the_unlinked_selector_of_an_incomplete_bottleneck():
+    # the rows price x0 and x1 out under z <= 3, and only the unlinked x2 is
+    # left in its group
     model = bottleneck_model(PARTIAL_WEIGHTS)
-    record = bottleneck_record(detect_all(model))
-    assert verify_propagation(model, record).passed
-
-    # the record is detect-only; the rows price x0 and x1 out under z <= 3,
-    # and only the weightless x2 is left in its group
     box = DomainBox.from_model(model)
-    assert propagate_record(model, record, box).calls == 0
     out = propagate_block_fixpoint(model.rows, box)
     assert not out.cutoff
     assert box.lower[2] == box.upper[2] == 1.0
@@ -375,8 +340,8 @@ def disjoint_union(blocks):
 
 
 # sha256 prefixes of the records JSON of detect_all, kept and dropped apart
-MULTI_BLOCK_RECORDS_SHA256 = "d2b9864f1e9be772"
-LARGE_ROSTERING_RECORDS_SHA256 = "1bd06e9f484bd8b3"
+MULTI_BLOCK_RECORDS_SHA256 = "04995fc7e2a1e4d9"
+LARGE_ROSTERING_RECORDS_SHA256 = "c6b28de9a4a80d9b"
 # both reports drop nothing: every overlap was a Cardinality row, now skipped
 MULTI_BLOCK_DROPPED_SHA256 = "cd2e17941a770df4"
 LARGE_ROSTERING_DROPPED_SHA256 = "cd2e17941a770df4"

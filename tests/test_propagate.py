@@ -188,7 +188,7 @@ def bottleneck_instance(groups=BOTTLENECK_GROUPS, z_upper=INF, activators=None):
         specs.append((tuple((a, 1.0) for a in activators.activator_vars), count, count))
     rows = tuple(LinearRow(i, f"r{i}", t, lo, up) for i, (t, lo, up) in enumerate(specs))
     model = MipModel(tuple(variables), rows)
-    params = BottleneckExactOneParams(n, groups, 1.0, activators)
+    params = BottleneckExactOneParams(n, groups, activators)
     record = SemanticRecord(
         Family.BOTTLENECK_EXACT_ONE,
         tuple(range(len(variables))),

@@ -2,11 +2,14 @@
 
 import dataclasses
 import functools
+import json
 import random
 import types
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import pytest
+
+from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 
 from structprop.detect import detect_all
 from structprop.records import (
@@ -19,21 +22,28 @@ from structprop.records import (
     records_from_json,
     records_to_json,
 )
-from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
+from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
 
 SEEDS = range(6)
+
+
+@functools.cache
+def _detected(family: Family) -> tuple:
+    """Planted instances, clean and obfuscated, seeds 0-5, with their reports."""
+    found = []
+    for seed in SEEDS:
+        inst = reverse_sample(family, seed=seed)
+        noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
+        found += [(planted, detect_all(planted.model)) for planted in (inst, noisy)]
+    return tuple(found)
 
 
 @functools.cache
 def _records(family: Family) -> tuple[SemanticRecord, ...]:
     """Ground truths and detected records, clean and obfuscated, seeds 0-5."""
     found = []
-    for seed in SEEDS:
-        inst = reverse_sample(family, seed=seed)
-        noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
-        for planted in (inst, noisy):
-            report = detect_all(planted.model)
-            found += [planted.ground_truth, *report.records, *report.dropped]
+    for planted, report in _detected(family):
+        found += [planted.ground_truth, *report.records, *report.dropped]
     return tuple(found)
 
 
@@ -256,3 +266,35 @@ def test_records_from_json_takes_an_int_for_a_float():
     params["lower"] = int(params["lower"])
     (record,) = records_from_json(doc, inst.model)
     assert records_equal(record, inst.ground_truth)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_every_kept_record_round_trips(family):
+    models = [(planted.model, report.records) for planted, report in _detected(family)]
+    if family is Family.BOTTLENECK_EXACT_ONE:
+        # an incomplete bottleneck gives its group rows' counting records only
+        model = bottleneck_model(PARTIAL_WEIGHTS)
+        records = detect_all(model).records
+        assert {r.family for r in records} == {Family.CARDINALITY}
+        models.append((model, records))
+    for model, records in models:
+        records = list(records)
+        doc = json.loads(json.dumps(records_to_json(records, model)))
+        assert records_from_json(doc, model) == records
+        var_ids, row_ids = range(len(model.variables)), range(len(model.rows))
+        assert [remap_record(r, var_ids, row_ids) for r in records] == records
+
+
+def test_records_from_json_reads_documents_with_confidence_and_link_coverage():
+    # documents once carried each record's confidence and the bottleneck's
+    # link coverage; both keys are skipped
+    inst = reverse_sample(Family.BOTTLENECK_EXACT_ONE, seed=0)
+    records = [inst.ground_truth, *detect_all(inst.model).records]
+    doc = records_to_json(records, inst.model)
+    old = json.loads(json.dumps(doc))
+    for raw in old["records"]:
+        raw["confidence"] = "exact"
+        if raw["family"] == Family.BOTTLENECK_EXACT_ONE.value:
+            raw["params"]["link_coverage"] = 1.0
+    assert records_from_json(old, inst.model) == records_from_json(doc, inst.model)
+    assert records_from_json(old, inst.model) == records

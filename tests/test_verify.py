@@ -355,6 +355,41 @@ def test_ladder_all_gates_pass(monkeypatch):
     assert results[-1].detail == "all gates passed"
 
 
+@pytest.mark.parametrize(
+    "family", [Family.CARDINALITY, Family.CHANNEL], ids=lambda f: f.value
+)
+def test_ladder_enumerates_only_for_a_family_with_a_rule(monkeypatch, family):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_feasible(*args, **kwargs)
+
+    small_suites(monkeypatch, 2)
+    monkeypatch.setattr(verify_mod, "enumerate_feasible", counted)
+    results = run_gate_ladder(family)
+    soundness = next(r for r in results if r.gate == "propagator_soundness")
+    assert soundness.passed and results[-1].passed
+    if family is Family.CARDINALITY:
+        assert soundness.detail == "detect-only: no rule"
+        assert not calls
+    else:
+        assert soundness.detail == "2/2 sound against enumeration"
+        assert calls
+
+
+def test_ladder_fails_a_rule_less_record_that_changes_its_box(monkeypatch):
+    def pins(model, record, box, config=None):
+        box.upper[record.scope[0]] = box.lower[record.scope[0]]
+        return PropagationOutcome()
+
+    small_suites(monkeypatch, 1)
+    monkeypatch.setattr(verify_mod, "propagate_record", pins)
+    by_gate = {r.gate: r for r in run_gate_ladder(Family.CARDINALITY)}
+    assert not by_gate["propagator_soundness"].passed
+    assert by_gate["propagator_soundness"].detail == "detect-only record ran a rule"
+
+
 def test_ladder_stubbed_detector_short_circuits(monkeypatch):
     small_suites(monkeypatch, 3)
     results = run_gate_ladder(
@@ -410,7 +445,9 @@ def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
 
 
 def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
-    monkeypatch.delitem(DETECTORS, Family.STRETCH)
+    # a None entry, not a deleted key: restoring a deleted key would move
+    # Stretch to the end of DETECTORS, which is the arbitration order
+    monkeypatch.setitem(DETECTORS, Family.STRETCH, None)
     small_suites(monkeypatch, 1)
     results = run_gate_ladder(Family.STRETCH)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
