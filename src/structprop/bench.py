@@ -236,9 +236,11 @@ def _sidecar_seed(mps_path: str) -> int:
     sidecar = os.path.splitext(mps_path)[0] + ".json"
     try:
         with open(sidecar, "r", encoding="ascii") as handle:
-            return int(json.load(handle).get("seed", 0))
+            doc = json.load(handle)
     except (OSError, ValueError):
         return 0
+    seed = doc.get("seed") if isinstance(doc, dict) else None
+    return seed if type(seed) is int else 0  # a JSON bool is no seed
 
 
 def _bench_one(path, families, config):

@@ -82,6 +82,23 @@ def _size_params(text: str) -> dict[str, int]:
     return params
 
 
+def _positive(convert):
+    """An argument type: ``convert(text)``, which must be above 0 (NaN is not)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {convert.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _load_model(path: str) -> MipModel:
     with open(path, "r", encoding="ascii") as handle:
         return parse_mps(handle.read())
@@ -303,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="solve with mined records")
     p.add_argument("file")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
-    p.add_argument("--time-limit", type=float, default=60.0)
+    p.add_argument("--node-limit", type=_positive(int), default=1_000_000)
+    p.add_argument("--time-limit", type=_positive(float), default=60.0)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser(
@@ -314,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--families", type=_family_list, default=None, help="comma-separated filter"
     )
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive(float), default=None)
     p.set_defaults(handler=cmd_bench)
 
     return parser

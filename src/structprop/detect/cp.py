@@ -145,18 +145,7 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
     for u in view.exact_ones:
         one_by_support.setdefault(frozenset(u.support), u.row)
     records = []
-    for row in view.equalities:
-        if abs(row.rhs) > FEAS_TOL:
-            continue
-        linked = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
-        if len(linked) != 1:
-            continue
-        link_var, link_coeff = linked[0]
-        if not view.model.variables[link_var].is_integer:
-            continue
-        bins = [(v, c) for v, c in zip(row.vars, row.coeffs) if view.is_binary[v]]
-        if len(bins) < 2:
-            continue
+    for rid, link_var, link_coeff, bins in view.links:
         values = [(-c / link_coeff, v) for v, c in bins]
         seen = {value for value, _ in values}
         if len(seen) != len(values) or 0.0 in seen:
@@ -167,7 +156,7 @@ def detect_channel(view: ModelView, config) -> list[SemanticRecord]:
         params = ChannelParams(link_var, tuple(sorted(values, key=lambda t: t[0])))
         scope = (link_var,) + tuple(sorted(v for v, _ in bins))
         records.append(
-            SemanticRecord(Family.CHANNEL, scope, params, (row.id, onehot))
+            SemanticRecord(Family.CHANNEL, scope, params, (rid, onehot))
         )
     return records
 
@@ -242,23 +231,12 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
             for z, _ in view.implications.get(y, ()):
                 feeds[z].add(pos)
     records = []
-    for row in view.equalities:
-        if abs(row.rhs) > FEAS_TOL:
-            continue
-        counters = [(v, c) for v, c in zip(row.vars, row.coeffs) if not view.is_binary[v]]
-        if len(counters) != 1:
-            continue
-        count_var, count_coeff = counters[0]
-        if not view.model.variables[count_var].is_integer:
-            continue
-        bins = [(v, c) for v, c in zip(row.vars, row.coeffs) if view.is_binary[v]]
-        if len(bins) < 2:
-            continue
+    for rid, count_var, count_coeff, bins in view.links:
         if uniform_coefficient([c for _, c in bins]) != -count_coeff:
             continue
         zset = {v for v, _ in bins}
         items = []
-        evidence = [row.id]
+        evidence = [rid]
         # a matching row has every variable implying into zset, so it feeds it
         for pos in sorted({pos for z in zset for pos in feeds.get(z, ())}):
             u = view.exact_ones[pos]

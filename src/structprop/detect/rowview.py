@@ -17,8 +17,17 @@ and detectors only read the result:
 * the unit rows over two or more binaries that read ``sum == 1`` are listed
   in ``exact_ones``, and the one-sided ones that read ``sum <= 1`` in
   ``at_most_ones``,
+* ``exact_one_of`` maps each variable of an exact-one row to that row, or
+  to None when it lies in two or more,
 * two-binary facets ``x - y <= 0`` (any positive scale) are indexed as
-  implications ``x <= y``.
+  implications ``x <= y``,
+* two-term facets ``w*x - z <= 0`` with x binary, z continuous and w > 0
+  are listed in ``floors`` as ``(row, x, z, w)``: x on lifts z to w,
+* equalities with rhs 0, one integer non-binary variable x and two or more
+  binaries are listed in ``links`` as ``(row, x, coeff of x, binary
+  terms)``.
+
+``continuous`` flags the continuous variables.
 
 Every list is in row order.  ``claimed`` is the one field that changes after
 construction: ``detect_all`` adds the evidence rows of each record it
@@ -86,12 +95,12 @@ class ModelView:
     """Precomputed, name-blind classification of a model's rows."""
 
     def __init__(self, model: MipModel) -> None:
-        self.model = model
         self.box = box = DomainBox.from_model(model)
         self.is_binary = [
             integer and lo >= 0.0 and up <= 1.0
             for integer, lo, up in zip(box.integer_mask, box.lower, box.upper)
         ]
+        self.continuous = [not integer for integer in box.integer_mask]
         self.claimed: set[int] = set()  # rows kept records own
 
         self.active_rows: list[LinearRow] = []
@@ -104,12 +113,20 @@ class ModelView:
             self.active_rows.append(row)
 
         self.equalities: list[LinearRow] = [r for r in self.active_rows if r.is_equality]
+        self.links: list[tuple[int, int, float, tuple[tuple[int, float], ...]]] = []
         self.facets: list[Facet] = []
         self.units: dict[int, UnitView] = {}
         self.exact_ones: list[UnitView] = []
+        self.exact_one_of: dict[int, int | None] = {}
         self.at_most_ones: list[UnitView] = []
         for row in self.active_rows:
             binary = self.all_binary(row.vars)
+            if row.is_equality and not binary and abs(row.rhs) <= FEAS_TOL:
+                terms = tuple(zip(row.vars, row.coeffs))
+                linked = [(v, c) for v, c in terms if not self.is_binary[v]]
+                bins = tuple((v, c) for v, c in terms if self.is_binary[v])
+                if len(linked) == 1 and box.integer_mask[linked[0][0]] and len(bins) >= 2:
+                    self.links.append((row.id, *linked[0], bins))
             facet = one_sided_facet(row, binary)
             if facet is not None:
                 self.facets.append(facet)
@@ -122,11 +139,14 @@ class ModelView:
             if row.is_equality:
                 if unit.lower == 1.0 and unit.upper == 1.0:
                     self.exact_ones.append(unit)
+                    for v in unit.support:
+                        self.exact_one_of[v] = None if v in self.exact_one_of else row.id
             elif facet is not None and unit.upper == 1.0 and unit.lower <= 0.0:
                 self.at_most_ones.append(unit)
 
         # x -> [(y, facet row)] for every facet reading x <= y over binaries
         self.implications: dict[int, list[tuple[int, int]]] = {}
+        self.floors: list[tuple[int, int, int, float]] = []
         for facet in self.facets:
             if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
                 continue
@@ -135,6 +155,9 @@ class ModelView:
             if ca == -cb and facet.binary:
                 x, y = (va, vb) if ca > 0 else (vb, va)
                 self.implications.setdefault(x, []).append((y, facet.row))
+            for (x, cx), (z, cz) in (((va, ca), (vb, cb)), ((vb, cb), (va, ca))):
+                if self.is_binary[x] and cx > 0 and self.continuous[z] and cz < 0:
+                    self.floors.append((facet.row, x, z, cx / -cz))
 
     def all_binary(self, support) -> bool:
         return all(self.is_binary[v] for v in support)

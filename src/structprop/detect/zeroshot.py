@@ -12,7 +12,7 @@ import functools
 from collections import defaultdict
 from typing import Callable
 
-from ..model import FEAS_TOL, INF, Integrality, activity_range
+from ..model import FEAS_TOL, INF, activity_range
 from ..records import (
     ActivatorSpec,
     BottleneckExactOneParams,
@@ -31,20 +31,12 @@ from .rowview import ModelView, UnitView
 
 def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
     """Disjoint one-hot groups coupled through a shared capacity row."""
-    group_of: dict[int, int] = {}
-    members: dict[int, tuple[int, ...]] = {}
-    conflicted: set[int] = set()
-    for u in view.exact_ones:
-        members[u.row] = u.support
-        for v in u.support:
-            if v in group_of:
-                conflicted.add(v)
-            group_of[v] = u.row
+    group_of = view.exact_one_of
     records = []
     used_groups: set[int] = set()
     for facet in view.facets:
-        if any(v in conflicted for v in facet.vars):
-            continue
+        if any(v in group_of and group_of[v] is None for v in facet.vars):
+            continue  # a variable in two exact-one rows
         inside: dict[int, set[int]] = defaultdict(set)
         cost: dict[int, float] = {}
         external = []
@@ -57,6 +49,7 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
                 cost[v] = c
         if len(inside) < 2:
             continue
+        members = {rid: view.units[rid].support for rid in inside}
         if any(set(members[rid]) != vars_ for rid, vars_ in inside.items()):
             continue  # a partially covered group is not a capacity row
         if used_groups & set(inside):
@@ -80,31 +73,18 @@ def detect_one_hot_resource(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]:
     """Exact-one selector groups whose weights push a shared max variable."""
-    links: dict[int, list[tuple[int, int, float]]] = defaultdict(list)
-    for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
-            continue
-        terms = tuple(zip(facet.vars, facet.coeffs))
-        for (x, cx), (z, cz) in (terms, terms[::-1]):
-            if (view.is_binary[x] and cx > 0 and cz < 0
-                    and view.model.variables[z].integrality is Integrality.CONTINUOUS):
-                links[z].append((facet.row, x, cx / -cz))
-                break
-
-    group_rows = {u.row: u for u in view.exact_ones}
-    group_of: dict[int, int] = {}
-    for rid, u in group_rows.items():
-        for v in u.support:
-            group_of[v] = None if v in group_of else rid
-
+    floors_of: dict[int, list[tuple[int, int, float]]] = defaultdict(list)  # by z
+    for rid, x, z, w in view.floors:
+        floors_of[z].append((rid, x, w))
+    group_of = view.exact_one_of
     count_rows = functools.cache(lambda: _count_rows(view))  # first lookup builds it
     records = []
-    for z in sorted(links):
+    for z in sorted(floors_of):
         weight: dict[int, float] = {}
         link_rows: dict[int, int] = {}
         touched_groups: set[int] = set()
         clean = True
-        for rid, x, w in links[z]:
+        for rid, x, w in floors_of[z]:
             if x in weight or group_of.get(x) is None:
                 clean = False
                 break
@@ -113,11 +93,11 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
             touched_groups.add(group_of[x])
         if not clean or len(touched_groups) < 2:
             continue
-        selectors = [v for rid in touched_groups for v in group_rows[rid].support]
+        selectors = [v for rid in touched_groups for v in view.units[rid].support]
         if not all(v in weight for v in selectors):
             continue  # a selector without its link row
         groups = tuple(
-            tuple((v, weight[v]) for v in sorted(group_rows[rid].support))
+            tuple((v, weight[v]) for v in sorted(view.units[rid].support))
             for rid in sorted(touched_groups)
         )
         evidence = sorted(touched_groups) + sorted(link_rows.values())
@@ -284,10 +264,7 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
     roles["dem"] = sorted(u.row for u in dems)
     hub_seen: set[int] = set()
     for u, rows in windows:
-        anchors = {nurse_of[r] for r in rows}
-        if len(anchors) != 1:
-            return []
-        nurse = anchors.pop()
+        nurse = nurse_of[next(iter(rows))]  # the union above joined all rows
         full = len(rows) == nurse_size[nurse]
         if u.upper < INF:
             role = "hub" if full else ("workWind" if len(rows) >= 2 else "other")
@@ -343,31 +320,19 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
 
 def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]:
     """Commitment chains: status-linked power and reserve with ramp rows."""
-    model = view.model
-
-    def is_cont(v):
-        return model.variables[v].integrality is Integrality.CONTINUOUS
-
-    # lower links pair each status binary with its power variable
+    # lower links (floors) pair each status binary with its power variable
     power_of: dict[int, int] = {}
     status_of: dict[int, int] = {}
     p_min: dict[int, float] = {}
     linklo_rows: dict[int, int] = {}
     linkup_rows: dict[int, int] = {}
-    for facet in view.facets:
-        if len(facet.vars) != 2 or abs(facet.bound) > FEAS_TOL:
-            continue
-        va, vb = facet.vars
-        ca, cb = facet.coeffs
-        for (u, cu), (p, cp) in (((va, ca), (vb, cb)), ((vb, cb), (va, ca))):
-            if view.is_binary[u] and cu > 0 and is_cont(p) and cp < 0:
-                if u in power_of or p in status_of:
-                    return []
-                power_of[u] = p
-                status_of[p] = u
-                p_min[u] = cu / -cp
-                linklo_rows[u] = facet.row
-                break
+    for rid, u, p, w in view.floors:
+        if u in power_of or p in status_of:
+            return []
+        power_of[u] = p
+        status_of[p] = u
+        p_min[u] = w
+        linklo_rows[u] = rid
     if not power_of:
         return []
 
@@ -377,7 +342,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
         if len(facet.vars) != 3 or abs(facet.bound) > FEAS_TOL:
             continue
         bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
-        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if is_cont(v)]
+        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.continuous[v]]
         if len(bins) != 1 or len(conts) != 2:
             continue
         u, cu = bins[0]
@@ -406,7 +371,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
         if len(facet.vars) != 4:
             continue
         bins = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.is_binary[v]]
-        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if is_cont(v)]
+        conts = [(v, c) for v, c in zip(facet.vars, facet.coeffs) if view.continuous[v]]
         if len(bins) != 2 or len(conts) != 2:
             continue
         if not all(v in power_set for v, _ in conts):
@@ -686,7 +651,6 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
         else:
             candidates[guard][0].append((facet.row, tuple(rest), facet.bound))
 
-    grouped = {v for u in view.exact_ones for v in u.support}
     records = []
     used: set[int] = set()
     for u in view.exact_ones:
@@ -721,7 +685,7 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
         used.update(selectors)
 
     for guard in sorted(candidates):
-        if guard in used or guard in grouped:
+        if guard in used or guard in view.exact_one_of:
             continue
         on_rows = candidates[guard][1]
         off_rows = candidates[guard][0]

@@ -247,12 +247,10 @@ def _disj_polyhedral(
             and selectors[0] == selectors[1]
             and {b.selector_value for b in branches} == {0, 1}
         )
-    elif shape_ok and params.variant == "exact_one_mode":
+    elif shape_ok:  # "exact_one_mode", the other variant
         shape_ok = len(set(selectors)) == len(selectors) and all(
             b.selector_value == 1 for b in branches
         )
-    else:
-        shape_ok = False
     if not shape_ok:
         return False
 

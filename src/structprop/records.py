@@ -251,6 +251,10 @@ class DisjPolyhedralParams:
     selector_row: Row | None  # exact-one row id, mode variant only
     touched: Unordered[Var]
 
+    def __post_init__(self) -> None:
+        if self.variant not in ("binary_selector", "exact_one_mode"):
+            raise ValueError(f"unknown DisjPolyhedral variant {self.variant!r}")
+
 
 PARAMS_CLASSES: dict[Family, type] = {
     Family.ALL_DIFFERENT: AllDifferentParams,

@@ -50,7 +50,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
 
 

@@ -227,6 +227,31 @@ def test_run_benchmark_skips_unparseable(tmp_path):
     assert report.coverage["Cardinality"]["Detected"] == 1
 
 
+@pytest.mark.parametrize(
+    "sidecar, seed",
+    [
+        ('{"seed": 3}', 3),
+        (None, 0),
+        ("not json", 0),
+        ("[3]", 0),
+        ('{"seed": null}', 0),
+        ('{"seed": "3"}', 0),
+        ('{"seed": true}', 0),
+    ],
+    ids=["int", "missing", "invalid", "list", "null", "string", "bool"],
+)
+def test_sidecar_without_an_integer_seed_gives_seed_zero(tmp_path, sidecar, seed):
+    seed_directory(tmp_path, [Family.CARDINALITY], seeds=(3,))
+    (sidecar_path,) = tmp_path.glob("*.json")
+    if sidecar is None:
+        sidecar_path.unlink()
+    else:
+        sidecar_path.write_text(sidecar)
+    report = run_benchmark(str(tmp_path))
+    assert report.skipped == ()
+    assert [r.seed for r in report.runs] == [seed, seed]
+
+
 def test_run_benchmark_family_filter(tmp_path):
     seed_directory(tmp_path, [Family.CARDINALITY, Family.STRETCH], seeds=(0,))
     report = run_benchmark(str(tmp_path), families=[Family.STRETCH])

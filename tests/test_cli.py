@@ -200,7 +200,22 @@ def _string_indicator_value(doc):
     ids=["no-records", "no-params-field", "list", "string-value"],
 )
 def test_propagate_malformed_records_file_is_domain_failure(tmp_path, capsys, spoil, message):
-    mps = synth_file(tmp_path, "channel", 0)
+    _propagate_spoiled_records(tmp_path, capsys, "channel", spoil, message)
+
+
+def _misspell_variant(doc):
+    (record,) = doc["records"]
+    record["params"]["variant"] = "exact-one-mode"
+    return doc
+
+
+def test_propagate_rejects_an_unknown_disjunction_variant(tmp_path, capsys):
+    message = "unknown DisjPolyhedral variant 'exact-one-mode'"
+    _propagate_spoiled_records(tmp_path, capsys, "disjpolyhedral", _misspell_variant, message)
+
+
+def _propagate_spoiled_records(tmp_path, capsys, family, spoil, message):
+    mps = synth_file(tmp_path, family, 0)
     records_path = tmp_path / "records.json"
     run_cli(capsys, "detect", mps, "--records-out", str(records_path), "--quiet")
     records_path.write_text(json.dumps(spoil(json.loads(records_path.read_text()))))
@@ -449,6 +464,24 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["detect", "x.mps", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "m.mps", "--node-limit", "0"], "--node-limit: expected a positive int, got '0'"),
+        (["search", "m.mps", "--node-limit", "1.5"], "--node-limit: expected a positive int"),
+        (["search", "m.mps", "--time-limit", "0"], "--time-limit: expected a positive float"),
+        (["search", "m.mps", "--time-limit", "nan"], "--time-limit: expected a positive float"),
+        (["bench", "--dir", ".", "--time-limit", "-1"], "--time-limit: expected a positive float"),
+    ],
+    ids=["search-nodes-0", "search-nodes-1.5", "search-time-0", "search-time-nan", "bench-time-neg"],
+)
+def test_bad_search_limit_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():

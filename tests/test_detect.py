@@ -126,6 +126,42 @@ def test_implications_read_two_binary_facets_as_x_le_y():
     assert ModelView(model).implications == {0: [(1, 0)], 2: [(1, 1)]}
 
 
+def shared_shapes_model():
+    """Binaries a, b, c, d; continuous z and w; integer m and n."""
+    variables = [
+        binary(0, "a"), binary(1, "b"), binary(2, "c"), binary(3, "d"),
+        Variable(4, "z", 0.0, 100.0, Integrality.CONTINUOUS),
+        Variable(5, "m", 0.0, 100.0, Integrality.INTEGER),
+        Variable(6, "n", 0.0, 10.0, Integrality.INTEGER),
+        Variable(7, "w", 0.0, 10.0, Integrality.CONTINUOUS),
+    ]
+    return make_model(variables, [
+        ([(0, 1.0), (1, 1.0)], 1.0, 1.0),  # a + b == 1
+        ([(1, 1.0), (2, 1.0)], 1.0, 1.0),  # b + c == 1: b lies in two
+        ([(0, 3.0), (4, -1.0)], -INF, 0.0),  # 3a - z <= 0
+        ([(2, -3.0), (4, 1.0)], 0.0, INF),  # z - 3c >= 0
+        ([(3, 2.0), (5, -1.0)], -INF, 0.0),  # 2d - m <= 0, m is integer
+        ([(0, -1.0), (3, -2.0), (6, 1.0)], 0.0, 0.0),  # n == a + 2d
+        ([(0, -1.0), (3, -2.0), (7, 1.0)], 0.0, 0.0),  # w == a + 2d, w continuous
+    ])
+
+
+def test_exact_one_of_is_none_for_a_variable_in_two_rows():
+    view = ModelView(shared_shapes_model())
+    assert view.exact_one_of == {0: 0, 1: None, 2: 1}
+
+
+def test_floors_read_either_sign_and_need_a_continuous_z():
+    view = ModelView(shared_shapes_model())
+    assert view.continuous == [False] * 4 + [True, False, False, True]
+    assert view.floors == [(2, 0, 4, 3.0), (3, 2, 4, 3.0)]
+
+
+def test_links_need_an_integer_x():
+    view = ModelView(shared_shapes_model())
+    assert view.links == [(5, 6, 1.0, ((0, -1.0), (3, -2.0)))]
+
+
 def test_one_sided_facet_orientation():
     upper = LinearRow(0, "u", ((0, 2.0),), -INF, 6.0)
     lower = LinearRow(1, "l", ((0, 2.0),), 4.0, INF)

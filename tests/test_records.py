@@ -248,9 +248,12 @@ def _planted_doc(family: Family):
         (Family.STRETCH, "max_run", True, "expected a JSON int, got True"),
         (Family.CARDINALITY, "lower", False, "expected a JSON float, got False"),
         (Family.DISJ_POLYHEDRAL, "variant", 5, "expected a JSON str, got 5"),
+        (Family.DISJ_POLYHEDRAL, "variant", "exact-one-mode",
+         "unknown DisjPolyhedral variant 'exact-one-mode'"),
         (Family.CARDINALITY, "vars", ["nobody"], "unknown variable name 'nobody'"),
     ],
-    ids=["bool-as-int", "int-as-float", "int-as-bool", "float-as-bool", "str-as-int", "name"],
+    ids=["bool-as-int", "int-as-float", "int-as-bool", "float-as-bool", "str-as-int",
+         "unknown-variant", "name"],
 )
 def test_records_from_json_rejects_wrong_values(family, field, value, message):
     doc, inst = _planted_doc(family)

@@ -217,6 +217,8 @@ def test_config_validation():
         SearchConfig(node_limit=0)
     with pytest.raises(ValueError, match="time_limit"):
         SearchConfig(time_limit=0.0)
+    with pytest.raises(ValueError, match="time_limit"):
+        SearchConfig(time_limit=float("nan"))
 
 
 def test_continuous_objective_rejected():
