@@ -261,20 +261,10 @@ class MipModel:
 
 def models_equal(a: MipModel, b: MipModel) -> bool:
     """Structural equality: same variables, rows, objective, sense, in order."""
-    if len(a.variables) != len(b.variables) or len(a.rows) != len(b.rows):
-        return False
-    for va, vb in zip(a.variables, b.variables):
-        if (va.name, va.lower, va.upper, va.integrality) != (
-            vb.name,
-            vb.lower,
-            vb.upper,
-            vb.integrality,
-        ):
-            return False
-    for ra, rb in zip(a.rows, b.rows):
-        if ra != rb:  # row ids equal their positions, so this compares the rest
-            return False
-    return a.objective == b.objective and a.objective_sense == b.objective_sense
+    # ids equal positions, so the dataclasses' own == compares the rest
+    return (a.variables, a.rows, a.objective, a.objective_sense) == (
+        b.variables, b.rows, b.objective, b.objective_sense
+    )
 
 
 @dataclass(frozen=True, slots=True)

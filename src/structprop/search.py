@@ -127,9 +127,6 @@ class _Search:
         self.stats.prop_time += by_records.prop_time
         return rows.cutoff or by_records.cutoff
 
-    def unfixed(self, box: DomainBox) -> list[int]:
-        return [v for v in self.int_ids if box.upper[v] - box.lower[v] > 0.5]
-
     def bound_prunes(self, box: DomainBox) -> bool:
         if self.incumbent is None:
             return False
@@ -173,20 +170,21 @@ class _Search:
             self.stats.status = "infeasible"
 
     def expand(self, box: DomainBox, stack: list[DomainBox]) -> None:
-        open_vars = self.unfixed(box)
-        if not open_vars:
+        lower, upper = box.lower, box.upper
+        var = next((v for v in self.int_ids if upper[v] - lower[v] > 0.5), None)
+        if var is None:
             self.take_leaf(box)
             return
         if self.bound_prunes(box):
             return
-        var = open_vars[0]
-        mid = (int(round(box.lower[var])) + int(round(box.upper[var]))) // 2
+        if not (math.isfinite(lower[var]) and math.isfinite(upper[var])):
+            raise ValueError(f"integer variable {var} has an infinite domain")
+        mid = (int(round(lower[var])) + int(round(upper[var]))) // 2
         high = box.copy()
         high.lower[var] = float(mid + 1)
-        low = box.copy()
-        low.upper[var] = float(mid)
+        upper[var] = float(mid)  # the node's own box is the lower half
         stack.append(high)
-        stack.append(low)  # lower half explored first
+        stack.append(box)  # lower half explored first
 
 
 def dfs_solve(
@@ -201,18 +199,17 @@ def dfs_solve(
     branch.  ``records=[]`` is therefore the baseline configuration: the
     same rows tighten every node, and no record is called.
     Branching splits the lowest-id unfixed integer variable's domain at the
-    floored midpoint, lower half first.  The incumbent maps integer
-    variable ids to values and minimizes the model's stored (minimization
-    form) objective; an objective touching a continuous variable is
-    rejected.
+    floored midpoint, lower half first.  An integer whose domain is still
+    infinite where it must be split raises ``ValueError``, so a declared
+    infinite bound that the rows tighten away is fine.  The incumbent maps
+    integer variable ids to values and minimizes the model's stored
+    (minimization form) objective; an objective touching a continuous
+    variable is rejected.
     """
     config = config or SearchConfig()
     for v, _ in model.objective:
         if not model.variables[v].is_integer:
             raise ValueError(f"objective variable {v} is continuous")
-    for v in model.variables:
-        if v.is_integer and not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-            raise ValueError(f"integer variable {v.id} has an infinite domain")
     search = _Search(model, records, config)
     search.run()
     return search.incumbent, search.stats

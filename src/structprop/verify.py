@@ -1,12 +1,12 @@
 """Verification gates: exact detector recovery and enumeration soundness.
 
 Two checks anchor the whole package.  ``verify_detector`` demands that
-detection on a planted instance returns exactly the planted record (scope
-and parameters, order-insensitive).  ``verify_propagation`` enumerates the
-true feasible set over a record's scope and checks that the propagator's
-reduced box keeps every feasible point and cuts off only when the set is
-empty.  ``run_gate_ladder`` chains these into the deterministic CI ladder
-used before any family is allowed into a benchmark.
+detection on a planted instance returns exactly the planted record
+(scope, parameters and evidence, order-insensitive).  ``verify_propagation``
+enumerates the true feasible set over a record's scope and checks that the
+propagator's reduced box keeps every feasible point and cuts off only when
+the set is empty.  ``run_gate_ladder`` chains these into the deterministic
+CI ladder used before any family is allowed into a benchmark.
 """
 
 from __future__ import annotations
@@ -110,16 +110,10 @@ def enumerate_feasible(
     Continuous variables (in or out of scope) are never enumerated, only
     interval-tightened, so a surviving leaf means the integer assignment is
     interval-consistent with every row.  Continuous scope variables are
-    left out of ``scope_vars``.
+    left out of ``scope_vars``.  An integer scope variable whose domain is
+    still infinite where it is split raises ``ValueError``.
     """
-    ints: list[int] = []
-    for v in scope:
-        var = model.variables[v]
-        if not var.is_integer:
-            continue
-        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-            raise ValueError(f"scope variable {v} has an infinite integer domain")
-        ints.append(v)
+    ints = [v for v in scope if model.variables[v].is_integer]
 
     rows = model.rows
     nodes = 0
@@ -143,9 +137,10 @@ def enumerate_feasible(
             feasible.add(tuple(int(round(box.lower[v])) for v in ints))
             continue
         var = ints[depth]
-        lo = int(round(box.lower[var]))
-        hi = int(round(box.upper[var]))
-        for value in range(lo, hi + 1):
+        lo, hi = box.lower[var], box.upper[var]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"scope variable {var} has an infinite integer domain")
+        for value in range(int(round(lo)), int(round(hi)) + 1):
             child = box.copy()
             child.fix(var, float(value))
             if consistent(child):
@@ -161,7 +156,8 @@ def enumerate_feasible(
 def verify_detector(
     instance: PlantedInstance, detected: Sequence[SemanticRecord]
 ) -> GateResult:
-    """Pass iff exactly one record matches the planted family, scope, params."""
+    """Pass iff exactly one record matches the planted family, scope, params
+    and evidence (scope and evidence as sets)."""
     started = time.perf_counter()
     truth = instance.ground_truth
 
@@ -184,6 +180,8 @@ def verify_detector(
         return done(False, "scope mismatch")
     if params_key(found.params) != params_key(truth.params):
         return done(False, "params mismatch")
+    if set(found.evidence) != set(truth.evidence):
+        return done(False, "evidence mismatch")
     return done(True, "exact recovery")
 
 

@@ -286,6 +286,31 @@ def test_cardinality_records_share_the_row_tuple():
     assert record.scope is row.vars and record.params.vars is row.vars
 
 
+def test_overlapping_record_of_a_later_family_is_dropped():
+    # exact-one groups {x1, x2} (row 0) and {x3, x4} (row 1), a link row
+    # w*xi - z <= 0 per selector (rows 2-5) and a capacity row (row 6):
+    # BottleneckExactOne claims rows 0-5 first, so the OneHotResource record
+    # over rows 0, 1 and 6 overlaps it and is dropped
+    variables = [binary(v, f"x{v + 1}") for v in range(4)]
+    variables.append(Variable(4, "z", 0.0, 10.0, Integrality.CONTINUOUS))
+    weights = (2.0, 3.0, 4.0, 5.0)
+    links = [([(x, w), (4, -1.0)], -INF, 0.0) for x, w in enumerate(weights)]
+    model = make_model(
+        variables,
+        [([(0, 1.0), (1, 1.0)], 1.0, 1.0), ([(2, 1.0), (3, 1.0)], 1.0, 1.0)]
+        + links
+        + [([(0, 1.0), (1, 2.0), (2, 3.0), (3, 1.0)], -INF, 4.0)],
+    )
+    report = detect_all(model)
+    assert [(r.family, r.evidence) for r in report.records] == [
+        (Family.BOTTLENECK_EXACT_ONE, (0, 1, 2, 3, 4, 5))
+    ]
+    assert [(r.family, r.evidence) for r in report.dropped] == [
+        (Family.ONE_HOT_RESOURCE, (0, 1, 6))
+    ]
+    assert (list(report.records), list(report.dropped)) == arbitrate_full_outputs(model)
+
+
 def test_failing_detector_becomes_warning(monkeypatch):
     from structprop.detect import engine
 

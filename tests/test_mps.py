@@ -94,6 +94,7 @@ COLUMNS
     e r 1
     f r 1
     MARK 'MARKER' 'INTEND'
+    g r 1
 BOUNDS
  FX BND a 2.5
  FR BND b
@@ -101,16 +102,20 @@ BOUNDS
  UP BND d 7
  UI BND e 8
  BV BND f
+ LI BND g -3
+ UP BND g -1
 ENDATA
 """
     m = parse_mps(text)
-    a, b, c, d, e, f = m.variables
+    a, b, c, d, e, f, g = m.variables
     assert (a.lower, a.upper) == (2.5, 2.5)
     assert (b.lower, b.upper) == (-INF, INF)
     assert (c.lower, c.upper) == (-INF, INF) or c.lower == -INF
     assert (d.lower, d.upper) == (0.0, 7.0)
     assert (e.lower, e.upper, e.integrality) == (0.0, 8.0, Integrality.INTEGER)
     assert (f.lower, f.upper, f.integrality) == (0.0, 1.0, Integrality.BINARY)
+    # LI marks g integer and sets its lower bound, so the negative UP keeps it
+    assert (g.lower, g.upper, g.integrality) == (-3.0, -1.0, Integrality.INTEGER)
 
 
 def test_integer_default_bounds_and_flag():
@@ -150,6 +155,26 @@ ENDATA
     assert models_equal(m, again)
 
 
+@pytest.mark.parametrize("sense", ["MIN", "MAX"])
+def test_objsense_on_the_header_line(sense):
+    text = f"""\
+NAME hdr
+OBJSENSE {sense}
+ROWS
+ N obj
+ L r
+COLUMNS
+    x obj 5 r 1
+RHS
+    RHS r 3
+ENDATA
+"""
+    m = parse_mps(text)
+    assert m.objective_sense == sense.lower()
+    assert dict(m.objective) == {0: 5.0 if sense == "MIN" else -5.0}
+    assert models_equal(parse_mps(write_mps(m)), m)
+
+
 @pytest.mark.parametrize(
     "snippet,fragment",
     [
@@ -163,6 +188,9 @@ ENDATA
         ("NAME x\nGARBAGE\n", "unknown section"),
         ("random text\n", "unknown section"),
         ("NAME x\nROWS\n N obj\n", "missing COLUMNS"),
+        ("NAME x\nCOLUMNS\n    c r 1\n", "COLUMNS section before ROWS"),
+        ("NAME x\nROWS\n N obj\nCOLUMNS\n    c obj 1\n    c obj 2\n",
+         "duplicate objective entry for 'c'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(snippet, fragment):
@@ -287,9 +315,12 @@ def test_negative_upper_bound_frees_a_default_lower_bound(text, bounds, integral
 
 
 def test_accepted_infinite_bounds_write_back():
-    for bound in ("UP BND x inf", "LO BND x -inf", "MI BND x", "FR BND x"):
+    bounds = ("UP BND x inf", "LO BND x -inf", "MI BND x", "FR BND x", "MI BND x\n UP BND x 4")
+    for bound in bounds:
         model = parse_mps(one_row(bound=bound))
-        assert models_equal(parse_mps(write_mps(model)), model)
+        text = write_mps(model)
+        assert models_equal(parse_mps(text), model)
+    assert " MI BND x\n UP BND x 4\n" in text  # [-inf, 4], the last
 
 
 def test_parser_is_total_on_garbage():

@@ -8,6 +8,7 @@ import pytest
 
 import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
+from structprop.detect import detect_all
 from structprop.model import (
     INF,
     DomainBox,
@@ -41,7 +42,7 @@ from structprop.records import (
 )
 from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
-from structprop.verify import enumerate_feasible
+from structprop.verify import enumerate_feasible, verify_detector
 
 ALL_FAMILIES = list(Family)
 
@@ -684,6 +685,39 @@ def seeded_fixings(model, record, seed, trials):
 
 def integer_bounds(model, box):
     return [(box.lower[v.id], box.upper[v.id]) for v in model.variables if v.is_integer]
+
+
+def boxed(model, box):
+    """``model`` with ``box`` as its declared bounds."""
+    variables = [
+        Variable(v.id, v.name, box.lower[v.id], box.upper[v.id], v.integrality)
+        for v in model.variables
+    ]
+    return MipModel(variables, model.rows, model.objective, model.objective_sense)
+
+
+@pytest.mark.parametrize("branches", [3, 4, 5, 6])
+def test_exact_one_mode_disjunction_end_to_end(branches):
+    # three or more branches plant the exact_one_mode variant: detection
+    # recovers it exactly, clean and obfuscated, and its rule keeps every
+    # point enumerate_feasible finds under seeded partial fixings
+    acted = 0
+    for seed in range(6):
+        inst = reverse_sample(Family.DISJ_POLYHEDRAL, {"branches": branches}, seed=seed)
+        assert inst.ground_truth.params.variant == "exact_one_mode"
+        for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
+            model, record = planted.model, planted.ground_truth
+            gate = verify_detector(planted, detect_all(model).records)
+            assert gate.passed, gate.detail
+            for box in seeded_fixings(model, record, seed, 3):
+                enum = enumerate_feasible(boxed(model, box), record.scope)
+                assert not enum.truncated
+                reduced = box.copy()
+                out = propagate_record(model, record, reduced)
+                assert not (out.cutoff and enum.feasible_points)
+                assert is_valid_reduction(box, reduced, enum.mappings())
+                acted += bool(out.domain_reductions or out.cutoff)
+    assert acted
 
 
 @pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)

@@ -9,7 +9,7 @@ import pytest
 from clash import clash_model
 
 from structprop.detect import detect_all
-from structprop.model import INF, Integrality, LinearRow, MipModel, Variable
+from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
 from structprop.mps import parse_mps
 from structprop.records import Family
 import structprop.search as search_mod
@@ -237,6 +237,63 @@ def test_unbounded_integer_rejected():
     )
     with pytest.raises(ValueError, match="infinite"):
         dfs_solve(model, [])
+
+
+ROW_BOUNDED_MPS = """\
+NAME pl
+ROWS
+ N obj
+ L r
+COLUMNS
+    MARK 'MARKER' 'INTORG'
+    x obj -1 r 1
+    MARK 'MARKER' 'INTEND'
+RHS
+    RHS r 5
+BOUNDS
+ PL BND x
+ENDATA
+"""
+
+
+def test_row_bounded_integer_is_split_where_the_row_bounds_it():
+    # the declared domain [0, inf) is checked where x is split, after the
+    # root's rows have cut it to [0, 5]
+    model = parse_mps(ROW_BOUNDED_MPS)
+    assert model.variables[0] == Variable(0, "x", 0.0, INF, Integrality.INTEGER)
+    incumbent, stats = dfs_solve(model, [])
+    assert (stats.status, incumbent) == ("optimal", {0: 5.0})
+    enum = enumerate_feasible(model, [0])
+    assert enum.feasible_points == {(v,) for v in range(6)}
+
+
+def test_each_split_copies_one_box(monkeypatch):
+    # the node's own box becomes the lower child, so a split pushes two
+    # children for one copy, and a leaf or pruned node copies nothing
+    copies = 0
+    real_copy = DomainBox.copy
+
+    def counting_copy(box):
+        nonlocal copies
+        copies += 1
+        return real_copy(box)
+
+    real_expand = search_mod._Search.expand
+    steps = []
+
+    def spy(search, box, stack):
+        before = (copies, len(stack))
+        real_expand(search, box, stack)
+        steps.append((copies - before[0], len(stack) - before[1]))
+
+    monkeypatch.setattr(DomainBox, "copy", counting_copy)
+    monkeypatch.setattr(search_mod._Search, "expand", spy)
+    inst = reverse_sample(Family.ROSTERING_WINDOW, seed=0)
+    _, stats = dfs_solve(inst.model, [inst.ground_truth])
+    assert stats.status == "optimal"
+    assert set(steps) == {(1, 2), (0, 0)}
+    splits = steps.count((1, 2))
+    assert copies == splits == (stats.nodes - 1) // 2
 
 
 MAXIMIZE_MPS = """\

@@ -225,6 +225,15 @@ def test_params_mismatch_fails():
     assert gate.detail == "params mismatch"
 
 
+def test_evidence_mismatch_fails():
+    inst = reverse_sample(Family.CARDINALITY, seed=2)
+    truth = inst.ground_truth
+    moved = dataclasses.replace(truth, evidence=(truth.evidence[0] + 1,))
+    gate = verify_detector(inst, [moved])
+    assert not gate.passed
+    assert gate.detail == "evidence mismatch"
+
+
 def test_extra_same_family_record_fails():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
     gate = verify_detector(inst, [inst.ground_truth, inst.ground_truth])
