@@ -25,10 +25,9 @@ import logging
 import math
 import os
 import sys
-from collections import Counter
 
 from .bench import run_benchmark, write_report
-from .detect import detect_all, detect_family
+from .detect import DetectionReport, detect_all, detect_family
 from .model import DomainBox, MipModel
 from .mps import MpsParseError, parse_mps
 from .propagate import outcome_to_json
@@ -126,16 +125,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     if args.family == "all":
         report = detect_all(model)
-        records = list(report.records)
-        for warning in report.warnings:
-            log.warning("%s", warning)
     else:
-        records = detect_family(model, args.family)
-    counts = Counter(rec.family.value for rec in records)
-    doc = records_to_json(records, model)
-    doc["family_counts"] = dict(sorted(counts.items()))
+        report = DetectionReport(tuple(detect_family(model, args.family)))
+    for warning in report.warnings:
+        log.warning("%s", warning)
+    doc = records_to_json(list(report.records), model)
+    doc["family_counts"] = report.family_counts
     _emit(doc, args.records_out)
-    log.info("%d records in %s", len(records), args.file)
+    log.info("%d records in %s", len(report.records), args.file)
     return EXIT_OK
 
 
@@ -320,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="solve with mined records")
     p.add_argument("file")
-    p.add_argument("--node-limit", type=_positive(int), default=1_000_000)
-    p.add_argument("--time-limit", type=_positive(float), default=60.0)
+    p.add_argument("--node-limit", type=_positive(int), default=SearchConfig.node_limit)
+    p.add_argument("--time-limit", type=_positive(float), default=SearchConfig.time_limit)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser(

@@ -659,30 +659,11 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
             continue
         if not all(candidates[y][1] for y in selectors):
             continue
-        branches = []
-        evidence = []
-        touched: set[int] = set()
-        for y in sorted(selectors):
-            rows = []
-            for rid, terms, bound in sorted(candidates[y][1]):
-                rows.append(StrippedRow(terms, bound))
-                evidence.append(rid)
-                touched.update(v for v, _ in terms)
-            branches.append(BranchSpec(y, 1, tuple(rows)))
-        if not _has_multi_var_row(branches):
-            continue
-        evidence.append(u.row)
-        params = DisjPolyhedralParams(
-            variant="exact_one_mode",
-            branches=tuple(branches),
-            selector_row=u.row,
-            touched=tuple(sorted(touched)),
-        )
-        scope = tuple(sorted(touched)) + tuple(sorted(selectors))
-        records.append(
-            SemanticRecord(Family.DISJ_POLYHEDRAL, scope, params, tuple(evidence))
-        )
-        used.update(selectors)
+        arms = [(y, 1, candidates[y][1]) for y in sorted(selectors)]
+        record = _disj_record(arms, u.row)
+        if record is not None:
+            records.append(record)
+            used.update(selectors)
 
     for guard in sorted(candidates):
         if guard in used or guard in view.exact_one_of:
@@ -691,31 +672,39 @@ def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
         off_rows = candidates[guard][0]
         if not on_rows or not off_rows:
             continue
-        branches = []
-        evidence = []
-        touched = set()
-        for value, rows in ((1, on_rows), (0, off_rows)):
-            stripped = []
-            for rid, terms, bound in sorted(rows):
-                stripped.append(StrippedRow(terms, bound))
-                evidence.append(rid)
-                touched.update(v for v, _ in terms)
-            branches.append(BranchSpec(guard, value, tuple(stripped)))
-        if not _has_multi_var_row(branches):
-            continue
-        params = DisjPolyhedralParams(
-            variant="binary_selector",
-            branches=tuple(branches),
-            selector_row=None,
-            touched=tuple(sorted(touched)),
-        )
-        scope = tuple(sorted(touched)) + (guard,)
-        records.append(
-            SemanticRecord(Family.DISJ_POLYHEDRAL, scope, params, tuple(evidence))
-        )
-        used.add(guard)
+        record = _disj_record([(guard, 1, on_rows), (guard, 0, off_rows)], None)
+        if record is not None:
+            records.append(record)
+            used.add(guard)
     return records
 
 
-def _has_multi_var_row(branches) -> bool:
-    return any(len(row.terms) >= 2 for b in branches for row in b.rows)
+def _disj_record(arms, selector_row: int | None) -> SemanticRecord | None:
+    """The record of guarded ``(selector, value, candidate rows)`` arms.
+
+    A selector row makes it ``exact_one_mode``, else ``binary_selector``.
+    None when no arm holds a row over two or more variables.
+    """
+    branches = []
+    evidence = []
+    touched: set[int] = set()
+    for selector, value, rows in arms:
+        stripped = []
+        for rid, terms, bound in sorted(rows):
+            stripped.append(StrippedRow(terms, bound))
+            evidence.append(rid)
+            touched.update(v for v, _ in terms)
+        branches.append(BranchSpec(selector, value, tuple(stripped)))
+    if not any(len(row.terms) >= 2 for b in branches for row in b.rows):
+        return None
+    if selector_row is not None:
+        evidence.append(selector_row)
+    params = DisjPolyhedralParams(
+        variant="binary_selector" if selector_row is None else "exact_one_mode",
+        branches=tuple(branches),
+        selector_row=selector_row,
+        touched=tuple(sorted(touched)),
+    )
+    selectors = sorted({selector for selector, _, _ in arms})
+    scope = tuple(sorted(touched)) + tuple(selectors)
+    return SemanticRecord(Family.DISJ_POLYHEDRAL, scope, params, tuple(evidence))

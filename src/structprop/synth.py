@@ -642,28 +642,18 @@ def _plant_rostering_window(rng, sizes):
             loads.append(
                 sum(1 for d in range(w0, w0 + window) if plan[n][d] >= 0)
             )
+        windows = [
+            [(x[n][d][s], 1.0) for d in range(w0, w0 + window) for s in range(n_shifts)]
+            for w0 in range(n_days - window + 1)
+        ]
         maxwork = rng.randint(max(2, max(loads)), window * n_shifts - 1)
-        for w0 in range(n_days - window + 1):
-            terms = [
-                (x[n][d][s], 1.0)
-                for d in range(w0, w0 + window)
-                for s in range(n_shifts)
-            ]
-            work_rows.append(
-                mb.row(f"wload_n{n + 1}_w{w0 + 1}", terms, -INF, maxwork)
-            )
+        for w, terms in enumerate(windows, start=1):
+            work_rows.append(mb.row(f"wload_n{n + 1}_w{w}", terms, -INF, maxwork))
         min_load = min(loads)
         if min_load >= 1:
             floor_req = rng.randint(1, min_load)
-            for w0 in range(n_days - window + 1):
-                terms = [
-                    (x[n][d][s], 1.0)
-                    for d in range(w0, w0 + window)
-                    for s in range(n_shifts)
-                ]
-                rest_rows.append(
-                    mb.row(f"wrest_n{n + 1}_w{w0 + 1}", terms, floor_req, INF)
-                )
+            for w, terms in enumerate(windows, start=1):
+                rest_rows.append(mb.row(f"wrest_n{n + 1}_w{w}", terms, floor_req, INF))
         total = sum(1 for d in range(n_days) if plan[n][d] >= 0)
         hub = rng.randint(max(1, total), min(n_days, n_days * n_shifts - 1))
         all_terms = [
@@ -889,10 +879,15 @@ def _plant_disj_polyhedral(rng, sizes):
         [v.lower for v in mb.variables], [v.upper for v in mb.variables]
     )
 
-    def draw_branch_rows(holds_witness: bool):
-        rows = []
-        n_rows = rng.randint(1, 2)
-        for r_idx in range(n_rows):
+    witness = dict(point)
+    branches = []
+    evidence = []
+
+    def plant_arm(selector: int, value: int, name: str, holds_witness: bool) -> None:
+        """Draw 1-2 rows over ``xs``, each guarded by ``selector == value``
+        with a big-M that relaxes it fully otherwise."""
+        drawn = []
+        for r_idx in range(rng.randint(1, 2)):
             if r_idx == 0:
                 support = list(xs)
             else:
@@ -901,47 +896,32 @@ def _plant_disj_polyhedral(rng, sizes):
                 coeffs = [float(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in support]
                 if any(c > 0 for c in coeffs):
                     break
-            terms = sorted(zip(support, coeffs))
+            terms = tuple(sorted(zip(support, coeffs)))
             min_act, max_act = activity_range(terms, x_box)
             if holds_witness:
                 at_point = sum(c * point[v] for v, c in terms)
-                bound = rng.randint(int(at_point), int(max_act) - 1)
+                bound = float(rng.randint(int(at_point), int(max_act) - 1))
             else:
-                bound = rng.randint(int(min_act), int(max_act) - 1)
-            rows.append((tuple(terms), float(bound), max_act))
-        return rows
-
-    witness = dict(point)
-    branches = []
-    evidence = []
-    selector_row = None
+                bound = float(rng.randint(int(min_act), int(max_act) - 1))
+            drawn.append((terms, bound, max_act))
+        stripped = []
+        for b_idx, (terms, bound, max_act) in enumerate(drawn):
+            big_m = float(math.ceil(max_act - bound) + rng.randint(0, 3))
+            if value == 1:  # terms + M*y <= bound + M
+                guarded, rhs = list(terms) + [(selector, big_m)], bound + big_m
+            else:  # terms - M*y <= bound
+                guarded, rhs = list(terms) + [(selector, -big_m)], bound
+            evidence.append(mb.row(f"{name}_{b_idx + 1}", guarded, -INF, rhs))
+            stripped.append(StrippedRow(terms, bound))
+        branches.append(BranchSpec(selector, value, tuple(stripped)))
 
     if variant == "binary_selector":
         guard = mb.binary("switch")
         active_value = rng.randint(0, 1)
         witness[guard] = float(active_value)
         for value in (1, 0):
-            drawn = draw_branch_rows(holds_witness=(value == active_value))
-            stripped = []
-            for b_idx, (terms, bound, max_act) in enumerate(drawn):
-                big_m = float(math.ceil(max_act - bound) + rng.randint(0, 3))
-                if value == 1:
-                    rid = mb.row(
-                        f"br1_{b_idx + 1}",
-                        list(terms) + [(guard, big_m)],
-                        -INF,
-                        bound + big_m,
-                    )
-                else:
-                    rid = mb.row(
-                        f"br0_{b_idx + 1}",
-                        list(terms) + [(guard, -big_m)],
-                        -INF,
-                        bound,
-                    )
-                evidence.append(rid)
-                stripped.append(StrippedRow(terms, bound))
-            branches.append(BranchSpec(guard, value, tuple(stripped)))
+            plant_arm(guard, value, f"br{value}", value == active_value)
+        selector_row = None
         selectors = (guard,)
     else:
         modes = [mb.binary(f"mode{i + 1}") for i in range(n_branches)]
@@ -949,19 +929,7 @@ def _plant_disj_polyhedral(rng, sizes):
         for i, mode in enumerate(modes):
             witness[mode] = 1.0 if i == active else 0.0
         for i, mode in enumerate(modes):
-            drawn = draw_branch_rows(holds_witness=(i == active))
-            stripped = []
-            for b_idx, (terms, bound, max_act) in enumerate(drawn):
-                big_m = float(math.ceil(max_act - bound) + rng.randint(0, 3))
-                rid = mb.row(
-                    f"br{i + 1}_{b_idx + 1}",
-                    list(terms) + [(mode, big_m)],
-                    -INF,
-                    bound + big_m,
-                )
-                evidence.append(rid)
-                stripped.append(StrippedRow(terms, bound))
-            branches.append(BranchSpec(mode, 1, tuple(stripped)))
+            plant_arm(mode, 1, f"br{i + 1}", i == active)
         selector_row = mb.row("modepick", [(m, 1.0) for m in modes], 1, 1)
         evidence.append(selector_row)
         selectors = tuple(modes)

@@ -140,8 +140,10 @@ def enumerate_feasible(
         lo, hi = box.lower[var], box.upper[var]
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"scope variable {var} has an infinite integer domain")
-        for value in range(int(round(lo)), int(round(hi)) + 1):
-            child = box.copy()
+        last = int(round(hi))
+        for value in range(int(round(lo)), last + 1):
+            # the node is never read again, so its own box takes the last value
+            child = box if value == last else box.copy()
             child.fix(var, float(value))
             if consistent(child):
                 stack.append((depth + 1, child))

@@ -16,6 +16,7 @@ from structprop.cli import main
 from structprop.model import Integrality, LinearRow, MipModel, Variable
 from structprop.mps import write_mps
 from structprop.records import CardinalityParams, Family, SemanticRecord, records_to_json
+from structprop.search import SearchConfig
 from structprop.verify import GateResult
 
 
@@ -286,10 +287,20 @@ def test_synth_size_override(tmp_path, capsys):
     assert len(record["scope"]) == 7
 
 
-def test_synth_rejects_malformed_size(tmp_path):
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        ("n=four", "size parameter 'n' needs an integer, got 'four'"),
+        ("n", "size parameter 'n' is not of the form key=value"),
+        ("n=4,=3", "size parameter '=3' is not of the form key=value"),
+    ],
+    ids=["not-int", "no-sep", "no-key"],
+)
+def test_synth_rejects_malformed_size(tmp_path, capsys, size, message):
     with pytest.raises(SystemExit) as excinfo:
-        main(["synth", "--family", "alldifferent", "--size", "n=four", "--out", str(tmp_path)])
+        main(["synth", "--family", "alldifferent", "--size", size, "--out", str(tmp_path)])
     assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -409,6 +420,21 @@ def test_search_infeasible_exits_nonzero(tmp_path, capsys):
     assert doc["incumbent"] is None
 
 
+def test_search_without_limits_runs_under_the_default_config(tmp_path, capsys, monkeypatch):
+    configs = []
+    real_solve = cli_mod.dfs_solve
+
+    def spy(model, records, config=None):
+        configs.append(config)
+        return real_solve(model, records, config)
+
+    monkeypatch.setattr(cli_mod, "dfs_solve", spy)
+    mps = synth_file(tmp_path, "cardinality", 3)
+    code, _, _ = run_cli(capsys, "search", mps, "--quiet")
+    assert code == 0
+    assert configs == [SearchConfig()]
+
+
 def test_search_node_limit_stops_early(tmp_path, capsys):
     mps = synth_file(tmp_path, "rosteringwindow", 0)
     capsys.readouterr()
@@ -464,6 +490,18 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["detect", "x.mps", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "--family", "nosuch"], ["detect", "m.mps", "--family", "nosuch"]],
+    ids=["synth", "detect"],
+)
+def test_unknown_family_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--family: unknown family 'nosuch'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

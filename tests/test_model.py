@@ -403,6 +403,24 @@ def test_model_validates_references():
         MipModel([v], [], objective=[(3, 1.0)])
 
 
+def test_model_rejects_ids_out_of_position_and_an_unknown_sense():
+    x, y = Variable(0, "x", 0.0, 1.0), Variable(1, "y", 0.0, 1.0)
+    row = LinearRow(0, "r", ((0, 1.0),), 0.0, 1.0)
+    with pytest.raises(ValueError, match="variable 'y' has id 1, expected 0"):
+        MipModel([y, x], [])
+    with pytest.raises(ValueError, match="row 'r' has id 0, expected 1"):
+        MipModel([x], [row, row])
+    with pytest.raises(ValueError, match="objective sense must be 'min' or 'max', got 'MAX'"):
+        MipModel([x], [row], objective_sense="MAX")
+
+
+def test_box_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="lower/upper length mismatch"):
+        DomainBox([0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="integer mask length mismatch"):
+        DomainBox([0.0], [1.0], [True, False])
+
+
 def test_model_rejects_duplicate_objective_entries():
     # search summed the two entries while write_mps kept the last one
     x = Variable(0, "x", 0.0, 1.0, Integrality.BINARY)

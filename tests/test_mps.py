@@ -191,6 +191,10 @@ ENDATA
         ("NAME x\nCOLUMNS\n    c r 1\n", "COLUMNS section before ROWS"),
         ("NAME x\nROWS\n N obj\nCOLUMNS\n    c obj 1\n    c obj 2\n",
          "duplicate objective entry for 'c'"),
+        ("NAME x\nROWS\n N obj\nCOLUMNS\n    M 'MARKER' 'SOSORG'\n",
+         "line 5: unknown marker \"'SOSORG'\""),
+        ("NAME x\nROWS\n N obj\n L r\nCOLUMNS\n    c r 1\n    c r 2\n",
+         "line 7: duplicate coefficient for 'c' in row 'r'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(snippet, fragment):
@@ -213,6 +217,41 @@ BOUNDS
  UP BND x 3
 ENDATA
 """
+
+
+def test_parse_skips_comments_free_rows_and_objective_constants():
+    # a second N row is a free row: its COLUMNS and RHS entries are dropped,
+    # as is an RHS entry on the objective; a BOUNDS line may name a column
+    # COLUMNS never did, which becomes a continuous column with no entries
+    text = """\
+* a comment before any section
+
+NAME skip
+ROWS
+ N obj
+ N spare
+ L r
+COLUMNS
+  * an indented comment
+    x obj 2 spare 7
+    x r 1
+
+RHS
+    RHS obj 5 spare 3
+    RHS r 4
+BOUNDS
+ UP BND x 9
+ UP BND w 6
+ENDATA
+"""
+    m = parse_mps(text)
+    assert [r.name for r in m.rows] == ["r"]
+    assert [(v.name, v.lower, v.upper, v.integrality) for v in m.variables] == [
+        ("x", 0.0, 9.0, Integrality.CONTINUOUS),
+        ("w", 0.0, 6.0, Integrality.CONTINUOUS),
+    ]
+    assert (m.rows[0].terms, m.rows[0].lhs, m.rows[0].rhs) == (((0, 1.0),), -INF, 4.0)
+    assert m.objective == ((0, 2.0),)
 
 
 def test_nan_coefficient_is_a_parse_error():
@@ -400,6 +439,25 @@ def test_writer_rejects_every_whitespace_character_in_names():
     # characters str.isspace rejects stay legal, the zero-width space among them
     for name in ("x\u200by", "\x00x", "\ufeff"):
         assert f" {name} " in write_mps(MipModel([Variable(0, name, 0.0, 1.0)], r))
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((("x", "x"), ("r",)), "duplicate variable names"),
+        ((("C0002", ""), ("r",)), "duplicate variable names"),
+        ((("x",), ("r", "r")), "duplicate or reserved row names"),
+        ((("x",), ("", "R0001")), "duplicate or reserved row names"),
+        ((("x",), ("OBJ",)), "duplicate or reserved row names"),
+    ],
+    ids=["vars", "var-autoname", "rows", "row-autoname", "reserved"],
+)
+def test_writer_rejects_duplicate_names(names, message):
+    var_names, row_names = names
+    v = [Variable(i, name, 0.0, 1.0) for i, name in enumerate(var_names)]
+    r = [LinearRow(i, name, ((0, 1.0),), -INF, 1.0) for i, name in enumerate(row_names)]
+    with pytest.raises(MpsWriteError, match=message):
+        write_mps(MipModel(v, r))
 
 
 def test_writer_rejects_double_free_row():

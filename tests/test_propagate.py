@@ -438,6 +438,17 @@ def test_channel_indicator_fix_pins_link_var():
     assert {c.var for c in by_record.bound_changes} == {3}
 
 
+def test_channel_rejects_non_binary_indicator():
+    # x in [2, 3] would zero the indicators of 4 and 7, but b2 ranges over [0, 4]
+    params = ChannelParams(link_var=3, indicators=((2.0, 0), (4.0, 1), (7.0, 2)))
+    box = binary_box(2, extra=[(0.0, 4.0, True), (2.0, 3.0, True)])
+    out = apply_rule(params, box)
+    assert not out.bound_changes and not out.cutoff
+    box.upper[2] = 1.0  # once binary, the rule zeroes both and pins x at 2
+    assert {c.var for c in apply_rule(params, box).bound_changes} == {1, 2, 3}
+    assert box.upper[1] == box.upper[2] == 0.0 and box.upper[3] == 2.0
+
+
 def test_channel_empty_support_cutoff():
     params = ChannelParams(link_var=2, indicators=((2.0, 0), (4.0, 1)))
     record = SemanticRecord(Family.CHANNEL, (2, 0, 1), params, (0,))

@@ -262,6 +262,28 @@ def test_records_from_json_rejects_wrong_values(family, field, value, message):
         records_from_json(doc, inst.model)
 
 
+@pytest.mark.parametrize("schema", [2, None], ids=["newer", "missing"])
+def test_records_from_json_rejects_an_unsupported_schema(schema):
+    doc, inst = _planted_doc(Family.CARDINALITY)
+    if schema is None:
+        del doc["schema"]
+    else:
+        doc["schema"] = schema
+    with pytest.raises(ValueError, match=f"unsupported records schema {schema!r}"):
+        records_from_json(doc, inst.model)
+
+
+def test_record_needs_a_scope_and_its_family_s_params():
+    inst = reverse_sample(Family.CARDINALITY, seed=0)
+    truth = inst.ground_truth
+    with pytest.raises(ValueError, match="record scope must not be empty"):
+        dataclasses.replace(truth, scope=())
+    with pytest.raises(
+        ValueError, match="AllDifferent record needs AllDifferentParams, got CardinalityParams"
+    ):
+        dataclasses.replace(truth, family=Family.ALL_DIFFERENT)
+
+
 def test_records_from_json_takes_an_int_for_a_float():
     doc, inst = _planted_doc(Family.CARDINALITY)
     params = doc["records"][0]["params"]

@@ -8,6 +8,7 @@ import pytest
 
 from clash import clash_model
 
+import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
 from structprop.detect import DETECTORS, detect_all
 from structprop.model import (
@@ -18,6 +19,7 @@ from structprop.model import (
     MipModel,
     PropagationOutcome,
     Variable,
+    set_upper,
 )
 from structprop.propagate import propagate_block_fixpoint
 from structprop.search import propagate_node
@@ -110,6 +112,29 @@ def test_infinite_integer_domain_rejected():
     )
     with pytest.raises(ValueError, match="infinite"):
         enumerate_feasible(model, [0])
+
+
+def test_each_node_copies_its_box_for_all_values_but_the_last(monkeypatch):
+    # a node trying k values makes k - 1 copies: its own box takes the last
+    calls = {"copy": 0, "fix": 0}
+    real_copy, real_fix = DomainBox.copy, DomainBox.fix
+
+    def counting_copy(box):
+        calls["copy"] += 1
+        return real_copy(box)
+
+    def counting_fix(box, var, value):
+        calls["fix"] += 1
+        real_fix(box, var, value)
+
+    monkeypatch.setattr(DomainBox, "copy", counting_copy)
+    monkeypatch.setattr(DomainBox, "fix", counting_fix)
+    inst = reverse_sample(Family.CHANNEL, seed=0)
+    result = enumerate_feasible(inst.model, inst.ground_truth.scope)
+    assert not result.truncated and result.feasible_points
+    branched = result.nodes_visited - len(result.feasible_points)  # non-leaf nodes
+    assert calls["copy"] == calls["fix"] - branched
+    assert calls["copy"] < calls["fix"]
 
 
 def _rational_feasible(model, scope_vars):
@@ -397,6 +422,25 @@ def test_ladder_fails_a_rule_less_record_that_changes_its_box(monkeypatch):
     by_gate = {r.gate: r for r in run_gate_ladder(Family.CARDINALITY)}
     assert not by_gate["propagator_soundness"].passed
     assert by_gate["propagator_soundness"].detail == "detect-only record ran a rule"
+
+
+def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
+    def greedy(params, box, out):
+        # pins the link variable at its lowest value, feasible or not
+        x = params.link_var
+        return set_upper(box, out, x, box.lower[x])
+
+    small_suites(monkeypatch, 2)
+    monkeypatch.setitem(propagate_mod._HANDLERS, Family.CHANNEL, greedy)
+    results = run_gate_ladder(Family.CHANNEL, suite_seed=0)
+    assert [(r.gate, r.passed) for r in results] == [
+        ("artifact_completeness", True),
+        ("load", True),
+        ("detector_verification", True),
+        ("propagator_soundness", False),
+        ("benchmark_ready", False),
+    ]
+    assert results[3].detail == "seed 0: reduced box excluded a feasible point"
 
 
 def test_ladder_stubbed_detector_short_circuits(monkeypatch):
