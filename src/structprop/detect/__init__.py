@@ -1,4 +1,4 @@
-"""Structure detection: row views, per-family detectors, arbitration."""
+"""Structure detection: row views and arbitration over the family detectors."""
 
 from .engine import (  # noqa: F401
     DETECTORS,

@@ -1,9 +1,9 @@
 """Detection driver: runs every family detector and arbitrates row claims.
 
-Families are tried in the key order of ``DETECTORS``, the one place that
-order is written.  Every kept record claims its evidence rows; a later
-record overlapping those rows is dropped, which keeps the surviving set
-disjoint on evidence.
+Families are tried in the key order of ``DETECTORS``, a view of
+``families.FAMILIES``, which writes that order.  Every kept record claims
+its evidence rows; a later record overlapping those rows is dropped, which
+keeps the surviving set disjoint on evidence.
 
 The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
@@ -22,38 +22,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from ..families import FAMILIES
 from ..model import MipModel
 from ..records import Family, SemanticRecord
-from .cp import (
-    detect_alldifferent,
-    detect_cardinality,
-    detect_channel,
-    detect_cumulative,
-    detect_nvalue,
-    detect_stretch,
-)
 from .rowview import ModelView
-from .zeroshot import (
-    detect_bottleneck_exact_one,
-    detect_disj_polyhedral,
-    detect_one_hot_resource,
-    detect_rostering_window,
-    detect_unit_commitment_ramp,
-)
 
 # arbitration order: earlier families claim evidence rows first
 DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {
-    Family.DISJ_POLYHEDRAL: detect_disj_polyhedral,
-    Family.UNIT_COMMITMENT_RAMP: detect_unit_commitment_ramp,
-    Family.ROSTERING_WINDOW: detect_rostering_window,
-    Family.BOTTLENECK_EXACT_ONE: detect_bottleneck_exact_one,
-    Family.ONE_HOT_RESOURCE: detect_one_hot_resource,
-    Family.CUMULATIVE: detect_cumulative,
-    Family.CHANNEL: detect_channel,
-    Family.ALL_DIFFERENT: detect_alldifferent,
-    Family.NVALUE: detect_nvalue,
-    Family.STRETCH: detect_stretch,
-    Family.CARDINALITY: detect_cardinality,
+    spec.family: spec.detect for spec in FAMILIES
 }
 
 

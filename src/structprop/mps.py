@@ -348,6 +348,7 @@ def write_mps(model: MipModel) -> str:
     if len(set(row_names)) != len(row_names) or "OBJ" in row_names:
         raise MpsWriteError("duplicate or reserved row names")
 
+    # each section is joined once finished, so no two sections' line lists coexist
     lines = [f"NAME {_checked_name(model.name, 'model')}"]
     if model.objective_sense == "max":
         lines.append("OBJSENSE")
@@ -370,17 +371,20 @@ def write_mps(model: MipModel) -> str:
             ranges.append((name, row.rhs - row.lhs))
         lines.append(f" {sense} {name}")
         rhs_entries.append((name, rhs))
+    sections = ["\n".join(lines)]
 
     sign = -1.0 if model.objective_sense == "max" else 1.0
     obj_by_var = {var: sign * coeff for var, coeff in model.objective}
-    entries_by_var: dict[int, list[tuple[str, float]]] = {
-        v.id: [] for v in model.variables
-    }
-    for row, name in zip(model.rows, row_names):
-        for var, coeff in zip(row.vars, row.coeffs):
-            entries_by_var[var].append((name, coeff))
+    # column-major index of row positions: a row's vars increase, so the
+    # k-th column that visits a row reads that row's k-th coefficient
+    rows_of: list[list[int]] = [[] for _ in model.variables]
+    for pos, row in enumerate(model.rows):
+        for var in row.vars:
+            rows_of[var].append(pos)
+    coeffs = [row.coeffs for row in model.rows]
+    seen = [0] * len(coeffs)
 
-    lines.append("COLUMNS")
+    lines = ["COLUMNS"]
     in_integer_block = False
     marker_count = 0
     for var in model.variables:
@@ -394,19 +398,19 @@ def write_mps(model: MipModel) -> str:
             lines.append(f"    M{marker_count:04d} 'MARKER' 'INTEND'")
             in_integer_block = False
         name = var_names[var.id]
-        entries = list(entries_by_var[var.id])
-        if var.id in obj_by_var:
-            entries.insert(0, ("OBJ", obj_by_var[var.id]))
-        if not entries:
+        positions = rows_of[var.id]
+        if var.id in obj_by_var or not positions:
             # declare isolated columns so bounds and markers apply on re-read
-            entries = [("OBJ", 0.0)]
-        for row_name, coeff in entries:
-            lines.append(f"    {name} {row_name} {_fmt(coeff)}")
+            lines.append(f"    {name} OBJ {_fmt(obj_by_var.get(var.id, 0.0))}")
+        for pos in positions:
+            lines.append(f"    {name} {row_names[pos]} {_fmt(coeffs[pos][seen[pos]])}")
+            seen[pos] += 1
     if in_integer_block:
         marker_count += 1
         lines.append(f"    M{marker_count:04d} 'MARKER' 'INTEND'")
+    sections.append("\n".join(lines))
 
-    lines.append("RHS")
+    lines = ["RHS"]
     for name, value in rhs_entries:
         if value != 0.0:
             lines.append(f"    RHS {name} {_fmt(value)}")
@@ -436,9 +440,9 @@ def write_mps(model: MipModel) -> str:
             lines.append(f" PL BND {name}")
         else:
             lines.append(f" UP BND {name} {_fmt(up)}")
-
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    lines.append("ENDATA\n")
+    sections.append("\n".join(lines))
+    return "\n".join(sections)
 
 
 def _fmt(value: float) -> str:

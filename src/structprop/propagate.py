@@ -1,8 +1,7 @@
-"""Per-record bound tightening: one handler table, one loop over records.
+"""Per-record bound tightening: one dispatch, one loop over records.
 
-``_HANDLERS`` maps a family to its rule, which reads the record's
-parameters; ``propagate_record`` dispatches through it and
-``HANDLED_FAMILIES`` is its key set.  Only the three families Channel,
+Each family's record rule lives in its ``structprop.families`` module, and
+``propagate_record`` calls the rule of the record's family.  Only Channel,
 OneHotResource and DisjPolyhedral have one, because only their rules prune
 integer values that the rows the record came from cannot, and a rule holds
 only that reasoning.  Each of the three records comes with an exact-one row
@@ -10,11 +9,8 @@ only that reasoning.  Each of the three records comes with an exact-one row
 members but one are fixed out, its residual-activity step fixes the last
 one in, and ``search.propagate_node`` runs the rows again after every
 record round that changed the box.  The other eight families are
-``DETECT_ONLY``: their records are mined and serialized, and propagating
-them is a no-op.  For seven of them residual-activity tightening of their
-evidence rows (``propagate_block_fixpoint``) already does all their rules
-could; BottleneckExactOne's rule did more only on the continuous bottleneck
-variable, which nothing in the search reads.
+detect-only (rule None, each module says why): their records are mined and
+serialized, and propagating them is a no-op.
 
 A rule has the shape of the row kernel ``model.tighten_row``:
 ``rule(params, box, out) -> bool``.  It makes one pass, writes bounds into
@@ -43,35 +39,25 @@ only when it beats the old bound by more than ``FEAS_TOL``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     FEAS_TOL,
-    INF,
     BoundChange,
     DomainBox,
     LinearRow,
     MipModel,
     PropagationOutcome,
-    set_lower,
-    set_upper,
     tighten_row,
 )
-from .records import (
-    ChannelParams,
-    DisjPolyhedralParams,
-    Family,
-    OneHotResourceParams,
-    SemanticRecord,
-)
+from .records import Family, SemanticRecord
 
 __all__ = [
     "BoundChange",
-    "DETECT_ONLY",
-    "HANDLED_FAMILIES",
     "PropagationOutcome",
     "PropagatorConfig",
     "outcome_to_json",
@@ -119,7 +105,7 @@ def outcome_to_json(outcome: PropagationOutcome) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# small shared pieces
+# shape checks the family rules share
 
 
 def _binary_like(box: DomainBox, var: int) -> bool:
@@ -185,178 +171,16 @@ def propagate_block_fixpoint(
 
 
 # ---------------------------------------------------------------------------
-# the family rules: (params, box, out) -> cutoff
+# record dispatch and the global fixpoint
 
 
-def _one_hot_resource(
-    params: OneHotResourceParams, box: DomainBox, out: PropagationOutcome
-) -> bool:
-    """Cheapest-basket reasoning over one-hot groups under a budget.
+@functools.cache
+def _rules() -> dict[Family, Callable | None]:
+    """Family -> its rule, or None when detect-only; read from ``FAMILIES``
+    on first use, since the family modules import this one."""
+    from .families import FAMILIES
 
-    The basket cost is the external floor plus each group's cheapest live
-    option.  The basket exceeding the budget is a cutoff; an option whose
-    swap-in cost exceeds the remaining slack is fixed out.  The group rows
-    fix a group's last live option in.
-    """
-    if not _binary_groups(box, params.groups):
-        return False
-    mins = []
-    for group in params.groups:
-        live_costs = [c for v, c in group if _live(box, v)]
-        if not live_costs:
-            return True
-        mins.append(min(live_costs))
-    basket = params.external_min + sum(mins)
-    if basket > params.budget + FEAS_TOL:
-        return True
-
-    cut = False
-    for cheapest, group in zip(mins, params.groups):
-        slack = params.budget - (basket - cheapest)
-        for v, cost in group:
-            if _live(box, v) and cost > slack + FEAS_TOL:
-                cut |= set_upper(box, out, v, 0.0)
-    return cut
-
-
-def _disj_polyhedral(
-    params: DisjPolyhedralParams, box: DomainBox, out: PropagationOutcome
-) -> bool:
-    """Constructive disjunction over guarded branches.
-
-    Each admissible branch gets a private copy of the box and a block
-    fixpoint over its stripped rows.  A branch whose copy empties is
-    impossible and loses its selector value; no surviving branch is a
-    cutoff.  Touched variables then tighten to the envelope of the
-    surviving branch-local bounds (variables a branch never constrains keep
-    their global bounds there, so the envelope cannot overtighten them).
-    A single survivor needs no step of its own: for ``binary_selector`` the
-    dead branch's lost value fixes the guard, and for ``exact_one_mode`` the
-    selector row fixes the last live selector in.
-    """
-    branches = params.branches
-    selectors = [b.selector_var for b in branches]
-    shape_ok = (
-        2 <= len(branches) <= 6
-        and _all_binary(box, set(selectors))
-        and all(0 <= v < len(box) for v in params.touched)
-    )
-    if shape_ok and params.variant == "binary_selector":
-        shape_ok = (
-            len(branches) == 2
-            and selectors[0] == selectors[1]
-            and {b.selector_value for b in branches} == {0, 1}
-        )
-    elif shape_ok:  # "exact_one_mode", the other variant
-        shape_ok = len(set(selectors)) == len(selectors) and all(
-            b.selector_value == 1 for b in branches
-        )
-    if not shape_ok:
-        return False
-
-    def allows(branch) -> bool:
-        if branch.selector_value == 1:
-            return _live(box, branch.selector_var)
-        return box.lower[branch.selector_var] < 0.5
-
-    def forbid(branch) -> bool:
-        if branch.selector_value == 1:
-            return set_upper(box, out, branch.selector_var, 0.0)
-        return set_lower(box, out, branch.selector_var, 1.0)
-
-    cut = False
-    viable: list[int] = []
-    local_boxes: dict[int, DomainBox] = {}
-    for index, branch in enumerate(branches):
-        if not allows(branch):
-            continue
-        rows = [
-            LinearRow(i, "branch", r.terms, -INF, r.bound)
-            for i, r in enumerate(branch.rows)
-        ]
-        local = box.copy()
-        if propagate_block_fixpoint(rows, local).cutoff:
-            cut |= forbid(branch)
-        else:
-            viable.append(index)
-            local_boxes[index] = local
-    if not viable or cut:
-        return True
-
-    for var in params.touched:
-        cut |= set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
-        cut |= set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
-    return cut
-
-
-def _channel(params: ChannelParams, box: DomainBox, out: PropagationOutcome) -> bool:
-    """Indicators one-hot over the values of the link variable ``x``.
-
-    An indicator whose value lies outside x's bounds is fixed out; x then
-    tightens to the range of the values still live.  The pick-one row fixes
-    the last live indicator in.
-    """
-    x = params.link_var
-    indicators = [v for _, v in params.indicators]
-    values = [value for value, _ in params.indicators]
-    if (
-        not 0 <= x < len(box)
-        or len(params.indicators) < 2
-        or len(set(indicators)) != len(indicators)
-        or len(set(values)) != len(values)
-        or not _all_binary(box, indicators)
-    ):
-        return False
-    cut = False
-    for value, v in params.indicators:
-        if _live(box, v) and (
-            value < box.lower[x] - FEAS_TOL or value > box.upper[x] + FEAS_TOL
-        ):
-            cut |= set_upper(box, out, v, 0.0)
-    live_values = [value for value, v in params.indicators if _live(box, v)]
-    if not live_values:
-        return True
-    cut |= set_lower(box, out, x, min(live_values))
-    cut |= set_upper(box, out, x, max(live_values))
-    return cut
-
-
-# ---------------------------------------------------------------------------
-# the handler table, record dispatch and the global fixpoint
-
-
-# family -> its rule, called only by propagate_record; only families whose
-# rule prunes beyond the rows the record came from
-_HANDLERS = {
-    Family.CHANNEL: _channel,
-    Family.ONE_HOT_RESOURCE: _one_hot_resource,
-    Family.DISJ_POLYHEDRAL: _disj_polyhedral,
-}
-
-# families propagate_record can dispatch; the verification ladder checks
-# registration against this set and DETECT_ONLY
-HANDLED_FAMILIES: frozenset[Family] = frozenset(_HANDLERS)
-
-# families that are detected and serialized but have no propagator.  Seven
-# rules (exact-one, counting, capacity, run-length and window rows) are
-# residual-activity tightening of their own evidence rows, which the
-# all-rows fixpoint already runs.  BottleneckExactOne's rule pruned beyond
-# its rows only by a max-min floor on the continuous bottleneck z, and
-# nothing reads that floor: no row turns it into an integer bound, the
-# generators never price z, and dfs_solve rejects an objective on a
-# continuous variable
-DETECT_ONLY: frozenset[Family] = frozenset(
-    {
-        Family.ALL_DIFFERENT,
-        Family.CARDINALITY,
-        Family.CUMULATIVE,
-        Family.NVALUE,
-        Family.STRETCH,
-        Family.ROSTERING_WINDOW,
-        Family.UNIT_COMMITMENT_RAMP,
-        Family.BOTTLENECK_EXACT_ONE,
-    }
-)
+    return {spec.family: spec.rule for spec in FAMILIES}
 
 
 def propagate_record(
@@ -372,11 +196,9 @@ def propagate_record(
     record leaves the box alone and reports no call.  Neither ``model`` nor
     ``config`` is read; they stay so every record call has one shape.
     """
-    rule = _HANDLERS.get(record.family)
+    rule = _rules()[record.family]
     if rule is None:
-        if record.family in DETECT_ONLY:
-            return PropagationOutcome()
-        raise ValueError(f"no propagator for {record.family.value}")
+        return PropagationOutcome()
     started = time.perf_counter()
     out = PropagationOutcome(calls=1)
     if rule(record.params, box, out):

@@ -5,14 +5,15 @@ scope, family-specific parameters, and the evidence rows that justify it.
 Parameters hold dense variable/row ids; serialization swaps them for names so
 record documents survive alongside MPS files.
 
-The params dataclasses are their own schema, and a new family needs one
-marked dataclass with no serializer and no key.  A field typed :data:`Var`
-or :data:`Row` holds a variable or row id, :data:`Unordered` marks a tuple
-whose order carries no meaning, and :data:`RoleRows` marks ``(role, row
-ids)`` pairs that serialize as one JSON object keyed by role.  One walk over
-a params class's field types builds its encoder, decoder and identity key
-once per type: tuples become lists, ``X | None`` passes None through,
-nested dataclasses become objects keyed by field name, and ids become names.
+Each family's params dataclass, in its ``structprop.families`` module, is
+its own schema, and a new family needs one marked dataclass with no
+serializer and no key.  A field typed :data:`Var` or :data:`Row` holds a
+variable or row id, :data:`Unordered` marks a tuple whose order carries no
+meaning, and :data:`RoleRows` marks ``(role, row ids)`` pairs that
+serialize as one JSON object keyed by role.  One walk over a params
+class's field types builds its encoder, decoder and identity key once per
+type: tuples become lists, ``X | None`` passes None through, nested
+dataclasses become objects keyed by field name, and ids become names.
 
 The key decides structural equality (:func:`records_equal`, and exact
 recovery in ``verify``).  Labels that carry no meaning (which group came
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import types
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import (
     Annotated,
@@ -79,196 +80,11 @@ RoleRows = Annotated[tuple[tuple[str, Unordered[Row]], ...], "object"]
 
 
 @dataclass(frozen=True, slots=True)
-class CardinalityParams:
-    vars: Unordered[Var]
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True, slots=True)
-class AllDifferentParams:
-    """Assignment grid: item groups are exact-one rows, value groups consume."""
-
-    item_groups: Unordered[Unordered[Var]]
-    value_groups: Unordered[Unordered[Var]]
-    symmetric: bool  # both partitions came from equality rows
-
-    def canonical_key(self, key):
-        # when both partitions are equality rows, either one may be the items
-        if not self.symmetric:
-            return key(self)
-        swapped = replace(
-            self, item_groups=self.value_groups, value_groups=self.item_groups
-        )
-        return frozenset({key(self), key(swapped)})
-
-
-@dataclass(frozen=True, slots=True)
-class ChannelParams:
-    """One linked pair: an integer view variable and its indicator encoding."""
-
-    link_var: Var
-    indicators: Unordered[tuple[float, Var]]  # (value, indicator var)
-
-
-@dataclass(frozen=True, slots=True)
-class CumulativeTask:
-    starts: Unordered[Var]  # start indicator vars
-    duration: int
-    demand: float
-
-
-@dataclass(frozen=True, slots=True)
-class CumulativePeriod:
-    row: Row  # capacity row of one period
-    starts: Unordered[Var]  # start vars whose task runs in it
-
-
-@dataclass(frozen=True, slots=True)
-class CumulativeParams:
-    tasks: Unordered[CumulativeTask]
-    capacity: float
-    periods: Unordered[CumulativePeriod]
-
-
-@dataclass(frozen=True, slots=True)
-class NValueParams:
-    count_var: Var
-    value_indicators: Unordered[Var]
-    items: Unordered[Unordered[tuple[Var, Var]]]  # per item: (indicator, y) pairs
-
-
-@dataclass(frozen=True, slots=True)
-class StretchParams:
-    """Run-length chain: level vars in sequence order plus run-start vars."""
-
-    levels: tuple[Var, ...]
-    run_starts: tuple[Var, ...]
-    min_run: int
-    max_run: int
-
-
-@dataclass(frozen=True, slots=True)
-class OneHotResourceParams:
-    groups: Unordered[Unordered[tuple[Var, float]]]  # per group: (var, cost)
-    budget: float
-    external_min: float
-
-
-@dataclass(frozen=True, slots=True)
-class ActivatorSpec:
-    selector_to_activator: Unordered[tuple[Var, Var]]
-    activator_vars: Unordered[Var]
-    count: int
-    count_row: Row
-
-
-@dataclass(frozen=True, slots=True)
-class BottleneckExactOneParams:
-    bottleneck_var: Var
-    groups: Unordered[Unordered[tuple[Var, float]]]  # per group: (selector, weight)
-    activators: ActivatorSpec | None
-
-
-@dataclass(frozen=True, slots=True)
-class RosteringWindowParams:
-    assignment_vars: Unordered[Var]
-    sos_rows: Unordered[Row]
-    coverage: Unordered[tuple[Row, float]]  # (coverage row id, requirement)
-    role_rows: RoleRows
-    nurse_groups: Unordered[Unordered[Var]]  # assignment vars per nurse
-    day_groups: Unordered[Unordered[Row]]  # coverage row ids per day
-
-
-@dataclass(frozen=True, slots=True)
-class GeneratorSpec:
-    """One generator's period-ordered variables and limits.
-
-    ``startup``/``shutdown`` hold None in the first period (no interior
-    transition row exists there).
-    """
-
-    status: tuple[Var, ...]
-    startup: tuple[Var | None, ...]
-    shutdown: tuple[Var | None, ...]
-    power: tuple[Var, ...]
-    reserve: tuple[Var, ...]
-    p_min: float
-    p_max: float
-    ramp_up: float
-    startup_ramp: float
-
-
-@dataclass(frozen=True, slots=True)
-class UnitCommitmentRampParams:
-    generators: Unordered[GeneratorSpec]
-    demands: tuple[float, ...]  # per period, chain order
-    reserves: tuple[float, ...]
-    role_rows: RoleRows
-
-    def canonical_key(self, key):
-        # With shared up/down limits, reading every chain backwards (startup
-        # and shutdown swap roles, periods reverse) satisfies the same rows,
-        # so both readings are one record.
-        backwards = replace(
-            self,
-            generators=tuple(
-                replace(
-                    g,
-                    status=g.status[::-1],
-                    startup=(None,) + g.shutdown[:0:-1],
-                    shutdown=(None,) + g.startup[:0:-1],
-                    power=g.power[::-1],
-                    reserve=g.reserve[::-1],
-                )
-                for g in self.generators
-            ),
-            demands=self.demands[::-1],
-            reserves=self.reserves[::-1],
-        )
-        return frozenset({key(self), key(backwards)})
-
-
-@dataclass(frozen=True, slots=True)
 class StrippedRow:
     """A branch row with its guard term removed: sum(terms) <= bound."""
 
     terms: Unordered[tuple[Var, float]]
     bound: float
-
-
-@dataclass(frozen=True, slots=True)
-class BranchSpec:
-    selector_var: Var
-    selector_value: int
-    rows: Unordered[StrippedRow]
-
-
-@dataclass(frozen=True, slots=True)
-class DisjPolyhedralParams:
-    variant: str  # "binary_selector" | "exact_one_mode"
-    branches: Unordered[BranchSpec]
-    selector_row: Row | None  # exact-one row id, mode variant only
-    touched: Unordered[Var]
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("binary_selector", "exact_one_mode"):
-            raise ValueError(f"unknown DisjPolyhedral variant {self.variant!r}")
-
-
-PARAMS_CLASSES: dict[Family, type] = {
-    Family.ALL_DIFFERENT: AllDifferentParams,
-    Family.CARDINALITY: CardinalityParams,
-    Family.CHANNEL: ChannelParams,
-    Family.CUMULATIVE: CumulativeParams,
-    Family.NVALUE: NValueParams,
-    Family.STRETCH: StretchParams,
-    Family.ONE_HOT_RESOURCE: OneHotResourceParams,
-    Family.BOTTLENECK_EXACT_ONE: BottleneckExactOneParams,
-    Family.ROSTERING_WINDOW: RosteringWindowParams,
-    Family.UNIT_COMMITMENT_RAMP: UnitCommitmentRampParams,
-    Family.DISJ_POLYHEDRAL: DisjPolyhedralParams,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,7 +97,7 @@ class SemanticRecord:
     def __post_init__(self) -> None:
         if not self.scope:
             raise ValueError("record scope must not be empty")
-        expected = PARAMS_CLASSES[self.family]
+        expected = _params_classes()[self.family]
         if not isinstance(self.params, expected):
             raise ValueError(
                 f"{self.family.value} record needs {expected.__name__}, "
@@ -347,7 +163,7 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     try:
         for raw in doc["records"]:
             family = Family.from_string(raw["family"])
-            params = _codec(PARAMS_CLASSES[family])[1](raw["params"], vid, rid)
+            params = _codec(_params_classes()[family])[1](raw["params"], vid, rid)
             records.append(
                 SemanticRecord(
                     family,
@@ -361,6 +177,15 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     except (AttributeError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed records document: {exc}") from None
     return records
+
+
+@functools.cache
+def _params_classes() -> dict[Family, type]:
+    """Family -> its params dataclass, read from ``FAMILIES`` on first use,
+    since every family module imports this one."""
+    from .families import FAMILIES
+
+    return {spec.family: spec.params for spec in FAMILIES}
 
 
 def _names(items, prefix: str, what: str) -> list[str]:

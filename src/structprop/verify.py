@@ -16,15 +16,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .detect import DETECTORS, detect_all
+from .detect import detect_all
+from .families import FAMILIES, FamilySpec
 from .model import DomainBox, MipModel, is_valid_reduction
-from .propagate import (
-    DETECT_ONLY,
-    HANDLED_FAMILIES,
-    propagate_block_fixpoint,
-    propagate_record,
-)
-from .records import PARAMS_CLASSES, Family, SemanticRecord, _codec, params_key
+from .propagate import propagate_block_fixpoint, propagate_record
+from .records import Family, SemanticRecord, _codec, params_key
 from .search import propagate_node
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
 
@@ -229,26 +225,20 @@ def _default_detector(model: MipModel) -> list[SemanticRecord]:
     return list(detect_all(model).records)
 
 
-def _artifact_completeness(family: Family) -> tuple[bool, str]:
+def _artifact_completeness(spec: FamilySpec) -> tuple[bool, str]:
     missing: list[str] = []
-    if not callable(DETECTORS.get(family)):
+    if not callable(spec.detect):
         missing.append("detector")
-    params_class = PARAMS_CLASSES.get(family)
-    if params_class is None:
+    if spec.params is None:
         missing.append("record schema")
     else:
         try:
-            _codec(params_class)
+            _codec(spec.params)
         except TypeError:
             missing.append("serializer")
-    if family in DETECT_ONLY:
-        propagator = "detect-only"
-    elif family in HANDLED_FAMILIES:
-        propagator = "propagator"
-    else:
-        missing.append("propagator")
     if missing:
         return False, "missing: " + ", ".join(missing)
+    propagator = "detect-only" if spec.rule is None else "propagator"
     return True, f"detector, record schema, {propagator}, serializer registered"
 
 
@@ -265,7 +255,7 @@ def run_gate_ladder(
     go/no-go flag.  ``detector`` substitutes the detection entry point (the
     ladder's own regression tests stub it).  The suites run
     ``DETECTOR_SUITE_SIZE``/``SOUNDNESS_SUITE_SIZE`` seeds from ``suite_seed``
-    on; a family outside ``HANDLED_FAMILIES`` has no rule to enumerate
+    on; a family whose ``FamilySpec`` has no rule has nothing to enumerate
     against, so its soundness gate checks once that its record changes
     nothing.  ``load`` and ``smoke`` run search's node step,
     ``propagate_node``.
@@ -293,8 +283,9 @@ def run_gate_ladder(
             results.append(GateResult("benchmark_ready", True, "all gates passed"))
         return results
 
+    spec = next(spec for spec in FAMILIES if spec.family is family)
     started = time.perf_counter()
-    ok, detail = _artifact_completeness(family)
+    ok, detail = _artifact_completeness(spec)
     if not finish("artifact_completeness", ok, detail, started):
         return ready()
 
@@ -326,7 +317,7 @@ def run_gate_ladder(
         return ready()
 
     started = time.perf_counter()
-    if family in HANDLED_FAMILIES:
+    if spec.rule is not None:
         size = SOUNDNESS_SUITE_SIZE
         ok, detail = True, f"{size}/{size} sound against enumeration"
         for i in range(size):

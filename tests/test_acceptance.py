@@ -26,6 +26,8 @@ from structprop.bench import (
     write_report,
 )
 from structprop.detect import DetectionReport, detect_all
+from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams
+from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
     INF,
     DomainBox,
@@ -38,14 +40,7 @@ from structprop.model import (
 )
 from structprop.mps import parse_mps, write_mps
 from structprop.propagate import PropagatorConfig, propagate_record
-from structprop.records import (
-    BranchSpec,
-    DisjPolyhedralParams,
-    Family,
-    OneHotResourceParams,
-    SemanticRecord,
-    StrippedRow,
-)
+from structprop.records import Family, SemanticRecord, StrippedRow
 from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import (

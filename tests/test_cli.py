@@ -13,9 +13,10 @@ from clash import clash_model
 
 import structprop.cli as cli_mod
 from structprop.cli import main
+from structprop.families.cardinality import CardinalityParams
 from structprop.model import Integrality, LinearRow, MipModel, Variable
 from structprop.mps import write_mps
-from structprop.records import CardinalityParams, Family, SemanticRecord, records_to_json
+from structprop.records import Family, SemanticRecord, records_to_json
 from structprop.search import SearchConfig
 from structprop.verify import GateResult
 

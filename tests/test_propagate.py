@@ -6,9 +6,8 @@ import random
 
 import pytest
 
-import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
-from structprop.detect import detect_all
+from structprop.detect import DETECTORS, detect_all
 from structprop.model import (
     INF,
     DomainBox,
@@ -19,27 +18,19 @@ from structprop.model import (
     Variable,
     is_valid_reduction,
 )
+from structprop.families import FAMILIES
+from structprop.families.bottleneck_exact_one import ActivatorSpec, BottleneckExactOneParams
+from structprop.families.channel import ChannelParams
+from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams
+from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.propagate import (
-    DETECT_ONLY,
-    HANDLED_FAMILIES,
     PropagatorConfig,
     outcome_to_json,
     propagate_block_fixpoint,
     propagate_record,
     run_fixpoint,
 )
-from structprop.records import (
-    PARAMS_CLASSES,
-    ActivatorSpec,
-    BottleneckExactOneParams,
-    BranchSpec,
-    ChannelParams,
-    DisjPolyhedralParams,
-    Family,
-    OneHotResourceParams,
-    SemanticRecord,
-    StrippedRow,
-)
+from structprop.records import Family, SemanticRecord, StrippedRow
 from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import enumerate_feasible, verify_detector
@@ -64,7 +55,7 @@ def propagate_on_binaries(record, box):
 
 def apply_rule(params, box):
     """One call of the rule for ``params``'s family, through ``propagate_record``."""
-    family = next(f for f, cls in PARAMS_CLASSES.items() if cls is type(params))
+    family = next(spec.family for spec in FAMILIES if spec.params is type(params))
     record = SemanticRecord(family, tuple(range(len(box))), params, ())
     return propagate_on_binaries(record, box)
 
@@ -652,35 +643,25 @@ def test_run_fixpoint_round_budget_reported():
     assert not run_fixpoint(model, [channel, budget], box).budget_hit
 
 
-def test_every_family_has_a_handler():
-    # each family either has a propagator or is explicitly detect-only
-    assert HANDLED_FAMILIES | DETECT_ONLY == set(Family)
-    assert not HANDLED_FAMILIES & DETECT_ONLY
-    assert HANDLED_FAMILIES == {
-        Family.CHANNEL,
-        Family.ONE_HOT_RESOURCE,
-        Family.DISJ_POLYHEDRAL,
-    }
-    for family in Family:
-        inst = reverse_sample(family, SMALL_SIZES[family], seed=0)
+HAS_RULE = {spec.family for spec in FAMILIES if spec.rule is not None}
+
+
+def test_every_family_has_one_spec_in_arbitration_order():
+    assert sorted(spec.family.value for spec in FAMILIES) == sorted(f.value for f in Family)
+    assert [spec.family for spec in FAMILIES] == list(DETECTORS)
+    assert HAS_RULE == {Family.CHANNEL, Family.ONE_HOT_RESOURCE, Family.DISJ_POLYHEDRAL}
+    for spec in FAMILIES:
+        inst = reverse_sample(spec.family, SMALL_SIZES[spec.family], seed=0)
         box = DomainBox.from_model(inst.model)
         out = propagate_record(inst.model, inst.ground_truth, box)
-        assert out.calls == (family in HANDLED_FAMILIES)
-        ok, detail = verify_mod._artifact_completeness(family)
+        assert out.calls == (spec.family in HAS_RULE)
+        ok, detail = verify_mod._artifact_completeness(spec)
         assert ok
-        assert ("detect-only" in detail) == (family in DETECT_ONLY)
+        assert ("detect-only" in detail) == (spec.rule is None)
 
 
-def test_propagate_record_rejects_family_without_handler(monkeypatch):
-    inst = reverse_sample(Family.CHANNEL, SMALL_SIZES[Family.CHANNEL], seed=0)
-    model, record = inst.model, inst.ground_truth
-    monkeypatch.delitem(propagate_mod._HANDLERS, Family.CHANNEL)
-    with pytest.raises(ValueError, match="no propagator for Channel"):
-        propagate_record(model, record, DomainBox.from_model(model))
-
-
-KEPT = [f for f in Family if f in HANDLED_FAMILIES]
-RETIRED = [f for f in Family if f in DETECT_ONLY]
+KEPT = [f for f in Family if f in HAS_RULE]
+RETIRED = [f for f in Family if f not in HAS_RULE]
 
 
 def seeded_fixings(model, record, seed, trials):
@@ -896,7 +877,7 @@ def check_sound(model, record, box):
     reduced = box.copy()
     out = propagate_record(model, record, reduced)
     # propagate_record alone accounts for a call, and a detect-only one is empty
-    if record.family in DETECT_ONLY:
+    if record.family not in HAS_RULE:
         assert out == PropagationOutcome()
     else:
         assert out.calls == 1 and out.prop_time >= 0.0 and not out.budget_hit
@@ -928,10 +909,10 @@ def test_ground_truth_propagation_sound(family, seed):
         for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=s))):
             model, record = planted.model, planted.ground_truth
             check_sound(model, record, DomainBox.from_model(model))
-            if family not in HANDLED_FAMILIES:
+            if family not in HAS_RULE:
                 continue
             for box in seeded_fixings(model, record, s, 25):
                 if not propagate_block_fixpoint(model.rows, box).cutoff:
                     acted += check_sound(model, record, box)
     # a handled family's rule must act in some box, or the check is empty
-    assert acted or family not in HANDLED_FAMILIES
+    assert acted or family not in HAS_RULE

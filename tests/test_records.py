@@ -12,11 +12,11 @@ import pytest
 from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 
 from structprop.detect import detect_all
+from structprop.families import FAMILIES
+from structprop.families.unit_commitment_ramp import UnitCommitmentRampParams
 from structprop.records import (
-    PARAMS_CLASSES,
     Family,
     SemanticRecord,
-    UnitCommitmentRampParams,
     params_key,
     records_equal,
     records_from_json,
@@ -157,8 +157,8 @@ def _ordered_tuples(tp, path):
 def test_only_chain_positions_are_ordered():
     ordered = {
         path
-        for family, cls in PARAMS_CLASSES.items()
-        for path in _ordered_tuples(cls, family.value)
+        for spec in FAMILIES
+        for path in _ordered_tuples(spec.params, spec.family.value)
     }
     chain = ("status", "startup", "shutdown", "power", "reserve")
     assert ordered == {

@@ -6,6 +6,7 @@ import pytest
 from clash import clash_model
 
 from structprop.detect import detect_all
+from structprop.families.cardinality import CardinalityParams
 from structprop.model import (
     DomainBox,
     Integrality,
@@ -17,7 +18,6 @@ from structprop.model import (
 )
 from structprop.mps import parse_mps, write_mps
 from structprop.records import (
-    CardinalityParams,
     Family,
     SemanticRecord,
     records_equal,

@@ -10,7 +10,9 @@ from clash import clash_model
 
 import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
-from structprop.detect import DETECTORS, detect_all
+from structprop.detect import detect_all
+from structprop.families import FAMILIES
+from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
     INF,
     DomainBox,
@@ -23,12 +25,7 @@ from structprop.model import (
 )
 from structprop.propagate import propagate_block_fixpoint
 from structprop.search import propagate_node
-from structprop.records import (
-    PARAMS_CLASSES,
-    Family,
-    OneHotResourceParams,
-    SemanticRecord,
-)
+from structprop.records import Family, SemanticRecord
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import (
     GATES,
@@ -431,7 +428,7 @@ def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
         return set_upper(box, out, x, box.lower[x])
 
     small_suites(monkeypatch, 2)
-    monkeypatch.setitem(propagate_mod._HANDLERS, Family.CHANNEL, greedy)
+    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, greedy)
     results = run_gate_ladder(Family.CHANNEL, suite_seed=0)
     assert [(r.gate, r.passed) for r in results] == [
         ("artifact_completeness", True),
@@ -497,15 +494,22 @@ def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
     assert by_gate["benchmark_ready"].detail == "blocked by smoke"
 
 
-def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
-    # a None entry, not a deleted key: restoring a deleted key would move
-    # Stretch to the end of DETECTORS, which is the arbitration order
-    monkeypatch.setitem(DETECTORS, Family.STRETCH, None)
+def lacking(monkeypatch, family, **pieces):
+    """Make the ladder read ``family``'s spec with ``pieces`` replaced."""
+    specs = tuple(
+        dataclasses.replace(spec, **pieces) if spec.family is family else spec
+        for spec in FAMILIES
+    )
+    monkeypatch.setattr(verify_mod, "FAMILIES", specs)
     small_suites(monkeypatch, 1)
-    results = run_gate_ladder(Family.STRETCH)
+    return run_gate_ladder(family)
+
+
+def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
+    results = lacking(monkeypatch, Family.STRETCH, detect=None)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert not results[0].passed
-    assert "missing: detector" in results[0].detail
+    assert results[0].detail == "missing: detector"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -514,11 +518,15 @@ class _ListParams:
 
 
 def test_ladder_flags_params_the_codec_cannot_walk(monkeypatch):
-    monkeypatch.setitem(PARAMS_CLASSES, Family.STRETCH, _ListParams)
-    small_suites(monkeypatch, 1)
-    results = run_gate_ladder(Family.STRETCH)
+    results = lacking(monkeypatch, Family.STRETCH, params=_ListParams)
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert results[0].detail == "missing: serializer"
+
+
+def test_ladder_flags_a_spec_without_params(monkeypatch):
+    results = lacking(monkeypatch, Family.STRETCH, params=None)
+    assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
+    assert results[0].detail == "missing: record schema"
 
 
 def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
@@ -527,12 +535,6 @@ def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
     assert results[0].passed
     assert results[0].detail == "detector, record schema, detect-only, serializer registered"
     assert results[-1].passed
-
-    # a family with neither a propagator nor a detect-only entry is incomplete
-    monkeypatch.setattr(verify_mod, "DETECT_ONLY", frozenset())
-    results = run_gate_ladder(Family.CARDINALITY)
-    assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
-    assert results[0].detail == "missing: propagator"
 
 
 def test_benchmark_ready_implies_all_prior(monkeypatch):
