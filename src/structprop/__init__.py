@@ -12,7 +12,6 @@ from .model import (  # noqa: F401
     is_valid_reduction,
     tighten_row,
 )
-# import detect before families: its engine reads them, and they import detect.rowview
 from .detect import (  # noqa: F401
     DetectionReport,
     detect_all,

@@ -9,8 +9,8 @@ policy is fixed (see :mod:`structprop.model`), and so is the fixpoint round
 cap, so no flag sets a tolerance or a round cap.
 
 Every subcommand takes ``--quiet``.  Only ``synth`` and ``verify`` take a
-seed (``--seed``, else ``$STRUCTPROP_SEED``, else 0), and only ``synth`` and
-``bench`` take ``--json``, which prints their output paths as JSON.
+seed (``--seed``, default 0), and only ``synth`` and ``bench`` take
+``--json``, which prints their output paths as JSON.
 
 Exit codes: 0 on success, 1 on a domain failure (a failed gate, a cutoff or
 empty search where a feasible point was expected), 2 on bad usage.  Logs go
@@ -41,8 +41,6 @@ log = logging.getLogger("structprop")
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-SEED_ENV_VAR = "STRUCTPROP_SEED"
 
 
 def _family_arg(text: str) -> Family:
@@ -260,12 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress informational logging"
     )
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"random seed (default: ${SEED_ENV_VAR} or 0)",
-    )
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     paths = argparse.ArgumentParser(add_help=False)
     paths.add_argument(
         "--json", action="store_true", help="print the output paths as JSON"
@@ -334,19 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if "seed" not in args or args.seed is not None:
-        return
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        args.seed = 0
-        return
-    try:
-        args.seed = int(raw)
-    except ValueError:
-        parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -356,7 +336,6 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    _resolve_seed(args, parser)
     try:
         return args.handler(args)
     except (OSError, ValueError, MpsParseError) as exc:

@@ -1,4 +1,4 @@
-"""Structure detection: row views and arbitration over the family detectors."""
+"""Structure detection: arbitration over the family detectors."""
 
 from .engine import (  # noqa: F401
     DETECTORS,
@@ -6,4 +6,3 @@ from .engine import (  # noqa: F401
     detect_all,
     detect_family,
 )
-from .rowview import Facet, ModelView, UnitView, one_sided_facet  # noqa: F401

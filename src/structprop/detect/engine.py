@@ -25,7 +25,7 @@ from typing import Callable
 from ..families import FAMILIES
 from ..model import MipModel
 from ..records import Family, SemanticRecord
-from .rowview import ModelView
+from ..rowview import ModelView
 
 # arbitration order: earlier families claim evidence rows first
 DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import INF
 from ..records import Family, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder, _components

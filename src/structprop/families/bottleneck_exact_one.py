@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
-from ..detect.rowview import ModelView, UnitView
+from ..rowview import ModelView, UnitView
 from ..model import FEAS_TOL, INF
 from ..records import Family, Row, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import FEAS_TOL, INF, shared_float
 from ..records import Family, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import FEAS_TOL, DomainBox, PropagationOutcome, set_lower, set_upper
 from ..propagate import _all_binary, _live
 from ..records import Family, SemanticRecord, Unordered, Var

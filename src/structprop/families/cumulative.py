@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import FEAS_TOL, INF
 from ..records import Family, Row, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder, _components

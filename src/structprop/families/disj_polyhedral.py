@@ -9,7 +9,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import (
     FEAS_TOL, INF, DomainBox, LinearRow, PropagationOutcome, activity_range, set_lower,
     set_upper,

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView, uniform_coefficient
+from ..rowview import ModelView, uniform_coefficient
 from ..model import INF
 from ..records import Family, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView
+from ..rowview import ModelView
 from ..model import (
     FEAS_TOL, INF, DomainBox, Integrality, PropagationOutcome, activity_range, set_upper,
 )

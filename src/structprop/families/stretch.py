@@ -9,7 +9,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..detect.rowview import ModelView, uniform_coefficient
+from ..rowview import ModelView, uniform_coefficient
 from ..model import FEAS_TOL, INF
 from ..records import Family, SemanticRecord, Var
 from ._shared import FamilySpec, _Builder

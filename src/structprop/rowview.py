@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import (
+from .model import (
     FEAS_TOL,
     DomainBox,
     LinearRow,

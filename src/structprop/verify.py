@@ -6,15 +6,19 @@ detection on a planted instance returns exactly the planted record
 enumerates the true feasible set over a record's scope and checks that the
 propagator's reduced box keeps every feasible point and cuts off only when
 the set is empty.  ``run_gate_ladder`` chains these into the deterministic
-CI ladder used before any family is allowed into a benchmark.
+CI ladder used before any family is allowed into a benchmark: one loop runs
+the gate checks of ``_CHECKS`` in order, times each against its
+``GATE_TIME_CAPS`` budget, fails a gate whose check raises, and stops at the
+first failed gate.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .detect import detect_all
 from .families import FAMILIES, FamilySpec
@@ -23,6 +27,8 @@ from .propagate import propagate_block_fixpoint, propagate_record
 from .records import Family, SemanticRecord, _codec, params_key
 from .search import propagate_node
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -37,17 +43,9 @@ __all__ = [
     "verify_propagation",
 ]
 
-GATES = (
-    "artifact_completeness",
-    "load",
-    "detector_verification",
-    "propagator_soundness",
-    "smoke",
-    "benchmark_ready",
-)
-
-# wall-clock budgets per gate, seconds; generous for CI boxes, enforced
-# post-hoc so a slow gate fails loudly instead of hanging a runner
+# wall-clock budgets per gate, seconds; generous for CI boxes.  A gate's
+# time is checked only after it returns, so a slow gate fails loudly but a
+# hung one is not stopped: the CI job's own timeout covers that
 GATE_TIME_CAPS: dict[str, float] = {
     "load": 30.0,
     "detector_verification": 120.0,
@@ -218,14 +216,9 @@ def verify_propagation(model: MipModel, record: SemanticRecord) -> GateResult:
     )
 
 
-Detector = Callable[[MipModel], list[SemanticRecord]]
-
-
-def _default_detector(model: MipModel) -> list[SemanticRecord]:
-    return list(detect_all(model).records)
-
-
-def _artifact_completeness(spec: FamilySpec) -> tuple[bool, str]:
+def _artifact_completeness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
+    """The spec names a detector, a params class the codec can walk, and a
+    rule or None."""
     missing: list[str] = []
     if not callable(spec.detect):
         missing.append("detector")
@@ -242,122 +235,107 @@ def _artifact_completeness(spec: FamilySpec) -> tuple[bool, str]:
     return True, f"detector, record schema, {propagator}, serializer registered"
 
 
-def run_gate_ladder(
-    family: Family,
-    suite_seed: int = 0,
-    *,
-    detector: Detector | None = None,
-) -> list[GateResult]:
+def _load(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
+    """Detection and search's node step run on an empty model and find nothing."""
+    empty = MipModel(variables=(), rows=())
+    found = detect_all(empty).records
+    propagate_node(empty, found, DomainBox.from_model(empty))
+    return not found, f"empty model: {len(found)} records, fixpoint ran"
+
+
+def _detector_verification(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
+    """Detection recovers the planted record of every obfuscated suite instance."""
+    for seed in range(suite_seed, suite_seed + DETECTOR_SUITE_SIZE):
+        instance = obfuscate(
+            reverse_sample(spec.family, seed=seed), ObfuscationConfig(seed=seed)
+        )
+        step = verify_detector(instance, detect_all(instance.model).records)
+        if not step.passed:
+            return False, f"seed {seed}: {step.detail}"
+    size = DETECTOR_SUITE_SIZE
+    return True, f"{size}/{size} exactly recovered"
+
+
+def _propagator_soundness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
+    """The rule keeps every enumerated feasible point of each suite instance."""
+    if spec.rule is None:
+        # without a rule there is nothing to enumerate against: one record
+        # must make no call and leave its box as declared
+        instance = reverse_sample(spec.family, seed=suite_seed)
+        declared = DomainBox.from_model(instance.model)
+        box = declared.copy()
+        out = propagate_record(instance.model, instance.ground_truth, box)
+        unchanged = (box.lower, box.upper) == (declared.lower, declared.upper)
+        if out.calls == 0 and unchanged:
+            return True, "detect-only: no rule"
+        return False, "detect-only record ran a rule"
+    for seed in range(suite_seed, suite_seed + SOUNDNESS_SUITE_SIZE):
+        instance = reverse_sample(spec.family, seed=seed)
+        step = verify_propagation(instance.model, instance.ground_truth)
+        if not step.passed:
+            return False, f"seed {seed}: {step.detail}"
+    size = SOUNDNESS_SUITE_SIZE
+    return True, f"{size}/{size} sound against enumeration"
+
+
+def _smoke(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
+    """Search's node step runs on one planted instance and does not cut it off."""
+    instance = reverse_sample(spec.family, seed=suite_seed)
+    records = detect_all(instance.model).records
+    box = DomainBox.from_model(instance.model)
+    rows, by_records = propagate_node(instance.model, records, box)
+    # the instance is planted feasible, so a cutoff is a soundness fault
+    cutoff = rows.cutoff or by_records.cutoff
+    return not cutoff, (
+        f"{len(records)} records, {rows.domain_reductions} row and "
+        f"{by_records.domain_reductions} record reductions, cutoff={cutoff}"
+    )
+
+
+# the ladder in gate order; each check takes the family's spec and the
+# suite's first seed and returns (passed, detail)
+_CHECKS = (
+    ("artifact_completeness", _artifact_completeness),
+    ("load", _load),
+    ("detector_verification", _detector_verification),
+    ("propagator_soundness", _propagator_soundness),
+    ("smoke", _smoke),
+)
+
+GATES = tuple(gate for gate, _ in _CHECKS) + ("benchmark_ready",)
+
+
+def run_gate_ladder(family: Family, suite_seed: int = 0) -> list[GateResult]:
     """Run the per-family CI ladder; a failing gate skips the rest.
 
     The returned list holds one result per executed gate plus a final
     ``benchmark_ready`` conjunction, so ``results[-1].passed`` is the single
-    go/no-go flag.  ``detector`` substitutes the detection entry point (the
-    ladder's own regression tests stub it).  The suites run
-    ``DETECTOR_SUITE_SIZE``/``SOUNDNESS_SUITE_SIZE`` seeds from ``suite_seed``
-    on; a family whose ``FamilySpec`` has no rule has nothing to enumerate
-    against, so its soundness gate checks once that its record changes
-    nothing.  ``load`` and ``smoke`` run search's node step,
-    ``propagate_node``.
-    Each gate is held to its ``GATE_TIME_CAPS`` budget.
+    go/no-go flag.  Each gate's check runs once, timed; an exception it
+    raises fails the gate with detail ``crashed: <repr>``, and a gate that
+    passes over its ``GATE_TIME_CAPS`` budget fails too.  The suites run
+    ``DETECTOR_SUITE_SIZE``/``SOUNDNESS_SUITE_SIZE`` seeds from
+    ``suite_seed`` on.
     """
-    detect_fn = detector or _default_detector
+    spec = next(spec for spec in FAMILIES if spec.family is family)
     results: list[GateResult] = []
-
-    def finish(gate: str, passed: bool, detail: str, started: float) -> bool:
+    for gate, check in _CHECKS:
+        started = time.perf_counter()
+        try:
+            passed, detail = check(spec, suite_seed)
+        except Exception as exc:
+            log.warning("%s: %s crashed", family.value, gate, exc_info=True)
+            passed, detail = False, f"crashed: {exc!r}"
         elapsed = time.perf_counter() - started
         limit = GATE_TIME_CAPS.get(gate)
         if passed and limit is not None and elapsed > limit:
             passed = False
             detail = f"timeout: {elapsed:.1f}s over the {limit:.0f}s cap ({detail})"
         results.append(GateResult(gate, passed, detail, elapsed))
-        return passed
-
-    def ready() -> list[GateResult]:
-        blocked = [r.gate for r in results if not r.passed]
-        if blocked:
-            results.append(
-                GateResult("benchmark_ready", False, f"blocked by {blocked[0]}")
-            )
-        else:
-            results.append(GateResult("benchmark_ready", True, "all gates passed"))
-        return results
-
-    spec = next(spec for spec in FAMILIES if spec.family is family)
-    started = time.perf_counter()
-    ok, detail = _artifact_completeness(spec)
-    if not finish("artifact_completeness", ok, detail, started):
-        return ready()
-
-    started = time.perf_counter()
-    try:
-        empty = MipModel(variables=(), rows=())
-        found = detect_fn(empty)
-        propagate_node(empty, found, DomainBox.from_model(empty))
-        ok, detail = not found, f"empty model: {len(found)} records, fixpoint ran"
-    except Exception as exc:
-        ok, detail = False, f"crashed on empty model: {exc!r}"
-    if not finish("load", ok, detail, started):
-        return ready()
-
-    started = time.perf_counter()
-    size = DETECTOR_SUITE_SIZE
-    ok, detail = True, f"{size}/{size} exactly recovered"
-    for i in range(size):
-        seed = suite_seed + i
-        instance = obfuscate(
-            reverse_sample(family, seed=seed), ObfuscationConfig(seed=seed)
-        )
-        step = verify_detector(instance, detect_fn(instance.model))
-        if not step.passed:
-            ok = False
-            detail = f"seed {seed}: {step.detail}"
-            break
-    if not finish("detector_verification", ok, detail, started):
-        return ready()
-
-    started = time.perf_counter()
-    if spec.rule is not None:
-        size = SOUNDNESS_SUITE_SIZE
-        ok, detail = True, f"{size}/{size} sound against enumeration"
-        for i in range(size):
-            seed = suite_seed + i
-            instance = reverse_sample(family, seed=seed)
-            step = verify_propagation(instance.model, instance.ground_truth)
-            if not step.passed:
-                ok = False
-                detail = f"seed {seed}: {step.detail}"
-                break
-    else:
-        # without a rule there is nothing to enumerate against: one record
-        # must make no call and leave its box as declared
-        instance = reverse_sample(family, seed=suite_seed)
-        declared = DomainBox.from_model(instance.model)
-        box = declared.copy()
-        out = propagate_record(instance.model, instance.ground_truth, box)
-        unchanged = (box.lower, box.upper) == (declared.lower, declared.upper)
-        ok = out.calls == 0 and unchanged
-        detail = "detect-only: no rule" if ok else "detect-only record ran a rule"
-    if not finish("propagator_soundness", ok, detail, started):
-        return ready()
-
-    started = time.perf_counter()
-    try:
-        instance = reverse_sample(family, seed=suite_seed)
-        records = detect_fn(instance.model)
-        box = DomainBox.from_model(instance.model)
-        rows, by_records = propagate_node(instance.model, records, box)
-        # the instance is planted feasible, so a cutoff is a soundness fault
-        cutoff = rows.cutoff or by_records.cutoff
-        ok = not cutoff
-        detail = (
-            f"{len(records)} records, {rows.domain_reductions} row and "
-            f"{by_records.domain_reductions} record reductions, cutoff={cutoff}"
-        )
-    except Exception as exc:
-        ok, detail = False, f"crashed: {exc!r}"
-    finish("smoke", ok, detail, started)
-    return ready()
+        if not passed:
+            results.append(GateResult("benchmark_ready", False, f"blocked by {gate}"))
+            return results
+    results.append(GateResult("benchmark_ready", True, "all gates passed"))
+    return results
 
 
 def ladder_to_json(family: Family, results: Iterable[GateResult]) -> dict:

@@ -12,6 +12,7 @@ from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 from clash import clash_model
 
 import structprop.cli as cli_mod
+import structprop.propagate as propagate_mod
 from structprop.cli import main
 from structprop.families.cardinality import CardinalityParams
 from structprop.model import Integrality, LinearRow, MipModel, Variable
@@ -304,26 +305,9 @@ def test_synth_rejects_malformed_size(tmp_path, capsys, size, message):
     assert message in capsys.readouterr().err
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STRUCTPROP_SEED", "7")
-    code, out, _ = run_cli(
-        capsys, "synth", "--family", "nvalue", "--out", str(tmp_path), "--quiet"
-    )
-    assert code == 0
-    assert out.splitlines()[0].endswith("nvalue_7.mps")
-
-
-def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("STRUCTPROP_SEED", "lucky")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["synth", "--family", "nvalue", "--out", str(tmp_path)])
-    assert excinfo.value.code == 2
-
-
-def test_seed_belongs_to_synth_and_verify_only(tmp_path, capsys, monkeypatch):
+def test_seed_belongs_to_synth_and_verify_only(tmp_path, capsys):
     mps = synth_file(tmp_path, "cardinality", 0)
     capsys.readouterr()
-    monkeypatch.setenv("STRUCTPROP_SEED", "lucky")
     code, out, _ = run_cli(capsys, "detect", mps, "--quiet")
     assert code == 0
     assert json.loads(out)["family_counts"] == {"Cardinality": 1}
@@ -350,6 +334,22 @@ def test_verify_single_family_ladder(tmp_path, capsys):
     assert ladder["family"] == "Cumulative"
     assert ladder["benchmark_ready"] is True
     assert len(ladder["gates"]) == 6
+
+
+def test_verify_reports_every_ladder_when_a_rule_crashes(tmp_path, capsys, monkeypatch):
+    def raises(params, box, out):
+        raise IndexError("planted fault")
+
+    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, raises)
+    report_path = tmp_path / "ladders.json"
+    code, _, _ = run_cli(
+        capsys, "verify", "--family", "all", "--quiet", "--report", str(report_path)
+    )
+    assert code == 1
+    ladders = json.loads(report_path.read_text())["ladders"]
+    assert [ladder["family"] for ladder in ladders] == [f.value for f in Family]
+    channel = next(ladder for ladder in ladders if ladder["family"] == "Channel")
+    assert channel["gates"][-1]["detail"] == "blocked by propagator_soundness"
 
 
 def test_verify_blocked_family_exits_nonzero(capsys, monkeypatch):

@@ -2,21 +2,19 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 
-from structprop.detect import (
-    DETECTORS,
-    ModelView,
-    detect_all,
-    detect_family,
-    one_sided_facet,
-)
+from structprop.detect import DETECTORS, detect_all, detect_family
 from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
 from structprop.propagate import propagate_block_fixpoint
 from structprop.records import Family, records_equal, records_to_json
+from structprop.rowview import ModelView, one_sided_facet
 from structprop.synth import ObfuscationConfig, obfuscate, remap_record, reverse_sample
 
 ALL_FAMILIES = list(Family)
@@ -440,3 +438,25 @@ def test_large_rostering_detection_matches_pinned_output():
     assert records_equal(report.records[0], inst.ground_truth)
     assert records_digest(inst.model, report.records) == LARGE_ROSTERING_RECORDS_SHA256
     assert records_digest(inst.model, report.dropped) == LARGE_ROSTERING_DROPPED_SHA256
+
+
+# a ``structprop`` package without its ``__init__``, so the named module
+# imports first and no import order the package sets up can hide a cycle
+_BARE_IMPORT = """
+import importlib, sys, types
+package = types.ModuleType("structprop")
+package.__path__ = [sys.argv[1]]
+sys.modules["structprop"] = package
+importlib.import_module(sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", ["structprop.families", "structprop.synth"])
+def test_module_imports_first_without_the_package_init(module):
+    src = Path(__file__).resolve().parent.parent / "src" / "structprop"
+    done = subprocess.run(
+        [sys.executable, "-c", _BARE_IMPORT, str(src), module],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -655,7 +655,7 @@ def test_every_family_has_one_spec_in_arbitration_order():
         box = DomainBox.from_model(inst.model)
         out = propagate_record(inst.model, inst.ground_truth, box)
         assert out.calls == (spec.family in HAS_RULE)
-        ok, detail = verify_mod._artifact_completeness(spec)
+        ok, detail = verify_mod._artifact_completeness(spec, 0)
         assert ok
         assert ("detect-only" in detail) == (spec.rule is None)
 

@@ -78,7 +78,6 @@ def test_only_oracles_lack_a_caller_outside_tests():
 
 # Options that no library or benchmark code sets, kept each for its reason.
 KEPT_OPTIONS = {
-    "run_gate_ladder(detector=)": "lets the ladder's tests substitute a fake detector",
     "main(argv=)": "lets the tests drive the command line in-process",
     "PropagatorConfig.max_fixpoint_rounds": (
         "perfbench reads it; ROADMAP item 8 turns it into a module constant"

@@ -10,7 +10,7 @@ from clash import clash_model
 
 import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
-from structprop.detect import detect_all
+from structprop.detect import DetectionReport, detect_all
 from structprop.families import FAMILIES
 from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
@@ -440,11 +440,14 @@ def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
     assert results[3].detail == "seed 0: reduced box excluded a feasible point"
 
 
+def finds_nothing(model):
+    return DetectionReport(())
+
+
 def test_ladder_stubbed_detector_short_circuits(monkeypatch):
     small_suites(monkeypatch, 3)
-    results = run_gate_ladder(
-        Family.CARDINALITY, suite_seed=0, detector=lambda model: []
-    )
+    monkeypatch.setattr(verify_mod, "detect_all", finds_nothing)
+    results = run_gate_ladder(Family.CARDINALITY, suite_seed=0)
     gates = [r.gate for r in results]
     assert gates == [
         "artifact_completeness",
@@ -458,25 +461,67 @@ def test_ladder_stubbed_detector_short_circuits(monkeypatch):
     assert failed["benchmark_ready"].detail == "blocked by detector_verification"
 
 
-def test_ladder_load_gate_catches_crash():
+def test_ladder_load_gate_catches_crash(monkeypatch):
     def explodes(model):
         raise RuntimeError("bad import")
 
-    results = run_gate_ladder(Family.CARDINALITY, detector=explodes)
+    monkeypatch.setattr(verify_mod, "detect_all", explodes)
+    results = run_gate_ladder(Family.CARDINALITY)
     by_gate = {r.gate: r for r in results}
     assert not by_gate["load"].passed
-    assert "crashed on empty model" in by_gate["load"].detail
+    assert by_gate["load"].detail == "crashed: RuntimeError('bad import')"
     assert "propagator_soundness" not in by_gate
 
 
-def test_ladder_smoke_timeout(monkeypatch):
-    monkeypatch.setitem(verify_mod.GATE_TIME_CAPS, "smoke", 0.0)
+def test_ladder_fails_the_gate_of_a_crashing_rule(monkeypatch, caplog):
+    def raises(params, box, out):
+        raise IndexError("planted fault")
+
+    small_suites(monkeypatch, 2)
+    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, raises)
+    results = run_gate_ladder(Family.CHANNEL)
+    assert [(r.gate, r.passed) for r in results] == [
+        ("artifact_completeness", True),
+        ("load", True),
+        ("detector_verification", True),
+        ("propagator_soundness", False),
+        ("benchmark_ready", False),
+    ]
+    assert results[3].detail == "crashed: IndexError('planted fault')"
+    assert results[4].detail == "blocked by propagator_soundness"
+    # the traceback goes to the log
+    assert "Channel: propagator_soundness crashed" in caplog.text
+    assert "IndexError: planted fault" in caplog.text
+
+
+def test_ladder_fails_the_gate_of_a_crashing_planter(monkeypatch):
+    def raises(family, seed=0):
+        raise ValueError("planted fault")
+
+    small_suites(monkeypatch, 2)
+    monkeypatch.setattr(verify_mod, "reverse_sample", raises)
+    results = run_gate_ladder(Family.CHANNEL)
+    assert [r.gate for r in results] == [
+        "artifact_completeness",
+        "load",
+        "detector_verification",
+        "benchmark_ready",
+    ]
+    assert results[2].detail == "crashed: ValueError('planted fault')"
+    assert results[3].detail == "blocked by detector_verification"
+
+
+@pytest.mark.parametrize(
+    "gate", ["load", "detector_verification", "propagator_soundness", "smoke"]
+)
+def test_ladder_smoke_timeout(monkeypatch, gate):
+    monkeypatch.setitem(verify_mod.GATE_TIME_CAPS, gate, 0.0)
     small_suites(monkeypatch, 2)
     results = run_gate_ladder(Family.CARDINALITY)
     by_gate = {r.gate: r for r in results}
-    assert not by_gate["smoke"].passed
-    assert "timeout" in by_gate["smoke"].detail
-    assert by_gate["benchmark_ready"].detail == "blocked by smoke"
+    assert not by_gate[gate].passed
+    assert "timeout" in by_gate[gate].detail
+    assert by_gate["benchmark_ready"].detail == f"blocked by {gate}"
 
 
 def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
@@ -539,10 +584,9 @@ def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
 
 def test_benchmark_ready_implies_all_prior(monkeypatch):
     small_suites(monkeypatch, 2)
-    scenarios = [
-        run_gate_ladder(Family.CHANNEL),
-        run_gate_ladder(Family.CHANNEL, detector=lambda model: []),
-    ]
+    scenarios = [run_gate_ladder(Family.CHANNEL)]
+    monkeypatch.setattr(verify_mod, "detect_all", finds_nothing)
+    scenarios.append(run_gate_ladder(Family.CHANNEL))
     for results in scenarios:
         if results[-1].passed:
             assert all(r.passed for r in results)
