@@ -110,8 +110,9 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
     power_set = set(status_of)
     reserve_set = set(reserve_of.values())
 
-    # ramp rows: a power difference held down by two binary terms
-    ramp_facets = []
+    # ramp rows: a power difference held down by two binary terms, indexed
+    # by the status pair they join
+    ramp_facets: dict[frozenset[int], list[tuple]] = defaultdict(list)
     for facet in view.facets:
         if len(facet.vars) != 4:
             continue
@@ -140,7 +141,8 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
             continue
         extra = others[0]
         limits = {v: -c for v, c in scaled}
-        ramp_facets.append((facet.row, pa, pb, anchor, extra, limits))
+        pair = frozenset({status_of[pa], anchor})
+        ramp_facets[pair].append((facet.row, pa, pb, anchor, extra, limits))
 
     # logic rows bind two status vars to two transition vars
     transitions: dict[frozenset[int], tuple[int, dict[int, float]]] = {}
@@ -162,7 +164,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
 
     edges: dict[frozenset[int], dict] = {}
     for pair, (logic_rid, signs) in transitions.items():
-        pair_facets = [f for f in ramp_facets if {status_of[f[1]], status_of[f[2]]} == set(pair)]
+        pair_facets = ramp_facets.get(pair, ())
         if len(pair_facets) != 2:
             return []
         by_anchor = {f[3]: f for f in pair_facets}
@@ -174,7 +176,7 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
         edges[pair] = {"logic": logic_rid, "facets": by_anchor}
     if not edges:
         return []
-    if 2 * len(edges) != len(ramp_facets):
+    if 2 * len(edges) != sum(map(len, ramp_facets.values())):
         return []
 
     # chains: each generator is a simple path over its status variables
@@ -245,27 +247,24 @@ def detect_unit_commitment_ramp(view: ModelView, config) -> list[SemanticRecord]
         role_ramp.extend(rids["ramp"])
         role_logic.extend(rids["logic"])
 
-    # each reserve row must collect exactly one reserve variable per generator
-    reserve_rows_sorted = []
-    for t in range(horizon):
-        expected = set()
-        for gen in generators:
-            expected.add(gen.reserve[t])
-        match = [rid for rid, u_row in reserve_rows if set(u_row.support) == expected]
-        if len(match) != 1:
-            return []
-        reserve_rows_sorted.append(match[0])
-    reserves_by_period = {rid: u for rid, u in reserve_rows}
-    reserves_vals = tuple(float(reserves_by_period[rid].lower) for rid in reserve_rows_sorted)
-    demand_sorted = []
-    for t in range(horizon):
-        expected = {gen.power[t] for gen in generators}
-        match = [rid for rid, u_row in demand_rows if set(u_row.support) == expected]
-        if len(match) != 1:
-            return []
-        demand_sorted.append(match[0])
-    demands_by_period = {rid: u for rid, u in demand_rows}
-    demands = tuple(float(demands_by_period[rid].lower) for rid in demand_sorted)
+    # each period's reserve and demand row must collect exactly one variable
+    # per generator; _period_rows keeps supports disjoint, so one row at most
+    reserve_by_support = {frozenset(u.support): (rid, u) for rid, u in reserve_rows}
+    demand_by_support = {frozenset(u.support): (rid, u) for rid, u in demand_rows}
+    reserve_match = [
+        reserve_by_support.get(frozenset(gen.reserve[t] for gen in generators))
+        for t in range(horizon)
+    ]
+    demand_match = [
+        demand_by_support.get(frozenset(gen.power[t] for gen in generators))
+        for t in range(horizon)
+    ]
+    if None in reserve_match or None in demand_match:
+        return []
+    reserve_rows_sorted = [rid for rid, _ in reserve_match]
+    reserves_vals = tuple(float(u.lower) for _, u in reserve_match)
+    demand_sorted = [rid for rid, _ in demand_match]
+    demands = tuple(float(u.lower) for _, u in demand_match)
 
     role_rows = tuple(
         sorted(

@@ -1,15 +1,16 @@
 """Verification gates: exact detector recovery and enumeration soundness.
 
-Two checks anchor the whole package.  ``verify_detector`` demands that
-detection on a planted instance returns exactly the planted record
-(scope, parameters and evidence, order-insensitive).  ``verify_propagation``
+Two checks anchor the whole package, and like every gate check they
+return ``(passed, detail)``.  ``verify_detector`` demands that detection
+on a planted instance returns exactly the planted record (scope,
+parameters and evidence, order-insensitive).  ``verify_propagation``
 enumerates the true feasible set over a record's scope and checks that the
 propagator's reduced box keeps every feasible point and cuts off only when
 the set is empty.  ``run_gate_ladder`` chains these into the deterministic
 CI ladder used before any family is allowed into a benchmark: one loop runs
 the gate checks of ``_CHECKS`` in order, times each against its
 ``GATE_TIME_CAPS`` budget, fails a gate whose check raises, and stops at the
-first failed gate.
+first failed gate.  That loop is the only place a ``GateResult`` is built.
 """
 
 from __future__ import annotations
@@ -151,68 +152,49 @@ def enumerate_feasible(
 
 def verify_detector(
     instance: PlantedInstance, detected: Sequence[SemanticRecord]
-) -> GateResult:
+) -> tuple[bool, str]:
     """Pass iff exactly one record matches the planted family, scope, params
-    and evidence (scope and evidence as sets)."""
-    started = time.perf_counter()
+    and evidence (scope and evidence as sets); returns (passed, detail)."""
     truth = instance.ground_truth
-
-    def done(passed: bool, detail: str) -> GateResult:
-        return GateResult(
-            "detector_verification", passed, detail, time.perf_counter() - started
-        )
-
     if not detected:
-        return done(False, "no records")
+        return False, "no records"
     same = [r for r in detected if r.family is truth.family]
     if not same:
-        return done(
-            False, f"no {truth.family.value} record among {len(detected)} detected"
-        )
+        return False, f"no {truth.family.value} record among {len(detected)} detected"
     if len(same) > 1:
-        return done(False, f"{len(same)} {truth.family.value} records, expected one")
+        return False, f"{len(same)} {truth.family.value} records, expected one"
     found = same[0]
     if set(found.scope) != set(truth.scope):
-        return done(False, "scope mismatch")
+        return False, "scope mismatch"
     if params_key(found.params) != params_key(truth.params):
-        return done(False, "params mismatch")
+        return False, "params mismatch"
     if set(found.evidence) != set(truth.evidence):
-        return done(False, "evidence mismatch")
-    return done(True, "exact recovery")
+        return False, "evidence mismatch"
+    return True, "exact recovery"
 
 
-def verify_propagation(model: MipModel, record: SemanticRecord) -> GateResult:
+def verify_propagation(model: MipModel, record: SemanticRecord) -> tuple[bool, str]:
     """Check the record's propagator against the enumerated feasible set.
 
-    Passes iff the reduced box contains every feasible point, stays inside
-    the original box, and any reported cutoff coincides with an empty
-    feasible set.  An enumeration truncated at ``ENUMERATION_CAP`` nodes is
-    inconclusive and never passes.
+    Returns (passed, detail).  Passes iff the reduced box contains every
+    feasible point, stays inside the original box, and any reported cutoff
+    coincides with an empty feasible set.  An enumeration truncated at
+    ``ENUMERATION_CAP`` nodes is inconclusive and never passes.
     """
-    started = time.perf_counter()
     enum = enumerate_feasible(model, record.scope, ENUMERATION_CAP)
-
-    def done(passed: bool, detail: str) -> GateResult:
-        return GateResult(
-            "propagator_soundness", passed, detail, time.perf_counter() - started
-        )
-
     if enum.truncated:
-        return done(
-            False, f"inconclusive: enumeration truncated at {enum.nodes_visited} nodes"
-        )
+        return False, f"inconclusive: enumeration truncated at {enum.nodes_visited} nodes"
     original = DomainBox.from_model(model)
     reduced = original.copy()
     outcome = propagate_record(model, record, reduced)
     points = enum.mappings()
     if outcome.cutoff and points:
-        return done(False, f"cutoff despite {len(points)} feasible assignments")
+        return False, f"cutoff despite {len(points)} feasible assignments"
     if not is_valid_reduction(original, reduced, points):
-        return done(False, "reduced box excluded a feasible point")
-    return done(
-        True,
+        return False, "reduced box excluded a feasible point"
+    return True, (
         f"{len(outcome.bound_changes)} bound changes kept "
-        f"all {len(points)} feasible assignments",
+        f"all {len(points)} feasible assignments"
     )
 
 
@@ -235,10 +217,19 @@ def _artifact_completeness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str
     return True, f"detector, record schema, {propagator}, serializer registered"
 
 
+def _detect(model: MipModel) -> tuple[tuple[SemanticRecord, ...], str]:
+    """``detect_all``'s records and its warnings joined, "" when it has none:
+    a detector that raised is a failure the gates report, not a miss."""
+    report = detect_all(model)
+    return report.records, "; ".join(report.warnings)
+
+
 def _load(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
     """Detection and search's node step run on an empty model and find nothing."""
     empty = MipModel(variables=(), rows=())
-    found = detect_all(empty).records
+    found, warned = _detect(empty)
+    if warned:
+        return False, warned
     propagate_node(empty, found, DomainBox.from_model(empty))
     return not found, f"empty model: {len(found)} records, fixpoint ran"
 
@@ -249,9 +240,10 @@ def _detector_verification(spec: FamilySpec, suite_seed: int) -> tuple[bool, str
         instance = obfuscate(
             reverse_sample(spec.family, seed=seed), ObfuscationConfig(seed=seed)
         )
-        step = verify_detector(instance, detect_all(instance.model).records)
-        if not step.passed:
-            return False, f"seed {seed}: {step.detail}"
+        records, warned = _detect(instance.model)
+        passed, detail = verify_detector(instance, records)
+        if warned or not passed:
+            return False, f"seed {seed}: {warned or detail}"
     size = DETECTOR_SUITE_SIZE
     return True, f"{size}/{size} exactly recovered"
 
@@ -271,9 +263,9 @@ def _propagator_soundness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]
         return False, "detect-only record ran a rule"
     for seed in range(suite_seed, suite_seed + SOUNDNESS_SUITE_SIZE):
         instance = reverse_sample(spec.family, seed=seed)
-        step = verify_propagation(instance.model, instance.ground_truth)
-        if not step.passed:
-            return False, f"seed {seed}: {step.detail}"
+        passed, detail = verify_propagation(instance.model, instance.ground_truth)
+        if not passed:
+            return False, f"seed {seed}: {detail}"
     size = SOUNDNESS_SUITE_SIZE
     return True, f"{size}/{size} sound against enumeration"
 
@@ -281,7 +273,9 @@ def _propagator_soundness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]
 def _smoke(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
     """Search's node step runs on one planted instance and does not cut it off."""
     instance = reverse_sample(spec.family, seed=suite_seed)
-    records = detect_all(instance.model).records
+    records, warned = _detect(instance.model)
+    if warned:
+        return False, warned
     box = DomainBox.from_model(instance.model)
     rows, by_records = propagate_node(instance.model, records, box)
     # the instance is planted feasible, so a cutoff is a soundness fault

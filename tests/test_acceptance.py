@@ -71,9 +71,10 @@ def test_detectors_exactly_recover_planted_structure():
         for i in range(RECOVERY_SUITE):
             clean = reverse_sample(family, seed=i)
             noisy = obfuscate(clean, ObfuscationConfig(seed=i))
-            gate = verify_detector(noisy, list(detect_all(noisy.model).records))
-            if not gate.passed:
-                failures.append(f"{family.value}[{i}]: {gate.detail}")
+            detected = list(detect_all(noisy.model).records)
+            passed, detail = verify_detector(noisy, detected)
+            if not passed:
+                failures.append(f"{family.value}[{i}]: {detail}")
     elapsed = time.perf_counter() - started
     assert failures == []
     assert elapsed < RECOVERY_BUDGET_S, f"recovery suite took {elapsed:.1f}s"
@@ -85,9 +86,9 @@ def test_propagators_never_exclude_a_feasible_point():
     for family in Family:
         for i in range(SOUNDNESS_SUITE):
             instance = reverse_sample(family, seed=i)
-            gate = verify_propagation(instance.model, instance.ground_truth)
-            if not gate.passed:
-                failures.append(f"{family.value}[{i}]: {gate.detail}")
+            passed, detail = verify_propagation(instance.model, instance.ground_truth)
+            if not passed:
+                failures.append(f"{family.value}[{i}]: {detail}")
     elapsed = time.perf_counter() - started
     assert failures == []
     assert elapsed < SOUNDNESS_BUDGET_S, f"soundness suite took {elapsed:.1f}s"
@@ -195,9 +196,9 @@ def test_detection_invariant_under_renaming_and_sign_inversion():
             renamed = obfuscate(clean, ObfuscationConfig(seed=i))
             clean_records = detect_all(clean.model).records
             renamed_records = detect_all(renamed.model).records
-            gate = verify_detector(renamed, list(renamed_records))
-            if not gate.passed:
-                failures.append(f"{family.value}[{i}]: {gate.detail}")
+            passed, detail = verify_detector(renamed, list(renamed_records))
+            if not passed:
+                failures.append(f"{family.value}[{i}]: {detail}")
                 continue
             before = sorted(r.family.value for r in clean_records)
             after = sorted(r.family.value for r in renamed_records)

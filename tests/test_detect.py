@@ -440,6 +440,17 @@ def test_large_rostering_detection_matches_pinned_output():
     assert records_digest(inst.model, report.dropped) == LARGE_ROSTERING_DROPPED_SHA256
 
 
+def test_large_unit_commitment_ramp_is_exactly_recovered():
+    # 40 generators over 40 periods: 7,960 rows in one block
+    sizes = {"generators": 40, "periods": 40, "allow_large": 1}
+    clean = reverse_sample(Family.UNIT_COMMITMENT_RAMP, sizes, seed=0)
+    assert len(clean.model.rows) == 7960
+    for inst in (clean, obfuscate(clean, ObfuscationConfig(seed=0))):
+        report = detect_all(inst.model)
+        assert [r.family for r in report.records] == [Family.UNIT_COMMITMENT_RAMP]
+        assert records_equal(report.records[0], inst.ground_truth)
+
+
 # a ``structprop`` package without its ``__init__``, so the named module
 # imports first and no import order the package sets up can hide a cycle
 _BARE_IMPORT = """

@@ -699,8 +699,8 @@ def test_exact_one_mode_disjunction_end_to_end(branches):
         assert inst.ground_truth.params.variant == "exact_one_mode"
         for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
             model, record = planted.model, planted.ground_truth
-            gate = verify_detector(planted, detect_all(model).records)
-            assert gate.passed, gate.detail
+            passed, detail = verify_detector(planted, detect_all(model).records)
+            assert passed, detail
             for box in seeded_fixings(model, record, seed, 3):
                 enum = enumerate_feasible(boxed(model, box), record.scope)
                 assert not enum.truncated

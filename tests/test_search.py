@@ -231,6 +231,33 @@ def test_continuous_objective_rejected():
         dfs_solve(model, [])
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a leaf is accepted when its continuous variables are only "
+    "interval-consistent; an LP-infeasible x = 0 passes (ROADMAP item 14)",
+)
+def test_leaf_needs_an_lp_feasible_completion():
+    # minimise binary x; y1, y2, y3 in [0, 1] with pairwise sums <= 1 give
+    # y1 + y2 + y3 <= 1.5, so 0.1x + y1 + y2 + y3 >= 1.6 needs x = 1
+    ys = (1, 2, 3)
+    model = MipModel(
+        (Variable(0, "x", 0.0, 1.0, Integrality.BINARY),)
+        + tuple(Variable(v, f"y{v}", 0.0, 1.0, Integrality.CONTINUOUS) for v in ys),
+        (
+            LinearRow(0, "y12", ((1, 1.0), (2, 1.0)), -INF, 1.0),
+            LinearRow(1, "y23", ((2, 1.0), (3, 1.0)), -INF, 1.0),
+            LinearRow(2, "y13", ((1, 1.0), (3, 1.0)), -INF, 1.0),
+            LinearRow(3, "sum", ((0, 0.1),) + tuple((v, 1.0) for v in ys), 1.6, INF),
+        ),
+        objective=((0, 1.0),),
+    )
+    incumbent, stats = dfs_solve(model, [])
+    assert stats.status == "optimal"
+    assert incumbent == {0: 1.0}
+    assert enumerate_feasible(model, [0]).feasible_points == {(1,)}
+
+
 def test_unbounded_integer_rejected():
     model = MipModel(
         (Variable(0, "n", 0.0, INF, Integrality.INTEGER),), ()

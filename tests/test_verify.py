@@ -10,7 +10,7 @@ from clash import clash_model
 
 import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
-from structprop.detect import DetectionReport, detect_all
+from structprop.detect import DETECTORS, DetectionReport, detect_all
 from structprop.families import FAMILIES
 from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
@@ -206,34 +206,33 @@ def test_enumeration_matches_rational_bruteforce(family, seed):
 
 def test_clean_instance_recovery_passes():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
-    gate = verify_detector(inst, detect_all(inst.model).records)
-    assert gate.passed
-    assert gate.gate == "detector_verification"
-    assert gate.detail == "exact recovery"
+    passed, detail = verify_detector(inst, detect_all(inst.model).records)
+    assert passed
+    assert detail == "exact recovery"
 
 
 def test_obfuscated_instance_recovery_passes():
     inst = obfuscate(
         reverse_sample(Family.ONE_HOT_RESOURCE, seed=4), ObfuscationConfig(seed=4)
     )
-    gate = verify_detector(inst, detect_all(inst.model).records)
-    assert gate.passed
+    passed, detail = verify_detector(inst, detect_all(inst.model).records)
+    assert passed
 
 
 def test_empty_detection_fails_with_no_records():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
-    gate = verify_detector(inst, [])
-    assert not gate.passed
-    assert gate.detail == "no records"
+    passed, detail = verify_detector(inst, [])
+    assert not passed
+    assert detail == "no records"
 
 
 def test_scope_off_by_one_fails():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
     truth = inst.ground_truth
     shrunk = dataclasses.replace(truth, scope=truth.scope[:-1])
-    gate = verify_detector(inst, [shrunk])
-    assert not gate.passed
-    assert gate.detail == "scope mismatch"
+    passed, detail = verify_detector(inst, [shrunk])
+    assert not passed
+    assert detail == "scope mismatch"
 
 
 def test_params_mismatch_fails():
@@ -242,33 +241,33 @@ def test_params_mismatch_fails():
     skewed = dataclasses.replace(
         truth, params=dataclasses.replace(truth.params, upper=truth.params.upper + 1)
     )
-    gate = verify_detector(inst, [skewed])
-    assert not gate.passed
-    assert gate.detail == "params mismatch"
+    passed, detail = verify_detector(inst, [skewed])
+    assert not passed
+    assert detail == "params mismatch"
 
 
 def test_evidence_mismatch_fails():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
     truth = inst.ground_truth
     moved = dataclasses.replace(truth, evidence=(truth.evidence[0] + 1,))
-    gate = verify_detector(inst, [moved])
-    assert not gate.passed
-    assert gate.detail == "evidence mismatch"
+    passed, detail = verify_detector(inst, [moved])
+    assert not passed
+    assert detail == "evidence mismatch"
 
 
 def test_extra_same_family_record_fails():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
-    gate = verify_detector(inst, [inst.ground_truth, inst.ground_truth])
-    assert not gate.passed
-    assert "expected one" in gate.detail
+    passed, detail = verify_detector(inst, [inst.ground_truth, inst.ground_truth])
+    assert not passed
+    assert "expected one" in detail
 
 
 def test_only_other_families_fails():
     inst = reverse_sample(Family.CARDINALITY, seed=2)
     stranger = reverse_sample(Family.STRETCH, seed=2).ground_truth
-    gate = verify_detector(inst, [stranger])
-    assert not gate.passed
-    assert "no Cardinality record" in gate.detail
+    passed, detail = verify_detector(inst, [stranger])
+    assert not passed
+    assert "no Cardinality record" in detail
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,9 @@ def onehot_example():
 
 def test_onehot_worked_example_passes():
     model, record = onehot_example()
-    gate = verify_propagation(model, record)
-    assert gate.passed
-    assert "kept all 1 feasible assignments" in gate.detail
+    passed, detail = verify_propagation(model, record)
+    assert passed
+    assert "kept all 1 feasible assignments" in detail
     # the only feasible selection takes the cheap option in both groups:
     # in one node step the propagator fixes the other two options at 0 and
     # the group rows then fix the cheap ones at 1
@@ -320,9 +319,9 @@ def test_identity_propagator_passes(monkeypatch):
         return PropagationOutcome(calls=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", idle)
-    gate = verify_propagation(model, record)
-    assert gate.passed
-    assert gate.detail.startswith("0 bound changes")
+    passed, detail = verify_propagation(model, record)
+    assert passed
+    assert detail.startswith("0 bound changes")
 
 
 def test_propagator_zeroing_feasible_option_fails(monkeypatch):
@@ -333,9 +332,9 @@ def test_propagator_zeroing_feasible_option_fails(monkeypatch):
         return PropagationOutcome(calls=1, domain_reductions=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", broken)
-    gate = verify_propagation(model, record)
-    assert not gate.passed
-    assert "excluded a feasible point" in gate.detail
+    passed, detail = verify_propagation(model, record)
+    assert not passed
+    assert "excluded a feasible point" in detail
 
 
 def test_false_cutoff_fails(monkeypatch):
@@ -345,9 +344,9 @@ def test_false_cutoff_fails(monkeypatch):
         return PropagationOutcome(cutoff=True, calls=1, cutoffs=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", cries_wolf)
-    gate = verify_propagation(model, record)
-    assert not gate.passed
-    assert "cutoff despite 1 feasible assignments" in gate.detail
+    passed, detail = verify_propagation(model, record)
+    assert not passed
+    assert "cutoff despite 1 feasible assignments" in detail
 
 
 def test_cutoff_on_empty_feasible_set_passes(monkeypatch):
@@ -357,16 +356,16 @@ def test_cutoff_on_empty_feasible_set_passes(monkeypatch):
         return PropagationOutcome(cutoff=True, calls=1, cutoffs=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", cuts)
-    gate = verify_propagation(model, record)
-    assert gate.passed
+    passed, detail = verify_propagation(model, record)
+    assert passed
 
 
 def test_truncated_enumeration_is_inconclusive(monkeypatch):
     model, record = onehot_example()
     monkeypatch.setattr(verify_mod, "ENUMERATION_CAP", 1)
-    gate = verify_propagation(model, record)
-    assert not gate.passed
-    assert "inconclusive" in gate.detail
+    passed, detail = verify_propagation(model, record)
+    assert not passed
+    assert "inconclusive" in detail
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +470,43 @@ def test_ladder_load_gate_catches_crash(monkeypatch):
     assert not by_gate["load"].passed
     assert by_gate["load"].detail == "crashed: RuntimeError('bad import')"
     assert "propagator_soundness" not in by_gate
+
+
+def test_ladder_fails_load_when_a_detector_raises(monkeypatch):
+    # detect_all turns the exception into a warning and carries on; the
+    # ladder must report the warning, not a missing record further on
+    def raises(view, config):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setitem(DETECTORS, Family.CHANNEL, raises)
+    results = run_gate_ladder(Family.CHANNEL)
+    assert [(r.gate, r.passed) for r in results] == [
+        ("artifact_completeness", True),
+        ("load", False),
+        ("benchmark_ready", False),
+    ]
+    assert results[1].detail == "Channel detector failed: planted fault"
+
+
+@pytest.mark.parametrize(
+    "gate, detail",
+    [
+        ("load", "Stretch detector failed: boom"),
+        ("detector_verification", "seed 0: Stretch detector failed: boom"),
+        ("smoke", "Stretch detector failed: boom"),
+    ],
+)
+def test_gates_that_detect_fail_on_a_detection_warning(monkeypatch, gate, detail):
+    # every record is right; the warning alone must fail the gate
+    def warns(model):
+        report = detect_all(model)
+        return dataclasses.replace(report, warnings=("Stretch detector failed: boom",))
+
+    small_suites(monkeypatch, 2)
+    monkeypatch.setattr(verify_mod, "detect_all", warns)
+    check = dict(verify_mod._CHECKS)[gate]
+    spec = next(spec for spec in FAMILIES if spec.family is Family.CHANNEL)
+    assert check(spec, 0) == (False, detail)
 
 
 def test_ladder_fails_the_gate_of_a_crashing_rule(monkeypatch, caplog):
