@@ -125,8 +125,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         report = detect_all(model)
     else:
         report = DetectionReport(tuple(detect_family(model, args.family)))
-    for warning in report.warnings:
-        log.warning("%s", warning)
     doc = records_to_json(list(report.records), model)
     doc["family_counts"] = report.family_counts
     _emit(doc, args.records_out)

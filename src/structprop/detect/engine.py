@@ -9,6 +9,9 @@ The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
 no record for a claimed row, since arbitration would only drop it.
 
+A detector that raises is skipped; ``detect_all`` logs its failure once at
+WARNING and keeps the same text in ``DetectionReport.warnings``.
+
 Detection takes no options: ``ModelView`` classifies every row of the model,
 whatever its size.  Each detector still takes a second argument, ``config``,
 and ``detect_all`` accepts one; none of them reads it.  It stays only so the
@@ -18,6 +21,7 @@ benchmark harness's call shapes, ``detect_all(model, config)`` and
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -26,6 +30,8 @@ from ..families import FAMILIES
 from ..model import MipModel
 from ..records import Family, SemanticRecord
 from ..rowview import ModelView
+
+log = logging.getLogger(__name__)
 
 # arbitration order: earlier families claim evidence rows first
 DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {
@@ -74,6 +80,7 @@ def detect_all(model: MipModel, config: object = None) -> DetectionReport:
             found = detector(view, config)
         except Exception as exc:  # a detector must never sink the whole scan
             warnings.append(f"{family.value} detector failed: {exc}")
+            log.warning("%s", warnings[-1])
             continue
         found = sorted(found, key=lambda rec: tuple(sorted(rec.evidence)))
         for rec in found:
@@ -83,7 +90,5 @@ def detect_all(model: MipModel, config: object = None) -> DetectionReport:
                 continue
             kept.append(rec)
             claimed |= evidence
-    return DetectionReport(
-        records=tuple(kept), dropped=tuple(dropped), warnings=tuple(warnings)
-    )
+    return DetectionReport(tuple(kept), tuple(dropped), tuple(warnings))
 

@@ -279,33 +279,36 @@ class BoundChange:
 class PropagationOutcome:
     """Result of one or more propagation calls.
 
-    ``cutoff`` means the reduced box is empty (no feasible point survives).
-    Counters follow the benchmark diagnostics: ``calls`` counts propagator
-    invocations, ``domain_reductions`` counts recorded bound changes,
-    ``cutoffs`` counts invocations that ended in a cutoff, ``prop_time`` is
-    wall time spent inside propagators.  ``tighten_row`` and the record
-    rules only record bound changes into their caller's outcome;
-    ``propagate_block_fixpoint`` and ``propagate_record`` count and time
-    each of their calls as one.
+    Each fact is stored once.  ``bound_changes`` logs every bound written,
+    ``calls`` counts propagator invocations and ``cutoffs`` the ones that
+    ended in a cutoff; ``prop_time`` is wall time inside propagators and
+    ``budget_hit`` says a loop stopped at its round cap.  ``cutoff`` (no
+    feasible point survives in the box) and ``domain_reductions`` are read
+    off ``cutoffs`` and the log.  ``tighten_row`` and the record rules only
+    append to their caller's log; ``propagate_block_fixpoint`` and
+    ``propagate_record`` count and time each of their calls as one.
     """
 
     bound_changes: list[BoundChange] = field(default_factory=list)
-    cutoff: bool = False
     calls: int = 0
-    domain_reductions: int = 0
     cutoffs: int = 0
     prop_time: float = 0.0
     budget_hit: bool = False
 
+    @property
+    def cutoff(self) -> bool:
+        return self.cutoffs > 0
+
+    @property
+    def domain_reductions(self) -> int:
+        return len(self.bound_changes)
+
     def record(self, var: int, which: str, old: float, new: float) -> None:
         self.bound_changes.append(BoundChange(var, which, old, new))
-        self.domain_reductions += 1
 
     def absorb(self, other: "PropagationOutcome") -> None:
         self.bound_changes.extend(other.bound_changes)
-        self.cutoff = self.cutoff or other.cutoff
         self.calls += other.calls
-        self.domain_reductions += other.domain_reductions
         self.cutoffs += other.cutoffs
         self.prop_time += other.prop_time
         self.budget_hit = self.budget_hit or other.budget_hit

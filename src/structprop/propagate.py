@@ -21,7 +21,7 @@ does for a row sweep.  Only drivers repeat work until nothing changes: here
 ``run_fixpoint`` round-robins the records and ``propagate_block_fixpoint``
 sweeps a row block, each for at most ``max_fixpoint_rounds`` rounds before
 it sets ``budget_hit``; the one other repeat loop,
-``search.propagate_node``, alternates the two.
+``search.propagate_node``, alternates the two under the same cap.
 
 Two properties of a rule are load-bearing everywhere:
 
@@ -159,7 +159,6 @@ def propagate_block_fixpoint(
         before = out.domain_reductions
         for row in rows:
             if tighten_row(row, box, out):
-                out.cutoff = True
                 out.cutoffs = 1
                 break
         if out.cutoff or out.domain_reductions == before:
@@ -202,7 +201,6 @@ def propagate_record(
     started = time.perf_counter()
     out = PropagationOutcome(calls=1)
     if rule(record.params, box, out):
-        out.cutoff = True
         out.cutoffs = 1
     out.prop_time = time.perf_counter() - started
     return out

@@ -79,17 +79,16 @@ def propagate_node(
     model: MipModel,
     records: Sequence[SemanticRecord],
     box: DomainBox,
-    config: PropagatorConfig | None = None,
 ) -> tuple[PropagationOutcome, PropagationOutcome]:
     """Tighten one box with the model's rows and the records until stable.
 
     Each round runs ``propagate_block_fixpoint`` over all rows, then, when
     there are records, ``run_fixpoint`` over them; rounds repeat while the
-    records still change the box.  Returns what the rows and what the
-    records did, each summed over the rounds; either one's ``cutoff``
-    means the box holds no feasible point.
+    records change the box, at most ``max_fixpoint_rounds`` times (then the
+    rows outcome reads ``budget_hit``).  Returns the rows' and the records'
+    outcomes summed over the rounds; a ``cutoff`` in either empties the box.
     """
-    config = config or PropagatorConfig()
+    config = PropagatorConfig()
     rows, by_records = PropagationOutcome(), PropagationOutcome()
     for _ in range(config.max_fixpoint_rounds):
         rows.absorb(propagate_block_fixpoint(model.rows, box, config))
@@ -97,8 +96,10 @@ def propagate_node(
             break
         step = run_fixpoint(model, records, box, config)
         by_records.absorb(step)
-        if step.cutoff or not step.bound_changes:
+        if step.cutoff or not step.domain_reductions:
             break
+    else:
+        rows.budget_hit = True
     return rows, by_records
 
 
@@ -111,7 +112,6 @@ class _Search:
         self.model = model
         self.records = list(records)
         self.config = config
-        self.prop = PropagatorConfig()
         self.stats = SearchStats()
         self.incumbent: dict[int, float] | None = None
         self.incumbent_value = 0.0
@@ -120,7 +120,7 @@ class _Search:
 
     def propagate(self, box: DomainBox) -> bool:
         """Tighten the node's box; True means the node is pruned."""
-        rows, by_records = propagate_node(self.model, self.records, box, self.prop)
+        rows, by_records = propagate_node(self.model, self.records, box)
         self.stats.handler_calls += by_records.calls
         self.stats.domain_reductions += by_records.domain_reductions
         self.stats.cutoffs += by_records.cutoffs

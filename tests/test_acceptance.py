@@ -123,7 +123,7 @@ def test_worked_tightening_examples_reproduce_exactly():
     assert enum.feasible_points == {(1, 0, 1, 0)}
     box = DomainBox.from_model(onehot_model)
     original = box.copy()
-    rows, out = propagate_node(onehot_model, [onehot_record], box, config)
+    rows, out = propagate_node(onehot_model, [onehot_record], box)
     assert not rows.cutoff and not out.cutoff
     assert box.lower == [1.0, 0.0, 1.0, 0.0]
     assert box.upper == [1.0, 0.0, 1.0, 0.0]

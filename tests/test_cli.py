@@ -14,6 +14,7 @@ from clash import clash_model
 import structprop.cli as cli_mod
 import structprop.propagate as propagate_mod
 from structprop.cli import main
+from structprop.detect import DETECTORS
 from structprop.families.cardinality import CardinalityParams
 from structprop.model import Integrality, LinearRow, MipModel, Variable
 from structprop.mps import write_mps
@@ -443,6 +444,34 @@ def test_search_node_limit_stops_early(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "limit"
     assert doc["nodes"] <= 2
+
+
+# ---------------------------------------------------------------------------
+# detector failures
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{mps}"],
+        ["propagate", "{mps}", "--detect"],
+        ["search", "{mps}"],
+        ["bench", "--dir", "{dir}"],
+    ],
+    ids=["detect", "propagate", "search", "bench"],
+)
+def test_a_failing_detector_is_logged_once(tmp_path, capsys, monkeypatch, argv):
+    def raises(view, config):
+        raise IndexError("planted fault")
+
+    # replace the value: deleting the key would change the arbitration order
+    monkeypatch.setitem(DETECTORS, Family.CHANNEL, raises)
+    mps = synth_file(tmp_path, "channel", 2)
+    capsys.readouterr()
+    argv = [arg.format(mps=mps, dir=tmp_path) for arg in argv]
+    code, _, err = run_cli(capsys, *argv, "--quiet")
+    assert code == 0
+    assert err.count("Channel detector failed: planted fault") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
 from structprop.detect import DETECTORS, detect_all
 from structprop.model import (
@@ -17,6 +18,7 @@ from structprop.model import (
     PropagationOutcome,
     Variable,
     is_valid_reduction,
+    set_upper,
 )
 from structprop.families import FAMILIES
 from structprop.families.bottleneck_exact_one import ActivatorSpec, BottleneckExactOneParams
@@ -641,6 +643,24 @@ def test_run_fixpoint_round_budget_reported():
     capped = run_fixpoint(model, [channel, budget], box, one_round)
     assert capped.domain_reductions and capped.budget_hit
     assert not run_fixpoint(model, [channel, budget], box).budget_hit
+
+
+def test_propagate_node_reports_its_own_round_cap(monkeypatch):
+    # the row x0 - x1 <= 0 and a rule x1 <= x0.ub - 1 walk both upper bounds
+    # down by one per node round, so the alternation, not either inner
+    # loop, stops at the cap with the box still moving
+    def walk_down(params, box, out):
+        return set_upper(box, out, 1, box.upper[0] - 1.0)
+
+    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, walk_down)
+    variables = [Variable(v, f"x{v}", 0.0, 1000.0, Integrality.INTEGER) for v in (0, 1)]
+    model = MipModel(variables, rows_of((((0, 1.0), (1, -1.0)), -INF, 0.0)))
+    record = SemanticRecord(Family.CHANNEL, (0, 1), ChannelParams(0, ((0.0, 1),)), (0,))
+    box = DomainBox.from_model(model)
+    rows, by_records = propagate_node(model, [record], box)
+    assert box.upper == [901.0, 900.0]
+    assert rows.budget_hit and not by_records.budget_hit
+    assert not rows.cutoff and not by_records.cutoff
 
 
 HAS_RULE = {spec.family for spec in FAMILIES if spec.rule is not None}

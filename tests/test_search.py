@@ -132,9 +132,9 @@ def test_every_node_takes_one_propagate_node_step(monkeypatch):
     calls = []
     real = search_mod.propagate_node
 
-    def spy(model, records, box, config=None):
+    def spy(model, records, box):
         calls.append(list(records))
-        return real(model, records, box, config)
+        return real(model, records, box)
 
     monkeypatch.setattr(search_mod, "propagate_node", spy)
     planted = reverse_sample(Family.ONE_HOT_RESOURCE, seed=0)

@@ -328,8 +328,9 @@ def test_propagator_zeroing_feasible_option_fails(monkeypatch):
     model, record = onehot_example()
 
     def broken(model, record, box, config=None):
-        box.upper[0] = 0.0  # kills the only feasible selection
-        return PropagationOutcome(calls=1, domain_reductions=1)
+        out = PropagationOutcome(calls=1)
+        set_upper(box, out, 0, 0.0)  # kills the only feasible selection
+        return out
 
     monkeypatch.setattr(verify_mod, "propagate_record", broken)
     passed, detail = verify_propagation(model, record)
@@ -341,7 +342,7 @@ def test_false_cutoff_fails(monkeypatch):
     model, record = onehot_example()
 
     def cries_wolf(model, record, box, config=None):
-        return PropagationOutcome(cutoff=True, calls=1, cutoffs=1)
+        return PropagationOutcome(calls=1, cutoffs=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", cries_wolf)
     passed, detail = verify_propagation(model, record)
@@ -353,7 +354,7 @@ def test_cutoff_on_empty_feasible_set_passes(monkeypatch):
     model, record = clash_model(Family.CARDINALITY, 5)
 
     def cuts(model, record, box, config=None):
-        return PropagationOutcome(cutoff=True, calls=1, cutoffs=1)
+        return PropagationOutcome(calls=1, cutoffs=1)
 
     monkeypatch.setattr(verify_mod, "propagate_record", cuts)
     passed, detail = verify_propagation(model, record)
@@ -562,8 +563,8 @@ def test_ladder_smoke_timeout(monkeypatch, gate):
 
 def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
     # the smoke instance is planted feasible, so a root cutoff is unsound
-    def cuts(model, records, box, config=None):
-        return PropagationOutcome(), PropagationOutcome(cutoff=True, cutoffs=1)
+    def cuts(model, records, box):
+        return PropagationOutcome(), PropagationOutcome(cutoffs=1)
 
     small_suites(monkeypatch, 1)
     monkeypatch.setattr(verify_mod, "propagate_node", cuts)
