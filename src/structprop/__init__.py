@@ -12,11 +12,7 @@ from .model import (  # noqa: F401
     is_valid_reduction,
     tighten_row,
 )
-from .detect import (  # noqa: F401
-    DetectionReport,
-    detect_all,
-    detect_family,
-)
+from .detect import DetectionReport, detect_all  # noqa: F401
 from .propagate import (  # noqa: F401
     PropagatorConfig,
     propagate_record,

@@ -27,7 +27,7 @@ import os
 import sys
 
 from .bench import run_benchmark, write_report
-from .detect import DetectionReport, detect_all, detect_family
+from .detect import DetectionReport, detect_all
 from .model import DomainBox, MipModel
 from .mps import MpsParseError, parse_mps
 from .propagate import outcome_to_json
@@ -121,10 +121,9 @@ def _finite(value: float) -> float | None:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    if args.family == "all":
-        report = detect_all(model)
-    else:
-        report = DetectionReport(tuple(detect_family(model, args.family)))
+    report = detect_all(model)
+    if args.family != "all":
+        report = DetectionReport(tuple(r for r in report.records if r.family is args.family))
     doc = records_to_json(list(report.records), model)
     doc["family_counts"] = report.family_counts
     _emit(doc, args.records_out)

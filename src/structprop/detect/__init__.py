@@ -1,8 +1,3 @@
 """Structure detection: arbitration over the family detectors."""
 
-from .engine import (  # noqa: F401
-    DETECTORS,
-    DetectionReport,
-    detect_all,
-    detect_family,
-)
+from .engine import DETECTORS, DetectionReport, detect_all  # noqa: F401

@@ -9,8 +9,10 @@ The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
 no record for a claimed row, since arbitration would only drop it.
 
-A detector that raises is skipped; ``detect_all`` logs its failure once at
-WARNING and keeps the same text in ``DetectionReport.warnings``.
+``detect_all`` is the one place that runs the detectors on a model, and
+``structprop detect --family F`` keeps its records of family F.  A detector
+that raises is skipped; ``detect_all`` logs its failure once at WARNING and
+keeps the same text in ``DetectionReport.warnings``.
 
 Detection takes no options: ``ModelView`` classifies every row of the model,
 whatever its size.  Each detector still takes a second argument, ``config``,
@@ -46,8 +48,8 @@ class DetectionReport:
     ``dropped`` holds the records a detector built whose evidence overlaps
     rows a record of a higher-priority family already claimed.
     Cardinality never appears there: it skips claimed rows before building
-    a record (``detect_family`` still returns a record for every counting
-    row).
+    a record (its detector run alone, ``DETECTORS[Family.CARDINALITY]``,
+    still returns a record for every counting row).
     """
 
     records: tuple[SemanticRecord, ...]
@@ -58,11 +60,6 @@ class DetectionReport:
     def family_counts(self) -> dict[str, int]:
         """Kept records per family name, in name order."""
         return dict(sorted(Counter(rec.family.value for rec in self.records).items()))
-
-
-def detect_family(model: MipModel, family: Family) -> list[SemanticRecord]:
-    """Run a single family detector, without cross-family arbitration."""
-    return DETECTORS[family](ModelView(model), None)
 
 
 def detect_all(model: MipModel, config: object = None) -> DetectionReport:

@@ -90,6 +90,29 @@ def test_detect_single_family_filter(tmp_path, capsys):
     assert json.loads(out)["records"] == []
 
 
+@pytest.mark.parametrize(
+    "planted, seed, size, family",
+    [
+        ("channel", 2, None, "channel"),
+        # AllDifferent claims every row, and every row also reads as counting
+        ("alldifferent", 7, "n=3", "cardinality"),
+    ],
+    ids=["own-family", "claimed-rows"],
+)
+def test_detect_with_a_family_keeps_its_records_of_detect(
+    tmp_path, capsys, planted, seed, size, family
+):
+    mps = synth_file(tmp_path, planted, seed, ["--size", size] if size else ())
+    capsys.readouterr()
+    _, everything, _ = run_cli(capsys, "detect", mps, "--quiet")
+    code, out, _ = run_cli(capsys, "detect", mps, "--family", family, "--quiet")
+    assert code == 0
+    name = Family.from_string(family).value
+    kept = [rec for rec in json.loads(everything)["records"] if rec["family"] == name]
+    assert json.loads(out)["records"] == kept
+    assert bool(kept) == (planted == family)
+
+
 def test_detect_missing_file_is_domain_failure(capsys):
     code, _, err = run_cli(capsys, "detect", "/no/such/file.mps")
     assert code == 1
@@ -454,11 +477,13 @@ def test_search_node_limit_stops_early(tmp_path, capsys):
     "argv",
     [
         ["detect", "{mps}"],
+        ["detect", "{mps}", "--family", "channel"],
+        ["detect", "{mps}", "--family", "all"],
         ["propagate", "{mps}", "--detect"],
         ["search", "{mps}"],
         ["bench", "--dir", "{dir}"],
     ],
-    ids=["detect", "propagate", "search", "bench"],
+    ids=["detect", "detect-channel", "detect-all", "propagate", "search", "bench"],
 )
 def test_a_failing_detector_is_logged_once(tmp_path, capsys, monkeypatch, argv):
     def raises(view, config):
@@ -469,9 +494,11 @@ def test_a_failing_detector_is_logged_once(tmp_path, capsys, monkeypatch, argv):
     mps = synth_file(tmp_path, "channel", 2)
     capsys.readouterr()
     argv = [arg.format(mps=mps, dir=tmp_path) for arg in argv]
-    code, _, err = run_cli(capsys, *argv, "--quiet")
+    code, out, err = run_cli(capsys, *argv, "--quiet")
     assert code == 0
     assert err.count("Channel detector failed: planted fault") == 1
+    if argv[0] == "detect":
+        assert isinstance(json.loads(out)["records"], list)
 
 
 # ---------------------------------------------------------------------------

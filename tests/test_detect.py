@@ -10,7 +10,7 @@ import pytest
 
 from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 
-from structprop.detect import DETECTORS, detect_all, detect_family
+from structprop.detect import DETECTORS, detect_all
 from structprop.model import INF, DomainBox, Integrality, LinearRow, MipModel, Variable
 from structprop.propagate import propagate_block_fixpoint
 from structprop.records import Family, records_equal, records_to_json
@@ -236,7 +236,7 @@ def test_priority_drops_row_level_reinterpretations():
     inst = reverse_sample(Family.ALL_DIFFERENT, {"n": 3}, seed=7)
 
     # every structural row also reads as a bare counting constraint
-    counting = detect_family(inst.model, Family.CARDINALITY)
+    counting = DETECTORS[Family.CARDINALITY](ModelView(inst.model), None)
     assert len(counting) == len(inst.model.rows)
 
     # arbitration gives every row to AllDifferent, so Cardinality builds
@@ -247,12 +247,13 @@ def test_priority_drops_row_level_reinterpretations():
 
 
 def arbitrate_full_outputs(model):
-    """detect_all's rule applied to every family's full detect_family output:
+    """detect_all's rule applied to every family detector's full output:
     in DETECTORS order, drop a record overlapping a row a record kept before
     it claimed."""
     kept, dropped, claimed = [], [], set()
     for family in DETECTORS:
-        for rec in sorted(detect_family(model, family), key=lambda r: sorted(r.evidence)):
+        found = DETECTORS[family](ModelView(model), None)
+        for rec in sorted(found, key=lambda r: sorted(r.evidence)):
             if claimed & set(rec.evidence):
                 dropped.append(rec)
                 continue

@@ -215,6 +215,9 @@ def test_row_error_messages_are_unchanged():
     cases = [
         (dict(terms=[(0, 1.0), (0, 2.0)]), "row 'r': duplicate variable id 0"),
         (dict(terms=[(3, INF)]), "row 'r': non-finite coefficient inf on 3"),
+        # terms are checked in order, so the first bad one names the fault
+        (dict(terms=[(0, INF), (1, 1.0), (1, 2.0)]), "row 'r': non-finite coefficient inf on 0"),
+        (dict(terms=[(1, 1.0), (1, 2.0), (0, INF)]), "row 'r': duplicate variable id 1"),
         (dict(terms=[(0, 1.0)], lhs=2.0, rhs=1.0), "row 'r': lhs 2.0 > rhs 1.0"),
         (dict(terms=[(0, 1.0)], lhs=math.nan), "row 'r': NaN side"),
     ]
@@ -222,6 +225,10 @@ def test_row_error_messages_are_unchanged():
         with pytest.raises(ValueError) as excinfo:
             row(**kwargs)
         assert str(excinfo.value) == message
+
+
+def test_row_accepts_finite_coefficients_whose_sum_overflows():
+    assert row([(0, 1e308), (1, 1e308)]).coeffs == (1e308, 1e308)
 
 
 def test_rows_share_small_integer_coefficients():
