@@ -158,8 +158,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         "changes": changes,
     }
     _emit(doc, None)
-    if outcome.cutoff:
-        log.warning("propagation proved the root box infeasible")
+    # set_lower/set_upper report every crossing they make as a cutoff, so
+    # only the declared box can be empty unnoticed, as at search's root
+    if outcome.cutoff or before.is_empty():
+        log.warning("the root box is infeasible")
         return EXIT_FAILURE
     return EXIT_OK
 

@@ -259,6 +259,15 @@ class MipModel:
         self.objective_sense = objective_sense
 
 
+def _name_or_default(item: Variable | LinearRow, prefix: str) -> str:
+    """The item's name, or ``{prefix}0001``-style from its id when blank.
+
+    The MPS writer names unnamed columns ``C...`` and rows ``R...`` by this
+    rule and a records file refers to them by it, so the two agree.
+    """
+    return item.name or f"{prefix}{item.id + 1:04d}"
+
+
 def models_equal(a: MipModel, b: MipModel) -> bool:
     """Structural equality: same variables, rows, objective, sense, in order."""
     # ids equal positions, so the dataclasses' own == compares the rest

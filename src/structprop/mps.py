@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .model import INF, Integrality, LinearRow, MipModel, Variable
+from .model import INF, Integrality, LinearRow, MipModel, Variable, _name_or_default
 
 _BOUND_TYPES = {"UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"}
 _UNSUPPORTED_BOUNDS = {"SC"}
@@ -319,9 +319,7 @@ def _normalize_sense(token: str, line_no: int) -> str:
     raise MpsParseError(line_no, f"unknown objective sense {token!r}")
 
 
-def _checked_name(name: str, fallback: str) -> str:
-    if not name:
-        return fallback
+def _checked_name(name: str) -> str:
     if len(name) > MAX_NAME_LEN:
         raise MpsWriteError(f"name longer than {MAX_NAME_LEN} characters: {name[:40]!r}...")
     if name.split() != [name]:  # str.split breaks on exactly what str.isspace accepts
@@ -339,17 +337,15 @@ def write_mps(model: MipModel) -> str:
     numeric bounds instead of BV, which would silently widen it.
     Unnamed variables and rows are auto-named C0001... / R0001...
     """
-    var_names = [
-        _checked_name(v.name, f"C{v.id + 1:04d}") for v in model.variables
-    ]
-    row_names = [_checked_name(r.name, f"R{r.id + 1:04d}") for r in model.rows]
+    var_names = [_checked_name(_name_or_default(v, "C")) for v in model.variables]
+    row_names = [_checked_name(_name_or_default(r, "R")) for r in model.rows]
     if len(set(var_names)) != len(var_names):
         raise MpsWriteError("duplicate variable names")
     if len(set(row_names)) != len(row_names) or "OBJ" in row_names:
         raise MpsWriteError("duplicate or reserved row names")
 
     # each section is joined once finished, so no two sections' line lists coexist
-    lines = [f"NAME {_checked_name(model.name, 'model')}"]
+    lines = [f"NAME {_checked_name(model.name or 'model')}"]
     if model.objective_sense == "max":
         lines.append("OBJSENSE")
         lines.append("    MAX")

@@ -41,7 +41,7 @@ from typing import (
     get_type_hints,
 )
 
-from .model import MipModel
+from .model import MipModel, _name_or_default
 
 
 class Family(Enum):
@@ -190,7 +190,7 @@ def _params_classes() -> dict[Family, type]:
 
 def _names(items, prefix: str, what: str) -> list[str]:
     """Each item's name, ``{prefix}0001``-style when blank; all must differ."""
-    names = [item.name or f"{prefix}{idx + 1:04d}" for idx, item in enumerate(items)]
+    names = [_name_or_default(item, prefix) for item in items]
     seen: set[str] = set()
     for name in names:
         if name in seen:

@@ -2,13 +2,16 @@
 
 Every node, the root included, takes one step: the rows and the records
 tighten its box to a fixpoint (``propagate_node``), and then the node is
-pruned or split.  The tree prunes three ways: row-interval contradiction,
-a record propagator's cutoff, and an objective interval bound that cannot
-beat the incumbent.  The bound works on the minimization form the model
-stores, so maximization models need no special case.  With no objective
-every leaf is optimal, so once the first leaf is found the bound prunes
-every open node.  There is no LP relaxation.  Statistics count
-record-propagator work only (calls, reductions, cutoffs, time), so a
+pruned, taken or split.  The tree prunes three ways: row-interval
+contradiction, a record propagator's cutoff, and an objective bound that
+cannot beat the incumbent.  The bound is the least objective value over the
+box (``activity_range``); at a leaf, where every integer is fixed, it is
+the leaf's own value, so one comparison both prunes an inner node and
+decides whether a leaf becomes the incumbent.  It reads the minimization
+form the model stores, so maximization models need no special case.  With
+no objective every leaf is optimal, so once the first leaf is found the
+bound prunes every open node.  There is no LP relaxation.  Statistics
+count record-propagator work only (calls, reductions, cutoffs, time), so a
 baseline run with no records reports zeros there while still doing
 row-level tightening at every node; that separation is what the benchmark
 tables compare.
@@ -103,90 +106,6 @@ def propagate_node(
     return rows, by_records
 
 
-def _objective_value(objective, values: dict[int, float]) -> float:
-    return sum(c * values[v] for v, c in objective)
-
-
-class _Search:
-    def __init__(self, model, records, config):
-        self.model = model
-        self.records = list(records)
-        self.config = config
-        self.stats = SearchStats()
-        self.incumbent: dict[int, float] | None = None
-        self.incumbent_value = 0.0
-        self.int_ids = [v.id for v in model.variables if v.is_integer]
-        self.deadline = time.monotonic() + config.time_limit
-
-    def propagate(self, box: DomainBox) -> bool:
-        """Tighten the node's box; True means the node is pruned."""
-        rows, by_records = propagate_node(self.model, self.records, box)
-        self.stats.handler_calls += by_records.calls
-        self.stats.domain_reductions += by_records.domain_reductions
-        self.stats.cutoffs += by_records.cutoffs
-        self.stats.prop_time += by_records.prop_time
-        return rows.cutoff or by_records.cutoff
-
-    def bound_prunes(self, box: DomainBox) -> bool:
-        if self.incumbent is None:
-            return False
-        # least objective value (minimization form) any point of the box attains
-        bound, _ = activity_range(self.model.objective, box)
-        return bound >= self.incumbent_value - FEAS_TOL
-
-    def take_leaf(self, box: DomainBox) -> None:
-        values = {v: float(round(box.lower[v])) for v in self.int_ids}
-        value = _objective_value(self.model.objective, values)
-        if self.incumbent is None or value < self.incumbent_value - FEAS_TOL:
-            self.incumbent = values
-            self.incumbent_value = value
-
-    def out_of_budget(self) -> bool:
-        return (
-            self.stats.nodes >= self.config.node_limit
-            or time.monotonic() > self.deadline
-        )
-
-    def run(self) -> None:
-        # the budget is checked only between nodes, so the root always runs.
-        # set_lower/set_upper report every crossing they make, so only the
-        # declared box can be empty unnoticed: it is checked once, here
-        stack = [DomainBox.from_model(self.model)]
-        if stack[0].is_empty():
-            self.stats.nodes = 1
-            stack.clear()
-        while stack:
-            box = stack.pop()
-            self.stats.nodes += 1
-            if not self.propagate(box):
-                self.expand(box, stack)
-            if stack and self.out_of_budget():
-                break
-        if stack:  # stopped with open nodes: the budget ran out
-            self.stats.status = "limit"
-        elif self.incumbent is not None:
-            self.stats.status = "optimal"
-        else:
-            self.stats.status = "infeasible"
-
-    def expand(self, box: DomainBox, stack: list[DomainBox]) -> None:
-        lower, upper = box.lower, box.upper
-        var = next((v for v in self.int_ids if upper[v] - lower[v] > 0.5), None)
-        if var is None:
-            self.take_leaf(box)
-            return
-        if self.bound_prunes(box):
-            return
-        if not (math.isfinite(lower[var]) and math.isfinite(upper[var])):
-            raise ValueError(f"integer variable {var} has an infinite domain")
-        mid = (int(round(lower[var])) + int(round(upper[var]))) // 2
-        high = box.copy()
-        high.lower[var] = float(mid + 1)
-        upper[var] = float(mid)  # the node's own box is the lower half
-        stack.append(high)
-        stack.append(box)  # lower half explored first
-
-
 def dfs_solve(
     model: MipModel,
     records: list[SemanticRecord],
@@ -195,9 +114,13 @@ def dfs_solve(
     """Solve by propagation-guided DFS; returns (incumbent, stats).
 
     Every node, the root included, takes the same step: count it, run
-    ``propagate_node`` with the rows and the records, then prune it or
-    branch.  ``records=[]`` is therefore the baseline configuration: the
-    same rows tighten every node, and no record is called.
+    ``propagate_node`` with the rows and the records, then read its
+    objective bound once.  ``records=[]`` is therefore the baseline
+    configuration: the same rows tighten every node, and no record is
+    called.  A node whose bound cannot beat the incumbent is pruned; a
+    surviving leaf becomes the incumbent with its bound as the value; any
+    other node branches.  The budget is checked only between nodes, so the
+    root always runs.
     Branching splits the lowest-id unfixed integer variable's domain at the
     floored midpoint, lower half first.  An integer whose domain is still
     infinite where it must be split raises ``ValueError``, so a declared
@@ -210,6 +133,52 @@ def dfs_solve(
     for v, _ in model.objective:
         if not model.variables[v].is_integer:
             raise ValueError(f"objective variable {v} is continuous")
-    search = _Search(model, records, config)
-    search.run()
-    return search.incumbent, search.stats
+    int_ids = [v.id for v in model.variables if v.is_integer]
+    deadline = time.monotonic() + config.time_limit
+    stats = SearchStats()
+    incumbent: dict[int, float] | None = None
+    best = 0.0
+    # set_lower/set_upper report every crossing they make, so only the
+    # declared box can be empty unnoticed: it is checked once, here
+    stack = [DomainBox.from_model(model)]
+    if stack[0].is_empty():
+        stats.nodes = 1
+        stack.clear()
+    while stack:
+        if stats.nodes and (stats.nodes >= config.node_limit or time.monotonic() > deadline):
+            break
+        box = stack.pop()
+        stats.nodes += 1
+        rows, by_records = propagate_node(model, records, box)
+        stats.handler_calls += by_records.calls
+        stats.domain_reductions += by_records.domain_reductions
+        stats.cutoffs += by_records.cutoffs
+        stats.prop_time += by_records.prop_time
+        if rows.cutoff or by_records.cutoff:
+            continue
+        # least objective value (minimization form) any point of the box
+        # attains; at a leaf it is the leaf's own value
+        bound, _ = activity_range(model.objective, box)
+        if incumbent is not None and bound >= best - FEAS_TOL:
+            continue
+        lower, upper = box.lower, box.upper
+        var = next((v for v in int_ids if upper[v] - lower[v] > 0.5), None)
+        if var is None:
+            incumbent = {v: float(round(lower[v])) for v in int_ids}
+            best = bound
+            continue
+        if not (math.isfinite(lower[var]) and math.isfinite(upper[var])):
+            raise ValueError(f"integer variable {var} has an infinite domain")
+        mid = (int(round(lower[var])) + int(round(upper[var]))) // 2
+        high = box.copy()
+        high.lower[var] = float(mid + 1)
+        upper[var] = float(mid)  # the node's own box is the lower half
+        stack.append(high)
+        stack.append(box)  # lower half explored first
+    if stack:  # stopped with open nodes: the budget ran out
+        stats.status = "limit"
+    elif incumbent is not None:
+        stats.status = "optimal"
+    else:
+        stats.status = "infeasible"
+    return incumbent, stats

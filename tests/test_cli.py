@@ -178,6 +178,24 @@ def test_propagate_cutoff_exits_nonzero(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_propagate_and_search_agree_on_an_empty_declared_box(tmp_path, capsys):
+    # y is in no row, so no propagation step sees that [0.5, 0.7] holds no integer
+    variables = (
+        Variable(0, "x", 0.0, 1.0, Integrality.BINARY),
+        Variable(1, "y", 0.5, 0.7, Integrality.INTEGER),
+    )
+    row = LinearRow(0, "r", ((0, 1.0),), float("-inf"), 1.0)
+    mps_path = tmp_path / "empty.mps"
+    mps_path.write_text(write_mps(MipModel(variables, (row,))))
+    code, out, err = run_cli(capsys, "propagate", str(mps_path), "--detect")
+    assert code == 1
+    assert json.loads(out)["changes"] == []
+    assert "infeasible" in err
+    code, out, _ = run_cli(capsys, "search", str(mps_path), "--quiet")
+    assert code == 1
+    assert json.loads(out)["status"] == "infeasible"
+
+
 def test_propagate_tightens_with_rows_as_search_does_at_root(tmp_path, capsys):
     # Cardinality is detect-only: its exactly-two row does the tightening
     variables = (

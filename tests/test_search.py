@@ -295,32 +295,39 @@ def test_row_bounded_integer_is_split_where_the_row_bounds_it():
 
 
 def test_each_split_copies_one_box(monkeypatch):
-    # the node's own box becomes the lower child, so a split pushes two
-    # children for one copy, and a leaf or pruned node copies nothing
-    copies = 0
+    # the node's own box becomes the lower child, popped next, and its one
+    # copy the upper child, popped later; a leaf or pruned node copies nothing
+    copied = []
     real_copy = DomainBox.copy
 
     def counting_copy(box):
-        nonlocal copies
-        copies += 1
-        return real_copy(box)
+        copied.append(real_copy(box))
+        return copied[-1]
 
-    real_expand = search_mod._Search.expand
-    steps = []
+    popped = []  # (box, copies made before it was propagated), one per node
+    real_propagate = search_mod.propagate_node
 
-    def spy(search, box, stack):
-        before = (copies, len(stack))
-        real_expand(search, box, stack)
-        steps.append((copies - before[0], len(stack) - before[1]))
+    def spy(model, records, box):
+        popped.append((box, len(copied)))
+        return real_propagate(model, records, box)
 
     monkeypatch.setattr(DomainBox, "copy", counting_copy)
-    monkeypatch.setattr(search_mod._Search, "expand", spy)
+    monkeypatch.setattr(search_mod, "propagate_node", spy)
     inst = reverse_sample(Family.ROSTERING_WINDOW, seed=0)
     _, stats = dfs_solve(inst.model, [inst.ground_truth])
     assert stats.status == "optimal"
-    assert set(steps) == {(1, 2), (0, 0)}
-    splits = steps.count((1, 2))
-    assert copies == splits == (stats.nodes - 1) // 2
+    assert len(popped) == stats.nodes
+    boxes = [box for box, _ in popped]
+    marks = [made for _, made in popped] + [len(copied)]
+    steps = [after - before for before, after in zip(marks, marks[1:])]
+    assert set(steps) == {0, 1}
+    for node, step in enumerate(steps):
+        if step:  # both children were pushed: the lower one is popped next
+            high = copied[marks[node]]
+            assert boxes[node + 1] is boxes[node]
+            assert any(box is high for box in boxes[node + 2 :])
+    splits = steps.count(1)
+    assert len(copied) == splits == (stats.nodes - 1) // 2
 
 
 MAXIMIZE_MPS = """\

@@ -421,12 +421,14 @@ def test_ladder_fails_a_rule_less_record_that_changes_its_box(monkeypatch):
     assert by_gate["propagator_soundness"].detail == "detect-only record ran a rule"
 
 
-def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
-    def greedy(params, box, out):
-        # pins the link variable at its lowest value, feasible or not
-        x = params.link_var
-        return set_upper(box, out, x, box.lower[x])
+def greedy(params, box, out):
+    """A Channel rule that pins the link variable at its lowest value,
+    feasible or not."""
+    x = params.link_var
+    return set_upper(box, out, x, box.lower[x])
 
+
+def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
     small_suites(monkeypatch, 2)
     monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, greedy)
     results = run_gate_ladder(Family.CHANNEL, suite_seed=0)
@@ -592,6 +594,18 @@ def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
     assert [r.gate for r in results] == ["artifact_completeness", "benchmark_ready"]
     assert not results[0].passed
     assert results[0].detail == "missing: detector"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the ladder runs rules through propagate._rules(), not through the "
+    "spec it reads, so a spec's unsound rule passes (ROADMAP item 2)",
+)
+def test_ladder_runs_the_rule_of_the_spec_it_reads(monkeypatch):
+    results = lacking(monkeypatch, Family.CHANNEL, rule=greedy)
+    by_gate = {r.gate: r for r in results}
+    assert not by_gate["propagator_soundness"].passed
 
 
 @dataclasses.dataclass(frozen=True)
