@@ -1,15 +1,16 @@
 """Detection driver: runs every family detector and arbitrates row claims.
 
 Families are tried in the key order of ``DETECTORS``, a view of
-``families.FAMILIES``, which writes that order.  Every kept record claims
-its evidence rows; a later record overlapping those rows is dropped, which
-keeps the surviving set disjoint on evidence.
+``families.FAMILIES`` made at import, so unlike the registry's other readers
+``detect_all`` does not see a spec replaced there later.  Every kept record
+claims its evidence rows; a later record overlapping those rows is dropped,
+which keeps the surviving set disjoint on evidence.
 
 The claimed rows live on the shared ``ModelView`` (``view.claimed``).
 Cardinality, last in the order and one row per record, reads them and builds
 no record for a claimed row, since arbitration would only drop it.
 
-``detect_all`` is the one place that runs the detectors on a model, and
+``detect_all`` is the one place that runs all detectors on a model, and
 ``structprop detect --family F`` keeps its records of family F.  A detector
 that raises is skipped; ``detect_all`` logs its failure once at WARNING and
 keeps the same text in ``DetectionReport.warnings``.
@@ -35,9 +36,10 @@ from ..rowview import ModelView
 
 log = logging.getLogger(__name__)
 
-# arbitration order: earlier families claim evidence rows first
+#: Family -> detector in arbitration order, read once from ``FAMILIES``.  A
+#: view, since ``detect_all`` reads it and perfbench's traced mode wraps it.
 DETECTORS: dict[Family, Callable[[ModelView, object], list[SemanticRecord]]] = {
-    spec.family: spec.detect for spec in FAMILIES
+    family: spec.detect for family, spec in FAMILIES.items()
 }
 
 

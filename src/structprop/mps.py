@@ -341,7 +341,11 @@ def write_mps(model: MipModel) -> str:
     row_names = [_checked_name(_name_or_default(r, "R")) for r in model.rows]
     if len(set(var_names)) != len(var_names):
         raise MpsWriteError("duplicate variable names")
-    if len(set(row_names)) != len(row_names) or "OBJ" in row_names:
+    for name in var_names:
+        if name.startswith("*"):  # the reader skips a line that starts with '*'
+            raise MpsWriteError(f"column name {name!r} starts with '*'")
+    # the reader takes a line naming row 'MARKER' for an INTORG/INTEND marker
+    if len(set(row_names)) != len(row_names) or "OBJ" in row_names or "'MARKER'" in row_names:
         raise MpsWriteError("duplicate or reserved row names")
 
     # each section is joined once finished, so no two sections' line lists coexist

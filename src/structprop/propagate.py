@@ -1,16 +1,17 @@
 """Per-record bound tightening: one dispatch, one loop over records.
 
 Each family's record rule lives in its ``structprop.families`` module, and
-``propagate_record`` calls the rule of the record's family.  Only Channel,
-OneHotResource and DisjPolyhedral have one, because only their rules prune
-integer values that the rows the record came from cannot, and a rule holds
-only that reasoning.  Each of the three records comes with an exact-one row
-(pick-one, group or selector row), and that row closes the group: once all
-members but one are fixed out, its residual-activity step fixes the last
-one in, and ``search.propagate_node`` runs the rows again after every
-record round that changed the box.  The other eight families are
-detect-only (rule None, each module says why): their records are mined and
-serialized, and propagating them is a no-op.
+``propagate_record`` calls the rule ``families.FAMILIES`` holds for the
+record's family when it runs.  Only Channel, OneHotResource and
+DisjPolyhedral have one, because only their rules prune integer values that
+the rows the record came from cannot, and a rule holds only that reasoning.
+Each of the three records comes with an exact-one row (pick-one, group or
+selector row), and that row closes the group: once all members but one are
+fixed out, its residual-activity step fixes the last one in, and
+``search.propagate_node`` runs the rows again after every record round that
+changed the box.  The other eight families are detect-only (rule None, each
+module says why): their records are mined and serialized, and propagating
+them is a no-op.
 
 A rule has the shape of the row kernel ``model.tighten_row``:
 ``rule(params, box, out) -> bool``.  It makes one pass, writes bounds into
@@ -39,11 +40,10 @@ only when it beats the old bound by more than ``FEAS_TOL``.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import (
     FEAS_TOL,
@@ -54,7 +54,7 @@ from .model import (
     PropagationOutcome,
     tighten_row,
 )
-from .records import Family, SemanticRecord
+from .records import SemanticRecord, _families
 
 __all__ = [
     "BoundChange",
@@ -173,15 +173,6 @@ def propagate_block_fixpoint(
 # record dispatch and the global fixpoint
 
 
-@functools.cache
-def _rules() -> dict[Family, Callable | None]:
-    """Family -> its rule, or None when detect-only; read from ``FAMILIES``
-    on first use, since the family modules import this one."""
-    from .families import FAMILIES
-
-    return {spec.family: spec.rule for spec in FAMILIES}
-
-
 def propagate_record(
     model: MipModel,
     record: SemanticRecord,
@@ -195,7 +186,7 @@ def propagate_record(
     record leaves the box alone and reports no call.  Neither ``model`` nor
     ``config`` is read; they stay so every record call has one shape.
     """
-    rule = _rules()[record.family]
+    rule = _families()[record.family].rule
     if rule is None:
         return PropagationOutcome()
     started = time.perf_counter()

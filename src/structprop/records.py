@@ -7,13 +7,14 @@ record documents survive alongside MPS files.
 
 Each family's params dataclass, in its ``structprop.families`` module, is
 its own schema, and a new family needs one marked dataclass with no
-serializer and no key.  A field typed :data:`Var` or :data:`Row` holds a
-variable or row id, :data:`Unordered` marks a tuple whose order carries no
-meaning, and :data:`RoleRows` marks ``(role, row ids)`` pairs that
-serialize as one JSON object keyed by role.  One walk over a params
-class's field types builds its encoder, decoder and identity key once per
-type: tuples become lists, ``X | None`` passes None through, nested
-dataclasses become objects keyed by field name, and ids become names.
+serializer and no key; records look it up in ``families.FAMILIES``.  A
+field typed :data:`Var` or :data:`Row` holds a variable or row id,
+:data:`Unordered` marks a tuple whose order carries no meaning, and
+:data:`RoleRows` marks ``(role, row ids)`` pairs that serialize as one JSON
+object keyed by role.  One walk over a params class's field types builds
+its encoder, decoder and identity key once per type: tuples become lists,
+``X | None`` passes None through, nested dataclasses become objects keyed
+by field name, and ids become names.
 
 The key decides structural equality (:func:`records_equal`, and exact
 recovery in ``verify``).  Labels that carry no meaning (which group came
@@ -97,7 +98,7 @@ class SemanticRecord:
     def __post_init__(self) -> None:
         if not self.scope:
             raise ValueError("record scope must not be empty")
-        expected = _params_classes()[self.family]
+        expected = _families()[self.family].params
         if not isinstance(self.params, expected):
             raise ValueError(
                 f"{self.family.value} record needs {expected.__name__}, "
@@ -155,15 +156,16 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"records document must be an object, not {type(doc).__name__}")
-    if doc.get("schema") != RECORDS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported records schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != RECORDS_SCHEMA_VERSION:  # not True, not 1.0
+        raise ValueError(f"unsupported records schema {schema!r}")
     vid = _resolver(_names(model.variables, "C", "variable"), "variable")
     rid = _resolver(_names(model.rows, "R", "row"), "row")
     records = []
     try:
         for raw in doc["records"]:
             family = Family.from_string(raw["family"])
-            params = _codec(_params_classes()[family])[1](raw["params"], vid, rid)
+            params = _codec(_families()[family].params)[1](raw["params"], vid, rid)
             records.append(
                 SemanticRecord(
                     family,
@@ -180,12 +182,12 @@ def records_from_json(doc: Mapping, model: MipModel) -> list[SemanticRecord]:
 
 
 @functools.cache
-def _params_classes() -> dict[Family, type]:
-    """Family -> its params dataclass, read from ``FAMILIES`` on first use,
-    since every family module imports this one."""
+def _families() -> dict:
+    """``families.FAMILIES`` itself, not a copy, imported on first use since
+    every family module imports this one."""
     from .families import FAMILIES
 
-    return {spec.family: spec.params for spec in FAMILIES}
+    return FAMILIES
 
 
 def _names(items, prefix: str, what: str) -> list[str]:

@@ -63,10 +63,10 @@ class PlantedInstance:
     noise_row_ids: tuple[int, ...] = ()
 
 
-_SPECS = {spec.family: spec for spec in FAMILIES}
-#: Each family's default planting sizes, a view of ``families.FAMILIES``.
+#: Each family's default planting sizes, read once from ``FAMILIES``; a
+#: view kept for ``perfbench/corpus.py``, as ``reverse_sample`` reads specs.
 DEFAULT_SIZE_PARAMS: dict[Family, dict[str, int]] = {
-    family: spec.default_sizes for family, spec in _SPECS.items()
+    family: spec.default_sizes for family, spec in FAMILIES.items()
 }
 
 
@@ -75,8 +75,9 @@ def reverse_sample(
     size_params: dict[str, int] | None = None,
     seed: int = 0,
 ) -> PlantedInstance:
-    """Generate a feasible instance containing one planted constraint block."""
-    spec = _SPECS[family]
+    """Generate a feasible instance containing one planted constraint block,
+    with the planter and sizes ``families.FAMILIES`` holds for ``family``."""
+    spec = FAMILIES[family]
     sizes = dict(spec.default_sizes)
     if size_params:
         unknown = set(size_params) - set(sizes) - {"allow_large"}

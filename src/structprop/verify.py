@@ -11,6 +11,9 @@ CI ladder used before any family is allowed into a benchmark: one loop runs
 the gate checks of ``_CHECKS`` in order, times each against its
 ``GATE_TIME_CAPS`` budget, fails a gate whose check raises, and stops at the
 first failed gate.  That loop is the only place a ``GateResult`` is built.
+The checks judge the family's spec in ``families.FAMILIES``: they call its
+detector, and run its rule and planter through ``propagate_record`` and
+``reverse_sample``, which read the same entry.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .detect import detect_all
 from .families import FAMILIES, FamilySpec
 from .model import DomainBox, MipModel, is_valid_reduction
 from .propagate import propagate_block_fixpoint, propagate_record
 from .records import Family, SemanticRecord, _codec, params_key
+from .rowview import ModelView
 from .search import propagate_node
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
 
@@ -217,33 +220,24 @@ def _artifact_completeness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str
     return True, f"detector, record schema, {propagator}, serializer registered"
 
 
-def _detect(model: MipModel) -> tuple[tuple[SemanticRecord, ...], str]:
-    """``detect_all``'s records and its warnings joined, "" when it has none:
-    a detector that raised is a failure the gates report, not a miss."""
-    report = detect_all(model)
-    return report.records, "; ".join(report.warnings)
-
-
 def _load(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
-    """Detection and search's node step run on an empty model and find nothing."""
+    """The detector and search's node step run on an empty model and find nothing."""
     empty = MipModel(variables=(), rows=())
-    found, warned = _detect(empty)
-    if warned:
-        return False, warned
+    found = spec.detect(ModelView(empty), None)
     propagate_node(empty, found, DomainBox.from_model(empty))
     return not found, f"empty model: {len(found)} records, fixpoint ran"
 
 
 def _detector_verification(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
-    """Detection recovers the planted record of every obfuscated suite instance."""
+    """The detector recovers the planted record of every obfuscated suite instance."""
     for seed in range(suite_seed, suite_seed + DETECTOR_SUITE_SIZE):
         instance = obfuscate(
             reverse_sample(spec.family, seed=seed), ObfuscationConfig(seed=seed)
         )
-        records, warned = _detect(instance.model)
+        records = spec.detect(ModelView(instance.model), None)
         passed, detail = verify_detector(instance, records)
-        if warned or not passed:
-            return False, f"seed {seed}: {warned or detail}"
+        if not passed:
+            return False, f"seed {seed}: {detail}"
     size = DETECTOR_SUITE_SIZE
     return True, f"{size}/{size} exactly recovered"
 
@@ -273,9 +267,7 @@ def _propagator_soundness(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]
 def _smoke(spec: FamilySpec, suite_seed: int) -> tuple[bool, str]:
     """Search's node step runs on one planted instance and does not cut it off."""
     instance = reverse_sample(spec.family, seed=suite_seed)
-    records, warned = _detect(instance.model)
-    if warned:
-        return False, warned
+    records = spec.detect(ModelView(instance.model), None)
     box = DomainBox.from_model(instance.model)
     rows, by_records = propagate_node(instance.model, records, box)
     # the instance is planted feasible, so a cutoff is a soundness fault
@@ -310,7 +302,7 @@ def run_gate_ladder(family: Family, suite_seed: int = 0) -> list[GateResult]:
     ``DETECTOR_SUITE_SIZE``/``SOUNDNESS_SUITE_SIZE`` seeds from
     ``suite_seed`` on.
     """
-    spec = next(spec for spec in FAMILIES if spec.family is family)
+    spec = FAMILIES[family]
     results: list[GateResult] = []
     for gate, check in _CHECKS:
         started = time.perf_counter()

@@ -1,5 +1,6 @@
 """CLI tests: subcommand wiring, exit codes, JSON payloads."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +13,9 @@ from bottleneck import PARTIAL_WEIGHTS, bottleneck_model
 from clash import clash_model
 
 import structprop.cli as cli_mod
-import structprop.propagate as propagate_mod
 from structprop.cli import main
 from structprop.detect import DETECTORS
+from structprop.families import FAMILIES
 from structprop.families.cardinality import CardinalityParams
 from structprop.model import Integrality, LinearRow, MipModel, Variable
 from structprop.mps import write_mps
@@ -382,7 +383,8 @@ def test_verify_reports_every_ladder_when_a_rule_crashes(tmp_path, capsys, monke
     def raises(params, box, out):
         raise IndexError("planted fault")
 
-    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, raises)
+    channel = dataclasses.replace(FAMILIES[Family.CHANNEL], rule=raises)
+    monkeypatch.setitem(FAMILIES, Family.CHANNEL, channel)
     report_path = tmp_path / "ladders.json"
     code, _, _ = run_cli(
         capsys, "verify", "--family", "all", "--quiet", "--report", str(report_path)

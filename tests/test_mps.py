@@ -449,8 +449,10 @@ def test_writer_rejects_every_whitespace_character_in_names():
         ((("x",), ("r", "r")), "duplicate or reserved row names"),
         ((("x",), ("", "R0001")), "duplicate or reserved row names"),
         ((("x",), ("OBJ",)), "duplicate or reserved row names"),
+        # the reader takes "x 'MARKER' 1" for a marker line
+        ((("x",), ("'MARKER'",)), "duplicate or reserved row names"),
     ],
-    ids=["vars", "var-autoname", "rows", "row-autoname", "reserved"],
+    ids=["vars", "var-autoname", "rows", "row-autoname", "reserved", "marker"],
 )
 def test_writer_rejects_duplicate_names(names, message):
     var_names, row_names = names
@@ -458,6 +460,19 @@ def test_writer_rejects_duplicate_names(names, message):
     r = [LinearRow(i, name, ((0, 1.0),), -INF, 1.0) for i, name in enumerate(row_names)]
     with pytest.raises(MpsWriteError, match=message):
         write_mps(MipModel(v, r))
+
+
+def test_writer_rejects_a_column_name_the_reader_takes_for_a_comment():
+    # "    *x r 1" would be skipped as a comment: *x would come back
+    # continuous, in no row and out of the objective
+    v = [Variable(0, "*x", 0.0, 3.0, Integrality.INTEGER)]
+    r = [LinearRow(0, "r", ((0, 1.0),), -INF, 2.0)]
+    with pytest.raises(MpsWriteError, match=r"column name '\*x' starts with '\*'"):
+        write_mps(MipModel(v, r, ((0, -1.0),)))
+    # a '*' later in a name is no comment mark
+    v = [Variable(0, "x*", 0.0, 3.0, Integrality.INTEGER)]
+    again = parse_mps(write_mps(MipModel(v, r, ((0, -1.0),))))
+    assert again.variables[0].is_integer and again.objective == ((0, -1.0),)
 
 
 def test_writer_rejects_double_free_row():

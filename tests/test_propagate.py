@@ -1,12 +1,12 @@
 """Propagator tests: family rules, fixpoints, soundness against enumeration."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
-import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
 from structprop.detect import DETECTORS, detect_all
 from structprop.model import (
@@ -57,7 +57,7 @@ def propagate_on_binaries(record, box):
 
 def apply_rule(params, box):
     """One call of the rule for ``params``'s family, through ``propagate_record``."""
-    family = next(spec.family for spec in FAMILIES if spec.params is type(params))
+    family = next(f for f, spec in FAMILIES.items() if spec.params is type(params))
     record = SemanticRecord(family, tuple(range(len(box))), params, ())
     return propagate_on_binaries(record, box)
 
@@ -652,7 +652,8 @@ def test_propagate_node_reports_its_own_round_cap(monkeypatch):
     def walk_down(params, box, out):
         return set_upper(box, out, 1, box.upper[0] - 1.0)
 
-    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, walk_down)
+    channel = dataclasses.replace(FAMILIES[Family.CHANNEL], rule=walk_down)
+    monkeypatch.setitem(FAMILIES, Family.CHANNEL, channel)
     variables = [Variable(v, f"x{v}", 0.0, 1000.0, Integrality.INTEGER) for v in (0, 1)]
     model = MipModel(variables, rows_of((((0, 1.0), (1, -1.0)), -INF, 0.0)))
     record = SemanticRecord(Family.CHANNEL, (0, 1), ChannelParams(0, ((0.0, 1),)), (0,))
@@ -663,14 +664,15 @@ def test_propagate_node_reports_its_own_round_cap(monkeypatch):
     assert not rows.cutoff and not by_records.cutoff
 
 
-HAS_RULE = {spec.family for spec in FAMILIES if spec.rule is not None}
+HAS_RULE = {family for family, spec in FAMILIES.items() if spec.rule is not None}
 
 
 def test_every_family_has_one_spec_in_arbitration_order():
-    assert sorted(spec.family.value for spec in FAMILIES) == sorted(f.value for f in Family)
-    assert [spec.family for spec in FAMILIES] == list(DETECTORS)
+    assert sorted(family.value for family in FAMILIES) == sorted(f.value for f in Family)
+    assert all(spec.family is family for family, spec in FAMILIES.items())
+    assert list(FAMILIES) == list(DETECTORS)
     assert HAS_RULE == {Family.CHANNEL, Family.ONE_HOT_RESOURCE, Family.DISJ_POLYHEDRAL}
-    for spec in FAMILIES:
+    for spec in FAMILIES.values():
         inst = reverse_sample(spec.family, SMALL_SIZES[spec.family], seed=0)
         box = DomainBox.from_model(inst.model)
         out = propagate_record(inst.model, inst.ground_truth, box)

@@ -157,7 +157,7 @@ def _ordered_tuples(tp, path):
 def test_only_chain_positions_are_ordered():
     ordered = {
         path
-        for spec in FAMILIES
+        for spec in FAMILIES.values()
         for path in _ordered_tuples(spec.params, spec.family.value)
     }
     chain = ("status", "startup", "shutdown", "power", "reserve")
@@ -262,7 +262,10 @@ def test_records_from_json_rejects_wrong_values(family, field, value, message):
         records_from_json(doc, inst.model)
 
 
-@pytest.mark.parametrize("schema", [2, None], ids=["newer", "missing"])
+# a JSON bool or float equal to the version is no schema number
+@pytest.mark.parametrize(
+    "schema", [2, None, True, 1.0], ids=["newer", "missing", "bool", "float"]
+)
 def test_records_from_json_rejects_an_unsupported_schema(schema):
     doc, inst = _planted_doc(Family.CARDINALITY)
     if schema is None:

@@ -8,9 +8,8 @@ import pytest
 
 from clash import clash_model
 
-import structprop.propagate as propagate_mod
 import structprop.verify as verify_mod
-from structprop.detect import DETECTORS, DetectionReport, detect_all
+from structprop.detect import detect_all
 from structprop.families import FAMILIES
 from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
@@ -378,6 +377,11 @@ def small_suites(monkeypatch, size):
     monkeypatch.setattr(verify_mod, "SOUNDNESS_SUITE_SIZE", size)
 
 
+def swap(monkeypatch, family, **pieces):
+    """Replace ``family``'s registry entry by its spec with ``pieces`` replaced."""
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], **pieces))
+
+
 def test_ladder_all_gates_pass(monkeypatch):
     small_suites(monkeypatch, 4)
     results = run_gate_ladder(Family.CARDINALITY, suite_seed=0)
@@ -430,7 +434,7 @@ def greedy(params, box, out):
 
 def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
     small_suites(monkeypatch, 2)
-    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, greedy)
+    swap(monkeypatch, Family.CHANNEL, rule=greedy)
     results = run_gate_ladder(Family.CHANNEL, suite_seed=0)
     assert [(r.gate, r.passed) for r in results] == [
         ("artifact_completeness", True),
@@ -442,13 +446,13 @@ def test_ladder_fails_a_rule_that_fixes_a_feasible_value_out(monkeypatch):
     assert results[3].detail == "seed 0: reduced box excluded a feasible point"
 
 
-def finds_nothing(model):
-    return DetectionReport(())
+def finds_nothing(view, config):
+    return []
 
 
 def test_ladder_stubbed_detector_short_circuits(monkeypatch):
     small_suites(monkeypatch, 3)
-    monkeypatch.setattr(verify_mod, "detect_all", finds_nothing)
+    swap(monkeypatch, Family.CARDINALITY, detect=finds_nothing)
     results = run_gate_ladder(Family.CARDINALITY, suite_seed=0)
     gates = [r.gate for r in results]
     assert gates == [
@@ -464,10 +468,10 @@ def test_ladder_stubbed_detector_short_circuits(monkeypatch):
 
 
 def test_ladder_load_gate_catches_crash(monkeypatch):
-    def explodes(model):
+    def explodes(view, config):
         raise RuntimeError("bad import")
 
-    monkeypatch.setattr(verify_mod, "detect_all", explodes)
+    swap(monkeypatch, Family.CARDINALITY, detect=explodes)
     results = run_gate_ladder(Family.CARDINALITY)
     by_gate = {r.gate: r for r in results}
     assert not by_gate["load"].passed
@@ -476,40 +480,49 @@ def test_ladder_load_gate_catches_crash(monkeypatch):
 
 
 def test_ladder_fails_load_when_a_detector_raises(monkeypatch):
-    # detect_all turns the exception into a warning and carries on; the
-    # ladder must report the warning, not a missing record further on
+    # the ladder runs the detector itself, not through detect_all, so the
+    # exception is a crash, not a warning and a missing record further on
     def raises(view, config):
         raise RuntimeError("planted fault")
 
-    monkeypatch.setitem(DETECTORS, Family.CHANNEL, raises)
+    swap(monkeypatch, Family.CHANNEL, detect=raises)
     results = run_gate_ladder(Family.CHANNEL)
     assert [(r.gate, r.passed) for r in results] == [
         ("artifact_completeness", True),
         ("load", False),
         ("benchmark_ready", False),
     ]
-    assert results[1].detail == "Channel detector failed: planted fault"
+    assert results[1].detail == "crashed: RuntimeError('planted fault')"
 
 
 @pytest.mark.parametrize(
-    "gate, detail",
-    [
-        ("load", "Stretch detector failed: boom"),
-        ("detector_verification", "seed 0: Stretch detector failed: boom"),
-        ("smoke", "Stretch detector failed: boom"),
-    ],
+    "gate, calls_before", [("load", 0), ("detector_verification", 1), ("smoke", 2)]
 )
-def test_gates_that_detect_fail_on_a_detection_warning(monkeypatch, gate, detail):
-    # every record is right; the warning alone must fail the gate
-    def warns(model):
-        report = detect_all(model)
-        return dataclasses.replace(report, warnings=("Stretch detector failed: boom",))
+def test_gates_that_detect_crash_on_a_raising_detector(monkeypatch, gate, calls_before):
+    channel = FAMILIES[Family.CHANNEL]
 
-    small_suites(monkeypatch, 2)
-    monkeypatch.setattr(verify_mod, "detect_all", warns)
-    check = dict(verify_mod._CHECKS)[gate]
-    spec = next(spec for spec in FAMILIES if spec.family is Family.CHANNEL)
-    assert check(spec, 0) == (False, detail)
+    def raises(view, config):
+        raise RuntimeError("planted fault")
+
+    with pytest.raises(RuntimeError, match="planted fault"):
+        dict(verify_mod._CHECKS)[gate](dataclasses.replace(channel, detect=raises), 0)
+
+    # with one-seed suites the gates call the detector once each, in
+    # order, so a detector that raises from call ``calls_before + 1`` on
+    # first crashes ``gate``
+    calls = []
+
+    def raises_late(view, config):
+        calls.append(view)
+        if len(calls) > calls_before:
+            raise RuntimeError("planted fault")
+        return channel.detect(view, config)
+
+    small_suites(monkeypatch, 1)
+    swap(monkeypatch, Family.CHANNEL, detect=raises_late)
+    by_gate = {r.gate: r for r in run_gate_ladder(Family.CHANNEL)}
+    assert by_gate[gate].detail == "crashed: RuntimeError('planted fault')"
+    assert by_gate["benchmark_ready"].detail == f"blocked by {gate}"
 
 
 def test_ladder_fails_the_gate_of_a_crashing_rule(monkeypatch, caplog):
@@ -517,7 +530,7 @@ def test_ladder_fails_the_gate_of_a_crashing_rule(monkeypatch, caplog):
         raise IndexError("planted fault")
 
     small_suites(monkeypatch, 2)
-    monkeypatch.setitem(propagate_mod._rules(), Family.CHANNEL, raises)
+    swap(monkeypatch, Family.CHANNEL, rule=raises)
     results = run_gate_ladder(Family.CHANNEL)
     assert [(r.gate, r.passed) for r in results] == [
         ("artifact_completeness", True),
@@ -579,12 +592,8 @@ def test_ladder_smoke_fails_on_a_root_cutoff(monkeypatch):
 
 
 def lacking(monkeypatch, family, **pieces):
-    """Make the ladder read ``family``'s spec with ``pieces`` replaced."""
-    specs = tuple(
-        dataclasses.replace(spec, **pieces) if spec.family is family else spec
-        for spec in FAMILIES
-    )
-    monkeypatch.setattr(verify_mod, "FAMILIES", specs)
+    """Run the ladder of ``family``'s spec with ``pieces`` replaced."""
+    swap(monkeypatch, family, **pieces)
     small_suites(monkeypatch, 1)
     return run_gate_ladder(family)
 
@@ -596,16 +605,18 @@ def test_ladder_missing_detector_fails_artifact_gate(monkeypatch):
     assert results[0].detail == "missing: detector"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the ladder runs rules through propagate._rules(), not through the "
-    "spec it reads, so a spec's unsound rule passes (ROADMAP item 2)",
-)
 def test_ladder_runs_the_rule_of_the_spec_it_reads(monkeypatch):
     results = lacking(monkeypatch, Family.CHANNEL, rule=greedy)
     by_gate = {r.gate: r for r in results}
     assert not by_gate["propagator_soundness"].passed
+
+
+def test_ladder_runs_the_detector_of_the_spec_it_reads(monkeypatch):
+    results = lacking(monkeypatch, Family.CHANNEL, detect=finds_nothing)
+    by_gate = {r.gate: r for r in results}
+    assert by_gate["load"].passed
+    assert by_gate["detector_verification"].detail == "seed 0: no records"
+    assert by_gate["benchmark_ready"].detail == "blocked by detector_verification"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -636,7 +647,7 @@ def test_ladder_artifact_gate_reads_detect_only(monkeypatch):
 def test_benchmark_ready_implies_all_prior(monkeypatch):
     small_suites(monkeypatch, 2)
     scenarios = [run_gate_ladder(Family.CHANNEL)]
-    monkeypatch.setattr(verify_mod, "detect_all", finds_nothing)
+    swap(monkeypatch, Family.CHANNEL, detect=finds_nothing)
     scenarios.append(run_gate_ladder(Family.CHANNEL))
     for results in scenarios:
         if results[-1].passed:
