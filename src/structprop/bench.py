@@ -126,6 +126,33 @@ def shifted_geometric_mean(values: Sequence[float], shift: float) -> float:
     return math.exp(mean_log) - shift
 
 
+def _sgm(values: Sequence[float], shift: float) -> float | None:
+    """The shifted geometric mean, or None (an absent cell) over no values."""
+    return shifted_geometric_mean(values, shift) if values else None
+
+
+def _performance(common: Sequence[Mapping[str, BenchRun]]) -> dict[str, float | int | None]:
+    """One performance row over commonly solved pairs; all None over none."""
+    if not common:
+        return dict.fromkeys(PERFORMANCE_COLUMNS)
+    base = [s["baseline"] for s in common]
+    plug = [s["plugin"] for s in common]
+    t_base = shifted_geometric_mean([r.wall_time for r in base], TIME_SHIFT)
+    t_plug = shifted_geometric_mean([r.wall_time for r in plug], TIME_SHIFT)
+    n_base = shifted_geometric_mean([r.nodes for r in base], NODE_SHIFT)
+    n_plug = shifted_geometric_mean([r.nodes for r in plug], NODE_SHIFT)
+    return {
+        "T_base": t_base,
+        "T_plug": t_plug,
+        "N_base": n_base,
+        "N_plug": n_plug,
+        "T speedup": t_base / t_plug if t_plug > 0 else None,
+        "N speedup": n_base / n_plug if n_plug > 0 else None,
+        "#T_speedup": sum(1 for b, p in zip(base, plug) if p.wall_time < b.wall_time),
+        "#N_speedup": sum(1 for b, p in zip(base, plug) if p.nodes < b.nodes),
+    }
+
+
 def _pair_runs(runs: Iterable[BenchRun]) -> dict[tuple[str, int], dict[str, BenchRun]]:
     pairs: dict[tuple[str, int], dict[str, BenchRun]] = {}
     for run in runs:
@@ -154,7 +181,10 @@ def aggregate(
     An instance counts as detected for a family when the instance's
     detection report kept at least one record of it, however many records
     that was.  Performance statistics cover only the commonly solved
-    detected instances; a family with no such instances gets absent cells.
+    detected instances.  A cell is absent (None; ``--`` in a CSV) when it
+    averages nothing: a family's whole performance row without commonly
+    solved instances, a speedup over a plugin mean of 0, a diagnostic over
+    no plugin runs, or ``Domain red.`` with no reduction.
     """
     pairs = _pair_runs(runs)
     found = {name: report.family_counts.keys() for name, report in detections.items()}
@@ -179,54 +209,14 @@ def aggregate(
             "Baseline only": len(base_solved) - len(common),
             "Plugin only": len(plug_solved) - len(common),
         }
-        if common:
-            t_base = shifted_geometric_mean(
-                [s["baseline"].wall_time for s in common], TIME_SHIFT
-            )
-            t_plug = shifted_geometric_mean(
-                [s["plugin"].wall_time for s in common], TIME_SHIFT
-            )
-            n_base = shifted_geometric_mean(
-                [s["baseline"].nodes for s in common], NODE_SHIFT
-            )
-            n_plug = shifted_geometric_mean(
-                [s["plugin"].nodes for s in common], NODE_SHIFT
-            )
-            performance[fam] = {
-                "T_base": t_base,
-                "T_plug": t_plug,
-                "N_base": n_base,
-                "N_plug": n_plug,
-                "T speedup": t_base / t_plug if t_plug > 0 else None,
-                "N speedup": n_base / n_plug if n_plug > 0 else None,
-                "#T_speedup": sum(
-                    1 for s in common if s["plugin"].wall_time < s["baseline"].wall_time
-                ),
-                "#N_speedup": sum(
-                    1 for s in common if s["plugin"].nodes < s["baseline"].nodes
-                ),
-            }
-        else:
-            performance[fam] = {column: None for column in PERFORMANCE_COLUMNS}
+        performance[fam] = _performance(common)
         plugin_runs = [s["plugin"] for s in detected]
         reduced = [r.domain_reductions for r in plugin_runs if r.domain_reductions > 0]
         diagnostics[fam] = {
-            "Calls": shifted_geometric_mean([r.calls for r in plugin_runs], DIAG_SHIFT)
-            if plugin_runs
-            else None,
-            "Domain red.": shifted_geometric_mean(reduced, DIAG_SHIFT)
-            if reduced
-            else None,
-            "Cutoffs": shifted_geometric_mean(
-                [r.cutoffs for r in plugin_runs], DIAG_SHIFT
-            )
-            if plugin_runs
-            else None,
-            "Prop. time (s)": shifted_geometric_mean(
-                [r.prop_time for r in plugin_runs], DIAG_SHIFT
-            )
-            if plugin_runs
-            else None,
+            "Calls": _sgm([r.calls for r in plugin_runs], DIAG_SHIFT),
+            "Domain red.": _sgm(reduced, DIAG_SHIFT),
+            "Cutoffs": _sgm([r.cutoffs for r in plugin_runs], DIAG_SHIFT),
+            "Prop. time (s)": _sgm([r.prop_time for r in plugin_runs], DIAG_SHIFT),
             "Zero-reduction runs": len(plugin_runs) - len(reduced),
         }
     return BenchReport(coverage, performance, diagnostics, runs=tuple(runs))

@@ -3,19 +3,23 @@
 The reader accepts whitespace-delimited MPS text: NAME, OBJSENSE, ROWS,
 COLUMNS (with INTORG/INTEND markers), RHS, RANGES, BOUNDS, ENDATA.  Row
 senses map to two-sided rows: L -> (-inf, rhs], G -> [rhs, inf), E ->
-[rhs, rhs], with RANGES widening one side in the standard way.  Default
-bounds are [0, inf) for continuous columns and [0, 1] for INTORG columns
-unless an explicit bound line appears.  Maximization objectives are
-normalized to minimization at parse time; the declared sense is kept on the
-model so the writer can restore it.
+[rhs, rhs], with RANGES widening one side in the standard way.  That side
+is computed in floating point (an L row's lhs as rhs - |R|), so the writer
+emits [lhs, rhs] as L with R = rhs - lhs unless only G reads both sides
+back exactly, as for [-0.1, 2.73]; for about 9% of float pairs in [-1e6,
+1e6] neither does.  Default bounds are [0, inf) for continuous columns and
+[0, 1] for INTORG columns unless an explicit bound line appears.
+Maximization objectives are normalized to minimization at parse time; the
+declared sense is kept on the model so the writer can restore it.
 
 Unsupported features (SOS sections, semicontinuous bounds) and malformed
 input raise :class:`MpsParseError` carrying the offending line number; so
-does an infinite RHS or RANGES value, which no row side can take.  An
-``UP`` or ``UI`` bound below 0 on a column whose lower bound is still the
-default 0 (no earlier LO, MI, FX, FR, BV or LI line) also sets the lower
-bound to -inf, the free-MPS convention CPLEX documents and SCIP follows;
-the writer always puts LO or MI before UP, so it never relies on this.
+does an infinite COLUMNS, RHS or RANGES value, which no coefficient or row
+side can take.  An ``UP`` or ``UI`` bound below 0 on a column whose lower
+bound is still the default 0 (no earlier LO, MI, FX, FR, BV or LI line)
+also sets the lower bound to -inf, the free-MPS convention CPLEX documents
+and SCIP follows; the writer always puts LO or MI before UP, so it never
+relies on this.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def parse_mps(text: str) -> MipModel:
                 columns[col_name] = state
                 col_order.append(col_name)
             for i in range(1, len(tokens), 2):
-                row_name, value = tokens[i], parse_number(tokens[i + 1], line_no)
+                row_name, value = tokens[i], parse_finite(tokens[i + 1], line_no)
                 if row_name == obj_name:
                     if col_name in obj_coeffs:
                         raise err(line_no, f"duplicate objective entry for {col_name!r}")
@@ -330,11 +334,12 @@ def _checked_name(name: str) -> str:
 def write_mps(model: MipModel) -> str:
     """Serialize a model to free-format MPS text.
 
-    Two-sided inequality rows become L rows with a RANGES entry.  Every
-    variable gets explicit BOUNDS lines (BV for full-range binaries) so the
-    text is self-describing regardless of the reader's integer-default
-    policy.  A binary whose bounds were tightened below [0, 1] keeps its
-    numeric bounds instead of BV, which would silently widen it.
+    Two-sided inequality rows become L (or G, see above) rows with a
+    RANGES entry.  Every variable gets explicit BOUNDS lines (BV for
+    full-range binaries) so the text is self-describing regardless of the
+    reader's integer-default policy.  A binary whose bounds were tightened
+    below [0, 1] keeps its numeric bounds instead of BV, which would
+    silently widen it.
     Unnamed variables and rows are auto-named C0001... / R0001...
     """
     var_names = [_checked_name(_name_or_default(v, "C")) for v in model.variables]
@@ -367,8 +372,12 @@ def write_mps(model: MipModel) -> str:
         elif row.rhs == INF:
             sense, rhs = "G", row.lhs
         else:
-            sense, rhs = "L", row.rhs
-            ranges.append((name, row.rhs - row.lhs))
+            span = row.rhs - row.lhs
+            if row.rhs - span != row.lhs and row.lhs + span == row.rhs:
+                sense, rhs = "G", row.lhs
+            else:
+                sense, rhs = "L", row.rhs
+            ranges.append((name, span))
         lines.append(f" {sense} {name}")
         rhs_entries.append((name, rhs))
     sections = ["\n".join(lines)]

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .families import FAMILIES, FamilySpec
 from .model import DomainBox, MipModel, is_valid_reduction
 from .propagate import propagate_block_fixpoint, propagate_record
-from .records import Family, SemanticRecord, _codec, params_key
+from .records import Family, SemanticRecord, _codec
 from .rowview import ModelView
 from .search import propagate_node
 from .synth import ObfuscationConfig, PlantedInstance, obfuscate, reverse_sample
@@ -166,13 +166,11 @@ def verify_detector(
         return False, f"no {truth.family.value} record among {len(detected)} detected"
     if len(same) > 1:
         return False, f"{len(same)} {truth.family.value} records, expected one"
-    found = same[0]
-    if set(found.scope) != set(truth.scope):
-        return False, "scope mismatch"
-    if params_key(found.params) != params_key(truth.params):
-        return False, "params mismatch"
-    if set(found.evidence) != set(truth.evidence):
-        return False, "evidence mismatch"
+    # key() is (family, scope, params, evidence); the family already matches
+    parts = zip(("scope", "params", "evidence"), same[0].key()[1:], truth.key()[1:])
+    for part, got, want in parts:
+        if got != want:
+            return False, f"{part} mismatch"
     return True, "exact recovery"
 
 

@@ -267,8 +267,13 @@ def test_nan_rhs_is_a_parse_error():
 
 
 def test_infinite_coefficient_is_rejected():
-    with pytest.raises(ValueError, match="non-finite coefficient inf"):
+    with pytest.raises(MpsParseError, match="finite number, got 'inf'") as excinfo:
         parse_mps(NON_FINITE.format(coeff="inf", rhs="2"))
+    assert excinfo.value.line == 6
+    objective = NON_FINITE.replace("x OBJ 1 c1", "x OBJ 1e400 c1")
+    with pytest.raises(MpsParseError, match="finite number, got '1e400'") as excinfo:
+        parse_mps(objective.format(coeff="1", rhs="2"))
+    assert excinfo.value.line == 6
     # an infinite RHS would make the L row free, which the writer cannot emit
     with pytest.raises(MpsParseError, match="finite number, got 'inf'") as excinfo:
         parse_mps(NON_FINITE.format(coeff="1", rhs="inf"))
@@ -397,6 +402,26 @@ def test_round_trip_structural_equality():
     again = parse_mps(text)
     assert models_equal(m, again)
     assert write_mps(again) == text
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, sense",
+    [
+        (-0.1, 2.73, "G"),
+        (0.1, 0.7, "G"),
+        (0.07, 3.2, "G"),
+        (-2.5, 0.1, "L"),
+        (-3.0, 4.0, "L"),
+    ],
+)
+def test_two_sided_row_reads_back_both_sides(lhs, rhs, sense):
+    # an L row's lower side is read back as rhs - R: -0.1 would come back
+    # as -0.10000000000000009, so those rows are written as G rows instead
+    row = LinearRow(0, "r", ((0, 1.0),), lhs, rhs)
+    text = write_mps(MipModel([Variable(0, "x", -INF, INF)], [row]))
+    assert f" {sense} r" in text.splitlines()
+    again = parse_mps(text).rows[0]
+    assert (again.lhs, again.rhs) == (lhs, rhs)
 
 
 def test_pinned_binary_keeps_bounds_through_write():
