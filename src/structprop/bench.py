@@ -115,7 +115,11 @@ class BenchReport:
 
 
 def shifted_geometric_mean(values: Sequence[float], shift: float) -> float:
-    """``(prod(x_i + s))**(1/n) - s`` computed in log space."""
+    """``(prod(x_i + s))**(1/n) - s`` computed in log space.
+
+    The result is clamped to ``[min(values), max(values)]``, where the exact
+    mean lies, so rounding never moves it outside: all zeros give 0.
+    """
     if not values:
         raise ValueError("shifted geometric mean needs at least one value")
     if shift <= 0:
@@ -123,7 +127,7 @@ def shifted_geometric_mean(values: Sequence[float], shift: float) -> float:
     if any(v < 0 for v in values):
         raise ValueError("values must be nonnegative")
     mean_log = sum(math.log(v + shift) for v in values) / len(values)
-    return math.exp(mean_log) - shift
+    return min(max(math.exp(mean_log) - shift, min(values)), max(values))
 
 
 def _sgm(values: Sequence[float], shift: float) -> float | None:

@@ -22,8 +22,7 @@ from ._shared import FamilySpec, _Builder
 
 @dataclass(frozen=True, slots=True)
 class ActivatorSpec:
-    selector_to_activator: Unordered[tuple[Var, Var]]
-    activator_vars: Unordered[Var]
+    selector_to_activator: Unordered[tuple[Var, Var]]  # names every activator
     count: int
     count_row: Row
 
@@ -70,7 +69,7 @@ def detect_bottleneck_exact_one(view: ModelView, config) -> list[SemanticRecord]
         if activators is not None:
             spec, act_rows = activators
             evidence.extend(act_rows)
-            scope.extend(spec.activator_vars)
+            scope.extend(sorted({a for _, a in spec.selector_to_activator}))
             activators = spec
         params = BottleneckExactOneParams(bottleneck_var=z, groups=groups, activators=activators)
         records.append(
@@ -115,7 +114,6 @@ def _find_activators(view: ModelView, selectors: set[int],
         return None
     spec = ActivatorSpec(
         selector_to_activator=tuple(mapping),
-        activator_vars=tuple(sorted(activators)),
         count=int(round(u.lower)),
         count_row=u.row,
     )
@@ -185,7 +183,6 @@ def _plant(rng, sizes):
             selector_to_activator=tuple(
                 (x[i][j], acts[j]) for i in range(n_groups) for j in range(n_options)
             ),
-            activator_vars=tuple(acts),
             count=n_open,
             count_row=count_row,
         )

@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 from ..rowview import ModelView
 from ..model import FEAS_TOL, INF, shared_float
-from ..records import Family, SemanticRecord, Unordered, Var
+from ..records import Family, SemanticRecord
 from ._shared import FamilySpec, _Builder
 
 
 @dataclass(frozen=True, slots=True)
 class CardinalityParams:
-    vars: Unordered[Var]
+    """The counted binaries are the record's scope."""
+
     lower: float
     upper: float
 
@@ -35,12 +36,12 @@ def detect_cardinality(view: ModelView, config) -> list[SemanticRecord]:
         upper = float(n) if u.upper == INF else min(float(n), float(math.floor(u.upper + FEAS_TOL)))
         if lower > upper:
             continue
-        # the support is the row's own sorted vars tuple, shared, not copied
+        # the scope is the row's own sorted vars tuple, shared, not copied
         records.append(
             SemanticRecord(
                 Family.CARDINALITY,
                 u.support,
-                CardinalityParams(u.support, shared_float(lower), shared_float(upper)),
+                CardinalityParams(shared_float(lower), shared_float(upper)),
                 (u.row,),
             )
         )
@@ -63,7 +64,7 @@ def _plant(rng, sizes):
         else:
             lower = 1
     row = mb.row("count", [(v, 1.0) for v in vars_], lower, upper)
-    params = CardinalityParams(tuple(vars_), float(lower), float(upper))
+    params = CardinalityParams(float(lower), float(upper))
     record = SemanticRecord(Family.CARDINALITY, tuple(vars_), params, (row,))
     witness = {v: float(b) for v, b in zip(vars_, bits)}
     return mb, record, witness

@@ -15,8 +15,16 @@ from ..model import (
     set_upper,
 )
 from ..propagate import _all_binary, _live, propagate_block_fixpoint
-from ..records import Family, Row, SemanticRecord, StrippedRow, Unordered, Var
+from ..records import Family, Row, SemanticRecord, Unordered, Var
 from ._shared import FamilySpec, _Builder
+
+
+@dataclass(frozen=True, slots=True)
+class StrippedRow:
+    """A branch row with its guard term removed: sum(terms) <= bound."""
+
+    terms: Unordered[tuple[Var, float]]
+    bound: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,14 +36,11 @@ class BranchSpec:
 
 @dataclass(frozen=True, slots=True)
 class DisjPolyhedralParams:
-    variant: str  # "binary_selector" | "exact_one_mode"
-    branches: Unordered[BranchSpec]
-    selector_row: Row | None  # exact-one row id, mode variant only
-    touched: Unordered[Var]
+    """``exact_one_mode`` exactly when ``selector_row`` is set; the touched
+    variables are those of the branch rows."""
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("binary_selector", "exact_one_mode"):
-            raise ValueError(f"unknown DisjPolyhedral variant {self.variant!r}")
+    branches: Unordered[BranchSpec]
+    selector_row: Row | None  # the exact-one row of the modes
 
 
 def detect_disj_polyhedral(view: ModelView, config) -> list[SemanticRecord]:
@@ -103,12 +108,7 @@ def _disj_record(arms, selector_row: int | None) -> SemanticRecord | None:
         return None
     if selector_row is not None:
         evidence.append(selector_row)
-    params = DisjPolyhedralParams(
-        variant="binary_selector" if selector_row is None else "exact_one_mode",
-        branches=tuple(branches),
-        selector_row=selector_row,
-        touched=tuple(sorted(touched)),
-    )
+    params = DisjPolyhedralParams(branches=tuple(branches), selector_row=selector_row)
     selectors = sorted({selector for selector, _, _ in arms})
     scope = tuple(sorted(touched)) + tuple(selectors)
     return SemanticRecord(Family.DISJ_POLYHEDRAL, scope, params, tuple(evidence))
@@ -129,18 +129,19 @@ def _rule(params: DisjPolyhedralParams, box: DomainBox, out: PropagationOutcome)
     """
     branches = params.branches
     selectors = [b.selector_var for b in branches]
+    touched = sorted({v for b in branches for r in b.rows for v, _ in r.terms})
     shape_ok = (
         2 <= len(branches) <= 6
         and _all_binary(box, set(selectors))
-        and all(0 <= v < len(box) for v in params.touched)
+        and all(0 <= v < len(box) for v in touched)
     )
-    if shape_ok and params.variant == "binary_selector":
+    if shape_ok and params.selector_row is None:  # binary_selector
         shape_ok = (
             len(branches) == 2
             and selectors[0] == selectors[1]
             and {b.selector_value for b in branches} == {0, 1}
         )
-    elif shape_ok:  # "exact_one_mode", the other variant
+    elif shape_ok:  # exact_one_mode
         shape_ok = len(set(selectors)) == len(selectors) and all(
             b.selector_value == 1 for b in branches
         )
@@ -173,7 +174,7 @@ def _rule(params: DisjPolyhedralParams, box: DomainBox, out: PropagationOutcome)
     if not viable or cut:
         return True
 
-    for var in params.touched:
+    for var in touched:
         cut |= set_lower(box, out, var, min(local_boxes[i].lower[var] for i in viable))
         cut |= set_upper(box, out, var, max(local_boxes[i].upper[var] for i in viable))
     return cut
@@ -190,7 +191,6 @@ def _plant(rng, sizes):
     mb = _Builder()
     xs = [mb.var(f"q{k + 1}", 0, rng.randint(5, 9)) for k in range(n_x)]
     point = {v: float(rng.randint(0, int(mb.variables[v].upper) - 1)) for v in xs}
-    variant = "binary_selector" if n_branches == 2 else "exact_one_mode"
 
     x_box = DomainBox([v.lower for v in mb.variables], [v.upper for v in mb.variables])
 
@@ -230,7 +230,7 @@ def _plant(rng, sizes):
             stripped.append(StrippedRow(terms, bound))
         branches.append(BranchSpec(selector, value, tuple(stripped)))
 
-    if variant == "binary_selector":
+    if n_branches == 2:  # binary_selector
         guard = mb.binary("switch")
         active_value = rng.randint(0, 1)
         witness[guard] = float(active_value)
@@ -249,12 +249,7 @@ def _plant(rng, sizes):
         evidence.append(selector_row)
         selectors = tuple(modes)
 
-    params = DisjPolyhedralParams(
-        variant=variant,
-        branches=tuple(branches),
-        selector_row=selector_row,
-        touched=tuple(xs),
-    )
+    params = DisjPolyhedralParams(branches=tuple(branches), selector_row=selector_row)
     scope = tuple(xs) + selectors
     record = SemanticRecord(Family.DISJ_POLYHEDRAL, scope, params, tuple(evidence))
     return mb, record, witness

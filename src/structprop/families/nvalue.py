@@ -16,8 +16,8 @@ from ._shared import FamilySpec, _Builder
 @dataclass(frozen=True, slots=True)
 class NValueParams:
     count_var: Var
-    value_indicators: Unordered[Var]
-    items: Unordered[Unordered[tuple[Var, Var]]]  # per item: (indicator, y) pairs
+    # per item: (indicator, y) pairs; every item pairs with every value indicator
+    items: Unordered[Unordered[tuple[Var, Var]]]
 
 
 def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
@@ -58,7 +58,7 @@ def detect_nvalue(view: ModelView, config) -> list[SemanticRecord]:
         scope = tuple(sorted({y for pairs in items for _, y in pairs})) + tuple(
             sorted(zset)
         ) + (count_var,)
-        params = NValueParams(count_var, tuple(sorted(zset)), tuple(items))
+        params = NValueParams(count_var, tuple(items))
         records.append(SemanticRecord(Family.NVALUE, scope, params, tuple(evidence)))
     return records
 
@@ -90,7 +90,6 @@ def _plant(rng, sizes):
             witness[y[i][v]] = 1.0 if choice[i] == v else 0.0
     params = NValueParams(
         count_var=count,
-        value_indicators=tuple(z),
         items=tuple(tuple((z[v], y[i][v]) for v in range(m)) for i in range(n_items)),
     )
     scope = tuple(v for row in y for v in row) + tuple(z) + (count,)

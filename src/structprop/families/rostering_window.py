@@ -16,8 +16,9 @@ from ._shared import FamilySpec, _Builder
 
 @dataclass(frozen=True, slots=True)
 class RosteringWindowParams:
-    assignment_vars: Unordered[Var]
-    sos_rows: Unordered[Row]
+    """The assignment vars are the record's scope; the one-shift rows are
+    the ``"sos"`` role."""
+
     coverage: Unordered[tuple[Row, float]]  # (coverage row id, requirement)
     role_rows: RoleRows
     nurse_groups: Unordered[Unordered[Var]]  # assignment vars per nurse
@@ -165,8 +166,6 @@ def detect_rostering_window(view: ModelView, config) -> list[SemanticRecord]:
     role_rows = tuple(sorted((role, tuple(sorted(rids))) for role, rids in roles.items() if rids))
     scope = tuple(sorted(grid_vars))
     params = RosteringWindowParams(
-        assignment_vars=scope,
-        sos_rows=tuple(roles["sos"]),
         coverage=coverage,
         role_rows=role_rows,
         nurse_groups=nurse_groups,
@@ -204,10 +203,10 @@ def _plant(rng, sizes):
             for s in range(n_shifts):
                 witness[x[n][d][s]] = 1.0 if plan[n][d] == s else 0.0
 
-    sos_rows = []
+    shift_rows = []
     for n in range(n_nurses):
         for d in range(n_days):
-            sos_rows.append(
+            shift_rows.append(
                 mb.row(
                     f"day_n{n + 1}_d{d + 1}",
                     [(x[n][d][s], 1.0) for s in range(n_shifts)],
@@ -261,7 +260,7 @@ def _plant(rng, sizes):
         if floor_total >= 1:
             hlb_rows.append(mb.row(f"hmin_n{n + 1}", all_terms, floor_total, INF))
 
-    role_rows = [("sos", tuple(sos_rows)), ("dem", tuple(dem_rows))]
+    role_rows = [("sos", tuple(shift_rows)), ("dem", tuple(dem_rows))]
     if work_rows:
         role_rows.append(("workWind", tuple(work_rows)))
     if rest_rows:
@@ -277,8 +276,6 @@ def _plant(rng, sizes):
         for s in range(n_shifts)
     )
     params = RosteringWindowParams(
-        assignment_vars=scope,
-        sos_rows=tuple(sos_rows),
         coverage=tuple(coverage),
         role_rows=tuple(sorted(role_rows)),
         nurse_groups=tuple(

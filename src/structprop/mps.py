@@ -373,6 +373,8 @@ def write_mps(model: MipModel) -> str:
             sense, rhs = "G", row.lhs
         else:
             span = row.rhs - row.lhs
+            if span == INF:
+                raise MpsWriteError(f"row {name!r} has a range too wide for a float")
             if row.rhs - span != row.lhs and row.lhs + span == row.rhs:
                 sense, rhs = "G", row.lhs
             else:

@@ -7,7 +7,9 @@ record documents survive alongside MPS files.
 
 Each family's params dataclass, in its ``structprop.families`` module, is
 its own schema, and a new family needs one marked dataclass with no
-serializer and no key; records look it up in ``families.FAMILIES``.  A
+serializer and no key; records look it up in ``families.FAMILIES``.  No
+params field repeats the scope, an evidence role or another field; what
+can be read off the record is derived where it is read.  A
 field typed :data:`Var` or :data:`Row` holds a variable or row id,
 :data:`Unordered` marks a tuple whose order carries no meaning, and
 :data:`RoleRows` marks ``(role, row ids)`` pairs that serialize as one JSON
@@ -78,14 +80,6 @@ Unordered = Annotated[tuple[_T, ...], "unordered"]
 #: ``(role, row ids)`` pairs, serialized as ``{role: [row names]}`` and read
 #: back in role order.
 RoleRows = Annotated[tuple[tuple[str, Unordered[Row]], ...], "object"]
-
-
-@dataclass(frozen=True, slots=True)
-class StrippedRow:
-    """A branch row with its guard term removed: sum(terms) <= bound."""
-
-    terms: Unordered[tuple[Var, float]]
-    bound: float
 
 
 @dataclass(frozen=True, slots=True)

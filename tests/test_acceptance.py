@@ -28,7 +28,7 @@ from structprop.bench import (
 )
 from structprop.detect import DetectionReport, detect_all
 from structprop.families import FAMILIES
-from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams
+from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams, StrippedRow
 from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.model import (
     INF,
@@ -42,7 +42,7 @@ from structprop.model import (
 )
 from structprop.mps import parse_mps, write_mps
 from structprop.propagate import PropagatorConfig, propagate_record
-from structprop.records import Family, SemanticRecord, StrippedRow
+from structprop.records import Family, SemanticRecord
 from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import (
@@ -150,7 +150,6 @@ def test_worked_tightening_examples_reproduce_exactly():
         Family.DISJ_POLYHEDRAL,
         (0, 1),
         DisjPolyhedralParams(
-            variant="binary_selector",
             branches=(
                 BranchSpec(1, 0, (StrippedRow(((0, 1.0),), 2.0),)),
                 BranchSpec(
@@ -160,7 +159,6 @@ def test_worked_tightening_examples_reproduce_exactly():
                 ),
             ),
             selector_row=None,
-            touched=(0,),
         ),
         (0, 1, 2),
     )

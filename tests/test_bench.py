@@ -40,9 +40,9 @@ def test_sgm_hand_example():
 
 
 def test_sgm_all_zeros():
-    assert shifted_geometric_mean([0.0, 0.0, 0.0], 100.0) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    # exp(log(100)) - 100 rounds to 4.26e-14; the mean stays in [min, max]
+    assert shifted_geometric_mean([0, 0], 100.0) == 0.0
+    assert shifted_geometric_mean([0.0, 0.0, 0.0], 100.0) == 0.0
 
 
 @given(
@@ -141,6 +141,14 @@ def test_empty_common_gives_absent_cells():
     runs = [run("a", "baseline", status="limit"), run("a", "plugin", status="limit")]
     report = aggregate(runs, detections_for(["a"]))
     assert report.performance["Cardinality"] == {c: None for c in PERFORMANCE_COLUMNS}
+
+
+def test_all_zero_pairs_give_zero_means_and_no_speedups():
+    runs = [run(n, label, wall=0.0, nodes=0) for n in "ab" for label in ("baseline", "plugin")]
+    perf = aggregate(runs, detections_for(["a", "b"])).performance["Cardinality"]
+    assert [perf[c] for c in ("T_base", "T_plug", "N_base", "N_plug")] == [0.0] * 4
+    assert perf["T speedup"] is None and perf["N speedup"] is None
+    assert perf["#T_speedup"] == perf["#N_speedup"] == 0
 
 
 def test_coverage_partitions_detected_set():

@@ -167,7 +167,7 @@ def test_propagate_cutoff_exits_nonzero(tmp_path, capsys):
     mps_path = tmp_path / "stuck.mps"
     mps_path.write_text(write_mps(model))
     record = SemanticRecord(
-        Family.CARDINALITY, (0, 1, 2), CardinalityParams((0, 1, 2), 2.0, 2.0), (0,)
+        Family.CARDINALITY, (0, 1, 2), CardinalityParams(2.0, 2.0), (0,)
     )
     records_path = tmp_path / "records.json"
     records_path.write_text(json.dumps(records_to_json([record], model)))
@@ -249,15 +249,27 @@ def test_propagate_malformed_records_file_is_domain_failure(tmp_path, capsys, sp
     _propagate_spoiled_records(tmp_path, capsys, "channel", spoil, message)
 
 
-def _misspell_variant(doc):
+def test_propagate_skips_the_disjunction_keys_older_records_files_carry(tmp_path, capsys):
+    # files once stored a variant and the touched variables, both derived now;
+    # even a variant that contradicts the selector row is skipped
+    mps = synth_file(tmp_path, "disjpolyhedral", 0)
+    records_path = tmp_path / "records.json"
+    run_cli(capsys, "detect", mps, "--records-out", str(records_path), "--quiet")
+
+    def propagate():
+        code, out, err = run_cli(capsys, "propagate", mps, "--records", str(records_path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        del doc["outcome"]["prop_time_ms"]  # a timing
+        return doc
+
+    expected = propagate()
+    assert expected["records_applied"] == 1
+    doc = json.loads(records_path.read_text())
     (record,) = doc["records"]
-    record["params"]["variant"] = "exact-one-mode"
-    return doc
-
-
-def test_propagate_rejects_an_unknown_disjunction_variant(tmp_path, capsys):
-    message = "unknown DisjPolyhedral variant 'exact-one-mode'"
-    _propagate_spoiled_records(tmp_path, capsys, "disjpolyhedral", _misspell_variant, message)
+    record["params"].update(variant="exact-one-mode", touched=[record["scope"][0]])
+    records_path.write_text(json.dumps(doc))
+    assert propagate() == expected
 
 
 def _propagate_spoiled_records(tmp_path, capsys, family, spoil, message):

@@ -507,6 +507,14 @@ def test_writer_rejects_double_free_row():
         write_mps(MipModel(v, r))
 
 
+def test_writer_rejects_a_range_that_overflows():
+    # rhs - lhs is inf, which no RANGES value can hold
+    v = [Variable(0, "x", 0.0, 1.0)]
+    r = [LinearRow(0, "r", ((0, 1.0),), -1e308, 1e308)]
+    with pytest.raises(MpsWriteError, match="row 'r' has a range too wide for a float"):
+        write_mps(MipModel(v, r))
+
+
 def test_writer_autonames_blank():
     v = [Variable(0, "", 0.0, 2.0)]
     r = [LinearRow(0, "", ((0, 1.0),), -INF, 1.0)]

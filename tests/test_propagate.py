@@ -23,7 +23,7 @@ from structprop.model import (
 from structprop.families import FAMILIES
 from structprop.families.bottleneck_exact_one import ActivatorSpec, BottleneckExactOneParams
 from structprop.families.channel import ChannelParams
-from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams
+from structprop.families.disj_polyhedral import BranchSpec, DisjPolyhedralParams, StrippedRow
 from structprop.families.one_hot_resource import OneHotResourceParams
 from structprop.propagate import (
     PropagatorConfig,
@@ -32,7 +32,7 @@ from structprop.propagate import (
     propagate_record,
     run_fixpoint,
 )
-from structprop.records import Family, SemanticRecord, StrippedRow
+from structprop.records import Family, SemanticRecord
 from structprop.search import SearchConfig, dfs_solve, propagate_node
 from structprop.synth import ObfuscationConfig, obfuscate, reverse_sample
 from structprop.verify import enumerate_feasible, verify_detector
@@ -170,16 +170,14 @@ def bottleneck_instance(groups=BOTTLENECK_GROUPS, z_upper=INF, activators=None):
         if w is not None
     ]
     if activators is not None:
-        variables += [
-            Variable(a, f"a{a}", 0.0, 1.0, Integrality.BINARY)
-            for a in activators.activator_vars
-        ]
+        acts = sorted({a for _, a in activators.selector_to_activator})
+        variables += [Variable(a, f"a{a}", 0.0, 1.0, Integrality.BINARY) for a in acts]
         specs += [
             (((x, 1.0), (a, -1.0)), -INF, 0.0)
             for x, a in activators.selector_to_activator
         ]
         count = float(activators.count)
-        specs.append((tuple((a, 1.0) for a in activators.activator_vars), count, count))
+        specs.append((tuple((a, 1.0) for a in acts), count, count))
     rows = tuple(LinearRow(i, f"r{i}", t, lo, up) for i, (t, lo, up) in enumerate(specs))
     model = MipModel(tuple(variables), rows)
     params = BottleneckExactOneParams(n, groups, activators)
@@ -259,7 +257,6 @@ def test_bottleneck_unknown_weights_stay_conservative():
 def test_bottleneck_activator_implications():
     activators = ActivatorSpec(
         selector_to_activator=((0, 5), (1, 6), (2, 5), (3, 6)),
-        activator_vars=(5, 6),
         count=1,
         count_row=0,
     )
@@ -279,7 +276,6 @@ def test_bottleneck_max_min_floor_ignores_slot_packing():
     # heavy slot is feasible, which neither the rows nor a max-min floor see
     activators = ActivatorSpec(
         selector_to_activator=((0, 5), (1, 7), (2, 6), (3, 7)),
-        activator_vars=(5, 6, 7),
         count=1,
         count_row=0,
     )
@@ -342,7 +338,6 @@ def test_block_fixpoint_round_budget_reported():
 
 def disj_params():
     return DisjPolyhedralParams(
-        variant="binary_selector",
         branches=(
             BranchSpec(1, 0, (StrippedRow(((0, 1.0),), 2.0),)),
             BranchSpec(
@@ -350,7 +345,6 @@ def disj_params():
             ),
         ),
         selector_row=None,
-        touched=(0,),
     )
 
 
@@ -384,14 +378,13 @@ def test_disjunction_respects_fixed_selector():
 
 
 def test_disjunction_rejects_malformed_variant():
+    # no selector row makes it binary_selector, which needs one shared guard
     params = DisjPolyhedralParams(
-        variant="binary_selector",
         branches=(
             BranchSpec(1, 1, (StrippedRow(((0, 1.0),), 2.0),)),
             BranchSpec(2, 1, (StrippedRow(((0, 1.0),), 7.0),)),
         ),
         selector_row=None,
-        touched=(0,),
     )
     box = DomainBox([0.0, 0.0, 0.0], [10.0, 1.0, 1.0], [True, True, True])
     out = apply_rule(params, box)
@@ -718,7 +711,7 @@ def test_exact_one_mode_disjunction_end_to_end(branches):
     acted = 0
     for seed in range(6):
         inst = reverse_sample(Family.DISJ_POLYHEDRAL, {"branches": branches}, seed=seed)
-        assert inst.ground_truth.params.variant == "exact_one_mode"
+        assert inst.ground_truth.params.selector_row is not None
         for planted in (inst, obfuscate(inst, ObfuscationConfig(seed=seed))):
             model, record = planted.model, planted.ground_truth
             passed, detail = verify_detector(planted, detect_all(model).records)
@@ -732,6 +725,32 @@ def test_exact_one_mode_disjunction_end_to_end(branches):
                 assert is_valid_reduction(box, reduced, enum.mappings())
                 acted += bool(out.domain_reductions or out.cutoff)
     assert acted
+
+
+@pytest.mark.parametrize("branches", [2, 3])
+def test_disjunction_rule_acts_alike_on_planted_and_detected_records(branches):
+    # the rule walks the touched variables of the branch rows in sorted
+    # order, so the planted record, whose variables obfuscation renumbers out
+    # of order, and the detected record leave one box by the same changes
+    unsorted = acted = 0
+    for seed in range(6):
+        inst = reverse_sample(Family.DISJ_POLYHEDRAL, {"branches": branches}, seed=seed)
+        noisy = obfuscate(inst, ObfuscationConfig(seed=seed))
+        model, planted = noisy.model, noisy.ground_truth
+        (detected,) = detect_all(model).records
+        assert detected.family is Family.DISJ_POLYHEDRAL
+        shared = planted.scope[: len(planted.scope) - (1 if branches == 2 else branches)]
+        unsorted += list(shared) != sorted(shared)
+        for box in [DomainBox.from_model(model), *seeded_fixings(model, planted, seed, 10)]:
+            after = []
+            for record in (planted, detected):
+                local = box.copy()
+                out = propagate_record(model, record, local)
+                changes = sorted(dataclasses.astuple(c) for c in out.bound_changes)
+                after.append((local.lower, local.upper, changes))
+            assert after[0] == after[1]
+            acted += bool(changes)
+    assert unsorted and acted
 
 
 @pytest.mark.parametrize("family", KEPT, ids=lambda f: f.value)
@@ -763,7 +782,7 @@ def exact_one_members(params):
         return {v for _, v in params.indicators}
     if isinstance(params, OneHotResourceParams):
         return {v for group in params.groups for v, _ in group}
-    if params.variant == "exact_one_mode":
+    if params.selector_row is not None:  # exact_one_mode
         return {b.selector_var for b in params.branches}
     return set()
 

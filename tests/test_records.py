@@ -247,13 +247,12 @@ def _planted_doc(family: Family):
         (Family.STRETCH, "min_run", 2.0, "expected a JSON int, got 2.0"),
         (Family.STRETCH, "max_run", True, "expected a JSON int, got True"),
         (Family.CARDINALITY, "lower", False, "expected a JSON float, got False"),
-        (Family.DISJ_POLYHEDRAL, "variant", 5, "expected a JSON str, got 5"),
-        (Family.DISJ_POLYHEDRAL, "variant", "exact-one-mode",
-         "unknown DisjPolyhedral variant 'exact-one-mode'"),
-        (Family.CARDINALITY, "vars", ["nobody"], "unknown variable name 'nobody'"),
+        (Family.CARDINALITY, "upper", "2", "expected a JSON float, got '2'"),
+        (Family.DISJ_POLYHEDRAL, "selector_row", "nobody", "unknown row name 'nobody'"),
+        (Family.NVALUE, "count_var", "nobody", "unknown variable name 'nobody'"),
     ],
-    ids=["bool-as-int", "int-as-float", "int-as-bool", "float-as-bool", "str-as-int",
-         "unknown-variant", "name"],
+    ids=["bool-as-int", "int-as-float", "int-as-bool", "float-as-bool", "str-as-float",
+         "row-name", "name"],
 )
 def test_records_from_json_rejects_wrong_values(family, field, value, message):
     doc, inst = _planted_doc(family)
@@ -313,16 +312,48 @@ def test_every_kept_record_round_trips(family):
         assert [remap_record(r, var_ids, row_ids) for r in records] == records
 
 
+def _with_derived_keys(raw):
+    """Add back the params keys that repeated the scope, an evidence role
+    or another field, as documents once stored them."""
+    params = raw["params"]
+    family = Family(raw["family"])
+    if family is Family.CARDINALITY:
+        params["vars"] = raw["scope"]
+    elif family is Family.NVALUE:
+        params["value_indicators"] = sorted({z for pairs in params["items"] for z, _ in pairs})
+    elif family is Family.BOTTLENECK_EXACT_ONE and params["activators"] is not None:
+        spec = params["activators"]
+        spec["activator_vars"] = sorted({a for _, a in spec["selector_to_activator"]})
+    elif family is Family.ROSTERING_WINDOW:
+        params["assignment_vars"] = raw["scope"]
+        params["sos_rows"] = params["role_rows"]["sos"]
+    elif family is Family.DISJ_POLYHEDRAL:
+        exact_one = params["selector_row"] is not None
+        params["variant"] = "exact_one_mode" if exact_one else "binary_selector"
+        params["touched"] = sorted(
+            {v for b in params["branches"] for r in b["rows"] for v, _ in r["terms"]}
+        )
+
+
 def test_records_from_json_reads_documents_with_confidence_and_link_coverage():
-    # documents once carried each record's confidence and the bottleneck's
-    # link coverage; both keys are skipped
-    inst = reverse_sample(Family.BOTTLENECK_EXACT_ONE, seed=0)
-    records = [inst.ground_truth, *detect_all(inst.model).records]
-    doc = records_to_json(records, inst.model)
-    old = json.loads(json.dumps(doc))
-    for raw in old["records"]:
-        raw["confidence"] = "exact"
-        if raw["family"] == Family.BOTTLENECK_EXACT_ONE.value:
-            raw["params"]["link_coverage"] = 1.0
-    assert records_from_json(old, inst.model) == records_from_json(doc, inst.model)
-    assert records_from_json(old, inst.model) == records
+    # documents once carried each record's confidence, the bottleneck's link
+    # coverage and seven params keys now derived where read; all are skipped
+    for family, sizes in [
+        (Family.BOTTLENECK_EXACT_ONE, {"activators": 1}),
+        (Family.CARDINALITY, None),
+        (Family.NVALUE, None),
+        (Family.ROSTERING_WINDOW, None),
+        (Family.DISJ_POLYHEDRAL, None),  # binary_selector
+        (Family.DISJ_POLYHEDRAL, {"branches": 3}),  # exact_one_mode
+    ]:
+        inst = reverse_sample(family, sizes, seed=0)
+        records = [inst.ground_truth, *detect_all(inst.model).records]
+        doc = records_to_json(records, inst.model)
+        old = json.loads(json.dumps(doc))
+        for raw in old["records"]:
+            raw["confidence"] = "exact"
+            if raw["family"] == Family.BOTTLENECK_EXACT_ONE.value:
+                raw["params"]["link_coverage"] = 1.0
+            _with_derived_keys(raw)
+        assert records_from_json(old, inst.model) == records_from_json(doc, inst.model)
+        assert records_from_json(old, inst.model) == records

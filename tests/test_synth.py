@@ -209,28 +209,28 @@ def test_obfuscated_mps_matches_pinned_bytes(family):
 # leave every byte as it was
 PINNED_RECORDS_SHA256 = {
     ("clean", Family.ALL_DIFFERENT): "819c2042405dbf25",
-    ("clean", Family.CARDINALITY): "847d21c6f5db0094",
+    ("clean", Family.CARDINALITY): "8b45e034f752b6bf",
     ("clean", Family.CHANNEL): "2c0374f660c95296",
     ("clean", Family.CUMULATIVE): "2ebf35f5afbbc59c",
-    ("clean", Family.NVALUE): "63c215bbfe91da2f",
+    ("clean", Family.NVALUE): "645e3b98ec73b9de",
     ("clean", Family.STRETCH): "f1d36442069d7293",
     ("clean", Family.ONE_HOT_RESOURCE): "913818fac714830b",
-    ("clean", Family.BOTTLENECK_EXACT_ONE): "0d7981a56843a102",
-    ("clean", Family.ROSTERING_WINDOW): "4fd927606da0d996",
+    ("clean", Family.BOTTLENECK_EXACT_ONE): "bc4a34af286628b2",
+    ("clean", Family.ROSTERING_WINDOW): "fcc282aa49e66fb7",
     ("clean", Family.UNIT_COMMITMENT_RAMP): "b56fc7a2b9d0502f",
-    ("clean", Family.DISJ_POLYHEDRAL): "fad8cbacfd273e00",
+    ("clean", Family.DISJ_POLYHEDRAL): "22d8922086621c79",
     ("obfuscated", Family.ALL_DIFFERENT): "c05d108eb6447d0c",
-    ("obfuscated", Family.CARDINALITY): "cfb3844318213403",
+    ("obfuscated", Family.CARDINALITY): "a2fdebb325d97b6b",
     ("obfuscated", Family.CHANNEL): "cb4381866f33d1ce",
     ("obfuscated", Family.CUMULATIVE): "a093df61dec4de7f",
-    ("obfuscated", Family.NVALUE): "f27256df22a098f7",
+    ("obfuscated", Family.NVALUE): "3c9c1ade87c50059",
     ("obfuscated", Family.STRETCH): "36562a44ddcbe5bd",
     ("obfuscated", Family.ONE_HOT_RESOURCE): "66b16f235ce0212d",
-    ("obfuscated", Family.BOTTLENECK_EXACT_ONE): "e6f5959e6cc97693",
-    ("obfuscated", Family.ROSTERING_WINDOW): "0e6a6123da0fa218",
+    ("obfuscated", Family.BOTTLENECK_EXACT_ONE): "57183fc7d7bec3c0",
+    ("obfuscated", Family.ROSTERING_WINDOW): "294b6f00712deba0",
     ("obfuscated", Family.UNIT_COMMITMENT_RAMP): "386221e24dff9fd9",
     # names, not ids, are written, and no noise row is referenced
-    ("obfuscated", Family.DISJ_POLYHEDRAL): "fad8cbacfd273e00",
+    ("obfuscated", Family.DISJ_POLYHEDRAL): "22d8922086621c79",
 }
 
 
@@ -259,7 +259,7 @@ def test_records_json_refuses_ambiguous_names():
     row = LinearRow(0, "pick", ((0, 1.0), (1, 1.0)), 1.0, 1.0)
     model = MipModel(variables, (row,))
     record = SemanticRecord(
-        Family.CARDINALITY, (0, 1, 2), CardinalityParams((0, 1, 2), 1.0, 1.0), (0,)
+        Family.CARDINALITY, (0, 1, 2), CardinalityParams(1.0, 1.0), (0,)
     )
     with pytest.raises(ValueError, match="variable name"):
         records_to_json([record], model)
@@ -269,7 +269,7 @@ def test_records_json_refuses_ambiguous_names():
             {
                 "family": "Cardinality",
                 "scope": ["x", "C0003"],
-                "params": {"vars": ["x", "C0003"], "lower": 1.0, "upper": 1.0},
+                "params": {"lower": 1.0, "upper": 1.0},
                 "evidence": ["pick"],
             }
         ],
@@ -285,7 +285,7 @@ def test_records_json_refuses_ambiguous_names():
         Variable(i, f"y{i}", 0.0, 1.0, Integrality.BINARY) for i in range(2)
     )
     single = SemanticRecord(
-        Family.CARDINALITY, (0,), CardinalityParams((0,), 1.0, 1.0), (0,)
+        Family.CARDINALITY, (0,), CardinalityParams(1.0, 1.0), (0,)
     )
     with pytest.raises(ValueError, match="row name"):
         records_to_json([single], MipModel(unique, rows))
